@@ -1,9 +1,8 @@
 """Privacy-preserving federated clustering over lattice-partitioned data."""
 
-from .collaboration import run_dc_clustering
 from .experiment import ExperimentSpec, run_experiment, load_config
-from .federation import (SessionConfig, run_in_process_session,
-                         run_tcp_session)
+from .federation import (SessionConfig, run_dc_clustering,
+                         run_in_process_session, run_tcp_session)
 from .metrics import ari, nmi, acc, score_all
 
 __version__ = "0.1.0"

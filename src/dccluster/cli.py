@@ -17,11 +17,10 @@ import sys
 import numpy as np
 
 from . import datasets
-from .data import load_csv, make_blobs, make_circles, partition_lattice, \
-    feature_bounds, generate_anchor
 from .errors import ConfigurationError, IngestionError
-from .experiment import ExperimentSpec, load_config, run_experiment, emit_report
-from .federation import (SessionConfig, TcpAnalystEndpoint, TcpUserEndpoint,
+from .experiment import (ExperimentSpec, load_config, run_experiment,
+                         emit_report, trial_inputs)
+from .federation import (TcpAnalystEndpoint, TcpUserEndpoint,
                          analyst_party_run, user_party_run)
 from .seeds import derive_seed
 
@@ -75,36 +74,9 @@ def _cmd_run(args) -> int:
     return status
 
 
-def _spec_dataset(spec: ExperimentSpec, trial_seed: int):
-    if spec.dataset == "csv":
-        return load_csv(spec.csv_path, label_column=spec.label_column)
-    gen = make_blobs if spec.dataset == "blobs" else make_circles
-    return gen(spec.clusters, spec.per_cluster,
-               rng_seed=derive_seed(trial_seed, "data"))
-
-
 def _session_pieces(spec: ExperimentSpec):
-    """Partition and anchor every role re-derives from the shared config."""
-    trial_seed = derive_seed(spec.master_seed, "trial", 0)
-    ds = _spec_dataset(spec, trial_seed)
-    k = spec.k if spec.k is not None else ds.n_clusters
-    part = partition_lattice(ds, spec.c, spec.d, spec.assignment,
-                             rng_seed=derive_seed(trial_seed, "partition"),
-                             cluster_map=spec.cluster_map,
-                             col_index_sets=spec.col_blocks)
-    r = spec.anchor_size if spec.anchor_size else ds.features.shape[0]
-    anchor = generate_anchor(feature_bounds(ds.features), r,
-                             rng_seed=derive_seed(trial_seed, "anchor"))
-    cfg = SessionConfig(c=spec.c, d=spec.d, k=k, algorithm=spec.algorithm,
-                        mode=spec.mode, neighbors=spec.neighbors,
-                        max_iter=spec.max_iter, master_seed=trial_seed,
-                        m_hat=spec.m_hat, scale=spec.scale,
-                        restarts=spec.restarts, timeout=spec_timeout(spec))
-    return ds, part, anchor, cfg
-
-
-def spec_timeout(spec) -> float | None:
-    return getattr(spec, "timeout", None)
+    """Trial 0's inputs, which every role re-derives from the shared config."""
+    return trial_inputs(spec, derive_seed(spec.master_seed, "trial", 0))
 
 
 def _parse_hostport(text: str):
@@ -150,7 +122,10 @@ def _cmd_user(args) -> int:
     anchor_block = anchor.features[:, part.col_index_sets[j]]
     host, port = _parse_hostport(args.connect)
     endpoint = TcpUserEndpoint(host, port, timeout=cfg.timeout)
-    labels = user_party_run((i, j), block, anchor_block, cfg, endpoint)
+    try:
+        labels = user_party_run((i, j), block, anchor_block, cfg, endpoint)
+    finally:
+        endpoint.close()
     print(f"party ({i},{j}): {labels.size} rows labeled, "
           f"{len(set(labels.tolist()))} clusters present")
     if args.out:

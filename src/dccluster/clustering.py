@@ -186,13 +186,8 @@ def spectral_embedding(x, k: int, neighbors: int = 10) -> SpectralEmbedding:
 
 
 def spectral_cluster(x, k: int, neighbors: int = 10, max_iter: int = 300,
-                     rng_seed: int = 0, normalize_rows: bool = False,
-                     restarts: int = 1) -> ClusterModel:
+                     rng_seed: int = 0, restarts: int = 1) -> ClusterModel:
     """k-means in the spectral embedding of the kNN graph."""
-    emb = spectral_embedding(x, k, neighbors)
-    z = emb.vectors
-    if normalize_rows:
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        z = np.where(norms > 0, z / np.where(norms == 0, 1.0, norms), z)
+    z = spectral_embedding(x, k, neighbors).vectors
     return kmeans(z, k, max_iter=max_iter, rng_seed=rng_seed,
                   space_tag="spectral-embedding", restarts=restarts)

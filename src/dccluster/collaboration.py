@@ -12,15 +12,13 @@ yields one coherent matrix the analyst can cluster centrally.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterModel, assign_nearest, kmeans, spectral_embedding
-from .data import AnchorDataset, LatticePartition
-from .errors import ConfigurationError, ContractViolationError
+from .clustering import kmeans, spectral_embedding
+from .errors import ConfigurationError, ContractViolationError, ProtocolError
 from .numerics import as_matrix, pinv, standardize, svd
-from .seeds import derive_seed
 
 
 @dataclass
@@ -48,14 +46,30 @@ class AffineMap:
 
 
 @dataclass
-class UserShare:
-    """Everything an institution reveals: its party id and two transformed
-    matrices.  Raw features, means, scales, and axes stay local by
-    construction; no field can carry them."""
+class UserShareMsg:
+    """Everything an institution reveals: its party id, two transformed
+    matrices and the echo of its session config.  Raw features, means,
+    scales, and axes stay local by construction; no field can carry them."""
 
     party: tuple[int, int]
     x_tilde: np.ndarray
     anchor_tilde: np.ndarray
+    config: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.party = (int(self.party[0]), int(self.party[1]))
+        if self.party[0] < 0 or self.party[1] < 0:
+            raise ProtocolError(f"party indices must be nonnegative: {self.party}")
+        self.x_tilde = as_matrix(self.x_tilde, "x_tilde")
+        self.anchor_tilde = as_matrix(self.anchor_tilde, "anchor_tilde")
+        if self.x_tilde.shape[1] != self.anchor_tilde.shape[1]:
+            raise ProtocolError("x_tilde and anchor_tilde widths differ")
+
+    def __eq__(self, other):
+        return (isinstance(other, UserShareMsg) and self.party == other.party
+                and np.array_equal(self.x_tilde, other.x_tilde)
+                and np.array_equal(self.anchor_tilde, other.anchor_tilde)
+                and self.config == other.config)
 
 
 @dataclass
@@ -70,34 +84,37 @@ class CollaborationModel:
 
 
 @dataclass
-class AnalystResult:
+class AnalystResultMsg:
     """Per-row-block payload the analyst returns to its institutions."""
 
     row_block: int
     centroids: np.ndarray
     z_block: np.ndarray
-    algorithm: str
+    algorithm: str = "kmeans"
+    config: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.row_block = int(self.row_block)
+        self.centroids = as_matrix(self.centroids, "centroids")
+        self.z_block = as_matrix(self.z_block, "z_block")
+
+    def __eq__(self, other):
+        return (isinstance(other, AnalystResultMsg)
+                and self.row_block == other.row_block
+                and np.array_equal(self.centroids, other.centroids)
+                and np.array_equal(self.z_block, other.z_block)
+                and self.algorithm == other.algorithm
+                and self.config == other.config)
 
 
-def pca_axes(x, dim: int) -> np.ndarray:
-    """Top principal axes (columns) of a data block, by SVD of the centered
-    matrix.  Deterministic sign convention comes from the SVD wrapper."""
-    x = as_matrix(x)
-    if not 1 <= dim <= min(x.shape):
-        raise ContractViolationError(f"dim must be in [1, {min(x.shape)}], got {dim}")
-    centered = x - x.mean(axis=0)
-    return svd(centered, top_k=dim).vt.T
-
-
-def fit_intermediate(x_block, anchor_block, target_dim: int, rng_seed=None,
+def fit_intermediate(x_block, anchor_block, target_dim: int,
                      party: tuple[int, int] = (0, 0), scale: bool = True):
     """Fit an institution's private map and produce its share.
 
     The map standardizes the block (population std, fitted locally) and
     projects onto the top target_dim principal axes.  target_dim must be
     strictly below the block's feature count; the reduction is what keeps
-    the raw block unrecoverable.  rng_seed is accepted for interface
-    stability but the fit is deterministic.
+    the raw block unrecoverable.  The fit is deterministic.
 
     scale=False keeps the centering but skips the per-feature variance
     rescaling, so the principal axes follow raw covariance.  When features
@@ -126,13 +143,12 @@ def fit_intermediate(x_block, anchor_block, target_dim: int, rng_seed=None,
     axes = svd(x_std, top_k=target_dim).vt.T
     f = AffineMap(pre_offset=means, linear=axes / scales[:, None],
                   post_offset=np.zeros(target_dim))
-    share = UserShare(party=(int(party[0]), int(party[1])),
-                      x_tilde=f.apply(x_block),
-                      anchor_tilde=f.apply(anchor_block))
+    share = UserShareMsg(party=party, x_tilde=f.apply(x_block),
+                         anchor_tilde=f.apply(anchor_block))
     return f, share
 
 
-def _grouped_by_row(shares) -> list[list[UserShare]]:
+def _grouped_by_row(shares) -> list[list[UserShareMsg]]:
     parties = [s.party for s in shares]
     if len(set(parties)) != len(parties):
         raise ConfigurationError("duplicate party in shares")
@@ -257,66 +273,8 @@ def analyst_cluster(z, k: int, max_iter: int = 300, rng_seed: int = 0,
             f"row_sizes {row_sizes} do not sum to {z.shape[0]} rows")
     results, start = [], 0
     for i, size in enumerate(row_sizes):
-        results.append(AnalystResult(row_block=i, centroids=model.centroids,
-                                     z_block=z[start:start + size],
-                                     algorithm=algorithm))
+        results.append(AnalystResultMsg(row_block=i, centroids=model.centroids,
+                                        z_block=z[start:start + size],
+                                        algorithm=algorithm))
         start += size
     return model, results
-
-
-def user_recover_labels(result: AnalystResult) -> np.ndarray:
-    """Nearest-centroid labels for an institution's own rows."""
-    return assign_nearest(result.z_block, result.centroids)
-
-
-def party_target_dim(block_cols: int, target_dims, party) -> int:
-    """Resolve an institution's output dimension; default is one below its
-    feature count, the largest reduction-preserving choice."""
-    if target_dims is None:
-        dim = block_cols - 1
-    elif isinstance(target_dims, int):
-        dim = target_dims
-    else:
-        dim = int(target_dims[party])
-    if block_cols < 2:
-        raise ConfigurationError(
-            "blocks need at least 2 features to reduce dimension")
-    return dim
-
-
-def run_dc_clustering(x, partition: LatticePartition, anchor: AnchorDataset,
-                      algorithm: str, k: int, mode: str = "affine",
-                      master_seed: int = 0, neighbors: int = 10,
-                      max_iter: int = 300, target_dims=None,
-                      m_hat: int | None = None, scale: bool = False,
-                      restarts: int = 10):
-    """End-to-end pipeline with every role played in-process.
-
-    Rows of the returned label vector follow row-block order (partition
-    block 0 first); use the partition's row_order() to map back to dataset
-    order.  Returns (labels, per_block_labels, model).
-
-    The pipeline default is the centre-only intermediate map (scale=False):
-    with variance rescaling each institution's fitted axes wander when the
-    rescaled spectrum is nearly flat, and the anchor alignment cannot undo
-    a subspace mismatch after the fact.  Pass scale=True to restore full
-    standardization inside f.
-    """
-    x = as_matrix(x)
-    shares = []
-    for i in range(partition.c):
-        for j in range(partition.d):
-            block = partition.block(x, i, j)
-            anchor_block = anchor.features[:, partition.col_index_sets[j]]
-            dim = party_target_dim(block.shape[1], target_dims, (i, j))
-            _, share = fit_intermediate(block, anchor_block, dim, party=(i, j),
-                                        scale=scale)
-            shares.append(share)
-    model = build_collaboration(shares, mode=mode, m_hat=m_hat)
-    z = make_clustering_representation(model, algorithm, k, neighbors)
-    _, results = analyst_cluster(z, k, max_iter=max_iter,
-                                 rng_seed=derive_seed(master_seed, "analyst"),
-                                 row_sizes=model.row_sizes, algorithm=algorithm,
-                                 restarts=restarts)
-    per_block = [user_recover_labels(res) for res in results]
-    return np.concatenate(per_block), per_block, model

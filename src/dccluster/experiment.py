@@ -130,13 +130,36 @@ class TrialReport:
                 and self.extras == other.extras)
 
 
-def _trial_dataset(spec: ExperimentSpec, trial_seed: int,
-                   loaded: LabeledDataset | None) -> LabeledDataset:
+def trial_inputs(spec: ExperimentSpec, trial_seed: int,
+                 loaded: LabeledDataset | None = None):
+    """Dataset, partition, anchor and session config of one trial.
+
+    Everything derives from the spec and the trial seed, so every role of a
+    session re-derives identical inputs.  A csv dataset is read from
+    spec.csv_path unless `loaded` already holds it.
+    Returns (dataset, partition, anchor, SessionConfig).
+    """
     if spec.dataset == "csv":
-        return loaded
-    gen = make_blobs if spec.dataset == "blobs" else make_circles
-    return gen(spec.clusters, spec.per_cluster,
-               rng_seed=derive_seed(trial_seed, "data"))
+        ds = loaded if loaded is not None else load_csv(
+            spec.csv_path, label_column=spec.label_column)
+    else:
+        gen = make_blobs if spec.dataset == "blobs" else make_circles
+        ds = gen(spec.clusters, spec.per_cluster,
+                 rng_seed=derive_seed(trial_seed, "data"))
+    part = partition_lattice(ds, spec.c, spec.d, spec.assignment,
+                             rng_seed=derive_seed(trial_seed, "partition"),
+                             cluster_map=spec.cluster_map,
+                             col_index_sets=spec.col_blocks)
+    r = spec.anchor_size if spec.anchor_size else ds.features.shape[0]
+    anchor = generate_anchor(feature_bounds(ds.features), r,
+                             rng_seed=derive_seed(trial_seed, "anchor"))
+    cfg = SessionConfig(c=spec.c, d=spec.d,
+                        k=spec.k if spec.k is not None else ds.n_clusters,
+                        algorithm=spec.algorithm, mode=spec.mode,
+                        neighbors=spec.neighbors, max_iter=spec.max_iter,
+                        master_seed=trial_seed, m_hat=spec.m_hat,
+                        scale=spec.scale, restarts=spec.restarts)
+    return ds, part, anchor, cfg
 
 
 def _local_parties(spec: ExperimentSpec):
@@ -178,21 +201,7 @@ def run_experiment(spec: ExperimentSpec) -> TrialReport:
         trial_seed = derive_seed(spec.master_seed, "trial", t)
         trial_seeds.append(trial_seed)
         try:
-            ds = _trial_dataset(spec, trial_seed, loaded)
-            k = spec.k if spec.k is not None else ds.n_clusters
-            part = partition_lattice(
-                ds, spec.c, spec.d, spec.assignment,
-                rng_seed=derive_seed(trial_seed, "partition"),
-                cluster_map=spec.cluster_map, col_index_sets=spec.col_blocks)
-            r = spec.anchor_size if spec.anchor_size else ds.features.shape[0]
-            anchor = generate_anchor(feature_bounds(ds.features), r,
-                                     rng_seed=derive_seed(trial_seed, "anchor"))
-
-            cfg = SessionConfig(c=spec.c, d=spec.d, k=k,
-                                algorithm=spec.algorithm, mode=spec.mode,
-                                neighbors=spec.neighbors, max_iter=spec.max_iter,
-                                master_seed=trial_seed, m_hat=spec.m_hat,
-                                scale=spec.scale, restarts=spec.restarts)
+            ds, part, anchor, cfg = trial_inputs(spec, trial_seed, loaded)
             outcome = run_in_process_session(ds.features, part, anchor, cfg)
             labels = np.concatenate([outcome.user_labels[(i, 0)]
                                      for i in range(spec.c)])
@@ -202,7 +211,7 @@ def run_experiment(spec: ExperimentSpec) -> TrialReport:
             residuals.append(outcome.report.residual)
 
             if spec.centralized:
-                model = _cluster_plain(ds.features, k, spec.algorithm,
+                model = _cluster_plain(ds.features, cfg.k, spec.algorithm,
                                        spec.neighbors, spec.max_iter,
                                        derive_seed(trial_seed, "centralized"),
                                        spec.restarts)
@@ -211,7 +220,7 @@ def run_experiment(spec: ExperimentSpec) -> TrialReport:
             for i, j in locals_wanted:
                 block = part.block(ds.features, i, j)
                 y_block = ds.labels[part.row_index_sets[i]]
-                k_local = min(k, block.shape[0])
+                k_local = min(cfg.k, block.shape[0])
                 model = _cluster_plain(block, k_local, spec.algorithm,
                                        min(spec.neighbors, block.shape[0] - 1),
                                        spec.max_iter,

@@ -20,16 +20,16 @@ import queue
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import assign_nearest
-from .collaboration import (UserShare, analyst_cluster, build_collaboration,
-                            fit_intermediate, make_clustering_representation,
-                            party_target_dim)
-from .errors import (ConfigurationError, DecodeError, ProtocolError,
-                     SessionError, SessionTimeoutError)
+from .collaboration import (AnalystResultMsg, UserShareMsg, analyst_cluster,
+                            build_collaboration, fit_intermediate,
+                            make_clustering_representation)
+from .errors import (ConfigurationError, ContractViolationError, DecodeError,
+                     ProtocolError, SessionError, SessionTimeoutError)
 from .numerics import as_matrix
 from .seeds import derive_seed
 
@@ -81,53 +81,13 @@ class SessionConfig:
                 "scale": self.scale, "restarts": self.restarts}
 
 
-@dataclass
-class UserShareMsg:
-    party: tuple[int, int]
-    x_tilde: np.ndarray
-    anchor_tilde: np.ndarray
-    config: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.party = (int(self.party[0]), int(self.party[1]))
-        if self.party[0] < 0 or self.party[1] < 0:
-            raise ProtocolError(f"party indices must be nonnegative: {self.party}")
-        self.x_tilde = as_matrix(self.x_tilde, "x_tilde")
-        self.anchor_tilde = as_matrix(self.anchor_tilde, "anchor_tilde")
-        if self.x_tilde.shape[1] != self.anchor_tilde.shape[1]:
-            raise ProtocolError("x_tilde and anchor_tilde widths differ")
-
-    def __eq__(self, other):
-        return (isinstance(other, UserShareMsg) and self.party == other.party
-                and np.array_equal(self.x_tilde, other.x_tilde)
-                and np.array_equal(self.anchor_tilde, other.anchor_tilde)
-                and self.config == other.config)
-
-
-@dataclass
-class AnalystResultMsg:
-    row_block: int
-    centroids: np.ndarray
-    z_block: np.ndarray
-    algorithm: str = "kmeans"
-    config: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.row_block = int(self.row_block)
-        self.centroids = as_matrix(self.centroids, "centroids")
-        self.z_block = as_matrix(self.z_block, "z_block")
-
-    def __eq__(self, other):
-        return (isinstance(other, AnalystResultMsg)
-                and self.row_block == other.row_block
-                and np.array_equal(self.centroids, other.centroids)
-                and np.array_equal(self.z_block, other.z_block)
-                and self.algorithm == other.algorithm
-                and self.config == other.config)
-
-
 _SHARE_MATRICES = ("x_tilde", "anchor_tilde")
 _RESULT_MATRICES = ("centroids", "z_block")
+
+
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _matrix_bytes(arr: np.ndarray) -> bytes:
@@ -160,7 +120,8 @@ def decode_message(data: bytes):
 
     Raises DecodeError (with the offending byte offset) on anything
     malformed: wrong magic, unknown kind, truncation, trailing bytes, bad
-    JSON, undeclared or missing matrices.
+    JSON, undeclared or missing matrices, mistyped header fields, and
+    matrices holding NaN or Inf.
     """
     if len(data) < _PREFIX.size:
         raise DecodeError("frame shorter than fixed prefix", offset=len(data))
@@ -199,12 +160,13 @@ def decode_message(data: bytes):
         raise DecodeError(f"matrices must be declared as {list(expected)}", offset=pos)
     mats = {}
     for entry in declared:
-        if len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise DecodeError(f"matrix declaration {entry!r} is not [name, rows, cols]",
                               offset=pos)
         name, rows, cols = entry
-        if not (isinstance(rows, int) and isinstance(cols, int)
-                and rows >= 0 and cols >= 0):
+        # numpy refuses a dimension this large even when the other is 0
+        if not (_is_int(rows) and _is_int(cols)
+                and 0 <= rows <= MAX_PAYLOAD and 0 <= cols <= MAX_PAYLOAD):
             raise DecodeError(f"bad shape for {name}: {rows}x{cols}", offset=pos)
         nbytes = rows * cols * 8
         if pos + nbytes > end:
@@ -219,18 +181,21 @@ def decode_message(data: bytes):
         if kind == KIND_USER_SHARE:
             party = header.get("party")
             if (not isinstance(party, list) or len(party) != 2
-                    or not all(isinstance(p, int) for p in party)):
+                    or not all(_is_int(p) for p in party)):
                 raise DecodeError("header lacks a valid party pair", offset=pos)
             return UserShareMsg(party=(party[0], party[1]),
                                 x_tilde=mats["x_tilde"],
                                 anchor_tilde=mats["anchor_tilde"],
                                 config=header.get("config", {}))
-        return AnalystResultMsg(row_block=header.get("row_block", -1),
+        row_block = header.get("row_block", -1)
+        if not _is_int(row_block):
+            raise DecodeError(f"bad row_block {row_block!r}", offset=pos)
+        return AnalystResultMsg(row_block=row_block,
                                 centroids=mats["centroids"],
                                 z_block=mats["z_block"],
                                 algorithm=header.get("algorithm", ""),
                                 config=header.get("config", {}))
-    except ProtocolError as exc:
+    except (ProtocolError, ContractViolationError) as exc:
         raise DecodeError(str(exc), offset=pos) from None
 
 
@@ -280,6 +245,9 @@ class _InProcessUserEndpoint:
         if not isinstance(msg, AnalystResultMsg):
             raise ProtocolError("expected an analyst result frame")
         return msg
+
+    def close(self):
+        pass
 
 
 class _InProcessAnalystEndpoint:
@@ -464,16 +432,43 @@ class AnalystReport:
     m_hat_clamped: bool
 
 
+def user_step(party, block, anchor_block, cfg: SessionConfig) -> UserShareMsg:
+    """An institution's whole computation: fit its private map, one output
+    dimension below the block width, and build the share it sends."""
+    if block.shape[1] < 2:
+        raise ConfigurationError(
+            "blocks need at least 2 features to reduce dimension")
+    _, share = fit_intermediate(block, anchor_block, block.shape[1] - 1,
+                                party=party, scale=cfg.scale)
+    share.config = cfg.echo()
+    return share
+
+
+def analyst_step(shares, cfg: SessionConfig):
+    """The analyst's whole computation: align every share, cluster once, and
+    split the answer into one result per row block.
+
+    Returns (collaboration model, results); results[i] goes to row block i.
+    """
+    model = build_collaboration(shares, mode=cfg.mode, m_hat=cfg.m_hat)
+    z = make_clustering_representation(model, cfg.algorithm, cfg.k, cfg.neighbors)
+    _, results = analyst_cluster(z, cfg.k, max_iter=cfg.max_iter,
+                                 rng_seed=derive_seed(cfg.master_seed, "analyst"),
+                                 row_sizes=model.row_sizes,
+                                 algorithm=cfg.algorithm,
+                                 restarts=cfg.restarts)
+    echo = cfg.echo()
+    for res in results:
+        res.config = echo
+    return model, results
+
+
 def user_party_run(party, local_block, anchor_block, cfg: SessionConfig,
                    transport) -> np.ndarray:
     """Run one institution: fit, share, wait, recover this block's labels."""
     timeout = resolve_timeout(cfg.timeout)
-    dim = party_target_dim(local_block.shape[1], None, party)
-    _, share = fit_intermediate(local_block, anchor_block, dim, party=party,
-                                scale=cfg.scale)
-    transport.send_share(UserShareMsg(party=share.party, x_tilde=share.x_tilde,
-                                      anchor_tilde=share.anchor_tilde,
-                                      config=cfg.echo()))
+    share = user_step(party, local_block, anchor_block, cfg)
+    transport.send_share(share)
     result = transport.recv_result(timeout)
     if result.row_block != share.party[0]:
         raise ProtocolError(
@@ -510,23 +505,10 @@ def analyst_party_run(cfg: SessionConfig, transport) -> AnalystReport:
                                 f"{cfg.c}x{cfg.d} lattice")
         messages[msg.party] = msg
 
-    shares = [UserShare(party=p, x_tilde=messages[p].x_tilde,
-                        anchor_tilde=messages[p].anchor_tilde)
-              for p in sorted(messages)]
-    model = build_collaboration(shares, mode=cfg.mode, m_hat=cfg.m_hat)
-    z = make_clustering_representation(model, cfg.algorithm, cfg.k, cfg.neighbors)
-    _, results = analyst_cluster(z, cfg.k, max_iter=cfg.max_iter,
-                                 rng_seed=derive_seed(cfg.master_seed, "analyst"),
-                                 row_sizes=model.row_sizes,
-                                 algorithm=cfg.algorithm,
-                                 restarts=cfg.restarts)
-    echo = cfg.echo()
-    for i, res in enumerate(results):
-        out = AnalystResultMsg(row_block=i, centroids=res.centroids,
-                               z_block=res.z_block, algorithm=res.algorithm,
-                               config=echo)
+    model, results = analyst_step([messages[p] for p in sorted(messages)], cfg)
+    for res in results:
         for j in range(cfg.d):
-            transport.send_result((i, j), out)
+            transport.send_result((res.row_block, j), res)
     per_block = [assign_nearest(res.z_block, res.centroids) for res in results]
     return AnalystReport(labels=np.concatenate(per_block),
                          per_block_labels=per_block, m_hat=model.m_hat,
@@ -571,8 +553,12 @@ def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
     threads += [threading.Thread(target=user_main, args=(p,)) for p in sorted(blocks)]
     for t in threads:
         t.start()
-    for t in threads:
-        t.join(timeout=resolve_timeout(cfg.timeout) + 10.0)
+    try:
+        for t in threads:
+            t.join(timeout=resolve_timeout(cfg.timeout) + 10.0)
+    finally:
+        for endpoint in list(endpoints.values()):
+            endpoint.close()
     if errors:
         raise errors[0]
     report = report_box[0]
@@ -588,6 +574,23 @@ def _session_inputs(x, partition, anchor):
               for i in range(partition.c) for j in range(partition.d)}
     anchor_blocks = [anchor.features[:, cols] for cols in partition.col_index_sets]
     return blocks, anchor_blocks
+
+
+def run_dc_clustering(x, partition, anchor, cfg: SessionConfig):
+    """Every role played in-process by direct calls: the same user and
+    analyst steps as a session, with no threads, queues or wire codec.
+
+    Rows of the returned label vector follow row-block order (partition
+    block 0 first); use the partition's row_order() to map back to dataset
+    order.  Returns (labels, per_block_labels, model); the labels equal a
+    session's on the same inputs bit for bit.
+    """
+    blocks, anchor_blocks = _session_inputs(as_matrix(x), partition, anchor)
+    shares = [user_step(p, blocks[p], anchor_blocks[p[1]], cfg)
+              for p in sorted(blocks)]
+    model, results = analyst_step(shares, cfg)
+    per_block = [assign_nearest(res.z_block, res.centroids) for res in results]
+    return np.concatenate(per_block), per_block, model
 
 
 def run_in_process_session(x, partition, anchor, cfg: SessionConfig) -> SessionOutcome:

@@ -87,7 +87,8 @@ def pinv(a) -> np.ndarray:
         return np.zeros((a.shape[1], a.shape[0]))
     res = svd(a)
     cutoff = np.finfo(np.float64).eps * max(a.shape) * (res.s[0] if res.s.size else 0.0)
-    inv_s = np.where(res.s > cutoff, np.divide(1.0, res.s, where=res.s > 0), 0.0)
+    inv_s = np.zeros_like(res.s)
+    np.divide(1.0, res.s, out=inv_s, where=res.s > cutoff)
     return (res.vt.T * inv_s) @ res.u.T
 
 

@@ -3,14 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dccluster.collaboration import (AffineMap, UserShare, fit_intermediate,
+from dccluster.clustering import assign_nearest
+from dccluster.collaboration import (AffineMap, UserShareMsg, fit_intermediate,
                                      build_collaboration,
                                      make_clustering_representation,
-                                     analyst_cluster, user_recover_labels,
-                                     party_target_dim, run_dc_clustering)
+                                     analyst_cluster)
 from dccluster.data import (make_blobs, partition_lattice, feature_bounds,
                             generate_anchor)
 from dccluster.errors import ConfigurationError, ContractViolationError
+from dccluster.federation import SessionConfig, run_dc_clustering, user_step
 from dccluster.metrics import ari
 
 
@@ -32,9 +33,9 @@ def equal_range_shares(c, m_tilde, seed, with_offsets, n=40, r=30, m=None):
         mu = rng.normal(size=m) * (1.0 if with_offsets else 0.0)
         x = rng.normal(size=(n, m))
         f = base @ mix
-        shares.append(UserShare(party=(i, 0),
-                                x_tilde=(x - mu) @ f,
-                                anchor_tilde=(anchor - mu) @ f))
+        shares.append(UserShareMsg(party=(i, 0),
+                                   x_tilde=(x - mu) @ f,
+                                   anchor_tilde=(anchor - mu) @ f))
     return shares
 
 
@@ -97,8 +98,8 @@ class TestFitIntermediate:
         assert kept / total > 0.5
 
     def test_private_map_not_in_share(self):
-        assert {f.name for f in dataclasses.fields(UserShare)} == {
-            "party", "x_tilde", "anchor_tilde"}
+        assert {f.name for f in dataclasses.fields(UserShareMsg)} == {
+            "party", "x_tilde", "anchor_tilde", "config"}
 
 
 class TestBuildCollaboration:
@@ -113,18 +114,18 @@ class TestBuildCollaboration:
 
     def test_anchor_row_mismatch(self):
         shares = equal_range_shares(2, 2, seed=2, with_offsets=False)
-        bad = UserShare(party=(1, 0), x_tilde=shares[1].x_tilde,
-                        anchor_tilde=shares[1].anchor_tilde[:-1])
+        bad = UserShareMsg(party=(1, 0), x_tilde=shares[1].x_tilde,
+                           anchor_tilde=shares[1].anchor_tilde[:-1])
         with pytest.raises(ConfigurationError):
             build_collaboration([shares[0], bad])
 
     def test_default_common_dimension_is_min_width(self):
         rng = np.random.default_rng(3)
         anchor = rng.uniform(size=(25, 1))
-        shares = [UserShare(party=(0, 0), x_tilde=rng.normal(size=(10, 3)),
-                            anchor_tilde=rng.normal(size=(25, 3))),
-                  UserShare(party=(1, 0), x_tilde=rng.normal(size=(12, 2)),
-                            anchor_tilde=rng.normal(size=(25, 2)))]
+        shares = [UserShareMsg(party=(0, 0), x_tilde=rng.normal(size=(10, 3)),
+                               anchor_tilde=rng.normal(size=(25, 3))),
+                  UserShareMsg(party=(1, 0), x_tilde=rng.normal(size=(12, 2)),
+                               anchor_tilde=rng.normal(size=(25, 2)))]
         model = build_collaboration(shares)
         assert model.m_hat == 2
         assert model.x_hat.shape == (22, 2)
@@ -143,8 +144,8 @@ class TestBuildCollaboration:
     def test_rank_deficient_anchor_clamps(self):
         rng = np.random.default_rng(6)
         col = rng.normal(size=(25, 1))
-        shares = [UserShare(party=(i, 0), x_tilde=rng.normal(size=(10, 2)),
-                            anchor_tilde=np.hstack([col, col * (i + 2.0)]))
+        shares = [UserShareMsg(party=(i, 0), x_tilde=rng.normal(size=(10, 2)),
+                               anchor_tilde=np.hstack([col, col * (i + 2.0)]))
                   for i in range(2)]
         with pytest.warns(RuntimeWarning, match="clamped"):
             model = build_collaboration(shares, mode="linear")
@@ -218,7 +219,8 @@ class TestAnalystAndUsers:
                        rng.normal(8, 0.2, (10, 2))])
         model, results = analyst_cluster(z, 2, rng_seed=0, row_sizes=[12, 10])
         assert [r.row_block for r in results] == [0, 1]
-        joined = np.concatenate([user_recover_labels(r) for r in results])
+        joined = np.concatenate([assign_nearest(r.z_block, r.centroids)
+                                 for r in results])
         assert np.array_equal(joined, model.labels)
 
     def test_row_sizes_must_sum(self):
@@ -227,22 +229,23 @@ class TestAnalystAndUsers:
             analyst_cluster(z, 1, row_sizes=[2, 2])
 
     def test_analyst_result_carries_no_private_fields(self):
-        from dccluster.collaboration import AnalystResult
-        assert {f.name for f in dataclasses.fields(AnalystResult)} == {
-            "row_block", "centroids", "z_block", "algorithm"}
+        from dccluster.collaboration import AnalystResultMsg
+        assert {f.name for f in dataclasses.fields(AnalystResultMsg)} == {
+            "row_block", "centroids", "z_block", "algorithm", "config"}
 
 
 class TestTargetDim:
-    def test_default_is_one_below_width(self):
-        assert party_target_dim(4, None, (0, 0)) == 3
+    cfg = SessionConfig(c=1, d=1, k=2)
 
-    def test_scalar_and_mapping(self):
-        assert party_target_dim(5, 2, (0, 1)) == 2
-        assert party_target_dim(5, {(0, 1): 3}, (0, 1)) == 3
+    def test_default_is_one_below_width(self):
+        rng = np.random.default_rng(12)
+        share = user_step((0, 0), rng.normal(size=(10, 4)),
+                          rng.normal(size=(6, 4)), self.cfg)
+        assert share.x_tilde.shape[1] == 3
 
     def test_single_feature_block_rejected(self):
         with pytest.raises(ConfigurationError):
-            party_target_dim(1, None, (0, 0))
+            user_step((0, 0), np.ones((10, 1)), np.ones((6, 1)), self.cfg)
 
 
 class TestEndToEnd:
@@ -252,7 +255,8 @@ class TestEndToEnd:
                                  col_index_sets=[[0, 2, 3], [1, 4, 5]])
         anchor = generate_anchor(feature_bounds(ds.features), 360, rng_seed=3)
         labels, per_block, model = run_dc_clustering(
-            ds.features, part, anchor, "kmeans", 3, master_seed=4, m_hat=2)
+            ds.features, part, anchor,
+            SessionConfig(c=2, d=2, k=3, master_seed=4, m_hat=2))
         y = ds.labels[part.row_order()]
         assert ari(y, labels) > 0.99
         assert [len(b) for b in per_block] == model.row_sizes
@@ -262,7 +266,8 @@ class TestEndToEnd:
         part = partition_lattice(ds, 1, 1, "contiguous")
         anchor = generate_anchor(feature_bounds(ds.features), 300, rng_seed=6)
         labels, _, _ = run_dc_clustering(ds.features, part, anchor,
-                                         "kmeans", 3, master_seed=7)
+                                         SessionConfig(c=1, d=1, k=3,
+                                                       master_seed=7))
         assert ari(ds.labels[part.row_order()], labels) > 0.99
 
     def test_reduction_enforced_everywhere(self):
@@ -270,6 +275,7 @@ class TestEndToEnd:
         part = partition_lattice(ds, 2, 2, "iid-random", rng_seed=9)
         anchor = generate_anchor(feature_bounds(ds.features), 240, rng_seed=10)
         _, _, model = run_dc_clustering(ds.features, part, anchor,
-                                        "kmeans", 3, master_seed=11)
+                                        SessionConfig(c=2, d=2, k=3,
+                                                      master_seed=11))
         for g in model.g_maps:
             assert g.in_dim < ds.features.shape[1]

@@ -1,8 +1,10 @@
 import csv
+import gc
 import json
 import socket
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -319,22 +321,28 @@ class TestCli:
         threads = [threading.Thread(target=role, args=("analyst", [
             "analyst", str(cfg), "--listen", f"127.0.0.1:{port}",
             "--timeout", "20", "--out", str(out_dir)]))]
-        threads[0].start()
-        for _ in range(50):                    # wait for the listener
-            try:
-                socket.create_connection(("127.0.0.1", port),
-                                         timeout=0.2).close()
-                break
-            except OSError:
-                time.sleep(0.1)
-        for party in ("0,0", "0,1"):
-            threads.append(threading.Thread(target=role, args=(party, [
-                "user", str(cfg), "--connect", f"127.0.0.1:{port}",
-                "--party", party, "--timeout", "20", "--out", str(out_dir)])))
-            threads[-1].start()
-        for t in threads:
-            t.join(timeout=30)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            threads[0].start()
+            for _ in range(50):                    # wait for the listener
+                try:
+                    socket.create_connection(("127.0.0.1", port),
+                                             timeout=0.2).close()
+                    break
+                except OSError:
+                    time.sleep(0.1)
+            for party in ("0,0", "0,1"):
+                threads.append(threading.Thread(target=role, args=(party, [
+                    "user", str(cfg), "--connect", f"127.0.0.1:{port}",
+                    "--party", party, "--timeout", "20",
+                    "--out", str(out_dir)])))
+                threads[-1].start()
+            for t in threads:
+                t.join(timeout=30)
+            gc.collect()
         assert codes == {"analyst": 0, "0,0": 0, "0,1": 0}
+        # every role closes its sockets
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
         a = np.loadtxt(out_dir / "labels_0_0.csv", skiprows=1, dtype=int)
         b = np.loadtxt(out_dir / "labels_0_1.csv", skiprows=1, dtype=int)
         c = np.loadtxt(out_dir / "analyst_labels.csv", skiprows=1, dtype=int)

@@ -1,6 +1,8 @@
+import gc
 import json
 import socket
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +18,8 @@ from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
                                   InProcessHub, TcpAnalystEndpoint,
                                   TcpUserEndpoint, SessionConfig,
                                   analyst_party_run, user_party_run,
-                                  resolve_timeout, run_in_process_session,
-                                  run_tcp_session)
+                                  resolve_timeout, run_dc_clustering,
+                                  run_in_process_session, run_tcp_session)
 from dccluster.metrics import ari
 
 _PREFIX_SIZE = struct.calcsize("<4sBQ")
@@ -248,6 +250,33 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError, match="party"):
             decode_message(self._reheader(frame, mangle))
 
+    @pytest.mark.parametrize("make, mutate, match", [
+        # JSON true is a Python int; it must not pass as party index 1
+        (sample_share, lambda h: h.update(party=[True, 0]), "party"),
+        (sample_result, lambda h: h.update(row_block="x"), "row_block"),
+        (sample_result, lambda h: h.update(row_block=[1]), "row_block"),
+        (sample_result, lambda h: h.update(row_block=False), "row_block"),
+        (sample_share, lambda h: h["matrices"].insert(1, 5), "declaration"),
+        # a one-row share, so `true` would even describe the right byte count
+        (lambda: sample_share(n=1),
+         lambda h: h["matrices"][0].__setitem__(1, True), "shape"),
+        (sample_share,
+         lambda h: h["matrices"][0].__setitem__(slice(1, 3), [0, 10**30]),
+         "shape"),
+    ], ids=["bool-party", "str-row-block", "list-row-block", "bool-row-block",
+            "int-declaration", "bool-shape", "huge-empty-shape"])
+    def test_mistyped_header_field_rejected(self, make, mutate, match):
+        frame = encode_message(make())
+        with pytest.raises(DecodeError, match=match):
+            decode_message(self._reheader(frame, mutate))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("make", [sample_share, sample_result])
+    def test_non_finite_matrix_rejected(self, make, value):
+        frame = encode_message(make())
+        with pytest.raises(DecodeError, match="NaN or Inf"):
+            decode_message(frame[:-8] + struct.pack("<d", value))
+
     def test_fuzzed_corruption_never_escapes_decode_error(self):
         # arbitrary damage must yield either a parsed message or DecodeError,
         # never some other exception
@@ -468,6 +497,28 @@ class TestFullSession:
         assert local.report.m_hat == wired.report.m_hat
         for party, labels in local.user_labels.items():
             assert np.array_equal(labels, wired.user_labels[party])
+
+    def test_tcp_session_closes_every_socket(self):
+        ds, part, anchor, cfg = small_session_inputs(seed=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_tcp_session(ds.features, part, anchor, cfg)
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaked == []
+
+    @pytest.mark.parametrize("algorithm", ["kmeans", "spectral"])
+    def test_direct_pipeline_matches_session_bit_for_bit(self, algorithm):
+        ds, part, anchor, cfg = small_session_inputs(seed=9)
+        cfg.algorithm = algorithm
+        labels, per_block, model = run_dc_clustering(ds.features, part,
+                                                     anchor, cfg)
+        report = run_in_process_session(ds.features, part, anchor, cfg).report
+        assert np.array_equal(labels, report.labels)
+        for direct, wired in zip(per_block, report.per_block_labels):
+            assert np.array_equal(direct, wired)
+        assert model.residual == report.residual
+        assert model.m_hat == report.m_hat
 
     def test_session_is_deterministic(self):
         ds, part, anchor, cfg = small_session_inputs(seed=11)
