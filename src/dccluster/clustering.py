@@ -178,9 +178,7 @@ def spectral_embedding(x, k: int, neighbors: int = 10) -> SpectralEmbedding:
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ContractViolationError(f"k must be in [1, {n}], got {k}")
-    lsym = laplacian_sym(build_affinity(x, neighbors))
-    lsym = (lsym + lsym.T) / 2.0
-    res = eig_symmetric(lsym, top_k=k)
+    res = eig_symmetric(laplacian_sym(build_affinity(x, neighbors)), top_k=k)
     return SpectralEmbedding(vectors=res.vectors, eigenvalues=res.values,
                              neighbors=neighbors)
 

@@ -8,9 +8,16 @@ little-endian float64 matrices in header order.  The two message schemas
 have no slot for offsets, scales, or axes, so a conforming peer cannot leak
 its private map even by accident.
 
-Two interchangeable transports: queue pairs inside one process, and TCP
-sockets with frame-atomic reads.  Both count frames so single-round
-accounting can be asserted.
+Transports only move frames.  On the analyst's side both are one `Inbox`
+of `(frame, route)` pairs, where `route` carries a reply back to the
+frame's sender: in-process users put their frames with their own down
+queue as the route, and `TcpAnalystEndpoint` is an inbox fed by one reader
+per accepted connection, routed back over that connection.  A user
+endpoint sends one frame and receives one.  Every endpoint counts frames
+so single-round accounting can be asserted.  The party runners own the
+protocol: `user_party_run` and `analyst_party_run` encode and decode, check
+message kinds, and route each answer to the party whose share came in on
+that route.
 """
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +47,7 @@ KIND_ANALYST_RESULT = 2
 _PREFIX = struct.Struct("<4sBQ")  # magic, kind, payload length
 _HEADER_LEN = struct.Struct("<I")
 MAX_PAYLOAD = 1 << 31
+_MISSING = object()
 
 DEFAULT_TIMEOUT_SECS = 60.0
 TIMEOUT_ENV_VAR = "DCC_TIMEOUT_SECS"
@@ -177,6 +186,9 @@ def decode_message(data: bytes):
     if pos != end:
         raise DecodeError("payload longer than declared matrices", offset=pos)
 
+    config = header.get("config", {})
+    if not isinstance(config, dict):
+        raise DecodeError(f"bad config {config!r}", offset=pos)
     try:
         if kind == KIND_USER_SHARE:
             party = header.get("party")
@@ -186,15 +198,17 @@ def decode_message(data: bytes):
             return UserShareMsg(party=(party[0], party[1]),
                                 x_tilde=mats["x_tilde"],
                                 anchor_tilde=mats["anchor_tilde"],
-                                config=header.get("config", {}))
+                                config=config)
         row_block = header.get("row_block", -1)
         if not _is_int(row_block):
             raise DecodeError(f"bad row_block {row_block!r}", offset=pos)
+        algorithm = header.get("algorithm", "")
+        if not isinstance(algorithm, str):
+            raise DecodeError(f"bad algorithm {algorithm!r}", offset=pos)
         return AnalystResultMsg(row_block=row_block,
                                 centroids=mats["centroids"],
                                 z_block=mats["z_block"],
-                                algorithm=header.get("algorithm", ""),
-                                config=header.get("config", {}))
+                                algorithm=algorithm, config=config)
     except (ProtocolError, ContractViolationError) as exc:
         raise DecodeError(str(exc), offset=pos) from None
 
@@ -203,76 +217,59 @@ def decode_message(data: bytes):
 # transports
 # ---------------------------------------------------------------------------
 
-class InProcessHub:
-    """Queue-pair fabric connecting user endpoints to one analyst endpoint.
+class Inbox:
+    """The analyst's side of either transport: frames in arrival order, each
+    with the route that carries a reply back to whoever sent it.
 
-    Frames still go through encode/decode so both transports exercise the
-    identical byte path.
+    Producers put `(frame, route)` pairs, or an exception that `recv`
+    re-raises; `route(frame)` sends one frame back.
     """
 
-    def __init__(self, c: int, d: int):
-        self._up: queue.Queue = queue.Queue()
-        self._down = {(i, j): queue.Queue() for i in range(c) for j in range(d)}
-
-    def user_endpoint(self, party):
-        party = (int(party[0]), int(party[1]))
-        if party not in self._down:
-            raise ConfigurationError(f"party {party} is outside the lattice")
-        return _InProcessUserEndpoint(self._up, self._down[party])
-
-    def analyst_endpoint(self):
-        return _InProcessAnalystEndpoint(self._up, self._down)
-
-
-class _InProcessUserEndpoint:
-    def __init__(self, up, down):
-        self._up, self._down = up, down
+    def __init__(self):
+        self._items: queue.Queue = queue.Queue()
         self.sent_count = 0
         self.received_count = 0
 
-    def send_share(self, msg: UserShareMsg):
-        self._up.put(encode_message(msg))
+    def put(self, item):
+        self._items.put(item)
+
+    def recv(self, timeout: float):
+        """Next (frame, route); SessionTimeoutError when none arrives."""
+        try:
+            item = self._items.get(timeout=max(timeout, 0.0))
+        except queue.Empty:
+            raise SessionTimeoutError(f"no frame within {timeout} s") from None
+        if isinstance(item, Exception):
+            raise item
+        self.received_count += 1
+        return item
+
+    def reply(self, route, frame: bytes):
+        route(frame)
         self.sent_count += 1
 
-    def recv_result(self, timeout: float) -> AnalystResultMsg:
+
+class InProcessUserEndpoint:
+    """One institution's queue pair onto an in-process `Inbox`."""
+
+    def __init__(self, inbox: Inbox):
+        self._inbox = inbox
+        self._down: queue.Queue = queue.Queue()
+        self.sent_count = 0
+        self.received_count = 0
+
+    def send(self, frame: bytes):
+        self._inbox.put((frame, self._down.put))
+        self.sent_count += 1
+
+    def recv(self, timeout: float) -> bytes:
         try:
             frame = self._down.get(timeout=timeout)
         except queue.Empty:
             raise SessionTimeoutError(
-                f"no analyst result within {timeout} s") from None
+                f"no analyst frame within {timeout} s") from None
         self.received_count += 1
-        msg = decode_message(frame)
-        if not isinstance(msg, AnalystResultMsg):
-            raise ProtocolError("expected an analyst result frame")
-        return msg
-
-    def close(self):
-        pass
-
-
-class _InProcessAnalystEndpoint:
-    def __init__(self, up, down):
-        self._up, self._down = up, down
-        self.sent_count = 0
-        self.received_count = 0
-
-    def recv_share(self, timeout: float) -> UserShareMsg:
-        try:
-            frame = self._up.get(timeout=max(timeout, 0.0))
-        except queue.Empty:
-            raise SessionTimeoutError(f"no share within {timeout} s") from None
-        self.received_count += 1
-        msg = decode_message(frame)
-        if not isinstance(msg, UserShareMsg):
-            raise ProtocolError("expected a user share frame")
-        return msg
-
-    def send_result(self, party, msg: AnalystResultMsg):
-        party = (int(party[0]), int(party[1]))
-        if party not in self._down:
-            raise ProtocolError(f"no route to party {party}")
-        self._down[party].put(encode_message(msg))
-        self.sent_count += 1
+        return frame
 
     def close(self):
         pass
@@ -311,7 +308,7 @@ def _recv_frame(sock: socket.socket, timeout: float,
 
 
 class TcpUserEndpoint:
-    """One connection to the analyst; send a share, wait for the result."""
+    """One connection to the analyst: send a frame, wait for one back."""
 
     def __init__(self, host: str, port: int, timeout: float | None = None):
         self._timeout = resolve_timeout(timeout)
@@ -322,32 +319,27 @@ class TcpUserEndpoint:
         except (ConnectionError, socket.timeout, OSError) as exc:
             raise SessionTimeoutError(f"cannot reach analyst at {host}:{port}: {exc}") from None
 
-    def send_share(self, msg: UserShareMsg):
-        self._sock.sendall(encode_message(msg))
+    def send(self, frame: bytes):
+        self._sock.sendall(frame)
         self.sent_count += 1
 
-    def recv_result(self, timeout: float) -> AnalystResultMsg:
+    def recv(self, timeout: float) -> bytes:
         frame = _recv_frame(self._sock, timeout)
         self.received_count += 1
-        msg = decode_message(frame)
-        if not isinstance(msg, AnalystResultMsg):
-            raise ProtocolError("expected an analyst result frame")
-        return msg
+        return frame
 
     def close(self):
         self._sock.close()
 
 
-class TcpAnalystEndpoint:
-    """Listening side: accepts connections concurrently, one frame each."""
+class TcpAnalystEndpoint(Inbox):
+    """Listening side: accepts connections concurrently and reads one frame
+    from each into the inbox, routed back over the same connection."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  timeout: float | None = None):
+        super().__init__()
         self._timeout = resolve_timeout(timeout)
-        self.sent_count = 0
-        self.received_count = 0
-        self._frames: queue.Queue = queue.Queue()
-        self._conns: dict[tuple[int, int], socket.socket] = {}
         self._accepted: list[socket.socket] = []
         self._stop = threading.Event()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -374,37 +366,14 @@ class TcpAnalystEndpoint:
         try:
             frame = _recv_frame(conn, self._timeout, eof_ok=True)
         except (SessionError, DecodeError) as exc:
-            self._frames.put(exc)
+            self.put(exc)
             return
         if not frame:
             # peer connected and left without sending anything (port probe,
             # dropped client); not this session's concern
             conn.close()
             return
-        self._frames.put((frame, conn))
-
-    def recv_share(self, timeout: float) -> UserShareMsg:
-        try:
-            item = self._frames.get(timeout=max(timeout, 0.0))
-        except queue.Empty:
-            raise SessionTimeoutError(f"no share within {timeout} s") from None
-        if isinstance(item, Exception):
-            raise item
-        frame, conn = item
-        self.received_count += 1
-        msg = decode_message(frame)
-        if not isinstance(msg, UserShareMsg):
-            raise ProtocolError("expected a user share frame")
-        self._conns[msg.party] = conn
-        return msg
-
-    def send_result(self, party, msg: AnalystResultMsg):
-        party = (int(party[0]), int(party[1]))
-        conn = self._conns.get(party)
-        if conn is None:
-            raise ProtocolError(f"no connection for party {party}")
-        conn.sendall(encode_message(msg))
-        self.sent_count += 1
+        self.put((frame, conn.sendall))
 
     def close(self):
         self._stop.set()
@@ -430,6 +399,7 @@ class AnalystReport:
     messages_received: int
     messages_sent: int
     m_hat_clamped: bool
+    frames_dropped: int
 
 
 def user_step(party, block, anchor_block, cfg: SessionConfig) -> UserShareMsg:
@@ -468,54 +438,76 @@ def user_party_run(party, local_block, anchor_block, cfg: SessionConfig,
     """Run one institution: fit, share, wait, recover this block's labels."""
     timeout = resolve_timeout(cfg.timeout)
     share = user_step(party, local_block, anchor_block, cfg)
-    transport.send_share(share)
-    result = transport.recv_result(timeout)
+    transport.send(encode_message(share))
+    result = decode_message(transport.recv(timeout))
+    if not isinstance(result, AnalystResultMsg):
+        raise ProtocolError("expected an analyst result frame")
     if result.row_block != share.party[0]:
         raise ProtocolError(
             f"result for row block {result.row_block} sent to party {share.party}")
     return assign_nearest(result.z_block, result.centroids)
 
 
-def analyst_party_run(cfg: SessionConfig, transport) -> AnalystReport:
+def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     """Run the analyst: collect every share, align, cluster, answer everyone.
 
-    A repeated party id is a protocol error; parties still missing when the
-    deadline passes abort the session with the absentees listed.
+    A frame that does not decode to a share is dropped and counted.  A
+    repeated party id, a party outside the lattice, or a config echo that
+    differs from the analyst's own is a protocol error; parties still
+    missing when the deadline passes abort the session with the absentees
+    listed.  Each party's answer goes back by the route its share came in on.
     """
-    import time
-
     timeout = resolve_timeout(cfg.timeout)
     expected = {(i, j) for i in range(cfg.c) for j in range(cfg.d)}
+    echo = cfg.echo()
     deadline = time.monotonic() + timeout
-    messages: dict[tuple[int, int], UserShareMsg] = {}
-    while len(messages) < len(expected):
+    shares: dict[tuple[int, int], UserShareMsg] = {}
+    routes = {}
+    dropped = 0
+
+    def absent():
+        return SessionError("timed out waiting for shares from "
+                            f"{sorted(expected - set(shares))}")
+
+    while len(shares) < len(expected):
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            absent = sorted(expected - set(messages))
-            raise SessionError(f"timed out waiting for shares from {absent}")
+            raise absent()
         try:
-            msg = transport.recv_share(remaining)
+            frame, route = inbox.recv(remaining)
+            msg = decode_message(frame)
         except SessionTimeoutError:
-            absent = sorted(expected - set(messages))
-            raise SessionError(f"timed out waiting for shares from {absent}") from None
-        if msg.party in messages:
+            raise absent() from None
+        except DecodeError:
+            msg = None
+        if not isinstance(msg, UserShareMsg):
+            dropped += 1
+            continue
+        if msg.party in shares:
             raise ProtocolError(f"duplicate share from party {msg.party}")
         if msg.party not in expected:
             raise ProtocolError(f"party {msg.party} is outside the "
                                 f"{cfg.c}x{cfg.d} lattice")
-        messages[msg.party] = msg
+        differ = sorted(key for key in echo.keys() | msg.config.keys()
+                        if echo.get(key, _MISSING) != msg.config.get(key, _MISSING))
+        if differ:
+            raise ProtocolError(
+                f"party {msg.party} echoes a different config: {differ}")
+        shares[msg.party] = msg
+        routes[msg.party] = route
 
-    model, results = analyst_step([messages[p] for p in sorted(messages)], cfg)
+    model, results = analyst_step([shares[p] for p in sorted(shares)], cfg)
     for res in results:
         for j in range(cfg.d):
-            transport.send_result((res.row_block, j), res)
+            inbox.reply(routes[(res.row_block, j)], encode_message(res))
     per_block = [assign_nearest(res.z_block, res.centroids) for res in results]
     return AnalystReport(labels=np.concatenate(per_block),
                          per_block_labels=per_block, m_hat=model.m_hat,
                          residual=model.residual,
-                         messages_received=len(messages),
+                         messages_received=len(shares),
                          messages_sent=cfg.c * cfg.d,
-                         m_hat_clamped=model.m_hat_clamped)
+                         m_hat_clamped=model.m_hat_clamped,
+                         frames_dropped=dropped)
 
 
 @dataclass
@@ -596,9 +588,9 @@ def run_dc_clustering(x, partition, anchor, cfg: SessionConfig):
 def run_in_process_session(x, partition, anchor, cfg: SessionConfig) -> SessionOutcome:
     """Full session over queue transports, one thread per party."""
     blocks, anchor_blocks = _session_inputs(x, partition, anchor)
-    hub = InProcessHub(cfg.c, cfg.d)
-    return _run_session(cfg, blocks, anchor_blocks, hub.analyst_endpoint(),
-                        hub.user_endpoint)
+    inbox = Inbox()
+    return _run_session(cfg, blocks, anchor_blocks, inbox,
+                        lambda p: InProcessUserEndpoint(inbox))
 
 
 def run_tcp_session(x, partition, anchor, cfg: SessionConfig,

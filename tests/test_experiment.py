@@ -241,7 +241,8 @@ class TestEmitReport:
     def test_markdown_table(self, report, tmp_path):
         (path,) = emit_report(report, formats=["markdown-table"],
                               out_dir=str(tmp_path))
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         table = [ln for ln in lines if ln.startswith("|")]
         assert len(table) == 2 + len(report.methods)
         assert "| proposed |" in table[2].replace("  ", " ")

@@ -2,6 +2,7 @@ import gc
 import json
 import socket
 import struct
+import time
 import warnings
 
 import numpy as np
@@ -15,22 +16,24 @@ from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
                                   DEFAULT_TIMEOUT_SECS, TIMEOUT_ENV_VAR,
                                   UserShareMsg, AnalystResultMsg,
                                   encode_message, decode_message,
-                                  InProcessHub, TcpAnalystEndpoint,
-                                  TcpUserEndpoint, SessionConfig,
+                                  Inbox, InProcessUserEndpoint,
+                                  TcpAnalystEndpoint, TcpUserEndpoint,
+                                  SessionConfig,
                                   analyst_party_run, user_party_run,
                                   resolve_timeout, run_dc_clustering,
-                                  run_in_process_session, run_tcp_session)
+                                  run_in_process_session, run_tcp_session,
+                                  _run_session, _session_inputs)
 from dccluster.metrics import ari
 
 _PREFIX_SIZE = struct.calcsize("<4sBQ")
 
 
-def sample_share(seed=0, party=(1, 0), n=7, r=5, width=3):
+def sample_share(seed=0, party=(1, 0), n=7, r=5, width=3, config=None):
     rng = np.random.default_rng(seed)
     return UserShareMsg(party=party,
                         x_tilde=rng.normal(size=(n, width)),
                         anchor_tilde=rng.normal(size=(r, width)),
-                        config={"k": 3, "mode": "affine"})
+                        config=config or {"k": 3, "mode": "affine"})
 
 
 def sample_result(seed=1, row_block=2, k=3, dim=2, n=9):
@@ -263,8 +266,12 @@ class TestDecodeErrors:
         (sample_share,
          lambda h: h["matrices"][0].__setitem__(slice(1, 3), [0, 10**30]),
          "shape"),
+        (sample_share, lambda h: h.update(config=5), "config"),
+        (sample_result, lambda h: h.update(config=[]), "config"),
+        (sample_result, lambda h: h.update(algorithm=[1]), "algorithm"),
     ], ids=["bool-party", "str-row-block", "list-row-block", "bool-row-block",
-            "int-declaration", "bool-shape", "huge-empty-shape"])
+            "int-declaration", "bool-shape", "huge-empty-shape", "int-config",
+            "list-config", "list-algorithm"])
     def test_mistyped_header_field_rejected(self, make, mutate, match):
         frame = encode_message(make())
         with pytest.raises(DecodeError, match=match):
@@ -317,41 +324,31 @@ class TestDecodeErrors:
 
 class TestInProcessHub:
     def test_share_travels_up(self):
-        hub = InProcessHub(2, 2)
-        user = hub.user_endpoint((1, 1))
-        analyst = hub.analyst_endpoint()
-        user.send_share(sample_share(party=(1, 1)))
-        got = analyst.recv_share(timeout=1.0)
-        assert got.party == (1, 1)
+        inbox = Inbox()
+        user = InProcessUserEndpoint(inbox)
+        frame = encode_message(sample_share(party=(1, 1)))
+        user.send(frame)
+        got, _ = inbox.recv(timeout=1.0)
+        assert got == frame
         assert user.sent_count == 1
-        assert analyst.received_count == 1
+        assert inbox.received_count == 1
 
     def test_result_travels_down_to_addressee_only(self):
-        hub = InProcessHub(1, 2)
-        user_a = hub.user_endpoint((0, 0))
-        user_b = hub.user_endpoint((0, 1))
-        analyst = hub.analyst_endpoint()
-        analyst.send_result((0, 1), sample_result(row_block=0))
-        got = user_b.recv_result(timeout=1.0)
-        assert got.row_block == 0
+        inbox = Inbox()
+        user_a = InProcessUserEndpoint(inbox)
+        user_b = InProcessUserEndpoint(inbox)
+        user_a.send(b"a")
+        user_b.send(b"b")
+        routes = dict(inbox.recv(timeout=1.0) for _ in range(2))
+        inbox.reply(routes[b"b"], b"answer")
+        assert user_b.recv(timeout=1.0) == b"answer"
+        assert (inbox.sent_count, user_b.received_count) == (1, 1)
         with pytest.raises(SessionTimeoutError):
-            user_a.recv_result(timeout=0.05)
-
-    def test_party_outside_lattice_has_no_endpoint(self):
-        hub = InProcessHub(2, 2)
-        with pytest.raises(ConfigurationError):
-            hub.user_endpoint((2, 0))
-
-    def test_result_to_unknown_party_rejected(self):
-        hub = InProcessHub(1, 1)
-        analyst = hub.analyst_endpoint()
-        with pytest.raises(ProtocolError):
-            analyst.send_result((3, 3), sample_result())
+            user_a.recv(timeout=0.05)
 
     def test_recv_share_timeout(self):
-        hub = InProcessHub(1, 1)
         with pytest.raises(SessionTimeoutError):
-            hub.analyst_endpoint().recv_share(timeout=0.05)
+            Inbox().recv(timeout=0.05)
 
 
 class TestTcpTransport:
@@ -368,12 +365,15 @@ class TestTcpTransport:
         try:
             assert analyst.port > 0
             user = TcpUserEndpoint("127.0.0.1", analyst.port, timeout=5.0)
-            user.send_share(sample_share(party=(0, 0)))
-            got = analyst.recv_share(timeout=5.0)
-            assert got.party == (0, 0)
-            analyst.send_result((0, 0), sample_result(row_block=0))
-            back = user.recv_result(timeout=5.0)
-            assert back.row_block == 0
+            share = encode_message(sample_share(party=(0, 0)))
+            user.send(share)
+            got, route = analyst.recv(timeout=5.0)
+            assert got == share
+            result = encode_message(sample_result(row_block=0))
+            analyst.reply(route, result)
+            assert user.recv(timeout=5.0) == result
+            assert (user.sent_count, user.received_count) == (1, 1)
+            assert (analyst.sent_count, analyst.received_count) == (1, 1)
             user.close()
         finally:
             analyst.close()
@@ -385,7 +385,7 @@ class TestTcpTransport:
                                            timeout=1.0)
             raw.sendall(b"XXXX" + bytes(9))        # full prefix, wrong magic
             with pytest.raises(DecodeError):
-                analyst.recv_share(timeout=2.0)
+                analyst.recv(timeout=2.0)
             raw.close()
         finally:
             analyst.close()
@@ -399,18 +399,11 @@ class TestTcpTransport:
                                              timeout=1.0)
             probe.close()
             user = TcpUserEndpoint("127.0.0.1", analyst.port, timeout=2.0)
-            user.send_share(sample_share(party=(0, 0)))
-            got = analyst.recv_share(timeout=5.0)
-            assert got.party == (0, 0)
+            share = encode_message(sample_share(party=(0, 0)))
+            user.send(share)
+            got, _ = analyst.recv(timeout=5.0)
+            assert got == share
             user.close()
-        finally:
-            analyst.close()
-
-    def test_result_without_connection_rejected(self):
-        analyst = TcpAnalystEndpoint(timeout=1.0)
-        try:
-            with pytest.raises(ProtocolError, match="no connection"):
-                analyst.send_result((0, 0), sample_result())
         finally:
             analyst.close()
 
@@ -420,36 +413,44 @@ class TestTcpTransport:
 # ---------------------------------------------------------------------------
 
 class TestSessionProtocol:
+    def _inbox_with(self, *shares):
+        inbox = Inbox()
+        for share in shares:
+            InProcessUserEndpoint(inbox).send(encode_message(share))
+        return inbox
+
     def test_duplicate_share_aborts(self):
-        hub = InProcessHub(1, 2)
-        hub.user_endpoint((0, 0)).send_share(sample_share(party=(0, 0)))
-        hub.user_endpoint((0, 0)).send_share(sample_share(party=(0, 0)))
         cfg = SessionConfig(c=1, d=2, k=2, timeout=1.0)
+        share = sample_share(party=(0, 0), config=cfg.echo())
         with pytest.raises(ProtocolError, match="duplicate"):
-            analyst_party_run(cfg, hub.analyst_endpoint())
+            analyst_party_run(cfg, self._inbox_with(share, share))
 
     def test_share_from_outside_lattice_aborts(self):
-        hub = InProcessHub(2, 2)
-        hub.user_endpoint((1, 1)).send_share(sample_share(party=(1, 1)))
         cfg = SessionConfig(c=1, d=1, k=2, timeout=1.0)
+        share = sample_share(party=(1, 1), config=cfg.echo())
         with pytest.raises(ProtocolError, match="outside"):
-            analyst_party_run(cfg, hub.analyst_endpoint())
+            analyst_party_run(cfg, self._inbox_with(share))
 
     def test_absent_party_times_out_with_names(self):
-        hub = InProcessHub(2, 1)
-        share = sample_share(party=(0, 0), width=2)
-        hub.user_endpoint((0, 0)).send_share(share)
         cfg = SessionConfig(c=2, d=1, k=2, timeout=0.2)
+        share = sample_share(party=(0, 0), width=2, config=cfg.echo())
         with pytest.raises(SessionError, match=r"\(1, 0\)"):
-            analyst_party_run(cfg, hub.analyst_endpoint())
+            analyst_party_run(cfg, self._inbox_with(share))
+
+    def test_mismatched_config_echo_rejected(self):
+        cfg = SessionConfig(c=2, d=1, k=2, timeout=1.0)
+        other = SessionConfig(c=2, d=1, k=3, timeout=1.0)
+        share = sample_share(party=(0, 0), config=other.echo())
+        with pytest.raises(ProtocolError, match=r"\(0, 0\).*\['k'\]"):
+            analyst_party_run(cfg, self._inbox_with(share))
 
     def test_misrouted_result_detected(self):
         class MisroutingTransport:
-            def send_share(self, msg):
+            def send(self, frame):
                 pass
 
-            def recv_result(self, timeout):
-                return sample_result(row_block=5)
+            def recv(self, timeout):
+                return encode_message(sample_result(row_block=5))
 
         rng = np.random.default_rng(0)
         block = rng.normal(size=(12, 4))
@@ -470,6 +471,7 @@ class TestFullSession:
         assert outcome.analyst_counts == (4, 4)
         assert outcome.report.messages_received == 4
         assert outcome.report.messages_sent == 4
+        assert outcome.report.frames_dropped == 0
 
     def test_session_recovers_the_clustering(self):
         ds, part, anchor, cfg = small_session_inputs()
@@ -495,6 +497,35 @@ class TestFullSession:
         assert np.array_equal(local.report.labels, wired.report.labels)
         assert local.report.residual == wired.report.residual
         assert local.report.m_hat == wired.report.m_hat
+        for party, labels in local.user_labels.items():
+            assert np.array_equal(labels, wired.user_labels[party])
+
+    def test_garbage_frames_are_dropped_and_counted(self):
+        # frames that are not shares, from connections that never identify
+        # themselves, must not abort a session the real parties can finish
+        ds, part, anchor, cfg = small_session_inputs(seed=7)
+        local = run_in_process_session(ds.features, part, anchor, cfg)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor)
+        analyst = TcpAnalystEndpoint(timeout=cfg.timeout)
+        raws = []
+        try:
+            for junk in (b"XXXX" + bytes(9), encode_message(sample_result())):
+                raws.append(socket.create_connection(
+                    ("127.0.0.1", analyst.port), timeout=5.0))
+                raws[-1].sendall(junk)
+            deadline = time.monotonic() + 5.0
+            while analyst._items.qsize() < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            wired = _run_session(
+                cfg, blocks, anchor_blocks, analyst,
+                lambda p: TcpUserEndpoint("127.0.0.1", analyst.port,
+                                          timeout=cfg.timeout))
+        finally:
+            for raw in raws:
+                raw.close()
+            analyst.close()
+        assert wired.report.frames_dropped == 2
+        assert np.array_equal(local.report.labels, wired.report.labels)
         for party, labels in local.user_labels.items():
             assert np.array_equal(labels, wired.user_labels[party])
 
