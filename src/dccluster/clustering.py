@@ -2,18 +2,33 @@
 
 Both algorithms are deterministic given a seed: k-means uses squared-distance
 weighted seeding with cumulative-probability sampling, Lloyd updates with an
-explicit empty-cluster repair, and an early stop when assignments repeat;
-spectral clustering builds a mutual-or kNN graph, takes the symmetric
-normalized Laplacian, and runs k-means on its bottom eigenvectors.
+explicit empty-cluster repair, and an early stop when assignments repeat.
+
+Spectral clustering never forms an n x n dense array.  A kd-tree finds each
+point's nearest neighbours, ranked by (squared distance, index) so that ties
+at the neighbourhood boundary go to the lower index; the binary kNN graph is
+OR-symmetrized into a CSR matrix; its symmetric normalized Laplacian stays
+sparse; and a shift-invert ARPACK solve gives the bottom eigenvectors.  The
+eigenvalue 0 repeats once per graph component, so that null space is not
+taken from the solver but built as sqrt(degree)-scaled component indicators,
+in component order.  k-means then runs on the embedding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import ContractViolationError
-from .numerics import as_matrix, eig_symmetric
+from .numerics import _fix_signs, as_matrix, eig_symmetric
+
+# A neighbour query is widened until the farthest point it returned is
+# farther than the neighbourhood boundary by more than roundoff, so every
+# point tied with the boundary is among the candidates.
+_BOUNDARY_RTOL = 1e-9
 
 
 @dataclass
@@ -32,6 +47,7 @@ class SpectralEmbedding:
     vectors: np.ndarray
     eigenvalues: np.ndarray
     neighbors: int
+    components: int
 
 
 def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,50 +153,89 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
     return best
 
 
-def build_affinity(x, neighbors: int) -> np.ndarray:
+def build_affinity(x, neighbors: int) -> scipy.sparse.csr_array:
     """Binary kNN affinity: w[i, j] = 1 if j is among i's nearest neighbors.
 
-    Self is excluded, equal distances at the neighborhood boundary resolve
-    to the lower index, and the matrix is symmetrized with an OR so an edge
-    from either side survives.  Diagonal is zero.
+    Self is excluded by index, neighbours are ranked by squared Euclidean
+    distance (summed coordinate differences) and then by index, so equal
+    distances at the neighborhood boundary resolve to the lower index.  The
+    matrix is symmetrized with an OR so an edge from either side survives.
+    Diagonal is zero.  Returned as CSR.
     """
     x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= neighbors < n:
         raise ContractViolationError(
             f"neighbors must be in [1, {n - 1}], got {neighbors}")
-    d2 = sqdist(x, x)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :neighbors]
-    w = np.zeros((n, n))
-    w[np.repeat(np.arange(n), neighbors), order.ravel()] = 1.0
-    w = np.maximum(w, w.T)
-    np.fill_diagonal(w, 0.0)
-    return w
+    tree = cKDTree(x)
+    cols = np.empty((n, neighbors), dtype=np.intp)
+    rows = np.arange(n)
+    width = neighbors + 2
+    while rows.size:
+        width = min(width, n)
+        _, cand = tree.query(x[rows], k=width)
+        d2 = ((x[cand] - x[rows, None, :]) ** 2).sum(axis=2)
+        farthest = d2.max(axis=1)
+        d2[cand == rows[:, None]] = np.inf
+        order = np.lexsort((cand, d2))
+        d2 = np.take_along_axis(d2, order, axis=1)
+        cand = np.take_along_axis(cand, order, axis=1)
+        done = (width == n) | (
+            farthest > d2[:, neighbors - 1] * (1.0 + _BOUNDARY_RTOL))
+        cols[rows[done]] = cand[done, :neighbors]
+        rows = rows[~done]
+        width *= 2
+    w = scipy.sparse.csr_array(
+        (np.ones(n * neighbors), (np.repeat(np.arange(n), neighbors),
+                                  cols.ravel())), shape=(n, n))
+    return w.maximum(w.T).tocsr()
 
 
-def laplacian_sym(w: np.ndarray) -> np.ndarray:
-    """Symmetric normalized Laplacian D^-1/2 (D - W) D^-1/2.
+def laplacian_sym(w) -> scipy.sparse.csr_array:
+    """Symmetric normalized Laplacian D^-1/2 (D - W) D^-1/2, as CSR.
 
     Zero-degree nodes take 0 in D^-1/2, leaving their rows zero.
     """
-    w = as_matrix(w)
+    w = scipy.sparse.csr_array(w, dtype=np.float64)
     deg = w.sum(axis=1)
-    lap = np.diag(deg) - w
     with np.errstate(divide="ignore"):
-        dinv = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    return dinv[:, None] * lap * dinv[None, :]
+        dinv = scipy.sparse.diags_array(
+            np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0))
+    lap = (dinv @ (scipy.sparse.diags_array(deg) - w) @ dinv).tocsr()
+    lap.eliminate_zeros()
+    return lap
 
 
 def spectral_embedding(x, k: int, neighbors: int = 10) -> SpectralEmbedding:
-    """Bottom-k eigenvectors of the normalized Laplacian of the kNN graph."""
+    """Bottom-k eigenvectors of the normalized Laplacian of the kNN graph.
+
+    The first min(k, components) columns span the null space: unit
+    sqrt(degree)-scaled indicators of the graph components, in component
+    order, with eigenvalue exactly 0.  The other columns come from the
+    eigensolve, orthogonalized against them and sign-fixed.
+    """
     x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= k <= n:
         raise ContractViolationError(f"k must be in [1, {n}], got {k}")
-    res = eig_symmetric(laplacian_sym(build_affinity(x, neighbors)), top_k=k)
-    return SpectralEmbedding(vectors=res.vectors, eigenvalues=res.values,
-                             neighbors=neighbors)
+    w = build_affinity(x, neighbors)
+    components, member = connected_components(w, directed=False)
+    res = eig_symmetric(laplacian_sym(w), top_k=k)
+    null = min(k, components)
+    values, vectors = res.values, res.vectors
+    values[:null] = 0.0
+    root_deg = np.sqrt(w.sum(axis=1))
+    indicators = np.zeros((n, null))
+    keep = member < null
+    indicators[keep, member[keep]] = root_deg[keep]
+    indicators /= np.linalg.norm(indicators, axis=0)
+    rest = vectors[:, null:]
+    rest -= indicators @ (indicators.T @ rest)
+    rest /= np.linalg.norm(rest, axis=0)
+    vectors[:, :null] = indicators
+    vectors[:, null:], _ = _fix_signs(rest)
+    return SpectralEmbedding(vectors=vectors, eigenvalues=values,
+                             neighbors=neighbors, components=components)
 
 
 def spectral_cluster(x, k: int, neighbors: int = 10, max_iter: int = 300,

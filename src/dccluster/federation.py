@@ -156,7 +156,9 @@ def decode_message(data: bytes):
         raise DecodeError("header length exceeds payload", offset=pos)
     try:
         header = json.loads(data[pos:pos + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers bad UTF-8 and JSON, and integers longer than
+    # Python's digit limit; RecursionError covers deeply nested brackets
+    except (ValueError, RecursionError) as exc:
         raise DecodeError(f"bad JSON header: {exc}", offset=pos) from None
     pos += header_len
     if not isinstance(header, dict) or "matrices" not in header:

@@ -1,14 +1,33 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
-from dccluster.clustering import (kmeans, build_affinity, spectral_embedding,
-                                  spectral_cluster, assign_nearest, sqdist,
-                                  _sample_next_center)
-from dccluster.data import make_blobs, make_circles
+from dccluster.clustering import (kmeans, build_affinity, laplacian_sym,
+                                  spectral_embedding, spectral_cluster,
+                                  assign_nearest, sqdist, _sample_next_center)
+from dccluster.data import load_csv, make_blobs, make_circles
 from dccluster.errors import ContractViolationError
 from dccluster.metrics import ari
+from dccluster.numerics import eig_symmetric
+
+IRIS = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
+
+
+def dense_affinity(x, neighbors):
+    """Reference kNN affinity: difference-based squared distances, self
+    excluded by index, a stable sort so that ties go to the lower index,
+    then an OR."""
+    n = x.shape[0]
+    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :neighbors]
+    w = np.zeros((n, n))
+    w[np.repeat(np.arange(n), neighbors), order.ravel()] = 1.0
+    return np.maximum(w, w.T)
 
 
 def best_partition_inertia(x, k):
@@ -138,7 +157,7 @@ class TestLloydVsExhaustive:
 
 class TestAffinity:
     def test_two_points(self):
-        w = build_affinity(np.array([[0.0], [1.0]]), 1)
+        w = build_affinity(np.array([[0.0], [1.0]]), 1).toarray()
         assert np.array_equal(w, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_collinear_symmetrization(self):
@@ -150,7 +169,7 @@ class TestAffinity:
 
     def test_structure(self):
         x = np.random.default_rng(3).normal(size=(30, 4))
-        w = build_affinity(x, 5)
+        w = build_affinity(x, 5).toarray()
         assert np.array_equal(w, w.T)
         assert np.all(np.diag(w) == 0)
         assert set(np.unique(w).tolist()) <= {0.0, 1.0}
@@ -161,6 +180,47 @@ class TestAffinity:
             build_affinity(x, 0)
         with pytest.raises(ContractViolationError):
             build_affinity(x, 4)
+
+    @pytest.mark.parametrize("neighbors", [1, 3, 8, 20])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_oracle_on_integer_grid(self, neighbors, dim):
+        # every distance is exact, so the ties and duplicates are real; the
+        # 30 copies of one row outnumber any first query, and a copy can
+        # come before self
+        rng = np.random.default_rng(10 * neighbors + dim)
+        x = np.vstack([rng.integers(0, 4, size=(90, dim)),
+                       np.full((30, dim), 2)]).astype(float)
+        x = x[rng.permutation(x.shape[0])]
+        assert np.array_equal(build_affinity(x, neighbors).toarray(),
+                              dense_affinity(x, neighbors))
+
+    @pytest.mark.parametrize("neighbors", [1, 5, 10])
+    def test_matches_oracle_on_gaussian(self, neighbors):
+        x = np.random.default_rng(neighbors).normal(size=(150, 4))
+        assert np.array_equal(build_affinity(x, neighbors).toarray(),
+                              dense_affinity(x, neighbors))
+
+    def test_matches_oracle_on_iris(self):
+        # measurements to one decimal give many exactly tied distances
+        x = load_csv(IRIS, label_column="species").features
+        assert np.array_equal(build_affinity(x, 10).toarray(),
+                              dense_affinity(x, 10))
+
+
+class TestLaplacian:
+    def test_matches_dense_formula(self):
+        w = build_affinity(np.random.default_rng(2).normal(size=(40, 3)), 4)
+        # one extra node without edges
+        w = scipy.sparse.block_diag((w, scipy.sparse.csr_array((1, 1))))
+        dense = w.toarray()
+        deg = dense.sum(axis=1)
+        dinv = np.zeros_like(deg)
+        dinv[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+        expected = dinv[:, None] * (np.diag(deg) - dense) * dinv[None, :]
+        lap = laplacian_sym(w)
+        assert lap.format == "csr"
+        assert np.allclose(lap.toarray(), expected, rtol=1e-15, atol=0.0)
+        assert lap[[40]].nnz == 0
 
 
 class TestSpectralEmbedding:
@@ -192,6 +252,50 @@ class TestSpectralEmbedding:
         x = np.random.default_rng(9).normal(size=(40, 3))
         emb = spectral_embedding(x, 4, neighbors=6)
         assert np.allclose(np.linalg.norm(emb.vectors, axis=0), 1, atol=1e-8)
+
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_component_indicators_are_the_null_space(self, k):
+        # four far-apart 6-point cliques: neighbors = 5 makes each complete
+        rng = np.random.default_rng(4)
+        x = np.vstack([rng.normal(c, 0.1, (6, 2)) for c in (0, 50, 100, 150)])
+        emb = spectral_embedding(x, k, neighbors=5)
+        null = min(k, 4)
+        assert emb.components == 4
+        assert np.all(emb.eigenvalues[:null] == 0.0)
+        # the other eigenvalue of a complete graph on 6 nodes is 6/5
+        assert np.allclose(emb.eigenvalues[null:], 1.2, atol=1e-10)
+        clique = np.arange(24) // 6
+        for c in range(null):
+            assert np.allclose(emb.vectors[:, c],
+                               np.where(clique == c, 1 / np.sqrt(6), 0.0),
+                               rtol=0.0, atol=1e-15)
+        assert np.allclose(emb.vectors.T @ emb.vectors, np.eye(k), atol=1e-10)
+
+    def test_repeat_calls_are_bit_identical(self):
+        x = make_circles(2, 150, rng_seed=3).features[:, :2]
+        first = spectral_embedding(x, 4, neighbors=8)
+        # an unrelated solve with ARPACK's own start vector in between
+        other = scipy.sparse.random_array((80, 80), density=0.1, rng=0)
+        scipy.sparse.linalg.eigsh(other + other.T, k=3)
+        second = spectral_embedding(x, 4, neighbors=8)
+        assert np.array_equal(first.vectors, second.vectors)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+
+    @pytest.mark.parametrize("separated", [False, True])
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_span_matches_dense_oracle(self, k, separated):
+        x = np.random.default_rng(k).normal(size=(200, 3))
+        if separated:
+            x[100:] += 100.0
+        w = build_affinity(x, 6)
+        ref = eig_symmetric(laplacian_sym(w).toarray(), top_k=k + 1)
+        # the bottom-k span is only defined across a gap
+        assert ref.values[k] - ref.values[k - 1] > 1e-6
+        emb = spectral_embedding(x, k, neighbors=6)
+        assert emb.components == (2 if separated else 1)
+        v = ref.vectors[:, :k]
+        assert np.abs(emb.vectors @ emb.vectors.T - v @ v.T).max() < 1e-8
+        assert np.allclose(emb.eigenvalues, ref.values[:k], rtol=0, atol=1e-12)
 
 
 class TestSpectralCluster:

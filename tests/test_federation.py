@@ -45,6 +45,30 @@ def sample_result(seed=1, row_block=2, k=3, dim=2, n=9):
                             config={"k": k})
 
 
+def with_header(frame, edit):
+    """Rebuild a frame after editing the text of its JSON header."""
+    (header_len,) = struct.unpack_from("<I", frame, _PREFIX_SIZE)
+    start = _PREFIX_SIZE + 4
+    header = edit(frame[start:start + header_len].decode()).encode()
+    payload = struct.pack("<I", len(header)) + header + frame[start + header_len:]
+    return frame[:5] + struct.pack("<Q", len(payload)) + payload
+
+
+# Headers that json.loads itself refuses with something other than a
+# JSONDecodeError; each edits a frame of sample_share().  json.dumps cannot
+# write these values, so they are spliced into the text.
+HUGE_INT = "9" * 5000        # beyond Python's int-digit limit
+DEEP_LIST = "[" * 10000 + "]" * 10000
+HOSTILE_HEADERS = {
+    "deep-nesting": lambda t: t.replace('"party": [1, 0]',
+                                        f'"party": {DEEP_LIST}'),
+    "huge-party": lambda t: t.replace('"party": [1, 0]',
+                                      f'"party": [{HUGE_INT}, 0]'),
+    "huge-shape": lambda t: t.replace('["x_tilde", 7, 3]',
+                                      f'["x_tilde", {HUGE_INT}, 3]'),
+}
+
+
 def small_session_inputs(seed=0, n_per=20):
     ds = make_blobs(k=2, per_cluster=n_per, rng_seed=seed)
     part = partition_lattice(ds, c=2, d=2, assignment="iid-random",
@@ -168,15 +192,12 @@ class TestDecodeErrors:
             decode_message(bytes(frame))
 
     def _reheader(self, frame, mutate):
-        """Rebuild a frame after editing its JSON header."""
-        (header_len,) = struct.unpack_from("<I", frame, _PREFIX_SIZE)
-        start = _PREFIX_SIZE + 4
-        header = json.loads(frame[start:start + header_len])
-        mutate(header)
-        new_header = json.dumps(header, sort_keys=True).encode()
-        body = frame[start + header_len:]
-        payload = struct.pack("<I", len(new_header)) + new_header + body
-        return frame[:5] + struct.pack("<Q", len(payload)) + payload
+        """Rebuild a frame after editing its parsed JSON header."""
+        def edit(text):
+            header = json.loads(text)
+            mutate(header)
+            return json.dumps(header, sort_keys=True)
+        return with_header(frame, edit)
 
     def test_renamed_matrix_rejected(self):
         frame = encode_message(sample_share())
@@ -283,6 +304,111 @@ class TestDecodeErrors:
         frame = encode_message(make())
         with pytest.raises(DecodeError, match="NaN or Inf"):
             decode_message(frame[:-8] + struct.pack("<d", value))
+
+    @pytest.mark.parametrize("edit", HOSTILE_HEADERS.values(),
+                             ids=HOSTILE_HEADERS.keys())
+    def test_header_json_refused_by_parser_rejected(self, edit):
+        frame = encode_message(sample_share())
+        hostile = with_header(frame, edit)
+        assert len(hostile) > len(frame) + 4000
+        with pytest.raises(DecodeError, match="bad JSON header"):
+            decode_message(hostile)
+
+    def test_header_aware_fuzz_never_escapes_decode_error(self):
+        # reaches what byte damage rarely does: well-formed JSON with
+        # mistyped values, inconsistent matrix declarations, and payload
+        # floats whose exponent bits changed
+        rng = np.random.default_rng(2024)
+        frames = [encode_message(sample_share(seed=s)) for s in range(2)]
+        frames += [encode_message(sample_result(seed=s)) for s in range(2)]
+        pool = [0, 1, -1, 3, 2**40, 2**63, True, False, 0.5, -0.0, 1e308,
+                float("nan"), float("inf"), "", "x", "kmeans", "x_tilde",
+                [], [0], [0, 0], [1, [2]], ["x_tilde", 7, 3], {}, {"k": 3},
+                None, "@HUGE@", "@DEEP@"]
+        names = ["x_tilde", "anchor_tilde", "centroids", "z_block", "", "X"]
+
+        def splice(header):
+            return (json.dumps(header)
+                    .replace('"@HUGE@"', HUGE_INT)
+                    .replace('"@DEEP@"', DEEP_LIST))
+
+        def slots(node):
+            # every (container, key) pair below node, depth first
+            keys = (node.keys() if isinstance(node, dict)
+                    else range(len(node)) if isinstance(node, list) else ())
+            for key in keys:
+                yield node, key
+                yield from slots(node[key])
+
+        def pick(seq):
+            return seq[int(rng.integers(len(seq)))]
+
+        def mutate_value(header):
+            container, key = pick(list(slots(header)))
+            if rng.random() < 0.1:
+                del container[key]
+            else:
+                container[key] = pick(pool)
+            if rng.random() < 0.1:
+                header[pick(["party", "row_block", "algorithm", "config",
+                             "extra"])] = pick(pool)
+
+        def mutate_declaration(header):
+            decl = header["matrices"]
+            entry = pick(decl)
+            op = int(rng.integers(6))
+            if op == 0:
+                entry[1 + int(rng.integers(2))] *= -1
+            elif op == 1:
+                entry[1], entry[2] = entry[2], entry[1]
+            elif op == 2:
+                entry[1 + int(rng.integers(2))] += pick([-1, 1])
+            elif op == 3:
+                entry[0] = pick(names)
+            elif op == 4:
+                decl.remove(entry)
+            else:
+                decl.append(list(entry))
+
+        outcomes = {"ok": 0, "rejected": 0}
+        for trial in range(600):
+            frame = frames[trial % len(frames)]
+            op = trial % 3
+            if op < 2:
+                mutate = mutate_value if op == 0 else mutate_declaration
+
+                def edit(text):
+                    header = json.loads(text)
+                    mutate(header)
+                    return splice(header)
+
+                frame = with_header(frame, edit)
+            else:
+                (header_len,) = struct.unpack_from("<I", frame, _PREFIX_SIZE)
+                body = _PREFIX_SIZE + 4 + header_len
+                floats = (len(frame) - body) // 8
+                raw = bytearray(frame)
+                for _ in range(int(rng.integers(1, 4))):
+                    top = body + 8 * int(rng.integers(floats)) + 7
+                    # the exponent is bits 52-62: the high byte's low 7
+                    # bits and the next byte's high 4 bits; all ones
+                    # makes Inf or NaN
+                    if rng.random() < 0.3:
+                        raw[top] |= 0x7F
+                        raw[top - 1] |= 0xF0
+                    else:
+                        raw[top] ^= int(rng.integers(1, 128))
+                        raw[top - 1] ^= int(rng.integers(0, 16)) << 4
+                frame = bytes(raw)
+            try:
+                msg = decode_message(frame)
+                assert isinstance(msg, (UserShareMsg, AnalystResultMsg))
+                outcomes["ok"] += 1
+            except DecodeError as exc:
+                assert isinstance(exc.offset, int) and exc.offset >= 0
+                outcomes["rejected"] += 1
+        assert outcomes["rejected"] >= 200
+        assert outcomes["ok"] >= 50
 
     def test_fuzzed_corruption_never_escapes_decode_error(self):
         # arbitrary damage must yield either a parsed message or DecodeError,
@@ -528,6 +654,21 @@ class TestFullSession:
         assert np.array_equal(local.report.labels, wired.report.labels)
         for party, labels in local.user_labels.items():
             assert np.array_equal(labels, wired.user_labels[party])
+
+    def test_unparsable_headers_are_dropped_and_counted(self):
+        # one hostile frame must not abort a session the real parties can
+        # finish, whatever exception the JSON parser raises on it
+        ds, part, anchor, cfg = small_session_inputs(seed=7)
+        local = run_in_process_session(ds.features, part, anchor, cfg)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor)
+        inbox = Inbox()
+        frame = encode_message(sample_share())
+        for edit in HOSTILE_HEADERS.values():
+            InProcessUserEndpoint(inbox).send(with_header(frame, edit))
+        hit = _run_session(cfg, blocks, anchor_blocks, inbox,
+                           lambda p: InProcessUserEndpoint(inbox))
+        assert hit.report.frames_dropped == len(HOSTILE_HEADERS)
+        assert np.array_equal(local.report.labels, hit.report.labels)
 
     def test_tcp_session_closes_every_socket(self):
         ds, part, anchor, cfg = small_session_inputs(seed=5)

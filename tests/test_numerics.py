@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from dccluster.errors import ContractViolationError
 from dccluster.numerics import (as_matrix, svd, pinv, eig_symmetric,
@@ -127,6 +128,47 @@ class TestEigSymmetric:
         assert np.allclose(r.values, [0.0, 2.0], atol=1e-12)
         v = r.vectors[:, 0]
         assert np.allclose(np.abs(v), [1 / np.sqrt(2)] * 2, atol=1e-12)
+
+    @staticmethod
+    def path_laplacian(n):
+        # combinatorial Laplacian of a path: simple eigenvalues, 0 included
+        a = scipy.sparse.diags_array([-np.ones(n - 1), np.full(n, 2.0),
+                                      -np.ones(n - 1)], offsets=[-1, 0, 1])
+        a = a.tolil()
+        a[0, 0] = a[n - 1, n - 1] = 1.0
+        return a.tocsr()
+
+    def test_sparse_matches_dense(self):
+        a = self.path_laplacian(60)
+        sparse, dense = eig_symmetric(a, top_k=4), eig_symmetric(a.toarray(),
+                                                                  top_k=4)
+        assert np.allclose(sparse.values, dense.values, atol=1e-12)
+        # a path's eigenvectors are (anti)symmetric, so their largest
+        # entries tie in magnitude and roundoff picks the sign
+        for v_sparse, v_dense in zip(sparse.vectors.T, dense.vectors.T):
+            assert min(np.abs(v_sparse - v_dense).max(),
+                       np.abs(v_sparse + v_dense).max()) < 1e-8
+
+    def test_sparse_top_k_near_n_is_solved_dense(self):
+        a = self.path_laplacian(12)
+        for top_k in (11, 12, None):
+            sparse = eig_symmetric(a, top_k=top_k)
+            dense = eig_symmetric(a.toarray(), top_k=top_k)
+            assert np.array_equal(sparse.values, dense.values)
+            assert np.array_equal(sparse.vectors, dense.vectors)
+
+    def test_sparse_input_checked_like_dense(self):
+        a = self.path_laplacian(8).tolil()
+        a[0, 1] += 1.0
+        with pytest.raises(ContractViolationError, match="symmetric"):
+            eig_symmetric(a.tocsr(), top_k=2)
+        a[0, 1] = np.nan
+        with pytest.raises(ContractViolationError, match="NaN"):
+            eig_symmetric(a.tocsr(), top_k=2)
+        with pytest.raises(ContractViolationError, match="square"):
+            eig_symmetric(scipy.sparse.csr_array((4, 5)), top_k=2)
+        with pytest.raises(ContractViolationError, match="top_k"):
+            eig_symmetric(self.path_laplacian(8), top_k=9)
 
 
 class TestStandardize:
