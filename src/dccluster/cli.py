@@ -11,6 +11,7 @@ datasets into the local cache.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -18,14 +19,12 @@ import numpy as np
 
 from . import datasets
 from .errors import ConfigurationError, IngestionError
-from .experiment import (ExperimentSpec, load_config, run_experiment,
-                         emit_report, trial_inputs)
+from .experiment import (FORMAT_ALIASES, FORMATS, METRICS, ExperimentSpec,
+                         load_config, run_experiment, emit_report,
+                         trial_inputs)
 from .federation import (TcpAnalystEndpoint, TcpUserEndpoint,
                          analyst_party_run, user_party_run)
 from .seeds import derive_seed
-
-_FORMAT_ALIASES = {"md": "markdown-table", "csv": "csv", "json": "json",
-                   "markdown-table": "markdown-table"}
 
 
 def _collect_configs(path: str) -> list:
@@ -39,15 +38,10 @@ def _collect_configs(path: str) -> list:
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    if args.trials is not None:
-        spec.trials = args.trials
-    if args.seed is not None:
-        spec.master_seed = args.seed
-    if args.out is not None:
-        spec.out_dir = args.out
-    if args.format is not None:
-        spec.formats = tuple(_FORMAT_ALIASES[f] for f in args.format)
-    return spec
+    given = {"trials": args.trials, "master_seed": args.seed,
+             "out_dir": args.out, "formats": args.format}
+    return dataclasses.replace(
+        spec, **{key: v for key, v in given.items() if v is not None})
 
 
 def _cmd_run(args) -> int:
@@ -62,7 +56,7 @@ def _cmd_run(args) -> int:
         for method in report.methods:
             cells = "  ".join(f"{m}={agg[method][m]['mean']:.3f}"
                               f"({agg[method][m]['std']:.3f})"
-                              for m in ("ari", "nmi", "acc"))
+                              for m in METRICS)
             print(f"  {method:18s} {cells}")
         for p in paths:
             print(f"  wrote {p}")
@@ -74,9 +68,12 @@ def _cmd_run(args) -> int:
     return status
 
 
-def _session_pieces(spec: ExperimentSpec):
-    """Trial 0's inputs, which every role re-derives from the shared config."""
-    return trial_inputs(spec, derive_seed(spec.master_seed, "trial", 0))
+def _session_pieces(spec: ExperimentSpec, timeout: float | None):
+    """Trial 0's inputs, which every role re-derives from the shared config;
+    the session timeout resolves from `timeout` as SessionConfig's does."""
+    ds, part, anchor, cfg = trial_inputs(
+        spec, derive_seed(spec.master_seed, "trial", 0))
+    return ds, part, anchor, dataclasses.replace(cfg, timeout=timeout)
 
 
 def _parse_hostport(text: str):
@@ -88,9 +85,7 @@ def _parse_hostport(text: str):
 
 def _cmd_analyst(args) -> int:
     spec = load_config(args.config)
-    _, _, _, cfg = _session_pieces(spec)
-    if args.timeout is not None:
-        cfg.timeout = args.timeout
+    _, _, _, cfg = _session_pieces(spec, args.timeout)
     host, port = _parse_hostport(args.listen)
     endpoint = TcpAnalystEndpoint(host=host, port=port, timeout=cfg.timeout)
     print(f"analyst listening on {host}:{endpoint.port} "
@@ -115,9 +110,7 @@ def _cmd_user(args) -> int:
         i, j = (int(p) for p in args.party.split(","))
     except ValueError:
         raise ConfigurationError(f"--party expects i,j, got {args.party!r}")
-    ds, part, anchor, cfg = _session_pieces(spec)
-    if args.timeout is not None:
-        cfg.timeout = args.timeout
+    ds, part, anchor, cfg = _session_pieces(spec, args.timeout)
     block = part.block(ds.features, i, j)
     anchor_block = anchor.features[:, part.col_index_sets[j]]
     host, port = _parse_hostport(args.connect)
@@ -161,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--format", nargs="+", default=None,
-                       choices=sorted(_FORMAT_ALIASES))
+                       choices=sorted(FORMATS + tuple(FORMAT_ALIASES)))
     run_p.set_defaults(fn=_cmd_run)
 
     an_p = sub.add_parser("analyst", help="serve the analyst role over TCP")

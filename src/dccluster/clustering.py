@@ -35,7 +35,6 @@ _BOUNDARY_RTOL = 1e-9
 class ClusterModel:
     centroids: np.ndarray
     labels: np.ndarray
-    space_tag: str
     inertia: float
     n_iter: int = 0
     converged: bool = False
@@ -46,7 +45,6 @@ class ClusterModel:
 class SpectralEmbedding:
     vectors: np.ndarray
     eigenvalues: np.ndarray
-    neighbors: int
     components: int
 
 
@@ -103,7 +101,7 @@ def _update_centroids(x, labels, k, centroids):
     return centroids, labels
 
 
-def _lloyd(x, k: int, max_iter: int, rng, space_tag: str) -> ClusterModel:
+def _lloyd(x, k: int, max_iter: int, rng) -> ClusterModel:
     centroids = _seed_centers(x, k, rng)
     n = x.shape[0]
     labels = None
@@ -120,13 +118,12 @@ def _lloyd(x, k: int, max_iter: int, rng, space_tag: str) -> ClusterModel:
         labels = new_labels
         centroids, labels = _update_centroids(x, labels, k, centroids)
 
-    return ClusterModel(centroids=centroids, labels=labels, space_tag=space_tag,
-                        inertia=history[-1], n_iter=it, converged=converged,
-                        inertia_history=history)
+    return ClusterModel(centroids=centroids, labels=labels, inertia=history[-1],
+                        n_iter=it, converged=converged, inertia_history=history)
 
 
 def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
-           space_tag: str = "raw", restarts: int = 1) -> ClusterModel:
+           restarts: int = 1) -> ClusterModel:
     """Lloyd's algorithm with distance-weighted seeding.
 
     Stops early once an assignment pass repeats the previous labels, which
@@ -147,7 +144,7 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
     rng = np.random.default_rng(rng_seed)
     best = None
     for _ in range(restarts):
-        model = _lloyd(x, k, max_iter, rng, space_tag)
+        model = _lloyd(x, k, max_iter, rng)
         if best is None or model.inertia < best.inertia:
             best = model
     return best
@@ -235,12 +232,11 @@ def spectral_embedding(x, k: int, neighbors: int = 10) -> SpectralEmbedding:
     vectors[:, :null] = indicators
     vectors[:, null:], _ = _fix_signs(rest)
     return SpectralEmbedding(vectors=vectors, eigenvalues=values,
-                             neighbors=neighbors, components=components)
+                             components=components)
 
 
 def spectral_cluster(x, k: int, neighbors: int = 10, max_iter: int = 300,
                      rng_seed: int = 0, restarts: int = 1) -> ClusterModel:
     """k-means in the spectral embedding of the kNN graph."""
     z = spectral_embedding(x, k, neighbors).vectors
-    return kmeans(z, k, max_iter=max_iter, rng_seed=rng_seed,
-                  space_tag="spectral-embedding", restarts=restarts)
+    return kmeans(z, k, max_iter=max_iter, rng_seed=rng_seed, restarts=restarts)

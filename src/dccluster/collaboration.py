@@ -108,7 +108,7 @@ class AnalystResultMsg:
 
 
 def fit_intermediate(x_block, anchor_block, target_dim: int,
-                     party: tuple[int, int] = (0, 0), scale: bool = True):
+                     party: tuple[int, int] = (0, 0), *, scale: bool):
     """Fit an institution's private map and produce its share.
 
     The map standardizes the block (population std, fitted locally) and
@@ -251,23 +251,17 @@ def make_clustering_representation(model: CollaborationModel, algorithm: str,
     raise ConfigurationError(f"unknown algorithm {algorithm!r}")
 
 
-def analyst_cluster(z, k: int, max_iter: int = 300, rng_seed: int = 0,
-                    row_sizes=None, algorithm: str = "kmeans",
-                    restarts: int = 10):
+def analyst_cluster(z, k: int, row_sizes, *, max_iter: int, rng_seed: int,
+                    algorithm: str, restarts: int):
     """Cluster the joint representation and split results per row block.
 
     Returns (model, results) where results[i] carries the centroids plus
     row block i's own rows of z, which is all an institution needs to
-    recover labels for its records.  restarts defaults to 10 here (unlike
-    the core kmeans) because a single seeding is too jumpy for a result
-    the whole federation shares.
+    recover labels for its records.
     """
     z = as_matrix(z)
-    space = "collaboration" if algorithm == "kmeans" else "spectral-embedding"
-    model = kmeans(z, k, max_iter=max_iter, rng_seed=rng_seed, space_tag=space,
+    model = kmeans(z, k, max_iter=max_iter, rng_seed=rng_seed,
                    restarts=restarts)
-    if row_sizes is None:
-        row_sizes = [z.shape[0]]
     if sum(row_sizes) != z.shape[0]:
         raise ConfigurationError(
             f"row_sizes {row_sizes} do not sum to {z.shape[0]} rows")

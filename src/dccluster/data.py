@@ -23,6 +23,12 @@ from .numerics import as_matrix
 MINOR_FEATURES = 4
 MINOR_VAR = 0.1
 MINOR_COV = 0.01
+# Blob centers are drawn inside this box, at least MIN_CENTER_DIST apart.
+CENTER_BOX = (-10.0, 10.0)
+MIN_CENTER_DIST = 9.0
+# Ring j of the circles generator has radius OUTER_RADIUS * RING_DECAY**j.
+OUTER_RADIUS = 6.0
+RING_DECAY = 0.6
 
 ASSIGNMENTS = ("iid-random", "contiguous", "by-cluster-map")
 
@@ -78,8 +84,6 @@ class AnchorDataset:
     """Random shareable dataset drawn within per-feature bounds."""
 
     features: np.ndarray
-    mins: np.ndarray
-    maxs: np.ndarray
 
 
 def partition_lattice(ds: LabeledDataset, c: int, d: int, assignment: str,
@@ -167,29 +171,27 @@ def _minor_features(n: int, rng) -> np.ndarray:
     return rng.multivariate_normal(np.zeros(MINOR_FEATURES), cov, size=n)
 
 
-def make_blobs(k: int, per_cluster: int, rng_seed: int = 0,
-               center_box: tuple[float, float] = (-10.0, 10.0),
-               min_center_dist: float = 9.0) -> LabeledDataset:
+def make_blobs(k: int, per_cluster: int, rng_seed: int = 0) -> LabeledDataset:
     """Isotropic Gaussian blobs in 2 major features plus 4 minor features.
 
-    Centers are rejection-sampled uniformly inside center_box until every
-    pair is at least min_center_dist apart, which keeps the clusters well
+    Centers are rejection-sampled uniformly inside CENTER_BOX until every
+    pair is at least MIN_CENTER_DIST apart, which keeps the clusters well
     separated relative to their unit variance.
     """
     if k < 1 or per_cluster < 1:
         raise ConfigurationError("k and per_cluster must be positive")
     rng = np.random.default_rng(rng_seed)
-    lo, hi = center_box
+    lo, hi = CENTER_BOX
     centers = []
     for _ in range(k):
         for _attempt in range(10000):
             cand = rng.uniform(lo, hi, size=2)
-            if all(np.linalg.norm(cand - c) >= min_center_dist for c in centers):
+            if all(np.linalg.norm(cand - c) >= MIN_CENTER_DIST for c in centers):
                 centers.append(cand)
                 break
         else:
             raise ConfigurationError(
-                f"could not place {k} centers {min_center_dist} apart in {center_box}")
+                f"could not place {k} centers {MIN_CENTER_DIST} apart in {CENTER_BOX}")
     n = k * per_cluster
     major = np.vstack([c + rng.standard_normal((per_cluster, 2)) for c in centers])
     features = np.hstack([major, _minor_features(n, rng)])
@@ -199,11 +201,10 @@ def make_blobs(k: int, per_cluster: int, rng_seed: int = 0,
 
 
 def make_circles(rings: int, per_cluster: int, noise_std: float = 0.05,
-                 rng_seed: int = 0, outer_radius: float = 6.0,
-                 decay: float = 0.6) -> LabeledDataset:
+                 rng_seed: int = 0) -> LabeledDataset:
     """Concentric rings in 2 major features plus 4 minor features.
 
-    Ring j has radius outer_radius * decay**j; angles are uniform and both
+    Ring j has radius OUTER_RADIUS * RING_DECAY**j; angles are uniform and both
     major coordinates get Gaussian noise of scale noise_std.  Rings are
     separable by a neighborhood graph but not by centroid distance, so they
     discriminate spectral clustering from plain k-means.
@@ -215,7 +216,7 @@ def make_circles(rings: int, per_cluster: int, noise_std: float = 0.05,
     rng = np.random.default_rng(rng_seed)
     majors = []
     for j in range(rings):
-        radius = outer_radius * decay ** j
+        radius = OUTER_RADIUS * RING_DECAY ** j
         theta = rng.uniform(0.0, 2.0 * np.pi, size=per_cluster)
         ring = radius * np.column_stack([np.cos(theta), np.sin(theta)])
         ring += noise_std * rng.standard_normal((per_cluster, 2))
@@ -295,4 +296,4 @@ def generate_anchor(bounds: tuple[np.ndarray, np.ndarray], r: int,
         raise ContractViolationError("anchor needs at least one row")
     rng = np.random.default_rng(rng_seed)
     features = rng.uniform(mins, maxs, size=(r, mins.size))
-    return AnchorDataset(features=features, mins=mins, maxs=maxs)
+    return AnchorDataset(features=features)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -28,6 +29,17 @@ from .seeds import derive_seed
 METRICS = ("ari", "nmi", "acc")
 ALGORITHMS = ("kmeans", "spectral")
 LOCAL_CHOICES = ("none", "first", "all")
+FORMATS = ("csv", "json", "markdown-table")
+FORMAT_ALIASES = {"md": "markdown-table"}
+
+
+def _report_formats(names) -> tuple:
+    """Canonical report format names, aliases resolved; unknown names raise."""
+    out = tuple(FORMAT_ALIASES.get(n, n) for n in names)
+    unknown = [n for n in out if n not in FORMATS]
+    if unknown:
+        raise ConfigurationError(f"unknown report formats {unknown}")
+    return out
 
 
 @dataclass
@@ -57,9 +69,10 @@ class ExperimentSpec:
     centralized: bool = True
     local: str = "first"              # none | first | all
     out_dir: str = "reports"
-    formats: tuple = ("csv", "json", "markdown-table")
+    formats: tuple = FORMATS
 
     def __post_init__(self):
+        self.formats = _report_formats(self.formats)
         if self.trials < 1:
             raise ConfigurationError("trials must be at least 1")
         if self.dataset not in ("blobs", "circles", "csv"):
@@ -108,26 +121,13 @@ class TrialReport:
         return len(self.trial_seeds) - len(self.aborted)
 
     def to_json(self) -> str:
-        payload = {"spec": self.spec, "methods": self.methods,
-                   "trial_seeds": self.trial_seeds, "values": self.values,
-                   "aborted": self.aborted, "extras": self.extras,
-                   "aggregate": self.aggregate()}
+        payload = {**asdict(self), "aggregate": self.aggregate()}
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "TrialReport":
         raw = json.loads(text)
-        return cls(spec=raw["spec"], methods=raw["methods"],
-                   trial_seeds=raw["trial_seeds"], values=raw["values"],
-                   aborted=raw["aborted"], extras=raw["extras"])
-
-    def __eq__(self, other):
-        if not isinstance(other, TrialReport):
-            return NotImplemented
-        return (self.spec == other.spec and self.methods == other.methods
-                and self.trial_seeds == other.trial_seeds
-                and self.values == other.values and self.aborted == other.aborted
-                and self.extras == other.extras)
+        return cls(**{f.name: raw[f.name] for f in fields(cls)})
 
 
 def trial_inputs(spec: ExperimentSpec, trial_seed: int,
@@ -248,7 +248,7 @@ def run_experiment(spec: ExperimentSpec) -> TrialReport:
 def emit_report(report: TrialReport, formats=None, out_dir=None):
     """Write the aggregate table and per-trial values; returns written paths."""
     spec = report.spec
-    formats = list(formats if formats is not None else spec["formats"])
+    formats = _report_formats(formats if formats is not None else spec["formats"])
     out_dir = out_dir if out_dir is not None else spec["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     name = spec["name"]
@@ -286,7 +286,7 @@ def emit_report(report: TrialReport, formats=None, out_dir=None):
             fh.write(report.to_json())
         written.append(path)
 
-    if "markdown-table" in formats or "md" in formats:
+    if "markdown-table" in formats:
         path = os.path.join(out_dir, f"{name}.md")
         lines = [f"# {name}", "",
                  f"trials: {report.completed_trials()} "
@@ -308,10 +308,10 @@ def emit_report(report: TrialReport, formats=None, out_dir=None):
 
 # --- flat key-value configs --------------------------------------------------
 
-_BOOL_KEYS = {"scale", "centralized"}
-_INT_KEYS = {"c", "d", "k", "neighbors", "max_iter", "trials", "master_seed",
-             "clusters", "per_cluster", "anchor_size", "m_hat", "restarts"}
-_NONE_OK = {"k", "anchor_size", "m_hat"}
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("must be true/false")
+    return text.lower() == "true"
 
 
 def _parse_cluster_map(text: str) -> dict:
@@ -330,6 +330,17 @@ def _parse_col_blocks(text: str) -> tuple:
     return tuple(tuple(int(i) for i in grp.split(",")) for grp in text.split("|"))
 
 
+# Every ExperimentSpec field is a config key, parsed by its declared type
+# unless it has a parser of its own.
+_TYPE_PARSERS = {bool: _parse_bool, int: int, str: str, str | None: str,
+                 int | None: lambda t: None if t.lower() == "none" else int(t)}
+_KEY_PARSERS = {"cluster_map": _parse_cluster_map,
+                "col_blocks": _parse_col_blocks,
+                "formats": lambda text: tuple(v.strip() for v in text.split(","))}
+_PARSERS = {key: _KEY_PARSERS.get(key) or _TYPE_PARSERS[hint]
+            for key, hint in typing.get_type_hints(ExperimentSpec).items()}
+
+
 def parse_config(text: str, name: str = "experiment") -> ExperimentSpec:
     """Flat `key = value` lines; # starts a comment; later keys win."""
     raw: dict = {"name": name}
@@ -341,26 +352,12 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentSpec:
         if not sep:
             raise ConfigurationError(f"line {lineno}: expected key = value")
         key, value = key.strip(), value.strip()
-        if key in _BOOL_KEYS:
-            if value.lower() not in ("true", "false"):
-                raise ConfigurationError(f"line {lineno}: {key} must be true/false")
-            raw[key] = value.lower() == "true"
-        elif key in _INT_KEYS:
-            if value.lower() == "none" and key in _NONE_OK:
-                raw[key] = None
-            else:
-                raw[key] = int(value)
-        elif key == "cluster_map":
-            raw[key] = _parse_cluster_map(value)
-        elif key == "col_blocks":
-            raw[key] = _parse_col_blocks(value)
-        elif key == "formats":
-            raw[key] = tuple(v.strip() for v in value.split(","))
-        elif key in ("name", "dataset", "algorithm", "mode", "assignment",
-                     "csv_path", "label_column", "local", "out_dir"):
-            raw[key] = value
-        else:
+        if key not in _PARSERS:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        try:
+            raw[key] = _PARSERS[key](value)
+        except ValueError as exc:
+            raise ConfigurationError(f"line {lineno}: {key}: {exc}") from None
     try:
         return ExperimentSpec(**raw)
     except TypeError as exc:

@@ -22,13 +22,14 @@ that route.
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
 import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,17 +55,23 @@ TIMEOUT_ENV_VAR = "DCC_TIMEOUT_SECS"
 
 
 def resolve_timeout(explicit: float | None = None) -> float:
-    """Explicit value wins, then the environment override, then 60 s."""
-    if explicit is not None:
-        return float(explicit)
-    env = os.environ.get(TIMEOUT_ENV_VAR)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"{TIMEOUT_ENV_VAR}={env!r} is not a number") from None
-    return DEFAULT_TIMEOUT_SECS
+    """Explicit value wins, then the environment override, then 60 s.
+
+    Anything but a positive, finite number of seconds raises
+    ConfigurationError naming where it came from.
+    """
+    source, value = "timeout", explicit
+    if explicit is None:
+        source = TIMEOUT_ENV_VAR
+        value = os.environ.get(TIMEOUT_ENV_VAR, DEFAULT_TIMEOUT_SECS)
+    try:
+        secs = float(value)
+    except (TypeError, ValueError):
+        secs = math.nan
+    if not (math.isfinite(secs) and secs > 0):
+        raise ConfigurationError(
+            f"{source}={value!r} is not a positive, finite number of seconds")
+    return secs
 
 
 @dataclass
@@ -80,14 +87,15 @@ class SessionConfig:
     m_hat: int | None = None
     scale: bool = False
     restarts: int = 10
-    timeout: float | None = None
+    timeout: float | None = None      # seconds, resolved by resolve_timeout
+
+    def __post_init__(self):
+        self.timeout = resolve_timeout(self.timeout)
 
     def echo(self) -> dict:
-        return {"c": self.c, "d": self.d, "k": self.k,
-                "algorithm": self.algorithm, "mode": self.mode,
-                "neighbors": self.neighbors, "max_iter": self.max_iter,
-                "master_seed": self.master_seed, "m_hat": self.m_hat,
-                "scale": self.scale, "restarts": self.restarts}
+        """Every setting but the timeout, which is each party's own."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "timeout"}
 
 
 _SHARE_MATRICES = ("x_tilde", "anchor_tilde")
@@ -312,12 +320,11 @@ def _recv_frame(sock: socket.socket, timeout: float,
 class TcpUserEndpoint:
     """One connection to the analyst: send a frame, wait for one back."""
 
-    def __init__(self, host: str, port: int, timeout: float | None = None):
-        self._timeout = resolve_timeout(timeout)
+    def __init__(self, host: str, port: int, *, timeout: float):
         self.sent_count = 0
         self.received_count = 0
         try:
-            self._sock = socket.create_connection((host, port), timeout=self._timeout)
+            self._sock = socket.create_connection((host, port), timeout=timeout)
         except (ConnectionError, socket.timeout, OSError) as exc:
             raise SessionTimeoutError(f"cannot reach analyst at {host}:{port}: {exc}") from None
 
@@ -338,10 +345,10 @@ class TcpAnalystEndpoint(Inbox):
     """Listening side: accepts connections concurrently and reads one frame
     from each into the inbox, routed back over the same connection."""
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 timeout: float | None = None):
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
+                 timeout: float):
         super().__init__()
-        self._timeout = resolve_timeout(timeout)
+        self._timeout = timeout
         self._accepted: list[socket.socket] = []
         self._stop = threading.Event()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -424,9 +431,9 @@ def analyst_step(shares, cfg: SessionConfig):
     """
     model = build_collaboration(shares, mode=cfg.mode, m_hat=cfg.m_hat)
     z = make_clustering_representation(model, cfg.algorithm, cfg.k, cfg.neighbors)
-    _, results = analyst_cluster(z, cfg.k, max_iter=cfg.max_iter,
+    _, results = analyst_cluster(z, cfg.k, model.row_sizes,
+                                 max_iter=cfg.max_iter,
                                  rng_seed=derive_seed(cfg.master_seed, "analyst"),
-                                 row_sizes=model.row_sizes,
                                  algorithm=cfg.algorithm,
                                  restarts=cfg.restarts)
     echo = cfg.echo()
@@ -438,10 +445,13 @@ def analyst_step(shares, cfg: SessionConfig):
 def user_party_run(party, local_block, anchor_block, cfg: SessionConfig,
                    transport) -> np.ndarray:
     """Run one institution: fit, share, wait, recover this block's labels."""
-    timeout = resolve_timeout(cfg.timeout)
     share = user_step(party, local_block, anchor_block, cfg)
     transport.send(encode_message(share))
-    result = decode_message(transport.recv(timeout))
+    try:
+        frame = transport.recv(cfg.timeout)
+    except SessionTimeoutError as exc:
+        raise SessionTimeoutError(f"party {share.party}: {exc}") from None
+    result = decode_message(frame)
     if not isinstance(result, AnalystResultMsg):
         raise ProtocolError("expected an analyst result frame")
     if result.row_block != share.party[0]:
@@ -459,10 +469,9 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     missing when the deadline passes abort the session with the absentees
     listed.  Each party's answer goes back by the route its share came in on.
     """
-    timeout = resolve_timeout(cfg.timeout)
     expected = {(i, j) for i in range(cfg.c) for j in range(cfg.d)}
     echo = cfg.echo()
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + cfg.timeout
     shares: dict[tuple[int, int], UserShareMsg] = {}
     routes = {}
     dropped = 0
@@ -547,9 +556,11 @@ def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
     threads += [threading.Thread(target=user_main, args=(p,)) for p in sorted(blocks)]
     for t in threads:
         t.start()
+    # each party's waits are bounded by cfg.timeout, so every thread ends
+    # with a report, labels or a recorded error
     try:
         for t in threads:
-            t.join(timeout=resolve_timeout(cfg.timeout) + 10.0)
+            t.join()
     finally:
         for endpoint in list(endpoints.values()):
             endpoint.close()
@@ -599,7 +610,7 @@ def run_tcp_session(x, partition, anchor, cfg: SessionConfig,
                     host: str = "127.0.0.1") -> SessionOutcome:
     """Full session over localhost sockets on an ephemeral port."""
     blocks, anchor_blocks = _session_inputs(x, partition, anchor)
-    analyst = TcpAnalystEndpoint(host=host, port=0, timeout=cfg.timeout)
+    analyst = TcpAnalystEndpoint(host=host, timeout=cfg.timeout)
     try:
         return _run_session(cfg, blocks, anchor_blocks, analyst,
                             lambda p: TcpUserEndpoint(host, analyst.port,

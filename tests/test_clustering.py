@@ -312,8 +312,3 @@ class TestSpectralCluster:
         sc = spectral_cluster(ds.features, 3, neighbors=10, rng_seed=0,
                               restarts=5)
         assert ari(ds.labels, sc.labels) == pytest.approx(1.0)
-
-    def test_space_tag(self):
-        x = np.random.default_rng(4).normal(size=(20, 2))
-        model = spectral_cluster(x, 2, neighbors=3, rng_seed=0)
-        assert model.space_tag == "spectral-embedding"

@@ -57,25 +57,26 @@ class TestFitIntermediate:
         self.anchor = rng.uniform(-4, 4, size=(20, 5))
 
     def test_share_shapes(self):
-        f, share = fit_intermediate(self.x, self.anchor, 3, party=(1, 2))
+        f, share = fit_intermediate(self.x, self.anchor, 3, party=(1, 2),
+                                    scale=True)
         assert share.x_tilde.shape == (30, 3)
         assert share.anchor_tilde.shape == (20, 3)
         assert share.party == (1, 2)
 
     def test_same_fitted_map_for_anchor(self):
-        f, share = fit_intermediate(self.x, self.anchor, 2)
+        f, share = fit_intermediate(self.x, self.anchor, 2, scale=True)
         assert np.allclose(f.apply(self.x), share.x_tilde)
         assert np.allclose(f.apply(self.anchor), share.anchor_tilde)
 
     def test_must_reduce_dimension(self):
         with pytest.raises(ContractViolationError):
-            fit_intermediate(self.x, self.anchor, 5)
+            fit_intermediate(self.x, self.anchor, 5, scale=True)
         with pytest.raises(ContractViolationError):
-            fit_intermediate(self.x, self.anchor, 0)
+            fit_intermediate(self.x, self.anchor, 0, scale=True)
 
     def test_anchor_width_must_match(self):
         with pytest.raises(ContractViolationError):
-            fit_intermediate(self.x, self.anchor[:, :4], 2)
+            fit_intermediate(self.x, self.anchor[:, :4], 2, scale=True)
 
     def test_scaled_variant_standardizes(self):
         _, share = fit_intermediate(self.x, self.anchor, 4, scale=True)
@@ -217,7 +218,9 @@ class TestAnalystAndUsers:
         rng = np.random.default_rng(9)
         z = np.vstack([rng.normal(0, 0.2, (12, 2)),
                        rng.normal(8, 0.2, (10, 2))])
-        model, results = analyst_cluster(z, 2, rng_seed=0, row_sizes=[12, 10])
+        model, results = analyst_cluster(z, 2, [12, 10], max_iter=300,
+                                         rng_seed=0, algorithm="kmeans",
+                                         restarts=10)
         assert [r.row_block for r in results] == [0, 1]
         joined = np.concatenate([assign_nearest(r.z_block, r.centroids)
                                  for r in results])
@@ -226,7 +229,8 @@ class TestAnalystAndUsers:
     def test_row_sizes_must_sum(self):
         z = np.zeros((5, 2))
         with pytest.raises(ConfigurationError):
-            analyst_cluster(z, 1, row_sizes=[2, 2])
+            analyst_cluster(z, 1, [2, 2], max_iter=300, rng_seed=0,
+                            algorithm="kmeans", restarts=10)
 
     def test_analyst_result_carries_no_private_fields(self):
         from dccluster.collaboration import AnalystResultMsg

@@ -91,6 +91,14 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="cluster_map"):
             parse_config("dataset = blobs\nc = 1\nd = 1\ncluster_map = 0\n")
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ConfigurationError, match="jsn"):
+            parse_config("dataset = blobs\nc = 1\nd = 1\nformats = csv, jsn\n")
+
+    def test_md_alias_resolved_in_the_spec(self):
+        spec = parse_config("dataset = blobs\nc = 1\nd = 1\nformats = md\n")
+        assert spec.formats == ("markdown-table",)
+
     def test_non_numeric_int(self):
         with pytest.raises(ValueError):
             parse_config("dataset = blobs\nc = lots\nd = 1\n")

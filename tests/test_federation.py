@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import socket
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from dccluster import cli, federation
 from dccluster.data import (make_blobs, partition_lattice, feature_bounds,
                             generate_anchor)
 from dccluster.errors import (ConfigurationError, DecodeError, ProtocolError,
@@ -692,6 +694,19 @@ class TestFullSession:
         assert model.residual == report.residual
         assert model.m_hat == report.m_hat
 
+    def test_user_past_its_deadline_names_its_party(self, monkeypatch):
+        ds, part, anchor, cfg = small_session_inputs()
+        cfg = dataclasses.replace(cfg, timeout=0.2)
+        step = federation.analyst_step
+
+        def slow_step(shares, cfg):
+            time.sleep(0.6)
+            return step(shares, cfg)
+
+        monkeypatch.setattr(federation, "analyst_step", slow_step)
+        with pytest.raises(SessionTimeoutError, match=r"party \(\d, \d\)"):
+            run_in_process_session(ds.features, part, anchor, cfg)
+
     def test_session_is_deterministic(self):
         ds, part, anchor, cfg = small_session_inputs(seed=11)
         first = run_in_process_session(ds.features, part, anchor, cfg)
@@ -715,6 +730,7 @@ class TestSessionConfig:
             assert key in echo
         assert echo["scale"] is True
         assert echo["restarts"] == 4
+        assert set(echo) == {f.name for f in dataclasses.fields(cfg)} - {"timeout"}
         json.dumps(echo)                        # must survive the wire header
 
     def test_echo_travels_with_the_share(self):
@@ -742,3 +758,30 @@ class TestResolveTimeout:
         monkeypatch.setenv(TIMEOUT_ENV_VAR, "soon")
         with pytest.raises(ConfigurationError):
             resolve_timeout()
+
+    def test_config_resolves_once(self, monkeypatch):
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, "7.5")
+        cfg = SessionConfig(c=1, d=1, k=2)
+        assert cfg.timeout == 7.5
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, "3")
+        assert cfg.timeout == 7.5
+        assert dataclasses.replace(cfg, timeout=2).timeout == 2.0
+
+    @pytest.mark.parametrize("source", ["explicit", "env", "cli"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_rejects_non_positive_or_non_finite(self, monkeypatch, tmp_path,
+                                                capsys, source, value):
+        monkeypatch.delenv(TIMEOUT_ENV_VAR, raising=False)
+        if source == "cli":
+            cfg = tmp_path / "wire.cfg"
+            cfg.write_text("dataset = blobs\nclusters = 2\nper_cluster = 10\n"
+                           "c = 1\nd = 2\nm_hat = 2\n")
+            assert cli.main(["user", str(cfg), "--connect", "127.0.0.1:9",
+                             "--party", "0,0", "--timeout", value]) == 2
+            assert "positive, finite" in capsys.readouterr().err
+            return
+        if source == "env":
+            monkeypatch.setenv(TIMEOUT_ENV_VAR, value)
+        explicit = float(value) if source == "explicit" else None
+        with pytest.raises(ConfigurationError, match="positive, finite"):
+            SessionConfig(c=1, d=1, k=2, timeout=explicit)

@@ -143,11 +143,21 @@ class TestEigSymmetric:
         sparse, dense = eig_symmetric(a, top_k=4), eig_symmetric(a.toarray(),
                                                                   top_k=4)
         assert np.allclose(sparse.values, dense.values, atol=1e-12)
-        # a path's eigenvectors are (anti)symmetric, so their largest
-        # entries tie in magnitude and roundoff picks the sign
-        for v_sparse, v_dense in zip(sparse.vectors.T, dense.vectors.T):
-            assert min(np.abs(v_sparse - v_dense).max(),
-                       np.abs(v_sparse + v_dense).max()) < 1e-8
+        assert np.abs(sparse.vectors - dense.vectors).max() < 1e-8
+
+    @pytest.mark.parametrize("n", [10, 11, 50])
+    def test_signs_of_roundoff_ties_follow_the_lowest_index(self, n):
+        # a path's antisymmetric eigenvectors have equal and opposite
+        # largest entries (the two ends, for the Fiedler vector), so which
+        # one is larger in magnitude is up to roundoff
+        a = self.path_laplacian(n)
+        sparse, dense = eig_symmetric(a, top_k=5), eig_symmetric(a.toarray(),
+                                                                 top_k=5)
+        for res in (sparse, dense):
+            fiedler = res.vectors[:, 1]
+            assert abs(fiedler[0]) == pytest.approx(abs(fiedler[-1]), rel=1e-10)
+            assert fiedler[0] > 0 > fiedler[-1]
+        assert np.abs(sparse.vectors - dense.vectors).max() < 1e-8
 
     def test_sparse_top_k_near_n_is_solved_dense(self):
         a = self.path_laplacian(12)
