@@ -95,7 +95,8 @@ def _cmd_analyst(args) -> int:
     finally:
         endpoint.close()
     print(f"session done: m_hat={report.m_hat} residual={report.residual:.3e} "
-          f"received={report.messages_received} sent={report.messages_sent}")
+          f"received={endpoint.received_count} sent={endpoint.sent_count} "
+          f"dropped={report.frames_dropped}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "analyst_labels.csv")

@@ -230,7 +230,7 @@ def spectral_embedding(x, k: int, neighbors: int = 10) -> SpectralEmbedding:
     rest -= indicators @ (indicators.T @ rest)
     rest /= np.linalg.norm(rest, axis=0)
     vectors[:, :null] = indicators
-    vectors[:, null:], _ = _fix_signs(rest)
+    _fix_signs(rest)
     return SpectralEmbedding(vectors=vectors, eigenvalues=values,
                              components=components)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -39,10 +40,6 @@ class AffineMap:
     @property
     def in_dim(self) -> int:
         return self.linear.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.linear.shape[1]
 
 
 @dataclass
@@ -158,11 +155,8 @@ def _grouped_by_row(shares) -> list[list[UserShareMsg]]:
     if set(parties) != expected or len(parties) != c * d:
         raise ConfigurationError(
             f"shares must cover a full {c}x{d} lattice exactly once")
-    by_row = []
     lookup = {s.party: s for s in shares}
-    for i in range(c):
-        by_row.append([lookup[(i, j)] for j in range(d)])
-    return by_row
+    return [[lookup[(i, j)] for j in range(d)] for i in range(c)]
 
 
 def build_collaboration(shares, mode: str = "affine",
@@ -173,7 +167,8 @@ def build_collaboration(shares, mode: str = "affine",
     affine mode) are factored once; each row block then gets the
     least-squares map of its own anchor image onto the leading left singular
     vectors.  The common dimension defaults to the smallest row-block width
-    and is clamped (with a warning) if some anchor image is rank-deficient.
+    and is clamped (with a warning) to the smallest rank among the blocks'
+    designs, counted by pinv's singular-value cutoff.
     """
     if mode not in ("linear", "affine"):
         raise ConfigurationError(f"mode must be 'linear' or 'affine', got {mode!r}")
@@ -187,52 +182,56 @@ def build_collaboration(shares, mode: str = "affine",
             raise ConfigurationError(f"row block {i} has inconsistent row counts {sizes}")
 
     x_tilde = [np.hstack([s.x_tilde for s in row]) for row in by_row]
-    anchors = [np.hstack([s.anchor_tilde for s in row]) for row in by_row]
-    widths = [a.shape[1] for a in anchors]
+    widths = [sum(s.anchor_tilde.shape[1] for s in row) for row in by_row]
     if m_hat is None:
         m_hat = min(widths)
     if not 1 <= m_hat <= min(widths):
         raise ConfigurationError(f"m_hat must be in [1, {min(widths)}], got {m_hat}")
 
-    r = anchors[0].shape[0]
-    ones = np.ones((r, 1))
-    if mode == "affine":
-        design = [np.hstack([a, ones]) for a in anchors]
-        stacked = np.hstack(design)
-    else:
-        design = anchors
-        stacked = np.hstack(anchors)
+    # One column-major copy of the anchor images, each row block's followed
+    # by a ones column in affine mode, so that every design is a column view.
+    (r,) = anchor_rows
+    parts = []
+    for row in by_row:
+        parts += [s.anchor_tilde for s in row]
+        if mode == "affine":
+            parts.append(np.ones((r, 1)))
+    design_widths = [w + 1 for w in widths] if mode == "affine" else widths
+    stacked = np.concatenate(parts, axis=1,
+                             out=np.empty((r, sum(design_widths)), order="F"))
+    design = np.split(stacked, np.cumsum(design_widths)[:-1], axis=1)
 
-    ranks = [np.linalg.matrix_rank(a) for a in design]
-    clamped = False
-    if min(ranks) < m_hat:
-        m_hat = int(min(ranks))
-        clamped = True
+    # Factored before any pseudoinverse is held.  Every rank is at most r, so
+    # a clamp only drops trailing columns, and the sign fix treats each
+    # column on its own.
+    u1 = svd(stacked, top_k=min(m_hat, r)).u
+    inverses, ranks = zip(*(pinv(a) for a in design))
+    clamped = min(ranks) < m_hat
+    if clamped:
+        m_hat = min(ranks)
         warnings.warn(f"anchor representation rank-deficient; common dimension "
                       f"clamped to {m_hat}", RuntimeWarning, stacklevel=2)
         if m_hat < 1:
             raise ConfigurationError("anchor representations have rank 0")
+        u1 = u1[:, :m_hat]
 
-    u1 = svd(stacked, top_k=m_hat).u
     g_maps, x_hat_blocks, anchor_images = [], [], []
-    for i, row_anchor in enumerate(anchors):
-        coeff = pinv(design[i]) @ u1
+    for x, a, w, inverse in zip(x_tilde, design, widths, inverses):
+        coeff = inverse @ u1
         if mode == "affine":
-            g = AffineMap(pre_offset=np.zeros(widths[i]), linear=coeff[:-1],
-                          post_offset=coeff[-1])
+            linear, offset = coeff[:-1], coeff[-1]
         else:
-            g = AffineMap(pre_offset=np.zeros(widths[i]), linear=coeff,
-                          post_offset=np.zeros(m_hat))
+            linear, offset = coeff, np.zeros(m_hat)
+        g = AffineMap(pre_offset=np.zeros(w), linear=linear, post_offset=offset)
         g_maps.append(g)
-        x_hat_blocks.append(g.apply(x_tilde[i]))
-        anchor_images.append(g.apply(row_anchor))
+        x_hat_blocks.append(g.apply(x))
+        # row-major: for m_hat = 1 the product is a matrix-vector one, which
+        # rounds differently on a column-major view
+        anchor_images.append(g.apply(np.ascontiguousarray(a[:, :w])))
 
     scale = max(np.linalg.norm(img) for img in anchor_images)
-    residual = 0.0
-    for i in range(len(anchor_images)):
-        for j in range(i + 1, len(anchor_images)):
-            gap = np.linalg.norm(anchor_images[i] - anchor_images[j])
-            residual = max(residual, gap / scale if scale > 0 else 0.0)
+    gaps = [np.linalg.norm(a - b) for a, b in combinations(anchor_images, 2)]
+    residual = max(gaps, default=0.0) / scale if scale > 0 else 0.0
 
     return CollaborationModel(mode=mode, m_hat=m_hat, g_maps=g_maps,
                               x_hat=np.vstack(x_hat_blocks),

@@ -107,10 +107,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _matrix_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
 def encode_message(msg) -> bytes:
     """Serialize one message into a complete frame."""
     if isinstance(msg, UserShareMsg):
@@ -124,12 +120,13 @@ def encode_message(msg) -> bytes:
                   "config": msg.config}
     else:
         raise ProtocolError(f"cannot encode {type(msg).__name__}")
-    mats = [getattr(msg, name) for name in names]
+    mats = [np.ascontiguousarray(getattr(msg, n), dtype="<f8") for n in names]
     header["matrices"] = [[name, *mat.shape] for name, mat in zip(names, mats)]
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join([_HEADER_LEN.pack(len(header_bytes)), header_bytes,
-                        *(_matrix_bytes(m) for m in mats)])
-    return _PREFIX.pack(MAGIC, kind, len(payload)) + payload
+    head = _HEADER_LEN.pack(len(header_bytes)) + header_bytes
+    size = len(head) + sum(m.nbytes for m in mats)
+    # one join copies each matrix straight into the frame; it takes flat views
+    return b"".join([_PREFIX.pack(MAGIC, kind, size), head, *(m.ravel() for m in mats)])
 
 
 def decode_message(data: bytes):
@@ -190,7 +187,7 @@ def decode_message(data: bytes):
         nbytes = rows * cols * 8
         if pos + nbytes > end:
             raise DecodeError(f"matrix {name} extends past payload", offset=pos)
-        flat = np.frombuffer(data[pos:pos + nbytes], dtype="<f8")
+        flat = np.frombuffer(data, "<f8", count=rows * cols, offset=pos)
         mats[name] = flat.reshape(rows, cols).astype(np.float64)
         pos += nbytes
     if pos != end:
@@ -285,11 +282,11 @@ class InProcessUserEndpoint:
         pass
 
 
-def _recv_exact(sock: socket.socket, nbytes: int, timeout: float,
+def _recv_exact(sock: socket.socket, nbytes: int, deadline: float,
                 eof_ok: bool = False) -> bytes:
     chunks, got = [], 0
     while got < nbytes:
-        sock.settimeout(max(timeout, 0.001))
+        sock.settimeout(max(deadline - time.monotonic(), 0.001))
         try:
             chunk = sock.recv(nbytes - got)
         except socket.timeout:
@@ -306,7 +303,10 @@ def _recv_exact(sock: socket.socket, nbytes: int, timeout: float,
 
 def _recv_frame(sock: socket.socket, timeout: float,
                 eof_ok: bool = False) -> bytes:
-    prefix = _recv_exact(sock, _PREFIX.size, timeout, eof_ok=eof_ok)
+    """One whole frame within timeout seconds: each recv waits only for the
+    time left, so a peer that trickles bytes cannot outlast the deadline."""
+    deadline = time.monotonic() + timeout
+    prefix = _recv_exact(sock, _PREFIX.size, deadline, eof_ok=eof_ok)
     if not prefix:
         return b""
     magic, kind, payload_len = _PREFIX.unpack(prefix)
@@ -314,7 +314,7 @@ def _recv_frame(sock: socket.socket, timeout: float,
         raise DecodeError(f"bad magic {magic!r}", offset=0)
     if payload_len > MAX_PAYLOAD:
         raise DecodeError(f"declared payload {payload_len} exceeds limit", offset=5)
-    return prefix + _recv_exact(sock, payload_len, timeout)
+    return prefix + _recv_exact(sock, payload_len, deadline)
 
 
 class TcpUserEndpoint:
@@ -405,8 +405,6 @@ class AnalystReport:
     per_block_labels: list[np.ndarray]
     m_hat: int
     residual: float
-    messages_received: int
-    messages_sent: int
     m_hat_clamped: bool
     frames_dropped: int
 
@@ -515,8 +513,6 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     return AnalystReport(labels=np.concatenate(per_block),
                          per_block_labels=per_block, m_hat=model.m_hat,
                          residual=model.residual,
-                         messages_received=len(shares),
-                         messages_sent=cfg.c * cfg.d,
                          m_hat_clamped=model.m_hat_clamped,
                          frames_dropped=dropped)
 

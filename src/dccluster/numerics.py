@@ -43,23 +43,22 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def _fix_signs(u: np.ndarray, vt: np.ndarray | None = None):
-    """Flip factor columns so the leading entry of each is nonnegative.
+def _fix_signs(u: np.ndarray, vt: np.ndarray | None = None) -> None:
+    """Flip factor columns in place so each one's leading entry is >= 0.
 
     The leading entry is the lowest-index one within a relative
     SIGN_TIE_RTOL of the column's largest magnitude.  When vt is given its
     rows are flipped together with u's columns so the product is unchanged.
     """
     if u.shape[0] == 0 or u.shape[1] == 0:
-        return u, vt
+        return
     mag = np.abs(u)
     lead = np.argmax(mag >= mag.max(axis=0) * (1.0 - SIGN_TIE_RTOL), axis=0)
     signs = np.sign(u[lead, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0
-    u = u * signs
+    u *= signs
     if vt is not None:
-        vt = vt * signs[:, None]
-    return u, vt
+        vt *= signs[:, None]
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,8 @@ class SvdResult:
 def svd(a, top_k: int | None = None) -> SvdResult:
     """Singular value decomposition with deterministic column signs.
 
-    top_k truncates to the leading singular triplets after the sign fix.
+    top_k truncates to the leading singular triplets before the sign fix,
+    which gives each kept column the sign a full factorization would.
     """
     a = as_matrix(a)
     if top_k is not None and not 1 <= top_k <= min(a.shape):
@@ -84,27 +84,29 @@ def svd(a, top_k: int | None = None) -> SvdResult:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError("svd", str(exc)) from exc
-    u, vt = _fix_signs(u, vt)
     if top_k is not None:
         u, s, vt = u[:, :top_k], s[:top_k], vt[:top_k]
+    _fix_signs(u, vt)
     return SvdResult(u=u, s=s, vt=vt)
 
 
-def pinv(a) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
+def pinv(a) -> tuple[np.ndarray, int]:
+    """Moore-Penrose pseudoinverse via SVD, and the rank it used.
 
     Singular values at or below eps * max(n_rows, n_cols) * sigma_max are
     treated as zero, so rank-deficient input degrades gracefully and a zero
-    matrix maps to its transposed-shape zero matrix.
+    matrix maps to its transposed-shape zero matrix.  The rank counts the
+    values above the cutoff, as numpy's matrix_rank does by default.
     """
     a = as_matrix(a)
     if a.size == 0:
-        return np.zeros((a.shape[1], a.shape[0]))
+        return np.zeros((a.shape[1], a.shape[0])), 0
     res = svd(a)
-    cutoff = np.finfo(np.float64).eps * max(a.shape) * (res.s[0] if res.s.size else 0.0)
+    cutoff = np.finfo(np.float64).eps * max(a.shape) * res.s[0]
+    kept = res.s > cutoff
     inv_s = np.zeros_like(res.s)
-    np.divide(1.0, res.s, out=inv_s, where=res.s > cutoff)
-    return (res.vt.T * inv_s) @ res.u.T
+    np.divide(1.0, res.s, out=inv_s, where=kept)
+    return (res.vt.T * inv_s) @ res.u.T, int(np.count_nonzero(kept))
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ def eig_symmetric(a, top_k: int | None = None) -> EigResult:
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError,
             scipy.sparse.linalg.ArpackError) as exc:
         raise NumericFailureError("eig_symmetric", str(exc)) from exc
-    vectors, _ = _fix_signs(vectors)
+    _fix_signs(vectors)
     # Stable order inside groups of exactly equal eigenvalues.
     start = 0
     for end in range(1, values.size + 1):

@@ -13,6 +13,7 @@ from dccluster.data import (make_blobs, partition_lattice, feature_bounds,
 from dccluster.errors import ConfigurationError, ContractViolationError
 from dccluster.federation import SessionConfig, run_dc_clustering, user_step
 from dccluster.metrics import ari
+from dccluster.numerics import pinv, svd
 
 
 def equal_range_shares(c, m_tilde, seed, with_offsets, n=40, r=30, m=None):
@@ -48,6 +49,61 @@ def aligned_anchor_images(shares, model):
         block = np.hstack(rows[i])
         out.append(model.g_maps[i].apply(block))
     return out
+
+
+def reference_alignment(shares, mode, m_hat=None):
+    """The plain alignment, kept as the reference: one hstack copy of the
+    anchor images per row block, another per design and a third stacked,
+    each design's rank from matrix_rank, and u's signs fixed on every
+    column before truncation."""
+    rows = {}
+    for s in sorted(shares, key=lambda s: s.party):
+        rows.setdefault(s.party[0], []).append(s)
+    x_tilde = [np.hstack([s.x_tilde for s in rows[i]]) for i in sorted(rows)]
+    anchors = [np.hstack([s.anchor_tilde for s in rows[i]]) for i in sorted(rows)]
+    widths = [a.shape[1] for a in anchors]
+    m_hat = min(widths) if m_hat is None else m_hat
+    ones = np.ones((anchors[0].shape[0], 1))
+    design = ([np.hstack([a, ones]) for a in anchors] if mode == "affine"
+              else anchors)
+    stacked = np.hstack(design)
+    ranks = [np.linalg.matrix_rank(a) for a in design]
+    clamped = min(ranks) < m_hat
+    m_hat = int(min(ranks)) if clamped else m_hat
+    u1 = svd(stacked).u[:, :m_hat]
+    x_hat, images = [], []
+    for i, anchor in enumerate(anchors):
+        coeff = pinv(design[i])[0] @ u1
+        linear, offset = ((coeff[:-1], coeff[-1]) if mode == "affine"
+                          else (coeff, np.zeros(m_hat)))
+        x_hat.append(x_tilde[i] @ linear + offset)
+        images.append(anchor @ linear + offset)
+    scale = max(np.linalg.norm(img) for img in images)
+    residual = 0.0
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            gap = np.linalg.norm(images[i] - images[j])
+            residual = max(residual, gap / scale if scale > 0 else 0.0)
+    return np.vstack(x_hat), m_hat, clamped, residual
+
+
+def lattice_shares(c, d, seed, r=60, deficient=()):
+    """Random shares on a c x d lattice with widths 1-3; the parties in
+    `deficient` send anchor images that are multiples of one column."""
+    rng = np.random.default_rng(seed)
+    column = rng.normal(size=(r, 1))
+    shares = []
+    for i in range(c):
+        n = 20 + 3 * i
+        for j in range(d):
+            width = 1 + (i + 2 * j) % 3
+            anchor = rng.normal(size=(r, width)) + rng.normal(size=width)
+            if (i, j) in deficient:
+                anchor = column * rng.normal(size=width)
+            shares.append(UserShareMsg(party=(i, j),
+                                       x_tilde=rng.normal(size=(n, width)),
+                                       anchor_tilde=anchor))
+    return shares
 
 
 class TestFitIntermediate:
@@ -151,6 +207,44 @@ class TestBuildCollaboration:
         with pytest.warns(RuntimeWarning, match="clamped"):
             model = build_collaboration(shares, mode="linear")
         assert model.m_hat == 1 and model.m_hat_clamped
+
+    @pytest.mark.parametrize("mode", ["affine", "linear"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("c", [1, 2, 3, 5])
+    def test_matches_reference_bit_for_bit(self, c, d, mode):
+        shares = lattice_shares(c, d, seed=10 * c + d)
+        model = build_collaboration(shares, mode=mode)
+        x_hat, m_hat, clamped, residual = reference_alignment(shares, mode)
+        assert np.array_equal(model.x_hat, x_hat)
+        assert (model.m_hat, model.m_hat_clamped) == (m_hat, clamped)
+        assert model.residual == residual
+
+    @pytest.mark.parametrize("mode", ["affine", "linear"])
+    def test_clamp_matches_reference_bit_for_bit(self, mode):
+        # row block 1's images (widths 2 + 1) span one dimension, two with
+        # the ones column
+        shares = lattice_shares(3, 2, seed=8, deficient={(1, 0), (1, 1)})
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            model = build_collaboration(shares, mode=mode, m_hat=3)
+        x_hat, m_hat, clamped, residual = reference_alignment(shares, mode, 3)
+        assert clamped and m_hat == (2 if mode == "affine" else 1)
+        assert np.array_equal(model.x_hat, x_hat)
+        assert (model.m_hat, model.m_hat_clamped) == (m_hat, clamped)
+        assert model.residual == residual
+
+    @pytest.mark.parametrize("mode", ["affine", "linear"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_short_anchor_matches_reference_bit_for_bit(self, r, mode):
+        # row-block widths 4 and 3 exceed the r anchor rows, so every rank
+        # is at most r and the default common dimension clamps to r
+        shares = lattice_shares(2, 2, seed=9, r=r)
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            model = build_collaboration(shares, mode=mode)
+        x_hat, m_hat, clamped, residual = reference_alignment(shares, mode)
+        assert clamped and m_hat == r
+        assert np.array_equal(model.x_hat, x_hat)
+        assert (model.m_hat, model.m_hat_clamped) == (m_hat, clamped)
+        assert model.residual == residual
 
     def test_bad_mode(self):
         shares = equal_range_shares(2, 2, seed=7, with_offsets=False)

@@ -58,9 +58,9 @@ class TestSvd:
     def test_top_k_matches_full_prefix(self):
         a = rand((9, 6), 11)
         full, top = svd(a), svd(a, top_k=3)
-        assert np.allclose(top.u, full.u[:, :3])
-        assert np.allclose(top.s, full.s[:3])
-        assert np.allclose(top.vt, full.vt[:3])
+        assert np.array_equal(top.u, full.u[:, :3])
+        assert np.array_equal(top.s, full.s[:3])
+        assert np.array_equal(top.vt, full.vt[:3])
 
     def test_deterministic(self):
         a = rand((20, 7), 5)
@@ -75,7 +75,7 @@ class TestPinv:
         for _ in range(20):
             shape = rng.integers(2, 51, size=2)
             a = rng.normal(size=shape)
-            p = pinv(a)
+            p, _ = pinv(a)
             assert np.allclose(a @ p @ a, a, atol=1e-8)
             assert np.allclose(p @ a @ p, p, atol=1e-8)
             assert np.allclose((a @ p).T, a @ p, atol=1e-8)
@@ -83,12 +83,25 @@ class TestPinv:
 
     def test_rank_deficient(self):
         a = np.vstack([np.eye(3), np.eye(3)])[:, :2] @ rand((2, 4), 7)
-        p = pinv(a)
+        p, _ = pinv(a)
         assert np.allclose(a @ p @ a, a, atol=1e-8)
 
     def test_inverse_on_square_full_rank(self):
         a = rand((5, 5), 13) + 5 * np.eye(5)
-        assert np.allclose(pinv(a), np.linalg.inv(a), atol=1e-8)
+        assert np.allclose(pinv(a)[0], np.linalg.inv(a), atol=1e-8)
+
+    @pytest.mark.parametrize("a", [
+        rand((12, 5), 17),                                   # full rank
+        rand((12, 2), 18) @ rand((2, 5), 19),                # rank 2
+        np.hstack([np.ones((12, 3)), rand((12, 1), 20)]),    # repeated columns
+        np.zeros((6, 4)),
+        np.zeros((0, 3)),
+        np.zeros((3, 0)),
+    ], ids=["full", "rank-2", "repeated", "zero", "no-rows", "no-columns"])
+    def test_rank_matches_matrix_rank(self, a):
+        p, rank = pinv(a)
+        assert rank == np.linalg.matrix_rank(a)
+        assert p.shape == a.shape[::-1]
 
 
 class TestEigSymmetric:
