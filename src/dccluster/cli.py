@@ -78,15 +78,16 @@ def _session_pieces(spec: ExperimentSpec, timeout: float | None):
 
 def _parse_hostport(text: str):
     host, _, port = text.rpartition(":")
-    if not host:
-        raise ConfigurationError(f"expected host:port, got {text!r}")
+    if not (host and port.isdecimal() and int(port) <= 65535):
+        raise ConfigurationError(
+            f"expected host:port with a port in 0-65535, got {text!r}")
     return host, int(port)
 
 
 def _cmd_analyst(args) -> int:
     spec = load_config(args.config)
-    _, _, _, cfg = _session_pieces(spec, args.timeout)
     host, port = _parse_hostport(args.listen)
+    _, _, _, cfg = _session_pieces(spec, args.timeout)
     endpoint = TcpAnalystEndpoint(host=host, port=port, timeout=cfg.timeout)
     print(f"analyst listening on {host}:{endpoint.port} "
           f"({cfg.c}x{cfg.d} lattice, k={cfg.k}, {cfg.algorithm})")
@@ -111,10 +112,10 @@ def _cmd_user(args) -> int:
         i, j = (int(p) for p in args.party.split(","))
     except ValueError:
         raise ConfigurationError(f"--party expects i,j, got {args.party!r}")
+    host, port = _parse_hostport(args.connect)
     ds, part, anchor, cfg = _session_pieces(spec, args.timeout)
     block = part.block(ds.features, i, j)
     anchor_block = anchor.features[:, part.col_index_sets[j]]
-    host, port = _parse_hostport(args.connect)
     endpoint = TcpUserEndpoint(host, port, timeout=cfg.timeout)
     try:
         labels = user_party_run((i, j), block, anchor_block, cfg, endpoint)

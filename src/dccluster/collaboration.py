@@ -12,13 +12,13 @@ yields one coherent matrix the analyst can cluster centrally.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .clustering import kmeans, spectral_embedding
-from .errors import ConfigurationError, ContractViolationError, ProtocolError
+from .errors import ConfigurationError, ContractViolationError
 from .numerics import as_matrix, pinv, standardize, svd
 
 
@@ -43,33 +43,6 @@ class AffineMap:
 
 
 @dataclass
-class UserShareMsg:
-    """Everything an institution reveals: its party id, two transformed
-    matrices and the echo of its session config.  Raw features, means,
-    scales, and axes stay local by construction; no field can carry them."""
-
-    party: tuple[int, int]
-    x_tilde: np.ndarray
-    anchor_tilde: np.ndarray
-    config: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.party = (int(self.party[0]), int(self.party[1]))
-        if self.party[0] < 0 or self.party[1] < 0:
-            raise ProtocolError(f"party indices must be nonnegative: {self.party}")
-        self.x_tilde = as_matrix(self.x_tilde, "x_tilde")
-        self.anchor_tilde = as_matrix(self.anchor_tilde, "anchor_tilde")
-        if self.x_tilde.shape[1] != self.anchor_tilde.shape[1]:
-            raise ProtocolError("x_tilde and anchor_tilde widths differ")
-
-    def __eq__(self, other):
-        return (isinstance(other, UserShareMsg) and self.party == other.party
-                and np.array_equal(self.x_tilde, other.x_tilde)
-                and np.array_equal(self.anchor_tilde, other.anchor_tilde)
-                and self.config == other.config)
-
-
-@dataclass
 class CollaborationModel:
     mode: str
     m_hat: int
@@ -80,33 +53,8 @@ class CollaborationModel:
     m_hat_clamped: bool = False
 
 
-@dataclass
-class AnalystResultMsg:
-    """Per-row-block payload the analyst returns to its institutions."""
-
-    row_block: int
-    centroids: np.ndarray
-    z_block: np.ndarray
-    algorithm: str = "kmeans"
-    config: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.row_block = int(self.row_block)
-        self.centroids = as_matrix(self.centroids, "centroids")
-        self.z_block = as_matrix(self.z_block, "z_block")
-
-    def __eq__(self, other):
-        return (isinstance(other, AnalystResultMsg)
-                and self.row_block == other.row_block
-                and np.array_equal(self.centroids, other.centroids)
-                and np.array_equal(self.z_block, other.z_block)
-                and self.algorithm == other.algorithm
-                and self.config == other.config)
-
-
-def fit_intermediate(x_block, anchor_block, target_dim: int,
-                     party: tuple[int, int] = (0, 0), *, scale: bool):
-    """Fit an institution's private map and produce its share.
+def fit_intermediate(x_block, anchor_block, target_dim: int, *, scale: bool):
+    """Fit an institution's private map and transform its block and anchor.
 
     The map standardizes the block (population std, fitted locally) and
     projects onto the top target_dim principal axes.  target_dim must be
@@ -119,8 +67,8 @@ def fit_intermediate(x_block, anchor_block, target_dim: int,
     spectrum and the fitted axes stop agreeing across institutions; the
     centre-only map keeps them consistent.
 
-    Returns (map, share) where share carries the transformed block and the
-    transformed anchor restricted to this institution's columns.
+    Returns (map, x_tilde, anchor_tilde): the map, the transformed block and
+    the transformed anchor restricted to this institution's columns.
     """
     x_block = as_matrix(x_block, "x_block")
     anchor_block = as_matrix(anchor_block, "anchor_block")
@@ -140,12 +88,10 @@ def fit_intermediate(x_block, anchor_block, target_dim: int,
     axes = svd(x_std, top_k=target_dim).vt.T
     f = AffineMap(pre_offset=means, linear=axes / scales[:, None],
                   post_offset=np.zeros(target_dim))
-    share = UserShareMsg(party=party, x_tilde=f.apply(x_block),
-                         anchor_tilde=f.apply(anchor_block))
-    return f, share
+    return f, f.apply(x_block), f.apply(anchor_block)
 
 
-def _grouped_by_row(shares) -> list[list[UserShareMsg]]:
+def _grouped_by_row(shares) -> list[list]:
     parties = [s.party for s in shares]
     if len(set(parties)) != len(parties):
         raise ConfigurationError("duplicate party in shares")
@@ -168,7 +114,8 @@ def build_collaboration(shares, mode: str = "affine",
     least-squares map of its own anchor image onto the leading left singular
     vectors.  The common dimension defaults to the smallest row-block width
     and is clamped (with a warning) to the smallest rank among the blocks'
-    designs, counted by pinv's singular-value cutoff.
+    designs, counted by pinv's singular-value cutoff.  A share is read only
+    through its `party`, `x_tilde` and `anchor_tilde`.
     """
     if mode not in ("linear", "affine"):
         raise ConfigurationError(f"mode must be 'linear' or 'affine', got {mode!r}")
@@ -251,12 +198,12 @@ def make_clustering_representation(model: CollaborationModel, algorithm: str,
 
 
 def analyst_cluster(z, k: int, row_sizes, *, max_iter: int, rng_seed: int,
-                    algorithm: str, restarts: int):
-    """Cluster the joint representation and split results per row block.
+                    restarts: int):
+    """Cluster the joint representation and split it per row block.
 
-    Returns (model, results) where results[i] carries the centroids plus
-    row block i's own rows of z, which is all an institution needs to
-    recover labels for its records.
+    Returns (model, z_blocks): with the model's centroids, z_blocks[i], row
+    block i's own rows of z, is all an institution needs to recover labels
+    for its records.
     """
     z = as_matrix(z)
     model = kmeans(z, k, max_iter=max_iter, rng_seed=rng_seed,
@@ -264,10 +211,4 @@ def analyst_cluster(z, k: int, row_sizes, *, max_iter: int, rng_seed: int,
     if sum(row_sizes) != z.shape[0]:
         raise ConfigurationError(
             f"row_sizes {row_sizes} do not sum to {z.shape[0]} rows")
-    results, start = [], 0
-    for i, size in enumerate(row_sizes):
-        results.append(AnalystResultMsg(row_block=i, centroids=model.centroids,
-                                        z_block=z[start:start + size],
-                                        algorithm=algorithm))
-        start += size
-    return model, results
+    return model, np.split(z, np.cumsum(row_sizes)[:-1])

@@ -4,9 +4,10 @@ Every institution sends exactly one share and receives exactly one result;
 the analyst receives c*d shares and answers each institution once.  Frames
 are self-describing: a fixed magic, a kind byte, a little-endian payload
 length, then a JSON header (length-prefixed) followed by raw row-major
-little-endian float64 matrices in header order.  The two message schemas
-have no slot for offsets, scales, or axes, so a conforming peer cannot leak
-its private map even by accident.
+little-endian float64 matrices in header order.  A message's dataclass is
+its schema: the ndarray fields are the matrices and every other field is a
+header key.  Neither message has a slot for offsets, scales, or axes, so a
+conforming peer cannot leak its private map even by accident.
 
 Transports only move frames.  On the analyst's side both are one `Inbox`
 of `(frame, route)` pairs, where `route` carries a reply back to the
@@ -29,14 +30,14 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .clustering import assign_nearest
-from .collaboration import (AnalystResultMsg, UserShareMsg, analyst_cluster,
-                            build_collaboration, fit_intermediate,
-                            make_clustering_representation)
+from .collaboration import (analyst_cluster, build_collaboration,
+                            fit_intermediate, make_clustering_representation)
 from .errors import (ConfigurationError, ContractViolationError, DecodeError,
                      ProtocolError, SessionError, SessionTimeoutError)
 from .numerics import as_matrix
@@ -98,8 +99,52 @@ class SessionConfig:
                 if f.name != "timeout"}
 
 
-_SHARE_MATRICES = ("x_tilde", "anchor_tilde")
-_RESULT_MATRICES = ("centroids", "z_block")
+def _same_fields(self, other) -> bool:
+    return type(other) is type(self) and all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                     for f in fields(self)))
+
+
+@dataclass
+class UserShareMsg:
+    """Everything an institution reveals: its party id, two transformed
+    matrices and the echo of its session config.  Raw features, means,
+    scales, and axes stay local by construction; no field can carry them."""
+
+    party: tuple[int, int]
+    x_tilde: np.ndarray
+    anchor_tilde: np.ndarray
+    config: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.party = (int(self.party[0]), int(self.party[1]))
+        if self.party[0] < 0 or self.party[1] < 0:
+            raise ProtocolError(f"party indices must be nonnegative: {self.party}")
+        self.x_tilde = as_matrix(self.x_tilde, "x_tilde")
+        self.anchor_tilde = as_matrix(self.anchor_tilde, "anchor_tilde")
+        if self.x_tilde.shape[1] != self.anchor_tilde.shape[1]:
+            raise ProtocolError("x_tilde and anchor_tilde widths differ")
+
+    __eq__ = _same_fields
+
+
+@dataclass
+class AnalystResultMsg:
+    """Per-row-block payload the analyst returns to its institutions."""
+
+    row_block: int
+    centroids: np.ndarray
+    z_block: np.ndarray
+    algorithm: str
+    config: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.row_block = int(self.row_block)
+        self.centroids = as_matrix(self.centroids, "centroids")
+        self.z_block = as_matrix(self.z_block, "z_block")
+
+    __eq__ = _same_fields
 
 
 def _is_int(value) -> bool:
@@ -107,19 +152,35 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# Each header key is checked by its field's declared type.  JSON has no
+# tuples, so a pair arrives as a list.
+_HEADER_CHECKS = {
+    int: _is_int,
+    str: lambda v: isinstance(v, str),
+    dict: lambda v: isinstance(v, dict),
+    tuple[int, int]: lambda v: (isinstance(v, list) and len(v) == 2
+                                and all(map(_is_int, v))),
+}
+_CLASSES = {KIND_USER_SHARE: UserShareMsg, KIND_ANALYST_RESULT: AnalystResultMsg}
+
+
+def _schema(cls) -> tuple[list, dict]:
+    hints = typing.get_type_hints(cls)          # in field order
+    return ([name for name, hint in hints.items() if hint is np.ndarray],
+            {name: _HEADER_CHECKS[hint] for name, hint in hints.items()
+             if hint is not np.ndarray})
+
+
+# kind, matrix names and header checks per class, derived once, not per frame
+_SCHEMAS = {cls: (kind, *_schema(cls)) for kind, cls in _CLASSES.items()}
+
+
 def encode_message(msg) -> bytes:
     """Serialize one message into a complete frame."""
-    if isinstance(msg, UserShareMsg):
-        kind = KIND_USER_SHARE
-        names = _SHARE_MATRICES
-        header = {"party": list(msg.party), "config": msg.config}
-    elif isinstance(msg, AnalystResultMsg):
-        kind = KIND_ANALYST_RESULT
-        names = _RESULT_MATRICES
-        header = {"row_block": msg.row_block, "algorithm": msg.algorithm,
-                  "config": msg.config}
-    else:
+    if type(msg) not in _SCHEMAS:
         raise ProtocolError(f"cannot encode {type(msg).__name__}")
+    kind, names, checks = _SCHEMAS[type(msg)]
+    header = {key: getattr(msg, key) for key in checks}
     mats = [np.ascontiguousarray(getattr(msg, n), dtype="<f8") for n in names]
     header["matrices"] = [[name, *mat.shape] for name, mat in zip(names, mats)]
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -134,15 +195,15 @@ def decode_message(data: bytes):
 
     Raises DecodeError (with the offending byte offset) on anything
     malformed: wrong magic, unknown kind, truncation, trailing bytes, bad
-    JSON, undeclared or missing matrices, mistyped header fields, and
-    matrices holding NaN or Inf.
+    JSON, undeclared or missing matrices, missing or mistyped header keys,
+    and matrices holding NaN or Inf.
     """
     if len(data) < _PREFIX.size:
         raise DecodeError("frame shorter than fixed prefix", offset=len(data))
     magic, kind, payload_len = _PREFIX.unpack_from(data, 0)
     if magic != MAGIC:
         raise DecodeError(f"bad magic {magic!r}", offset=0)
-    if kind not in (KIND_USER_SHARE, KIND_ANALYST_RESULT):
+    if kind not in _CLASSES:
         raise DecodeError(f"unknown message kind {kind}", offset=4)
     if payload_len > MAX_PAYLOAD:
         raise DecodeError(f"declared payload {payload_len} exceeds limit", offset=5)
@@ -169,11 +230,12 @@ def decode_message(data: bytes):
     if not isinstance(header, dict) or "matrices" not in header:
         raise DecodeError("header is not an object with 'matrices'", offset=pos)
 
-    expected = _SHARE_MATRICES if kind == KIND_USER_SHARE else _RESULT_MATRICES
+    cls = _CLASSES[kind]
+    _, expected, checks = _SCHEMAS[cls]
     declared = header["matrices"]
     if (not isinstance(declared, list)
-            or [m[0] for m in declared if isinstance(m, list) and m] != list(expected)):
-        raise DecodeError(f"matrices must be declared as {list(expected)}", offset=pos)
+            or [m[0] for m in declared if isinstance(m, list) and m] != expected):
+        raise DecodeError(f"matrices must be declared as {expected}", offset=pos)
     mats = {}
     for entry in declared:
         if not isinstance(entry, list) or len(entry) != 3:
@@ -193,29 +255,13 @@ def decode_message(data: bytes):
     if pos != end:
         raise DecodeError("payload longer than declared matrices", offset=pos)
 
-    config = header.get("config", {})
-    if not isinstance(config, dict):
-        raise DecodeError(f"bad config {config!r}", offset=pos)
+    for key, valid in checks.items():
+        if key not in header:
+            raise DecodeError(f"header lacks {key!r}", offset=pos)
+        if not valid(header[key]):
+            raise DecodeError(f"bad {key} {header[key]!r}", offset=pos)
     try:
-        if kind == KIND_USER_SHARE:
-            party = header.get("party")
-            if (not isinstance(party, list) or len(party) != 2
-                    or not all(_is_int(p) for p in party)):
-                raise DecodeError("header lacks a valid party pair", offset=pos)
-            return UserShareMsg(party=(party[0], party[1]),
-                                x_tilde=mats["x_tilde"],
-                                anchor_tilde=mats["anchor_tilde"],
-                                config=config)
-        row_block = header.get("row_block", -1)
-        if not _is_int(row_block):
-            raise DecodeError(f"bad row_block {row_block!r}", offset=pos)
-        algorithm = header.get("algorithm", "")
-        if not isinstance(algorithm, str):
-            raise DecodeError(f"bad algorithm {algorithm!r}", offset=pos)
-        return AnalystResultMsg(row_block=row_block,
-                                centroids=mats["centroids"],
-                                z_block=mats["z_block"],
-                                algorithm=algorithm, config=config)
+        return cls(**mats, **{key: header[key] for key in checks})
     except (ProtocolError, ContractViolationError) as exc:
         raise DecodeError(str(exc), offset=pos) from None
 
@@ -228,8 +274,9 @@ class Inbox:
     """The analyst's side of either transport: frames in arrival order, each
     with the route that carries a reply back to whoever sent it.
 
-    Producers put `(frame, route)` pairs, or an exception that `recv`
-    re-raises; `route(frame)` sends one frame back.
+    Producers put `(frame, route)` pairs; `route(frame)` sends one frame
+    back.  A connection that fails mid-frame arrives as `(b"", None)`, which
+    decodes to nothing and is dropped like any other bad frame.
     """
 
     def __init__(self):
@@ -246,8 +293,6 @@ class Inbox:
             item = self._items.get(timeout=max(timeout, 0.0))
         except queue.Empty:
             raise SessionTimeoutError(f"no frame within {timeout} s") from None
-        if isinstance(item, Exception):
-            raise item
         self.received_count += 1
         return item
 
@@ -374,8 +419,9 @@ class TcpAnalystEndpoint(Inbox):
     def _read_one(self, conn):
         try:
             frame = _recv_frame(conn, self._timeout, eof_ok=True)
-        except (SessionError, DecodeError) as exc:
-            self.put(exc)
+        except (SessionError, DecodeError, OSError):
+            conn.close()
+            self.put((b"", None))
             return
         if not frame:
             # peer connected and left without sending anything (port probe,
@@ -415,10 +461,10 @@ def user_step(party, block, anchor_block, cfg: SessionConfig) -> UserShareMsg:
     if block.shape[1] < 2:
         raise ConfigurationError(
             "blocks need at least 2 features to reduce dimension")
-    _, share = fit_intermediate(block, anchor_block, block.shape[1] - 1,
-                                party=party, scale=cfg.scale)
-    share.config = cfg.echo()
-    return share
+    _, x_tilde, anchor_tilde = fit_intermediate(
+        block, anchor_block, block.shape[1] - 1, scale=cfg.scale)
+    return UserShareMsg(party=party, x_tilde=x_tilde,
+                        anchor_tilde=anchor_tilde, config=cfg.echo())
 
 
 def analyst_step(shares, cfg: SessionConfig):
@@ -429,15 +475,14 @@ def analyst_step(shares, cfg: SessionConfig):
     """
     model = build_collaboration(shares, mode=cfg.mode, m_hat=cfg.m_hat)
     z = make_clustering_representation(model, cfg.algorithm, cfg.k, cfg.neighbors)
-    _, results = analyst_cluster(z, cfg.k, model.row_sizes,
-                                 max_iter=cfg.max_iter,
-                                 rng_seed=derive_seed(cfg.master_seed, "analyst"),
-                                 algorithm=cfg.algorithm,
-                                 restarts=cfg.restarts)
+    clusters, z_blocks = analyst_cluster(
+        z, cfg.k, model.row_sizes, max_iter=cfg.max_iter,
+        rng_seed=derive_seed(cfg.master_seed, "analyst"), restarts=cfg.restarts)
     echo = cfg.echo()
-    for res in results:
-        res.config = echo
-    return model, results
+    return model, [AnalystResultMsg(row_block=i, centroids=clusters.centroids,
+                                    z_block=z_block, algorithm=cfg.algorithm,
+                                    config=echo)
+                   for i, z_block in enumerate(z_blocks)]
 
 
 def user_party_run(party, local_block, anchor_block, cfg: SessionConfig,

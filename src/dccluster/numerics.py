@@ -70,6 +70,13 @@ class SvdResult:
     vt: np.ndarray
 
 
+def _svd_factors(a: np.ndarray):
+    try:
+        return np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError("svd", str(exc)) from exc
+
+
 def svd(a, top_k: int | None = None) -> SvdResult:
     """Singular value decomposition with deterministic column signs.
 
@@ -80,10 +87,7 @@ def svd(a, top_k: int | None = None) -> SvdResult:
     if top_k is not None and not 1 <= top_k <= min(a.shape):
         raise ContractViolationError(
             f"top_k must be in [1, {min(a.shape)}], got {top_k}")
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError("svd", str(exc)) from exc
+    u, s, vt = _svd_factors(a)
     if top_k is not None:
         u, s, vt = u[:, :top_k], s[:top_k], vt[:top_k]
     _fix_signs(u, vt)
@@ -96,17 +100,18 @@ def pinv(a) -> tuple[np.ndarray, int]:
     Singular values at or below eps * max(n_rows, n_cols) * sigma_max are
     treated as zero, so rank-deficient input degrades gracefully and a zero
     matrix maps to its transposed-shape zero matrix.  The rank counts the
-    values above the cutoff, as numpy's matrix_rank does by default.
+    values above the cutoff, as numpy's matrix_rank does by default.  The
+    factors' signs cancel exactly in the product, so they are not fixed.
     """
     a = as_matrix(a)
     if a.size == 0:
         return np.zeros((a.shape[1], a.shape[0])), 0
-    res = svd(a)
-    cutoff = np.finfo(np.float64).eps * max(a.shape) * res.s[0]
-    kept = res.s > cutoff
-    inv_s = np.zeros_like(res.s)
-    np.divide(1.0, res.s, out=inv_s, where=kept)
-    return (res.vt.T * inv_s) @ res.u.T, int(np.count_nonzero(kept))
+    u, s, vt = _svd_factors(a)
+    cutoff = np.finfo(np.float64).eps * max(a.shape) * s[0]
+    kept = s > cutoff
+    inv_s = np.zeros_like(s)
+    np.divide(1.0, s, out=inv_s, where=kept)
+    return (vt.T * inv_s) @ u.T, int(np.count_nonzero(kept))
 
 
 @dataclass(frozen=True)

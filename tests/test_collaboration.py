@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from dccluster.clustering import assign_nearest
-from dccluster.collaboration import (AffineMap, UserShareMsg, fit_intermediate,
+from dccluster.collaboration import (AffineMap, fit_intermediate,
                                      build_collaboration,
                                      make_clustering_representation,
                                      analyst_cluster)
 from dccluster.data import (make_blobs, partition_lattice, feature_bounds,
                             generate_anchor)
 from dccluster.errors import ConfigurationError, ContractViolationError
-from dccluster.federation import SessionConfig, run_dc_clustering, user_step
+from dccluster.federation import (AnalystResultMsg, SessionConfig,
+                                  UserShareMsg, analyst_step,
+                                  run_dc_clustering, user_step)
 from dccluster.metrics import ari
 from dccluster.numerics import pinv, svd
 
@@ -113,16 +115,16 @@ class TestFitIntermediate:
         self.anchor = rng.uniform(-4, 4, size=(20, 5))
 
     def test_share_shapes(self):
-        f, share = fit_intermediate(self.x, self.anchor, 3, party=(1, 2),
-                                    scale=True)
-        assert share.x_tilde.shape == (30, 3)
-        assert share.anchor_tilde.shape == (20, 3)
-        assert share.party == (1, 2)
+        f, x_tilde, anchor_tilde = fit_intermediate(self.x, self.anchor, 3,
+                                                    scale=True)
+        assert x_tilde.shape == (30, 3)
+        assert anchor_tilde.shape == (20, 3)
 
     def test_same_fitted_map_for_anchor(self):
-        f, share = fit_intermediate(self.x, self.anchor, 2, scale=True)
-        assert np.allclose(f.apply(self.x), share.x_tilde)
-        assert np.allclose(f.apply(self.anchor), share.anchor_tilde)
+        f, x_tilde, anchor_tilde = fit_intermediate(self.x, self.anchor, 2,
+                                                    scale=True)
+        assert np.allclose(f.apply(self.x), x_tilde)
+        assert np.allclose(f.apply(self.anchor), anchor_tilde)
 
     def test_must_reduce_dimension(self):
         with pytest.raises(ContractViolationError):
@@ -135,23 +137,23 @@ class TestFitIntermediate:
             fit_intermediate(self.x, self.anchor[:, :4], 2, scale=True)
 
     def test_scaled_variant_standardizes(self):
-        _, share = fit_intermediate(self.x, self.anchor, 4, scale=True)
+        _, x_tilde, _ = fit_intermediate(self.x, self.anchor, 4, scale=True)
         # projected through unit-variance axes: coordinates stay O(1)
-        assert share.x_tilde.std(axis=0).max() < 3
+        assert x_tilde.std(axis=0).max() < 3
 
     def test_center_only_variant(self):
-        f, share = fit_intermediate(self.x, self.anchor, 2, scale=False)
+        f, x_tilde, _ = fit_intermediate(self.x, self.anchor, 2, scale=False)
         mu = self.x.mean(axis=0)
         # the map subtracts the block mean, then projects orthonormally
         assert np.allclose(f.pre_offset, mu)
         assert np.allclose(f.linear.T @ f.linear, np.eye(2), atol=1e-10)
         proj = (self.x - mu) @ f.linear
-        assert np.allclose(proj, share.x_tilde)
+        assert np.allclose(proj, x_tilde)
 
     def test_center_only_keeps_dominant_variance(self):
-        _, share = fit_intermediate(self.x, self.anchor, 1, scale=False)
+        _, x_tilde, _ = fit_intermediate(self.x, self.anchor, 1, scale=False)
         total = ((self.x - self.x.mean(axis=0)) ** 2).sum()
-        kept = (share.x_tilde ** 2).sum()
+        kept = (x_tilde ** 2).sum()
         assert kept / total > 0.5
 
     def test_private_map_not_in_share(self):
@@ -290,9 +292,10 @@ class TestAlignmentTheory:
             for dim in (1, rank):
                 shares = []
                 for i, idx in enumerate(rows):
-                    _, s = fit_intermediate(x[idx], anchor, dim,
-                                            party=(i, 0), scale=False)
-                    shares.append(s)
+                    _, x_tilde, anchor_tilde = fit_intermediate(
+                        x[idx], anchor, dim, scale=False)
+                    shares.append(UserShareMsg(party=(i, 0), x_tilde=x_tilde,
+                                               anchor_tilde=anchor_tilde))
                 resid[dim] = build_collaboration(shares, mode="affine").residual
             assert resid[rank] <= resid[1] + 1e-12
             assert resid[rank] < 1e-8
@@ -312,22 +315,39 @@ class TestAnalystAndUsers:
         rng = np.random.default_rng(9)
         z = np.vstack([rng.normal(0, 0.2, (12, 2)),
                        rng.normal(8, 0.2, (10, 2))])
-        model, results = analyst_cluster(z, 2, [12, 10], max_iter=300,
-                                         rng_seed=0, algorithm="kmeans",
-                                         restarts=10)
-        assert [r.row_block for r in results] == [0, 1]
-        joined = np.concatenate([assign_nearest(r.z_block, r.centroids)
-                                 for r in results])
+        model, z_blocks = analyst_cluster(z, 2, [12, 10], max_iter=300,
+                                          rng_seed=0, restarts=10)
+        assert [b.shape[0] for b in z_blocks] == [12, 10]
+        joined = np.concatenate([assign_nearest(b, model.centroids)
+                                 for b in z_blocks])
         assert np.array_equal(joined, model.labels)
 
     def test_row_sizes_must_sum(self):
         z = np.zeros((5, 2))
         with pytest.raises(ConfigurationError):
             analyst_cluster(z, 1, [2, 2], max_iter=300, rng_seed=0,
-                            algorithm="kmeans", restarts=10)
+                            restarts=10)
+
+    def test_user_step_builds_the_whole_share(self):
+        cfg = SessionConfig(c=2, d=3, k=2)
+        rng = np.random.default_rng(13)
+        share = user_step((1, 2), rng.normal(size=(10, 4)),
+                          rng.normal(size=(6, 4)), cfg)
+        assert share.party == (1, 2)
+        assert share.config == cfg.echo()
+        assert share.x_tilde.shape == (10, 3)
+        assert share.anchor_tilde.shape == (6, 3)
+
+    def test_analyst_step_answers_each_row_block(self):
+        shares = equal_range_shares(2, 2, seed=8, with_offsets=True)
+        cfg = SessionConfig(c=2, d=1, k=2, m_hat=2)
+        model, results = analyst_step(shares, cfg)
+        assert [r.row_block for r in results] == [0, 1]
+        assert [r.z_block.shape[0] for r in results] == model.row_sizes
+        assert all(r.algorithm == "kmeans" and r.config == cfg.echo()
+                   for r in results)
 
     def test_analyst_result_carries_no_private_fields(self):
-        from dccluster.collaboration import AnalystResultMsg
         assert {f.name for f in dataclasses.fields(AnalystResultMsg)} == {
             "row_block", "centroids", "z_block", "algorithm", "config"}
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import socket
 import struct
@@ -138,6 +139,16 @@ class TestWireRoundTrip:
     def test_unknown_message_type_rejected(self):
         with pytest.raises(ProtocolError):
             encode_message(object())
+
+    @pytest.mark.parametrize("make, digest", [
+        (sample_share,
+         "1f35bef206d6ba3ec23349f354588493b6d762446c77bfc471ea67c1b829f0f5"),
+        (sample_result,
+         "05d3f35d7f396600ed7964c0a0e34cc469eab961769c8ed4ec49b35e486e1619"),
+    ], ids=["share", "result"])
+    def test_frame_bytes_are_pinned(self, make, digest):
+        # parties built from different releases must agree on every byte
+        assert hashlib.sha256(encode_message(make())).hexdigest() == digest
 
 
 class TestDecodeErrors:
@@ -300,6 +311,17 @@ class TestDecodeErrors:
         frame = encode_message(make())
         with pytest.raises(DecodeError, match=match):
             decode_message(self._reheader(frame, mutate))
+
+    @pytest.mark.parametrize("make, key", [
+        (sample_share, "party"), (sample_share, "config"),
+        (sample_result, "row_block"), (sample_result, "algorithm"),
+        (sample_result, "config"),
+    ], ids=["share-party", "share-config", "result-row-block",
+            "result-algorithm", "result-config"])
+    def test_missing_header_key_rejected(self, make, key):
+        frame = encode_message(make())
+        with pytest.raises(DecodeError, match=f"lacks '{key}'"):
+            decode_message(self._reheader(frame, lambda h: h.pop(key)))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("make", [sample_share, sample_result])
@@ -513,8 +535,10 @@ class TestTcpTransport:
             raw = socket.create_connection(("127.0.0.1", analyst.port),
                                            timeout=1.0)
             raw.sendall(b"XXXX" + bytes(9))        # full prefix, wrong magic
+            frame, route = analyst.recv(timeout=2.0)
+            assert route is None
             with pytest.raises(DecodeError):
-                analyst.recv(timeout=2.0)
+                decode_message(frame)
             raw.close()
         finally:
             analyst.close()
@@ -701,6 +725,30 @@ class TestFullSession:
         assert hit.report.frames_dropped == len(HOSTILE_HEADERS)
         assert np.array_equal(local.report.labels, hit.report.labels)
 
+    def test_stalled_peer_is_one_dropped_frame(self):
+        # a peer that sends four bytes and stalls outlasts its reader's
+        # deadline; the honest parties must still finish the session
+        ds, part, anchor, cfg = small_session_inputs(seed=7)
+        cfg = dataclasses.replace(cfg, timeout=5.0)
+        local = run_in_process_session(ds.features, part, anchor, cfg)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor)
+        analyst = TcpAnalystEndpoint(timeout=0.2)
+        try:
+            with socket.create_connection(("127.0.0.1", analyst.port),
+                                          timeout=5.0) as raw:
+                raw.sendall(b"DCC1")
+                time.sleep(0.5)
+                wired = _run_session(
+                    cfg, blocks, anchor_blocks, analyst,
+                    lambda p: TcpUserEndpoint("127.0.0.1", analyst.port,
+                                              timeout=cfg.timeout))
+        finally:
+            analyst.close()
+        assert wired.report.frames_dropped == 1
+        assert np.array_equal(local.report.labels, wired.report.labels)
+        for party, labels in local.user_labels.items():
+            assert np.array_equal(labels, wired.user_labels[party])
+
     def test_tcp_session_closes_every_socket(self):
         ds, part, anchor, cfg = small_session_inputs(seed=5)
         with warnings.catch_warnings(record=True) as caught:
@@ -814,3 +862,20 @@ class TestResolveTimeout:
         explicit = float(value) if source == "explicit" else None
         with pytest.raises(ConfigurationError, match="positive, finite"):
             SessionConfig(c=1, d=1, k=2, timeout=explicit)
+
+
+class TestCliAddress:
+    @pytest.mark.parametrize("port", ["abc", "70000"])
+    @pytest.mark.parametrize("role", ["analyst", "user"])
+    def test_bad_port_is_a_configuration_error(self, tmp_path, capsys, role,
+                                               port):
+        cfg = tmp_path / "wire.cfg"
+        cfg.write_text("dataset = blobs\nclusters = 2\nper_cluster = 10\n"
+                       "c = 1\nd = 2\nm_hat = 2\n")
+        argv = (["analyst", str(cfg), "--listen", f"127.0.0.1:{port}"]
+                if role == "analyst" else
+                ["user", str(cfg), "--connect", f"127.0.0.1:{port}",
+                 "--party", "0,0"])
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and port in err

@@ -104,6 +104,40 @@ class TestPinv:
         assert p.shape == a.shape[::-1]
 
 
+def signed_pinv(a):
+    """pinv from sign-fixed factors, kept as the reference."""
+    a = as_matrix(a)
+    res = svd(a)
+    kept = res.s > np.finfo(np.float64).eps * max(a.shape) * res.s[0]
+    inv_s = np.zeros_like(res.s)
+    np.divide(1.0, res.s, out=inv_s, where=kept)
+    return (res.vt.T * inv_s) @ res.u.T, int(np.count_nonzero(kept))
+
+
+class TestPinvMatchesSignFixedReference:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_and_rank_deficient(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(1, 40, size=2)
+        a = rng.normal(size=(rows, cols))
+        if seed % 2:
+            rank = int(rng.integers(1, min(rows, cols) + 1))
+            a = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        if seed % 3 == 0:
+            a = np.asfortranarray(a)
+        p, rank = pinv(a)
+        ref, ref_rank = signed_pinv(a)
+        assert p.tobytes() == ref.tobytes() and rank == ref_rank
+
+    def test_column_view_of_a_tall_buffer(self):
+        # a design as alignment passes it: columns of a column-major buffer
+        buf = np.asfortranarray(rand((3000, 9), 21))
+        view = buf[:, 2:6]
+        p, rank = pinv(view)
+        ref, ref_rank = signed_pinv(view)
+        assert p.tobytes() == ref.tobytes() and rank == ref_rank == 4
+
+
 class TestEigSymmetric:
     def test_ascending_and_orthonormal(self):
         a = rand((8, 8), 2)
