@@ -23,7 +23,7 @@ from .experiment import (FORMAT_ALIASES, FORMATS, METRICS, ExperimentSpec,
                          load_config, run_experiment, emit_report,
                          trial_inputs)
 from .federation import (TcpAnalystEndpoint, TcpUserEndpoint,
-                         analyst_party_run, user_party_run)
+                         _session_inputs, analyst_party_run, user_party_run)
 from .seeds import derive_seed
 
 
@@ -95,7 +95,8 @@ def _cmd_analyst(args) -> int:
         report = analyst_party_run(cfg, endpoint)
     finally:
         endpoint.close()
-    print(f"session done: m_hat={report.m_hat} residual={report.residual:.3e} "
+    print(f"session done: m_hat={report.model.m_hat} "
+          f"residual={report.model.residual:.3e} "
           f"received={endpoint.received_count} sent={endpoint.sent_count} "
           f"dropped={report.frames_dropped}")
     if args.out:
@@ -114,11 +115,12 @@ def _cmd_user(args) -> int:
         raise ConfigurationError(f"--party expects i,j, got {args.party!r}")
     host, port = _parse_hostport(args.connect)
     ds, part, anchor, cfg = _session_pieces(spec, args.timeout)
-    block = part.block(ds.features, i, j)
-    anchor_block = anchor.features[:, part.col_index_sets[j]]
+    blocks, anchor_blocks = _session_inputs(ds.features, part, anchor,
+                                            [(i, j)])
     endpoint = TcpUserEndpoint(host, port, timeout=cfg.timeout)
     try:
-        labels = user_party_run((i, j), block, anchor_block, cfg, endpoint)
+        labels = user_party_run((i, j), blocks[(i, j)], anchor_blocks[j],
+                                cfg, endpoint)
     finally:
         endpoint.close()
     print(f"party ({i},{j}): {labels.size} rows labeled, "

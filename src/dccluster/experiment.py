@@ -203,12 +203,10 @@ def run_experiment(spec: ExperimentSpec) -> TrialReport:
         try:
             ds, part, anchor, cfg = trial_inputs(spec, trial_seed, loaded)
             outcome = run_in_process_session(ds.features, part, anchor, cfg)
-            labels = np.concatenate([outcome.user_labels[(i, 0)]
-                                     for i in range(spec.c)])
             y_rows = ds.labels[part.row_order()]
-            scores = {"proposed": score_all(y_rows, labels)}
-            m_hats.append(outcome.report.m_hat)
-            residuals.append(outcome.report.residual)
+            scores = {"proposed": score_all(y_rows, outcome.report.labels)}
+            m_hats.append(outcome.report.model.m_hat)
+            residuals.append(outcome.report.model.residual)
 
             if spec.centralized:
                 model = _cluster_plain(ds.features, cfg.k, spec.algorithm,

@@ -36,8 +36,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .clustering import assign_nearest
-from .collaboration import (analyst_cluster, build_collaboration,
-                            fit_intermediate, make_clustering_representation)
+from .collaboration import (CollaborationModel, analyst_cluster,
+                            build_collaboration, fit_intermediate,
+                            make_clustering_representation)
 from .errors import (ConfigurationError, ContractViolationError, DecodeError,
                      ProtocolError, SessionError, SessionTimeoutError)
 from .numerics import as_matrix
@@ -327,8 +328,7 @@ class InProcessUserEndpoint:
         pass
 
 
-def _recv_exact(sock: socket.socket, nbytes: int, deadline: float,
-                eof_ok: bool = False) -> bytes:
+def _recv_exact(sock: socket.socket, nbytes: int, deadline: float) -> bytes:
     chunks, got = [], 0
     while got < nbytes:
         sock.settimeout(max(deadline - time.monotonic(), 0.001))
@@ -338,8 +338,6 @@ def _recv_exact(sock: socket.socket, nbytes: int, deadline: float,
             raise SessionTimeoutError(
                 f"peer sent {got} of {nbytes} bytes before timeout") from None
         if not chunk:
-            if eof_ok and got == 0:
-                return b""
             raise DecodeError("connection closed mid-frame", offset=got)
         chunks.append(chunk)
         got += len(chunk)
@@ -347,13 +345,28 @@ def _recv_exact(sock: socket.socket, nbytes: int, deadline: float,
 
 
 def _recv_frame(sock: socket.socket, timeout: float,
-                eof_ok: bool = False) -> bytes:
-    """One whole frame within timeout seconds: each recv waits only for the
-    time left, so a peer that trickles bytes cannot outlast the deadline."""
-    deadline = time.monotonic() + timeout
-    prefix = _recv_exact(sock, _PREFIX.size, deadline, eof_ok=eof_ok)
-    if not prefix:
+                stop: threading.Event | None = None) -> bytes:
+    """One whole frame, or b"" when the peer closes before its first byte.
+
+    The frame gets timeout seconds from its first byte, and each recv waits
+    only for the time left, so a peer that trickles bytes cannot outlast the
+    deadline.  The first byte gets timeout seconds, renewed until `stop` is
+    set when one is given: an institution connects before it fits its map,
+    and the fit is not part of the transfer.
+    """
+    sock.settimeout(timeout)
+    while True:
+        try:
+            first = sock.recv(1)
+            break
+        except socket.timeout:
+            if stop is None or stop.is_set():
+                raise SessionTimeoutError(
+                    f"no frame within {timeout} s") from None
+    if not first:
         return b""
+    deadline = time.monotonic() + timeout
+    prefix = first + _recv_exact(sock, _PREFIX.size - 1, deadline)
     magic, kind, payload_len = _PREFIX.unpack(prefix)
     if magic != MAGIC:
         raise DecodeError(f"bad magic {magic!r}", offset=0)
@@ -379,6 +392,8 @@ class TcpUserEndpoint:
 
     def recv(self, timeout: float) -> bytes:
         frame = _recv_frame(self._sock, timeout)
+        if not frame:
+            raise DecodeError("analyst closed the connection", offset=0)
         self.received_count += 1
         return frame
 
@@ -418,7 +433,7 @@ class TcpAnalystEndpoint(Inbox):
 
     def _read_one(self, conn):
         try:
-            frame = _recv_frame(conn, self._timeout, eof_ok=True)
+            frame = _recv_frame(conn, self._timeout, self._stop)
         except (SessionError, DecodeError, OSError):
             conn.close()
             self.put((b"", None))
@@ -447,12 +462,11 @@ class TcpAnalystEndpoint(Inbox):
 
 @dataclass
 class AnalystReport:
+    """The analyst's one answer: labels in row-block order, and their model."""
+
     labels: np.ndarray
-    per_block_labels: list[np.ndarray]
-    m_hat: int
-    residual: float
-    m_hat_clamped: bool
-    frames_dropped: int
+    model: CollaborationModel
+    frames_dropped: int = 0
 
 
 def user_step(party, block, anchor_block, cfg: SessionConfig) -> UserShareMsg:
@@ -483,6 +497,14 @@ def analyst_step(shares, cfg: SessionConfig):
                                     z_block=z_block, algorithm=cfg.algorithm,
                                     config=echo)
                    for i, z_block in enumerate(z_blocks)]
+
+
+def analyst_report(model: CollaborationModel, results,
+                   frames_dropped: int = 0) -> AnalystReport:
+    """Each row block's labels by nearest centroid, as its institutions
+    recover them from the same result, in row-block order."""
+    labels = [assign_nearest(res.z_block, res.centroids) for res in results]
+    return AnalystReport(np.concatenate(labels), model, frames_dropped)
 
 
 def user_party_run(party, local_block, anchor_block, cfg: SessionConfig,
@@ -554,12 +576,7 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     for res in results:
         for j in range(cfg.d):
             inbox.reply(routes[(res.row_block, j)], encode_message(res))
-    per_block = [assign_nearest(res.z_block, res.centroids) for res in results]
-    return AnalystReport(labels=np.concatenate(per_block),
-                         per_block_labels=per_block, m_hat=model.m_hat,
-                         residual=model.residual,
-                         m_hat_clamped=model.m_hat_clamped,
-                         frames_dropped=dropped)
+    return analyst_report(model, results, frames_dropped=dropped)
 
 
 @dataclass
@@ -615,28 +632,33 @@ def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
                                           analyst_endpoint.received_count))
 
 
-def _session_inputs(x, partition, anchor):
-    blocks = {(i, j): partition.block(x, i, j)
-              for i in range(partition.c) for j in range(partition.d)}
-    anchor_blocks = [anchor.features[:, cols] for cols in partition.col_index_sets]
+def _session_inputs(x, partition, anchor, parties=None):
+    """The blocks of `parties`, by default the whole lattice, and the
+    anchor's columns for each of their column blocks.  A party outside the
+    lattice is a ConfigurationError."""
+    lattice = [(i, j) for i in range(partition.c) for j in range(partition.d)]
+    outside = sorted(set(parties or ()) - set(lattice))
+    if outside:
+        raise ConfigurationError(f"parties {outside} are outside the "
+                                 f"{partition.c}x{partition.d} lattice")
+    blocks = {p: partition.block(x, *p) for p in parties or lattice}
+    anchor_blocks = {j: anchor.features[:, partition.col_index_sets[j]]
+                     for j in sorted({j for _, j in blocks})}
     return blocks, anchor_blocks
 
 
-def run_dc_clustering(x, partition, anchor, cfg: SessionConfig):
+def run_dc_clustering(x, partition, anchor, cfg: SessionConfig) -> AnalystReport:
     """Every role played in-process by direct calls: the same user and
     analyst steps as a session, with no threads, queues or wire codec.
 
-    Rows of the returned label vector follow row-block order (partition
-    block 0 first); use the partition's row_order() to map back to dataset
-    order.  Returns (labels, per_block_labels, model); the labels equal a
-    session's on the same inputs bit for bit.
+    Rows of the report's labels follow row-block order (partition block 0
+    first); use the partition's row_order() to map back to dataset order.
+    The report equals a session's on the same inputs bit for bit.
     """
     blocks, anchor_blocks = _session_inputs(as_matrix(x), partition, anchor)
     shares = [user_step(p, blocks[p], anchor_blocks[p[1]], cfg)
               for p in sorted(blocks)]
-    model, results = analyst_step(shares, cfg)
-    per_block = [assign_nearest(res.z_block, res.centroids) for res in results]
-    return np.concatenate(per_block), per_block, model
+    return analyst_report(*analyst_step(shares, cfg))
 
 
 def run_in_process_session(x, partition, anchor, cfg: SessionConfig) -> SessionOutcome:

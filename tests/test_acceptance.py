@@ -17,6 +17,7 @@ from test_clustering import best_partition_inertia
 from test_collaboration import aligned_anchor_images, equal_range_shares
 from test_metrics import ari_oracle, nmi_oracle, acc_oracle
 
+from dccluster import datasets
 from dccluster.clustering import kmeans
 from dccluster.collaboration import build_collaboration
 from dccluster.data import (make_blobs, partition_lattice, feature_bounds,
@@ -120,6 +121,15 @@ STRETCH = (                     # dataset stem, reference proposed ari
 )
 
 
+def stretch_spec(stem, data_dir=DATA_DIR):
+    """The rice config on a stretch dataset, read as `datasets fetch`
+    writes it: the registry's file name and label column."""
+    return _config("rice_kmeans", name=stem,
+                   csv_path=datasets.csv_path_for(stem, data_dir),
+                   label_column=datasets.REGISTRY[stem]["label_column"],
+                   local="none")
+
+
 def test_criterion_05_rice_kmeans(capsys):
     rice_csv = os.path.join(DATA_DIR, "rice.csv")
     if not os.path.exists(rice_csv):
@@ -141,11 +151,9 @@ def test_criterion_05_rice_kmeans(capsys):
             f"{elapsed:.0f}s (budget 300s)")
     # stretch datasets are informational only; absence or misses never gate
     for stem, ref in STRETCH:
-        path = os.path.join(DATA_DIR, f"{stem.replace('-', '_')}.csv")
-        if not os.path.exists(path):
+        spec = stretch_spec(stem)
+        if not os.path.exists(spec.csv_path):
             continue
-        spec = _config("rice_kmeans", name=stem, csv_path=path,
-                       label_column="label", local="none")
         got = run_experiment(spec).aggregate()["proposed"]["ari"]["mean"]
         with capsys.disabled():
             print(f"  stretch {stem}: proposed ari {got:.3f} vs {ref:.3f} "

@@ -372,28 +372,27 @@ class TestEndToEnd:
         part = partition_lattice(ds, 2, 2, "iid-random", rng_seed=2,
                                  col_index_sets=[[0, 2, 3], [1, 4, 5]])
         anchor = generate_anchor(feature_bounds(ds.features), 360, rng_seed=3)
-        labels, per_block, model = run_dc_clustering(
+        report = run_dc_clustering(
             ds.features, part, anchor,
             SessionConfig(c=2, d=2, k=3, master_seed=4, m_hat=2))
         y = ds.labels[part.row_order()]
-        assert ari(y, labels) > 0.99
-        assert [len(b) for b in per_block] == model.row_sizes
+        assert ari(y, report.labels) > 0.99
+        assert report.model.row_sizes == [len(r) for r in part.row_index_sets]
+        assert report.labels.size == sum(report.model.row_sizes)
 
     def test_single_party_matches_centralized_quality(self):
         ds = make_blobs(3, 100, rng_seed=5)
         part = partition_lattice(ds, 1, 1, "contiguous")
         anchor = generate_anchor(feature_bounds(ds.features), 300, rng_seed=6)
-        labels, _, _ = run_dc_clustering(ds.features, part, anchor,
-                                         SessionConfig(c=1, d=1, k=3,
-                                                       master_seed=7))
-        assert ari(ds.labels[part.row_order()], labels) > 0.99
+        report = run_dc_clustering(ds.features, part, anchor,
+                                   SessionConfig(c=1, d=1, k=3, master_seed=7))
+        assert ari(ds.labels[part.row_order()], report.labels) > 0.99
 
     def test_reduction_enforced_everywhere(self):
         ds = make_blobs(3, 80, rng_seed=8)
         part = partition_lattice(ds, 2, 2, "iid-random", rng_seed=9)
         anchor = generate_anchor(feature_bounds(ds.features), 240, rng_seed=10)
-        _, _, model = run_dc_clustering(ds.features, part, anchor,
-                                        SessionConfig(c=2, d=2, k=3,
-                                                      master_seed=11))
-        for g in model.g_maps:
+        report = run_dc_clustering(ds.features, part, anchor,
+                                   SessionConfig(c=2, d=2, k=3, master_seed=11))
+        for g in report.model.g_maps:
             assert g.in_dim < ds.features.shape[1]

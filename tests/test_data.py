@@ -1,6 +1,14 @@
+import hashlib
+import io
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
+from test_acceptance import STRETCH, stretch_spec
+
+from dccluster import datasets
 from dccluster.data import (LabeledDataset, make_blobs, make_circles,
                             partition_lattice, load_csv, feature_bounds,
                             generate_anchor, MINOR_FEATURES, MINOR_VAR,
@@ -190,6 +198,55 @@ class TestCsv:
         assert ds.features.shape == (150, 4)
         assert ds.n_clusters == 3
         assert np.bincount(ds.labels).tolist() == [50, 50, 50]
+
+
+def fake_downloads(name):
+    """A synthetic download of registry dataset `name` for each of its urls,
+    in its registry format, and the features its rows hold."""
+    ds = datasets.REGISTRY[name]
+    (n, m), urls = ds["shape"], ds["urls"]
+    features = np.random.default_rng(0).integers(0, 400, size=(n, m)) / 4
+    sep = " " if ds["format"] == "space-separated" else ","
+    rows = [sep.join([*map(repr, row), f"c{i % ds['clusters']}"])
+            for i, row in enumerate(features.tolist())]
+    if ds["format"] in ("arff-zip", "keel-zip"):
+        head = "".join(f"@attribute x{i} real\n" for i in range(m))
+        text = f"% synthetic\n@relation {name}\n{head}@data\n"
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as zf:
+            zf.writestr(ds["member"], text + "\n".join(rows) + "\n")
+        return {urls[0]: buf.getvalue()}, features
+    parts = np.array_split(np.arange(n), len(urls))
+    return ({url: "".join(rows[i] + "\n" for i in part).encode()
+             for url, part in zip(urls, parts)}, features)
+
+
+class TestFetch:
+    @pytest.mark.parametrize("name", sorted(datasets.REGISTRY))
+    def test_every_format_converts_to_a_loadable_csv(self, name, tmp_path,
+                                                     monkeypatch):
+        payloads, features = fake_downloads(name)
+        monkeypatch.setattr(datasets, "_download", payloads.__getitem__)
+        ds = datasets.REGISTRY[name]
+        path = datasets.fetch(name, data_dir=str(tmp_path))
+        loaded = load_csv(path, ds["label_column"])
+        assert loaded.features.shape == ds["shape"]
+        assert np.array_equal(loaded.features, features)
+        assert loaded.n_clusters == ds["clusters"]
+        if name in dict(STRETCH):
+            spec = stretch_spec(name, str(tmp_path))
+            stretch = load_csv(spec.csv_path, spec.label_column)
+            assert np.array_equal(stretch.features, features)
+
+        with open(tmp_path / "checksums.json") as fh:
+            recorded = json.load(fh)[name]
+        with open(path, "rb") as fh:
+            assert recorded == hashlib.sha256(fh.read()).hexdigest()
+        assert datasets.fetch(name, data_dir=str(tmp_path)) == path
+        with open(path, "a") as fh:
+            fh.write(",".join(["0"] * ds["shape"][1] + ["c0"]) + "\n")
+        with pytest.raises(IngestionError, match="checksum mismatch"):
+            datasets.fetch(name, data_dir=str(tmp_path))
 
 
 class TestAnchor:

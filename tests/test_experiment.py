@@ -311,6 +311,14 @@ class TestCli:
                          "--dest", str(tmp_path)]) == 2
         assert "unknown dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("party", ["2,0", "0,2", "-1,0"])
+    def test_user_outside_the_lattice_exits_2(self, tmp_path, capsys, party):
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(TINY_CFG)
+        assert cli.main(["user", str(cfg), "--connect", "127.0.0.1:9",
+                         f"--party={party}", "--timeout", "1"]) == 2
+        assert "outside the 2x2 lattice" in capsys.readouterr().err
+
     def test_tcp_roles_agree_with_in_process(self, tmp_path, capsys):
         # analyst in a thread, users in the foreground, all through main()
         cfg = tmp_path / "wire.cfg"

@@ -560,6 +560,21 @@ class TestTcpTransport:
         finally:
             analyst.close()
 
+    def test_share_deadline_starts_at_its_first_byte(self):
+        # institutions connect before they fit their maps; a fit that
+        # outlasts the per-frame timeout must not cost the share
+        analyst = TcpAnalystEndpoint(timeout=0.3)
+        try:
+            user = TcpUserEndpoint("127.0.0.1", analyst.port, timeout=5.0)
+            time.sleep(0.5)
+            share = encode_message(sample_share(party=(0, 0)))
+            user.send(share)
+            got, route = analyst.recv(timeout=5.0)
+            assert got == share and route is not None
+            user.close()
+        finally:
+            analyst.close()
+
     def test_trickling_peer_cannot_outlast_the_frame_deadline(self):
         # a server that sends a real frame's first 30 bytes, one every 0.1 s
         frame = encode_message(sample_result(row_block=0))
@@ -665,19 +680,20 @@ class TestFullSession:
         # labels, because the analyst answers per row block
         ds, part, anchor, cfg = small_session_inputs(seed=3)
         outcome = run_in_process_session(ds.features, part, anchor, cfg)
+        ends = np.cumsum([len(rows) for rows in part.row_index_sets])
+        row_blocks = np.split(outcome.report.labels, ends[:-1])
         for i in range(2):
             assert np.array_equal(outcome.user_labels[(i, 0)],
                                   outcome.user_labels[(i, 1)])
-            assert np.array_equal(outcome.user_labels[(i, 0)],
-                                  outcome.report.per_block_labels[i])
+            assert np.array_equal(outcome.user_labels[(i, 0)], row_blocks[i])
 
     def test_tcp_session_matches_in_process_bit_for_bit(self):
         ds, part, anchor, cfg = small_session_inputs(seed=7)
         local = run_in_process_session(ds.features, part, anchor, cfg)
         wired = run_tcp_session(ds.features, part, anchor, cfg)
         assert np.array_equal(local.report.labels, wired.report.labels)
-        assert local.report.residual == wired.report.residual
-        assert local.report.m_hat == wired.report.m_hat
+        assert local.report.model.residual == wired.report.model.residual
+        assert local.report.model.m_hat == wired.report.model.m_hat
         for party, labels in local.user_labels.items():
             assert np.array_equal(labels, wired.user_labels[party])
 
@@ -761,15 +777,17 @@ class TestFullSession:
     @pytest.mark.parametrize("algorithm", ["kmeans", "spectral"])
     def test_direct_pipeline_matches_session_bit_for_bit(self, algorithm):
         ds, part, anchor, cfg = small_session_inputs(seed=9)
-        cfg.algorithm = algorithm
-        labels, per_block, model = run_dc_clustering(ds.features, part,
-                                                     anchor, cfg)
-        report = run_in_process_session(ds.features, part, anchor, cfg).report
-        assert np.array_equal(labels, report.labels)
-        for direct, wired in zip(per_block, report.per_block_labels):
-            assert np.array_equal(direct, wired)
-        assert model.residual == report.residual
-        assert model.m_hat == report.m_hat
+        for mode in ("affine", "linear"):
+            cfg = dataclasses.replace(cfg, algorithm=algorithm, mode=mode)
+            direct = run_dc_clustering(ds.features, part, anchor, cfg)
+            wired = run_in_process_session(ds.features, part, anchor,
+                                           cfg).report
+            assert np.array_equal(direct.labels, wired.labels)
+            assert direct.model.m_hat == wired.model.m_hat
+            assert direct.model.residual == wired.model.residual
+            assert direct.model.m_hat_clamped == wired.model.m_hat_clamped
+            assert direct.model.row_sizes == wired.model.row_sizes
+            assert np.array_equal(direct.model.x_hat, wired.model.x_hat)
 
     def test_user_past_its_deadline_names_its_party(self, monkeypatch):
         ds, part, anchor, cfg = small_session_inputs()
@@ -789,7 +807,7 @@ class TestFullSession:
         first = run_in_process_session(ds.features, part, anchor, cfg)
         second = run_in_process_session(ds.features, part, anchor, cfg)
         assert np.array_equal(first.report.labels, second.report.labels)
-        assert first.report.residual == second.report.residual
+        assert first.report.model.residual == second.report.model.residual
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""The math modules stay below the protocol: the wire format, the party
-runners, the experiment runner and the CLI may import the math, never the
-other way round."""
+"""The layers import downwards only.  The math, data, dataset, metric and
+seed modules stay below the protocol: the wire format, the party runners,
+the experiment runner and the CLI may import them, never the other way
+round.  The protocol in turn stays below the experiment runner and the
+CLI."""
 
 import ast
 import pathlib
@@ -27,9 +29,14 @@ def imported_modules(path):
     return {name.split(".")[1] for name in names if name.startswith("dccluster.")}
 
 
-@pytest.mark.parametrize("module", ["collaboration", "clustering", "numerics"])
+@pytest.mark.parametrize("module", ["collaboration", "clustering", "numerics",
+                                    "data", "datasets", "metrics", "seeds"])
 def test_math_modules_import_nothing_above_them(module):
     assert imported_modules(PACKAGE / f"{module}.py") & UPPER == set()
+
+
+def test_federation_imports_neither_runner_nor_cli():
+    assert imported_modules(PACKAGE / "federation.py") & UPPER == set()
 
 
 def test_the_check_sees_every_import_form(tmp_path):
