@@ -328,7 +328,8 @@ class InProcessUserEndpoint:
         pass
 
 
-def _recv_exact(sock: socket.socket, nbytes: int, deadline: float) -> bytes:
+def _recv_exact(sock: socket.socket, nbytes: int, deadline: float,
+                eof_ok: bool = False) -> bytes:
     chunks, got = [], 0
     while got < nbytes:
         sock.settimeout(max(deadline - time.monotonic(), 0.001))
@@ -338,6 +339,8 @@ def _recv_exact(sock: socket.socket, nbytes: int, deadline: float) -> bytes:
             raise SessionTimeoutError(
                 f"peer sent {got} of {nbytes} bytes before timeout") from None
         if not chunk:
+            if eof_ok and got == 0:
+                return b""
             raise DecodeError("connection closed mid-frame", offset=got)
         chunks.append(chunk)
         got += len(chunk)
@@ -345,28 +348,13 @@ def _recv_exact(sock: socket.socket, nbytes: int, deadline: float) -> bytes:
 
 
 def _recv_frame(sock: socket.socket, timeout: float,
-                stop: threading.Event | None = None) -> bytes:
-    """One whole frame, or b"" when the peer closes before its first byte.
-
-    The frame gets timeout seconds from its first byte, and each recv waits
-    only for the time left, so a peer that trickles bytes cannot outlast the
-    deadline.  The first byte gets timeout seconds, renewed until `stop` is
-    set when one is given: an institution connects before it fits its map,
-    and the fit is not part of the transfer.
-    """
-    sock.settimeout(timeout)
-    while True:
-        try:
-            first = sock.recv(1)
-            break
-        except socket.timeout:
-            if stop is None or stop.is_set():
-                raise SessionTimeoutError(
-                    f"no frame within {timeout} s") from None
-    if not first:
-        return b""
+                eof_ok: bool = False) -> bytes:
+    """One whole frame within timeout seconds: each recv waits only for the
+    time left, so a peer that trickles bytes cannot outlast the deadline."""
     deadline = time.monotonic() + timeout
-    prefix = first + _recv_exact(sock, _PREFIX.size - 1, deadline)
+    prefix = _recv_exact(sock, _PREFIX.size, deadline, eof_ok=eof_ok)
+    if not prefix:
+        return b""
     magic, kind, payload_len = _PREFIX.unpack(prefix)
     if magic != MAGIC:
         raise DecodeError(f"bad magic {magic!r}", offset=0)
@@ -392,8 +380,6 @@ class TcpUserEndpoint:
 
     def recv(self, timeout: float) -> bytes:
         frame = _recv_frame(self._sock, timeout)
-        if not frame:
-            raise DecodeError("analyst closed the connection", offset=0)
         self.received_count += 1
         return frame
 
@@ -433,7 +419,7 @@ class TcpAnalystEndpoint(Inbox):
 
     def _read_one(self, conn):
         try:
-            frame = _recv_frame(conn, self._timeout, self._stop)
+            frame = _recv_frame(conn, self._timeout, eof_ok=True)
         except (SessionError, DecodeError, OSError):
             conn.close()
             self.put((b"", None))

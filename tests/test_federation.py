@@ -560,21 +560,6 @@ class TestTcpTransport:
         finally:
             analyst.close()
 
-    def test_share_deadline_starts_at_its_first_byte(self):
-        # institutions connect before they fit their maps; a fit that
-        # outlasts the per-frame timeout must not cost the share
-        analyst = TcpAnalystEndpoint(timeout=0.3)
-        try:
-            user = TcpUserEndpoint("127.0.0.1", analyst.port, timeout=5.0)
-            time.sleep(0.5)
-            share = encode_message(sample_share(party=(0, 0)))
-            user.send(share)
-            got, route = analyst.recv(timeout=5.0)
-            assert got == share and route is not None
-            user.close()
-        finally:
-            analyst.close()
-
     def test_trickling_peer_cannot_outlast_the_frame_deadline(self):
         # a server that sends a real frame's first 30 bytes, one every 0.1 s
         frame = encode_message(sample_result(row_block=0))
