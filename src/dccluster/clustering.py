@@ -15,7 +15,7 @@ in component order.  k-means then runs on the embedding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -38,7 +38,6 @@ class ClusterModel:
     inertia: float
     n_iter: int = 0
     converged: bool = False
-    inertia_history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -105,21 +104,20 @@ def _lloyd(x, k: int, max_iter: int, rng) -> ClusterModel:
     centroids = _seed_centers(x, k, rng)
     n = x.shape[0]
     labels = None
-    history: list[float] = []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         d2 = sqdist(x, centroids)
         new_labels = np.argmin(d2, axis=1)
-        history.append(float(d2[np.arange(n), new_labels].sum()))
+        inertia = float(d2[np.arange(n), new_labels].sum())
         if labels is not None and np.array_equal(new_labels, labels):
             converged = True
             break
         labels = new_labels
         centroids, labels = _update_centroids(x, labels, k, centroids)
 
-    return ClusterModel(centroids=centroids, labels=labels, inertia=history[-1],
-                        n_iter=it, converged=converged, inertia_history=history)
+    return ClusterModel(centroids=centroids, labels=labels, inertia=inertia,
+                        n_iter=it, converged=converged)
 
 
 def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,

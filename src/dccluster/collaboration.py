@@ -21,6 +21,10 @@ from .clustering import kmeans, spectral_embedding
 from .errors import ConfigurationError, ContractViolationError
 from .numerics import as_matrix, pinv, standardize, svd
 
+# the choices the analyst's dispatchers below accept
+ALGORITHMS = ("kmeans", "spectral")
+MODES = ("linear", "affine")
+
 
 @dataclass
 class AffineMap:
@@ -37,14 +41,9 @@ class AffineMap:
                 f"map expects {self.linear.shape[0]} columns, got {x.shape[1]}")
         return (x - self.pre_offset) @ self.linear + self.post_offset
 
-    @property
-    def in_dim(self) -> int:
-        return self.linear.shape[0]
-
 
 @dataclass
 class CollaborationModel:
-    mode: str
     m_hat: int
     g_maps: list[AffineMap]
     x_hat: np.ndarray
@@ -117,8 +116,8 @@ def build_collaboration(shares, mode: str = "affine",
     designs, counted by pinv's singular-value cutoff.  A share is read only
     through its `party`, `x_tilde` and `anchor_tilde`.
     """
-    if mode not in ("linear", "affine"):
-        raise ConfigurationError(f"mode must be 'linear' or 'affine', got {mode!r}")
+    if mode not in MODES:
+        raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
     by_row = _grouped_by_row(shares)
     anchor_rows = {s.anchor_tilde.shape[0] for row in by_row for s in row}
     if len(anchor_rows) != 1:
@@ -180,7 +179,7 @@ def build_collaboration(shares, mode: str = "affine",
     gaps = [np.linalg.norm(a - b) for a, b in combinations(anchor_images, 2)]
     residual = max(gaps, default=0.0) / scale if scale > 0 else 0.0
 
-    return CollaborationModel(mode=mode, m_hat=m_hat, g_maps=g_maps,
+    return CollaborationModel(m_hat=m_hat, g_maps=g_maps,
                               x_hat=np.vstack(x_hat_blocks),
                               row_sizes=[x.shape[0] for x in x_tilde],
                               residual=residual, m_hat_clamped=clamped)
@@ -194,7 +193,8 @@ def make_clustering_representation(model: CollaborationModel, algorithm: str,
         return model.x_hat
     if algorithm == "spectral":
         return spectral_embedding(model.x_hat, k, neighbors).vectors
-    raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+    raise ConfigurationError(
+        f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
 
 
 def analyst_cluster(z, k: int, row_sizes, *, max_iter: int, rng_seed: int,

@@ -82,55 +82,18 @@ def _download(url: str, timeout: float = 60.0) -> bytes:
             f"directory.") from exc
 
 
-def _rows_from_plain_csv(blobs, ds) -> list:
-    rows = []
-    for blob in blobs:
-        for line in blob.decode("utf-8").splitlines():
-            line = line.strip()
-            if line:
-                rows.append(line.split(","))
-    return rows
-
-
-def _rows_from_space(blobs, ds) -> list:
-    return [line.split() for blob in blobs
-            for line in blob.decode("utf-8").splitlines() if line.strip()]
-
-
-def _rows_from_arff_zip(blobs, ds) -> list:
-    with zipfile.ZipFile(io.BytesIO(blobs[0])) as zf:
-        text = zf.read(ds["member"]).decode("utf-8", errors="replace")
-    rows, in_data = [], False
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("%"):
-            continue
-        if in_data:
-            rows.append([v.strip() for v in line.split(",")])
-        elif line.lower().startswith("@data"):
-            in_data = True
-    return rows
-
-
-def _rows_from_keel_zip(blobs, ds) -> list:
-    with zipfile.ZipFile(io.BytesIO(blobs[0])) as zf:
-        text = zf.read(ds["member"]).decode("utf-8", errors="replace")
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("@"):
-            continue
-        rows.append([v.strip() for v in line.split(",")])
-    return rows
-
-
-_PARSERS = {
-    "plain-csv": _rows_from_plain_csv,
-    "headerless-csv": _rows_from_plain_csv,
-    "space-separated": _rows_from_space,
-    "arff-zip": _rows_from_arff_zip,
-    "keel-zip": _rows_from_keel_zip,
-}
+def _rows(blobs, ds) -> list:
+    """The fields of every data line of a registry entry's downloads, or of
+    its archive member when it names one.  Blank lines and ARFF or KEEL
+    metadata (lines starting with `%` or `@`) carry no record."""
+    if "member" in ds:
+        with zipfile.ZipFile(io.BytesIO(blobs[0])) as zf:
+            blobs = [zf.read(ds["member"])]
+    sep = None if ds["format"] == "space-separated" else ","
+    lines = (line.strip() for blob in blobs
+             for line in blob.decode("utf-8", errors="replace").splitlines())
+    return [[v.strip() for v in line.split(sep)] for line in lines
+            if line and not line.startswith(("%", "@"))]
 
 
 def _sha256(path: str) -> str:
@@ -177,7 +140,7 @@ def fetch(name: str, data_dir: str = DEFAULT_DATA_DIR, force: bool = False):
 
     if not os.path.exists(path) or force:
         blobs = [_download(url) for url in ds["urls"]]
-        rows = _PARSERS[ds["format"]](blobs, ds)
+        rows = _rows(blobs, ds)
         n, m = ds["shape"]
         rows = [r for r in rows if len(r) == m + 1]
         if len(rows) != n:

@@ -22,12 +22,12 @@ from .data import (LabeledDataset, make_blobs, make_circles, load_csv,
                    partition_lattice, feature_bounds, generate_anchor,
                    ASSIGNMENTS)
 from .errors import ConfigurationError
-from .federation import SessionConfig, run_in_process_session
+from .federation import (SessionConfig, SessionSettings, check_at_least_one,
+                         run_in_process_session)
 from .metrics import score_all
 from .seeds import derive_seed
 
 METRICS = ("ari", "nmi", "acc")
-ALGORITHMS = ("kmeans", "spectral")
 LOCAL_CHOICES = ("none", "first", "all")
 FORMATS = ("csv", "json", "markdown-table")
 FORMAT_ALIASES = {"md": "markdown-table"}
@@ -43,16 +43,12 @@ def _report_formats(names) -> tuple:
 
 
 @dataclass
-class ExperimentSpec:
+class ExperimentSpec(SessionSettings):
     name: str
     dataset: str                      # blobs | circles | csv
     c: int
     d: int
-    algorithm: str = "kmeans"
-    mode: str = "affine"
     k: int | None = None              # None: ground-truth cluster count
-    neighbors: int = 10
-    max_iter: int = 300
     trials: int = 1
     master_seed: int = 0
     assignment: str = "iid-random"
@@ -63,24 +59,19 @@ class ExperimentSpec:
     clusters: int = 3                 # synthetic generators
     per_cluster: int = 500
     anchor_size: int | None = None    # None: matches the row count
-    m_hat: int | None = None
-    scale: bool = False
-    restarts: int = 10
     centralized: bool = True
     local: str = "first"              # none | first | all
     out_dir: str = "reports"
     formats: tuple = FORMATS
 
     def __post_init__(self):
+        super().__post_init__()
         self.formats = _report_formats(self.formats)
-        if self.trials < 1:
-            raise ConfigurationError("trials must be at least 1")
+        check_at_least_one(self, "c", "d", "k", "trials", "anchor_size")
         if self.dataset not in ("blobs", "circles", "csv"):
             raise ConfigurationError(f"unknown dataset kind {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigurationError("csv dataset needs csv_path")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")
         if self.assignment not in ASSIGNMENTS:
             raise ConfigurationError(f"assignment must be one of {ASSIGNMENTS}")
         if self.local not in LOCAL_CHOICES:
@@ -150,15 +141,13 @@ def trial_inputs(spec: ExperimentSpec, trial_seed: int,
                              rng_seed=derive_seed(trial_seed, "partition"),
                              cluster_map=spec.cluster_map,
                              col_index_sets=spec.col_blocks)
-    r = spec.anchor_size if spec.anchor_size else ds.features.shape[0]
+    r = spec.anchor_size if spec.anchor_size is not None else ds.features.shape[0]
     anchor = generate_anchor(feature_bounds(ds.features), r,
                              rng_seed=derive_seed(trial_seed, "anchor"))
+    settings = {f.name: getattr(spec, f.name) for f in fields(SessionSettings)}
     cfg = SessionConfig(c=spec.c, d=spec.d,
                         k=spec.k if spec.k is not None else ds.n_clusters,
-                        algorithm=spec.algorithm, mode=spec.mode,
-                        neighbors=spec.neighbors, max_iter=spec.max_iter,
-                        master_seed=trial_seed, m_hat=spec.m_hat,
-                        scale=spec.scale, restarts=spec.restarts)
+                        master_seed=trial_seed, **settings)
     return ds, part, anchor, cfg
 
 

@@ -36,9 +36,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .clustering import assign_nearest
-from .collaboration import (CollaborationModel, analyst_cluster,
-                            build_collaboration, fit_intermediate,
-                            make_clustering_representation)
+from .collaboration import (ALGORITHMS, MODES, CollaborationModel,
+                            analyst_cluster, build_collaboration,
+                            fit_intermediate, make_clustering_representation)
 from .errors import (ConfigurationError, ContractViolationError, DecodeError,
                      ProtocolError, SessionError, SessionTimeoutError)
 from .numerics import as_matrix
@@ -76,22 +76,46 @@ def resolve_timeout(explicit: float | None = None) -> float:
     return secs
 
 
-@dataclass
-class SessionConfig:
-    c: int
-    d: int
-    k: int
+def check_at_least_one(settings, *names):
+    """ConfigurationError naming the first of `names` whose value is below
+    1.  None passes: an optional count left unset means its default."""
+    for name in names:
+        value = getattr(settings, name)
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{name} must be at least 1, got {value!r}")
+
+
+@dataclass(kw_only=True)
+class SessionSettings:
+    """The choices every party of a session shares, for the experiment spec
+    and the session config; a bad value raises before any party fits."""
+
     algorithm: str = "kmeans"
     mode: str = "affine"
     neighbors: int = 10
     max_iter: int = 300
-    master_seed: int = 0
     m_hat: int | None = None
     scale: bool = False
     restarts: int = 10
+
+    def __post_init__(self):
+        for name, choices in (("algorithm", ALGORITHMS), ("mode", MODES)):
+            if getattr(self, name) not in choices:
+                raise ConfigurationError(f"{name} must be one of {choices}")
+        check_at_least_one(self, "neighbors", "max_iter", "restarts", "m_hat")
+
+
+@dataclass
+class SessionConfig(SessionSettings):
+    c: int
+    d: int
+    k: int
+    master_seed: int = 0
     timeout: float | None = None      # seconds, resolved by resolve_timeout
 
     def __post_init__(self):
+        super().__post_init__()
+        check_at_least_one(self, "c", "d", "k")
         self.timeout = resolve_timeout(self.timeout)
 
     def echo(self) -> dict:

@@ -87,8 +87,10 @@ class TestKmeans:
     def test_inertia_non_increasing(self):
         for seed in range(8):
             x = np.random.default_rng(seed).normal(size=(60, 3))
-            model = kmeans(x, 4, rng_seed=seed)
-            hist = np.array(model.inertia_history)
+            # Lloyd's first t passes do not depend on max_iter, so this is
+            # the inertia of each pass in turn
+            hist = np.array([kmeans(x, 4, rng_seed=seed, max_iter=t).inertia
+                             for t in range(1, 30)])
             assert np.all(np.diff(hist) <= 1e-9)
 
     def test_deterministic_per_seed(self):

@@ -395,4 +395,4 @@ class TestEndToEnd:
         report = run_dc_clustering(ds.features, part, anchor,
                                    SessionConfig(c=2, d=2, k=3, master_seed=11))
         for g in report.model.g_maps:
-            assert g.in_dim < ds.features.shape[1]
+            assert g.linear.shape[0] < ds.features.shape[1]

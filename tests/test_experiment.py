@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import gc
 import json
+import pathlib
 import socket
 import threading
 import time
@@ -9,11 +11,13 @@ import warnings
 import numpy as np
 import pytest
 
-from dccluster import cli
+from dccluster import cli, experiment
+from dccluster.data import make_blobs
 from dccluster.errors import ConfigurationError
 from dccluster.experiment import (METRICS, ExperimentSpec, TrialReport,
                                   run_experiment, emit_report, parse_config,
-                                  load_config)
+                                  load_config, trial_inputs)
+from dccluster.federation import SessionConfig, SessionSettings
 from dccluster.metrics import ari
 
 
@@ -112,6 +116,9 @@ class TestParseConfig:
             parse_config("dataset = csv\nc = 1\nd = 1\n")
         with pytest.raises(ConfigurationError, match="local"):
             parse_config("dataset = blobs\nc = 1\nd = 1\nlocal = some\n")
+        for value in (0, -3):
+            with pytest.raises(ConfigurationError, match="^anchor_size must be"):
+                parse_config(f"dataset = blobs\nc = 1\nd = 1\nanchor_size = {value}\n")
 
     def test_missing_required_field(self):
         with pytest.raises(ConfigurationError):
@@ -127,6 +134,55 @@ class TestParseConfig:
         path = tmp_path / "whatever.cfg"
         path.write_text(TINY_CFG)
         assert load_config(str(path)).name == "smoke"
+
+
+CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg"))
+
+# Out-of-range settings: each is a ConfigurationError as soon as the spec or
+# the session config is built, before any party fits.
+BAD_SETTINGS = [("algorithm", "spectrl"), ("mode", "afine"), ("neighbors", 0),
+                ("max_iter", 0), ("restarts", 0), ("m_hat", 0), ("c", 0),
+                ("d", 0), ("k", 0)]
+
+
+class TestSessionSettings:
+    @pytest.mark.parametrize("key, value", BAD_SETTINGS)
+    def test_bad_value_rejected_when_built(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+            SessionConfig(**{"c": 1, "d": 2, "k": 2, key: value})
+        with pytest.raises(ConfigurationError, match=f"^{key} must be"):
+            parse_config(f"dataset = blobs\nc = 1\nd = 2\n{key} = {value}\n")
+
+    def test_only_none_means_row_count_and_ground_truth(self):
+        spec = tiny_spec(anchor_size=None, k=None)
+        ds, _, anchor, cfg = trial_inputs(spec, 5)
+        assert anchor.features.shape[0] == ds.features.shape[0]
+        assert cfg.k == ds.n_clusters == 2
+        _, _, anchor, cfg = trial_inputs(tiny_spec(anchor_size=1, k=1), 5)
+        assert (anchor.features.shape[0], cfg.k) == (1, 1)
+
+    def test_config_keys_unchanged(self):
+        assert set(experiment._PARSERS) == {
+            "algorithm", "anchor_size", "assignment", "c", "centralized",
+            "cluster_map", "clusters", "col_blocks", "csv_path", "d",
+            "dataset", "formats", "k", "label_column", "local", "m_hat",
+            "master_seed", "max_iter", "mode", "name", "neighbors", "out_dir",
+            "per_cluster", "restarts", "scale", "trials"}
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_trial_config_carries_the_spec_settings(self, path):
+        spec = load_config(str(path))
+        # a csv config reads its rows from `loaded`, not from its csv_path
+        _, _, _, cfg = trial_inputs(spec, 12345, make_blobs(3, 20, rng_seed=0))
+        for f in dataclasses.fields(SessionSettings):
+            assert getattr(cfg, f.name) == getattr(spec, f.name), f.name
+        assert cfg.master_seed == 12345
+
+    def test_every_setting_reaches_the_session(self):
+        settings = dict(algorithm="spectral", mode="linear", neighbors=7,
+                        max_iter=55, m_hat=1, scale=True, restarts=4)
+        _, _, _, cfg = trial_inputs(tiny_spec(**settings), 9)
+        assert {key: getattr(cfg, key) for key in settings} == settings
 
 
 class TestSpecEcho:

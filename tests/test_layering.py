@@ -5,7 +5,9 @@ round.  The protocol in turn stays below the experiment runner and the
 CLI."""
 
 import ast
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -47,3 +49,17 @@ def test_the_check_sees_every_import_form(tmp_path):
                      "from dccluster.numerics import svd\n")
     assert imported_modules(probe) == {"federation", "experiment", "cli",
                                        "numerics"}
+
+
+def test_every_benchmark_hook_resolves(monkeypatch):
+    """The benchmark's tracer swaps wrappers into the names it lists; a
+    refactor that renames one, or stops importing it where its callers look
+    it up, must fail here and not only under the benchmark's own tests."""
+    path = pathlib.Path(__file__).parent.parent / "benchmarks" / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(module, name) for module, name, *_ in tracing.HOOKS
+               if not hasattr(importlib.import_module(module), name)]
+    assert tracing.HOOKS and missing == []
