@@ -47,9 +47,15 @@ class SpectralEmbedding:
     components: int
 
 
-def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at zero."""
-    aa = np.sum(a * a, axis=1)[:, None]
+def sqdist(a: np.ndarray, b: np.ndarray, aa: np.ndarray | None = None
+           ) -> np.ndarray:
+    """Pairwise squared Euclidean distances, clipped at zero.
+
+    aa, a's squared row norms as a column, may be passed in when a is used
+    again.
+    """
+    if aa is None:
+        aa = np.sum(a * a, axis=1)[:, None]
     bb = np.sum(b * b, axis=1)[None, :]
     return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
 
@@ -68,22 +74,38 @@ def _sample_next_center(d2: np.ndarray, rng) -> int:
     return min(int(np.searchsorted(np.cumsum(d2), r, side="right")), d2.size - 1)
 
 
-def _seed_centers(x: np.ndarray, k: int, rng) -> np.ndarray:
+def _sqdist_to(xt: np.ndarray, point: np.ndarray) -> np.ndarray:
+    # Squared distance from every row to one point, summed one coordinate at
+    # a time in order, as numpy sums a row of fewer than 8 terms.
+    d2 = np.square(xt[0] - point[0])
+    for j in range(1, xt.shape[0]):
+        d2 += np.square(xt[j] - point[j])
+    return d2
+
+
+def _seed_centers(x: np.ndarray, xt: np.ndarray, k: int, rng) -> np.ndarray:
     n = x.shape[0]
     chosen = [int(rng.integers(n))]  # first center uniform
-    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    d2 = _sqdist_to(xt, x[chosen[0]])
     for _ in range(1, k):
         idx = _sample_next_center(d2, rng)
         chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((x - x[idx]) ** 2, axis=1))
+        np.minimum(d2, _sqdist_to(xt, x[idx]), out=d2)
     return x[np.array(chosen)].copy()
 
 
-def _update_centroids(x, labels, k, centroids):
+def _update_centroids(x, xt, labels, k, centroids):
     counts = np.bincount(labels, minlength=k)
-    for c in range(k):
-        if counts[c]:
+    full = counts > 0
+    if xt.shape[0] == 1:
+        # numpy sums one contiguous column pairwise, not row by row
+        for c in np.flatnonzero(full):
             centroids[c] = x[labels == c].mean(axis=0)
+    else:
+        # row by row, the order x[labels == c].mean(axis=0) sums in
+        for j, column in enumerate(xt):
+            sums = np.bincount(labels, weights=column, minlength=k)
+            centroids[full, j] = sums[full] / counts[full]
     # Empty-cluster repair: the point farthest from its centroid (among
     # clusters that can spare one) becomes a singleton centroid.
     for e in np.flatnonzero(counts == 0):
@@ -100,22 +122,24 @@ def _update_centroids(x, labels, k, centroids):
     return centroids, labels
 
 
-def _lloyd(x, k: int, max_iter: int, rng) -> ClusterModel:
-    centroids = _seed_centers(x, k, rng)
-    n = x.shape[0]
+def _lloyd(x, xt, aa, k: int, max_iter: int, rng) -> ClusterModel:
+    centroids = _seed_centers(x, xt, k, rng)
     labels = None
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        d2 = sqdist(x, centroids)
+        d2 = sqdist(x, centroids, aa)
         new_labels = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(n), new_labels].sum())
+        inertia = float(
+            np.take_along_axis(d2, new_labels[:, None], axis=1).sum())
         if labels is not None and np.array_equal(new_labels, labels):
             converged = True
             break
         labels = new_labels
-        centroids, labels = _update_centroids(x, labels, k, centroids)
-
+        centroids, labels = _update_centroids(x, xt, labels, k, centroids)
+    if not converged:
+        # the last pass measured the centroids it then moved
+        inertia = float(np.sum((x - centroids[labels]) ** 2))
     return ClusterModel(centroids=centroids, labels=labels, inertia=inertia,
                         n_iter=it, converged=converged)
 
@@ -129,7 +153,8 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
     the nearest centroid and every centroid is the mean of its members.
     With restarts > 1 the whole procedure reruns on a continuing stream
     from the same seed and the lowest-inertia run wins (first on ties), so
-    restarts=1 reproduces the plain single-run behaviour bit for bit.
+    restarts=1 reproduces the plain single-run behaviour bit for bit.  The
+    row norms and a coordinate-major copy of x are made once per call.
     """
     x = as_matrix(x)
     n = x.shape[0]
@@ -139,10 +164,12 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
         raise ContractViolationError("max_iter must be positive")
     if restarts < 1:
         raise ContractViolationError("restarts must be positive")
+    aa = np.sum(x * x, axis=1)[:, None]
+    xt = np.ascontiguousarray(x.T)
     rng = np.random.default_rng(rng_seed)
     best = None
     for _ in range(restarts):
-        model = _lloyd(x, k, max_iter, rng)
+        model = _lloyd(x, xt, aa, k, max_iter, rng)
         if best is None or model.inertia < best.inertia:
             best = model
     return best

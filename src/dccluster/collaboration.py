@@ -19,7 +19,8 @@ import numpy as np
 
 from .clustering import kmeans, spectral_embedding
 from .errors import ConfigurationError, ContractViolationError
-from .numerics import as_matrix, pinv, standardize, svd
+from .numerics import (as_matrix, leading_left_vectors, pinv, standardize,
+                       svd)
 
 # the choices the analyst's dispatchers below accept
 ALGORITHMS = ("kmeans", "spectral")
@@ -147,10 +148,6 @@ def build_collaboration(shares, mode: str = "affine",
                              out=np.empty((r, sum(design_widths)), order="F"))
     design = np.split(stacked, np.cumsum(design_widths)[:-1], axis=1)
 
-    # Factored before any pseudoinverse is held.  Every rank is at most r, so
-    # a clamp only drops trailing columns, and the sign fix treats each
-    # column on its own.
-    u1 = svd(stacked, top_k=min(m_hat, r)).u
     inverses, ranks = zip(*(pinv(a) for a in design))
     clamped = min(ranks) < m_hat
     if clamped:
@@ -159,7 +156,8 @@ def build_collaboration(shares, mode: str = "affine",
                       f"clamped to {m_hat}", RuntimeWarning, stacklevel=2)
         if m_hat < 1:
             raise ConfigurationError("anchor representations have rank 0")
-        u1 = u1[:, :m_hat]
+    # every rank is at most r, so m_hat is too
+    u1 = leading_left_vectors(stacked, m_hat)
 
     g_maps, x_hat_blocks, anchor_images = [], [], []
     for x, a, w, inverse in zip(x_tilde, design, widths, inverses):

@@ -31,6 +31,19 @@ EIGSH_SIGMA = -1e-6
 # antisymmetric eigenvector: dense and sparse solvers differ by about 1e-13
 # relative on path-graph eigenvectors of 1 000 nodes.
 SIGN_TIE_RTOL = 1e-8
+# leading_left_vectors takes a tall matrix's leading left singular vectors
+# from its Gram matrix g = a.T @ a, eigenvalues lam_1 >= lam_2 >= ..., only
+# when the relative gap (lam_m - lam_{m+1}) / lam_1, m = top_k, is at least
+# this; since lam_{m+1} >= 0, that also makes lam_m / lam_1 at least this.
+# Forming and solving g perturb it by about eps * lam_1, so:
+# - the span of the m leading eigenvectors turns by at most about
+#   eps * lam_1 / (lam_m - lam_{m+1}) <= eps / GRAM_RTOL (Davis-Kahan);
+# - each u_j = a @ v_j / sqrt(lam_j) is off unit norm, and off orthogonal
+#   to the others, by at most about eps * lam_1 / lam_m <= eps / GRAM_RTOL;
+# and eps / GRAM_RTOL = 2.2e-11.  A rotation inside that span rotates
+# everything aligned to it alike, leaving distances and residuals as they
+# are, so the gaps between the leading eigenvalues need no test.
+GRAM_RTOL = 1e-5
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -92,6 +105,32 @@ def svd(a, top_k: int | None = None) -> SvdResult:
         u, s, vt = u[:, :top_k], s[:top_k], vt[:top_k]
     _fix_signs(u, vt)
     return SvdResult(u=u, s=s, vt=vt)
+
+
+def leading_left_vectors(a, top_k: int) -> np.ndarray:
+    """The top_k leading left singular vectors of a, signs fixed as svd's.
+
+    A matrix taller than it is wide, whose Gram spectrum passes GRAM_RTOL,
+    is factored through its small Gram matrix: u = a @ v / s from the
+    Gram eigenpairs (v, s**2).  Anything else goes to svd(a, top_k).  Like
+    svd, the result does not depend on a's memory layout.
+    """
+    a = np.asfortranarray(as_matrix(a))
+    if not 1 <= top_k <= min(a.shape):
+        raise ContractViolationError(
+            f"top_k must be in [1, {min(a.shape)}], got {top_k}")
+    if a.shape[0] > a.shape[1]:
+        try:
+            lam, v = np.linalg.eigh(a.T @ a)
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailureError("eigh", str(exc)) from exc
+        lam, v = lam[::-1], v[:, ::-1]
+        below = max(lam[top_k], 0.0) if top_k < lam.size else 0.0
+        if lam[top_k - 1] - below >= GRAM_RTOL * lam[0] > 0.0:
+            u = a @ v[:, :top_k] / np.sqrt(lam[:top_k])
+            _fix_signs(u)
+            return u
+    return svd(a, top_k).u
 
 
 def pinv(a) -> tuple[np.ndarray, int]:

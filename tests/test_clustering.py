@@ -46,6 +46,97 @@ def best_partition_inertia(x, k):
     return best
 
 
+def reference_kmeans(x, k, max_iter=300, rng_seed=0, restarts=1):
+    """The plain Lloyd, kept as the reference: each seeding distance a row
+    sum, each centroid a masked mean per cluster, each inertia read through
+    arange(n), and a run that stops at max_iter scored by the pair it
+    returns.  Returns (labels, centroids, inertia, empty-cluster repairs)."""
+    n = x.shape[0]
+    rng = np.random.default_rng(rng_seed)
+    best, repairs = None, 0
+    for _ in range(restarts):
+        chosen = [int(rng.integers(n))]
+        d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+        for _ in range(1, k):
+            idx = _sample_next_center(d2, rng)
+            chosen.append(idx)
+            d2 = np.minimum(d2, np.sum((x - x[idx]) ** 2, axis=1))
+        centroids = x[np.array(chosen)].copy()
+        labels, converged = None, False
+        for _ in range(max_iter):
+            d2 = sqdist(x, centroids)
+            new_labels = np.argmin(d2, axis=1)
+            inertia = float(d2[np.arange(n), new_labels].sum())
+            if labels is not None and np.array_equal(new_labels, labels):
+                converged = True
+                break
+            labels = new_labels
+            counts = np.bincount(labels, minlength=k)
+            for c in range(k):
+                if counts[c]:
+                    centroids[c] = x[labels == c].mean(axis=0)
+            for e in np.flatnonzero(counts == 0):
+                repairs += 1
+                dist = np.sum((x - centroids[labels]) ** 2, axis=1)
+                dist[counts[labels] < 2] = -np.inf
+                donor = int(np.argmax(dist))
+                old = labels[donor]
+                labels[donor] = e
+                counts[old] -= 1
+                counts[e] += 1
+                centroids[e] = x[donor]
+                if counts[old]:
+                    centroids[old] = x[labels == old].mean(axis=0)
+        if not converged:
+            inertia = float(np.sum((x - centroids[labels]) ** 2))
+        if best is None or inertia < best[2]:
+            best = (labels, centroids, inertia)
+    return best + (repairs,)
+
+
+def four_blobs(m, seed, n=400):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(n, m))
+            + 4.0 * rng.normal(size=(4, m))[rng.integers(0, 4, n)])
+
+
+class TestKmeansMatchesReference:
+    @pytest.mark.parametrize("max_iter", [2, 300])
+    @pytest.mark.parametrize("restarts", [1, 10])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_bit_for_bit(self, m, restarts, max_iter):
+        x = four_blobs(m, seed=m)
+        model = kmeans(x, 4, max_iter=max_iter, rng_seed=m, restarts=restarts)
+        labels, centroids, inertia, _ = reference_kmeans(
+            x, 4, max_iter=max_iter, rng_seed=m, restarts=restarts)
+        assert np.array_equal(model.labels, labels)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.inertia == inertia
+
+    @pytest.mark.parametrize("restarts", [1, 10])
+    def test_empty_cluster_repair_bit_for_bit(self, restarts):
+        # two distinct points for three clusters: every seeding repeats a
+        # centre, and the copy with the higher index comes up empty
+        x = np.vstack([np.zeros((8, 2)), np.ones((1, 2))])
+        model = kmeans(x, 3, rng_seed=2, restarts=restarts)
+        labels, centroids, inertia, repairs = reference_kmeans(
+            x, 3, rng_seed=2, restarts=restarts)
+        assert repairs > 0
+        assert np.array_equal(model.labels, labels)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.inertia == inertia
+
+    def test_twelve_columns_sum_pairwise_but_agree(self):
+        # numpy sums a row of 8 or more terms pairwise, so the seeding
+        # distances may differ in the last bits from column-by-column sums
+        x = four_blobs(12, seed=12)
+        model = kmeans(x, 4, rng_seed=12, restarts=10)
+        labels, _, inertia, _ = reference_kmeans(x, 4, rng_seed=12,
+                                                 restarts=10)
+        assert np.array_equal(model.labels, labels)
+        assert model.inertia == pytest.approx(inertia, rel=1e-12, abs=0)
+
+
 class TestKmeans:
     def test_k1_is_column_means(self):
         x = np.random.default_rng(0).normal(size=(12, 3))
@@ -88,10 +179,20 @@ class TestKmeans:
         for seed in range(8):
             x = np.random.default_rng(seed).normal(size=(60, 3))
             # Lloyd's first t passes do not depend on max_iter, so this is
-            # the inertia of each pass in turn
+            # the inertia of the pair each pass leaves, in turn; a pass never
+            # raises it
             hist = np.array([kmeans(x, 4, rng_seed=seed, max_iter=t).inertia
                              for t in range(1, 30)])
             assert np.all(np.diff(hist) <= 1e-9)
+
+    def test_inertia_is_that_of_the_returned_pair(self):
+        # stopped at max_iter before converging: the last pass measured the
+        # centroids it then moved (the stale value read 88.09, not 85.87)
+        x = np.random.default_rng(0).standard_normal((60, 3))
+        model = kmeans(x, 4, rng_seed=0, max_iter=2)
+        assert not model.converged
+        own = np.sum((x - model.centroids[model.labels]) ** 2)
+        assert model.inertia == pytest.approx(own, rel=1e-12)
 
     def test_deterministic_per_seed(self):
         x = np.random.default_rng(8).normal(size=(30, 2))

@@ -1,9 +1,11 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from dccluster.clustering import assign_nearest
+from dccluster import clustering, collaboration, numerics
+from dccluster.clustering import assign_nearest, kmeans
 from dccluster.collaboration import (AffineMap, fit_intermediate,
                                      build_collaboration,
                                      make_clustering_representation,
@@ -15,7 +17,7 @@ from dccluster.federation import (AnalystResultMsg, SessionConfig,
                                   UserShareMsg, analyst_step,
                                   run_dc_clustering, user_step)
 from dccluster.metrics import ari
-from dccluster.numerics import pinv, svd
+from dccluster.numerics import leading_left_vectors, pinv, svd
 
 
 def equal_range_shares(c, m_tilde, seed, with_offsets, n=40, r=30, m=None):
@@ -72,7 +74,7 @@ def reference_alignment(shares, mode, m_hat=None):
     ranks = [np.linalg.matrix_rank(a) for a in design]
     clamped = min(ranks) < m_hat
     m_hat = int(min(ranks)) if clamped else m_hat
-    u1 = svd(stacked).u[:, :m_hat]
+    u1 = leading_left_vectors(stacked, m_hat)
     x_hat, images = [], []
     for i, anchor in enumerate(anchors):
         coeff = pinv(design[i])[0] @ u1
@@ -252,6 +254,31 @@ class TestBuildCollaboration:
         shares = equal_range_shares(2, 2, seed=7, with_offsets=False)
         with pytest.raises(ConfigurationError):
             build_collaboration(shares, mode="projective")
+
+
+def test_the_call_counts_the_benchmark_pins(monkeypatch):
+    """One pinv per row block and, on a tall well-conditioned anchor stack,
+    no svd in the alignment; one sqdist per Lloyd pass in k-means."""
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((collaboration, "pinv"), (collaboration, "svd"),
+                         (numerics, "svd"), (clustering, "sqdist")):
+        count(module, name)
+    shares = lattice_shares(3, 2, seed=4, r=200)
+    model = build_collaboration(shares)
+    assert (calls["pinv"], calls["svd"]) == (3, 0)
+    calls.clear()
+    fit = kmeans(model.x_hat, 3, rng_seed=0, restarts=1)
+    assert calls["sqdist"] == fit.n_iter > 1
 
 
 class TestAlignmentTheory:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from dccluster import numerics
 from dccluster.errors import ContractViolationError
 from dccluster.numerics import (as_matrix, svd, pinv, eig_symmetric,
-                                standardize)
+                                leading_left_vectors, standardize)
 
 
 def rand(shape, seed):
@@ -136,6 +137,69 @@ class TestPinvMatchesSignFixedReference:
         p, rank = pinv(view)
         ref, ref_rank = signed_pinv(view)
         assert p.tobytes() == ref.tobytes() and rank == ref_rank == 4
+
+
+def with_singular_values(s, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(rows, len(s))))[0]
+    v = np.linalg.qr(rng.normal(size=(cols, len(s))))[0]
+    return (u * s) @ v.T
+
+
+class TestLeadingLeftVectors:
+    """Every case matches svd(a, top_k).u within 1e-12, which also pins the
+    column signs (a flipped column is off by twice its largest entry), and
+    counting numerics.svd calls tells the Gram route from the fallback."""
+
+    def svd_calls(self, monkeypatch, a, top_k):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "svd", counted)
+        u = leading_left_vectors(a, top_k)
+        assert u.shape == (a.shape[0], top_k)
+        assert np.abs(u - svd(a, top_k).u).max() <= 1e-12
+        return len(calls)
+
+    def test_tall_well_separated_stack_takes_the_gram_route(self, monkeypatch):
+        a = with_singular_values(np.geomspace(10.0, 0.1, 12), 500, 12, 0)
+        assert self.svd_calls(monkeypatch, a, 4) == 0
+
+    def test_affine_stack_with_repeated_ones_columns(self, monkeypatch):
+        # three row blocks' designs, each with its own copy of the ones
+        # column, so the stack is rank-deficient by two
+        rng = np.random.default_rng(1)
+        ones = np.ones((300, 1))
+        a = np.hstack([part for _ in range(3) for part in (
+            rng.normal(size=(300, 3)) + rng.normal(size=3), ones)])
+        assert np.linalg.matrix_rank(a) == a.shape[1] - 2
+        assert self.svd_calls(monkeypatch, a, 4) == 0
+
+    def test_tie_at_top_k_falls_back_to_svd(self, monkeypatch):
+        a = with_singular_values([3.0, 2.0, 1.0, 1.0, 0.5], 200, 5, 2)
+        assert self.svd_calls(monkeypatch, a, 3) == 1
+
+    def test_small_trailing_eigenvalue_falls_back_to_svd(self, monkeypatch):
+        # lam_2 / lam_1 = 1e-6, below GRAM_RTOL
+        a = with_singular_values([1.0, 1e-3, 1e-6, 1e-7], 200, 4, 3)
+        assert numerics.GRAM_RTOL > 1e-6
+        assert self.svd_calls(monkeypatch, a, 2) == 1
+
+    def test_wide_matrix_falls_back_to_svd(self, monkeypatch):
+        assert self.svd_calls(monkeypatch, rand((5, 8), 4), 3) == 1
+
+    def test_layout_does_not_change_a_bit(self):
+        a = rand((400, 9), 5)
+        assert np.array_equal(leading_left_vectors(a, 3),
+                              leading_left_vectors(np.asfortranarray(a), 3))
+
+    def test_top_k_bounds(self):
+        for top_k in (0, 6):
+            with pytest.raises(ContractViolationError):
+                leading_left_vectors(rand((8, 5), 6), top_k)
 
 
 class TestEigSymmetric:
