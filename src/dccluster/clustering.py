@@ -107,8 +107,12 @@ def _update_centroids(x, xt, labels, k, centroids):
             sums = np.bincount(labels, weights=column, minlength=k)
             centroids[full, j] = sums[full] / counts[full]
     # Empty-cluster repair: the point farthest from its centroid (among
-    # clusters that can spare one) becomes a singleton centroid.
-    for e in np.flatnonzero(counts == 0):
+    # clusters that can spare one) becomes a singleton centroid.  It works
+    # on a copy, so the caller keeps the assignment it passed in.
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        labels = labels.copy()
+    for e in empty:
         dist = np.sum((x - centroids[labels]) ** 2, axis=1)
         dist[counts[labels] < 2] = -np.inf
         donor = int(np.argmax(dist))
@@ -124,22 +128,26 @@ def _update_centroids(x, xt, labels, k, centroids):
 
 def _lloyd(x, xt, aa, k: int, max_iter: int, rng) -> ClusterModel:
     centroids = _seed_centers(x, xt, k, rng)
-    labels = None
+    labels = assigned = None
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         d2 = sqdist(x, centroids, aa)
         new_labels = np.argmin(d2, axis=1)
-        inertia = float(
-            np.take_along_axis(d2, new_labels[:, None], axis=1).sum())
         if labels is not None and np.array_equal(new_labels, labels):
+            inertia = float(
+                np.take_along_axis(d2, new_labels[:, None], axis=1).sum())
+            return ClusterModel(centroids=centroids, labels=labels,
+                                inertia=inertia, n_iter=it, converged=True)
+        if assigned is not labels and np.array_equal(new_labels, assigned):
+            # this pass undid the last one's empty-cluster repair, which
+            # every later pass would redo: the repaired pair is final
             converged = True
             break
-        labels = new_labels
-        centroids, labels = _update_centroids(x, xt, labels, k, centroids)
-    if not converged:
-        # the last pass measured the centroids it then moved
-        inertia = float(np.sum((x - centroids[labels]) ** 2))
+        assigned = new_labels
+        centroids, labels = _update_centroids(x, xt, assigned, k, centroids)
+    # the last pass measured centroids it then moved, or labels it undid
+    inertia = float(np.sum((x - centroids[labels]) ** 2))
     return ClusterModel(centroids=centroids, labels=labels, inertia=inertia,
                         n_iter=it, converged=converged)
 
@@ -150,7 +158,11 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
 
     Stops early once an assignment pass repeats the previous labels, which
     makes the final (labels, centroids) pair a fixed point: every label is
-    the nearest centroid and every centroid is the mean of its members.
+    the nearest centroid and every centroid is the mean of its members.  It
+    also stops once a pass repeats the previous pass's assignment, which
+    undoes an empty-cluster repair (fewer distinct points than k): the
+    repaired pair, whose moved point is tied with its old centroid, is then
+    what every later pass would return.
     With restarts > 1 the whole procedure reruns on a continuing stream
     from the same seed and the lowest-inertia run wins (first on ties), so
     restarts=1 reproduces the plain single-run behaviour bit for bit.  The

@@ -7,18 +7,21 @@ length, then a JSON header (length-prefixed) followed by raw row-major
 little-endian float64 matrices in header order.  A message's dataclass is
 its schema: the ndarray fields are the matrices and every other field is a
 header key.  Neither message has a slot for offsets, scales, or axes, so a
-conforming peer cannot leak its private map even by accident.
+conforming peer cannot leak its private map even by accident.  Decoded
+matrices are views into the frame.
 
 Transports only move frames.  On the analyst's side both are one `Inbox`
 of `(frame, route)` pairs, where `route` carries a reply back to the
 frame's sender: in-process users put their frames with their own down
 queue as the route, and `TcpAnalystEndpoint` is an inbox fed by one reader
-per accepted connection, routed back over that connection.  A user
+thread per accepted connection, routed back over that connection; its
+listener blocks in `accept()` until `close()` shuts it down.  A user
 endpoint sends one frame and receives one.  Every endpoint counts frames
 so single-round accounting can be asserted.  The party runners own the
 protocol: `user_party_run` and `analyst_party_run` encode and decode, check
 message kinds, and route each answer to the party whose share came in on
-that route.
+that route.  A session runs each institution on a thread and the analyst
+on the calling thread, which closes its side at once if it fails.
 """
 from __future__ import annotations
 
@@ -215,14 +218,8 @@ def encode_message(msg) -> bytes:
     return b"".join([_PREFIX.pack(MAGIC, kind, size), head, *(m.ravel() for m in mats)])
 
 
-def decode_message(data: bytes):
-    """Parse exactly one frame back into a message.
-
-    Raises DecodeError (with the offending byte offset) on anything
-    malformed: wrong magic, unknown kind, truncation, trailing bytes, bad
-    JSON, undeclared or missing matrices, missing or mistyped header keys,
-    and matrices holding NaN or Inf.
-    """
+def _parse_prefix(data: bytes) -> tuple[int, int]:
+    """(kind, payload length) of a frame's fixed prefix, checked."""
     if len(data) < _PREFIX.size:
         raise DecodeError("frame shorter than fixed prefix", offset=len(data))
     magic, kind, payload_len = _PREFIX.unpack_from(data, 0)
@@ -232,6 +229,19 @@ def decode_message(data: bytes):
         raise DecodeError(f"unknown message kind {kind}", offset=4)
     if payload_len > MAX_PAYLOAD:
         raise DecodeError(f"declared payload {payload_len} exceeds limit", offset=5)
+    return kind, payload_len
+
+
+def decode_message(data: bytes):
+    """Parse exactly one frame back into a message whose matrices are
+    views into `data` (read-only when `data` is bytes).
+
+    Raises DecodeError (with the offending byte offset) on anything
+    malformed: wrong magic, unknown kind, truncation, trailing bytes, bad
+    JSON, undeclared or missing matrices, missing or mistyped header keys,
+    and matrices holding NaN or Inf.
+    """
+    kind, payload_len = _parse_prefix(data)
     end = _PREFIX.size + payload_len
     if len(data) < end:
         raise DecodeError("truncated payload", offset=len(data))
@@ -274,8 +284,8 @@ def decode_message(data: bytes):
         nbytes = rows * cols * 8
         if pos + nbytes > end:
             raise DecodeError(f"matrix {name} extends past payload", offset=pos)
-        flat = np.frombuffer(data, "<f8", count=rows * cols, offset=pos)
-        mats[name] = flat.reshape(rows, cols).astype(np.float64)
+        mats[name] = np.frombuffer(data, "<f8", count=rows * cols,
+                                   offset=pos).reshape(rows, cols)
         pos += nbytes
     if pos != end:
         raise DecodeError("payload longer than declared matrices", offset=pos)
@@ -306,6 +316,7 @@ class Inbox:
 
     def __init__(self):
         self._items: queue.Queue = queue.Queue()
+        self._routes = []
         self.sent_count = 0
         self.received_count = 0
 
@@ -319,11 +330,20 @@ class Inbox:
         except queue.Empty:
             raise SessionTimeoutError(f"no frame within {timeout} s") from None
         self.received_count += 1
+        if item[1] is not None:
+            self._routes.append(item[1])
         return item
 
     def reply(self, route, frame: bytes):
         route(frame)
         self.sent_count += 1
+
+    def close(self):
+        """Answer each route delivered so far with an empty frame, which
+        does not decode, so its user stops waiting for a reply."""
+        routes, self._routes = self._routes, []
+        for route in routes:
+            route(b"")
 
 
 class InProcessUserEndpoint:
@@ -352,8 +372,8 @@ class InProcessUserEndpoint:
         pass
 
 
-def _recv_exact(sock: socket.socket, nbytes: int, deadline: float,
-                eof_ok: bool = False) -> bytes:
+def _recv_exact(sock: socket.socket, nbytes: int, deadline: float) -> bytes:
+    """nbytes from sock, or b"" if the peer closes before sending any."""
     chunks, got = [], 0
     while got < nbytes:
         sock.settimeout(max(deadline - time.monotonic(), 0.001))
@@ -363,27 +383,23 @@ def _recv_exact(sock: socket.socket, nbytes: int, deadline: float,
             raise SessionTimeoutError(
                 f"peer sent {got} of {nbytes} bytes before timeout") from None
         if not chunk:
-            if eof_ok and got == 0:
-                return b""
-            raise DecodeError("connection closed mid-frame", offset=got)
+            if got:
+                raise DecodeError("connection closed mid-frame", offset=got)
+            return b""
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)
 
 
-def _recv_frame(sock: socket.socket, timeout: float,
-                eof_ok: bool = False) -> bytes:
-    """One whole frame within timeout seconds: each recv waits only for the
-    time left, so a peer that trickles bytes cannot outlast the deadline."""
+def _recv_frame(sock: socket.socket, timeout: float) -> bytes:
+    """One whole frame within timeout seconds (b"" if the peer closes first):
+    each recv waits only for the time left, so a peer that trickles bytes
+    cannot outlast the deadline."""
     deadline = time.monotonic() + timeout
-    prefix = _recv_exact(sock, _PREFIX.size, deadline, eof_ok=eof_ok)
+    prefix = _recv_exact(sock, _PREFIX.size, deadline)
     if not prefix:
         return b""
-    magic, kind, payload_len = _PREFIX.unpack(prefix)
-    if magic != MAGIC:
-        raise DecodeError(f"bad magic {magic!r}", offset=0)
-    if payload_len > MAX_PAYLOAD:
-        raise DecodeError(f"declared payload {payload_len} exceeds limit", offset=5)
+    _, payload_len = _parse_prefix(prefix)
     return prefix + _recv_exact(sock, payload_len, deadline)
 
 
@@ -420,30 +436,23 @@ class TcpAnalystEndpoint(Inbox):
         super().__init__()
         self._timeout = timeout
         self._accepted: list[socket.socket] = []
-        self._stop = threading.Event()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen()
-        self._listener.settimeout(0.1)
+        self._listener = socket.create_server((host, port))
         self.port = self._listener.getsockname()[1]
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
 
     def _accept_loop(self):
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:             # the listener was shut down
                 return
             self._accepted.append(conn)
             threading.Thread(target=self._read_one, args=(conn,), daemon=True).start()
 
     def _read_one(self, conn):
         try:
-            frame = _recv_frame(conn, self._timeout, eof_ok=True)
+            frame = _recv_frame(conn, self._timeout)
         except (SessionError, DecodeError, OSError):
             conn.close()
             self.put((b"", None))
@@ -456,7 +465,11 @@ class TcpAnalystEndpoint(Inbox):
         self.put((frame, conn.sendall))
 
     def close(self):
-        self._stop.set()
+        """Stop accepting and close every connection; safe to repeat."""
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)   # wakes accept()
+        except OSError:
+            pass
         self._listener.close()
         self._accept_thread.join(timeout=2.0)
         for conn in self._accepted:
@@ -600,15 +613,8 @@ class SessionOutcome:
 def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
                  user_endpoint_for) -> SessionOutcome:
     errors: list[BaseException] = []
-    report_box: list[AnalystReport] = []
     user_labels: dict[tuple[int, int], np.ndarray] = {}
     endpoints: dict[tuple[int, int], object] = {}
-
-    def analyst_main():
-        try:
-            report_box.append(analyst_party_run(cfg, analyst_endpoint))
-        except BaseException as exc:
-            errors.append(exc)
 
     def user_main(party):
         try:
@@ -620,13 +626,17 @@ def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
         except BaseException as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=analyst_main)]
-    threads += [threading.Thread(target=user_main, args=(p,)) for p in sorted(blocks)]
+    threads = [threading.Thread(target=user_main, args=(p,)) for p in sorted(blocks)]
     for t in threads:
         t.start()
     # each party's waits are bounded by cfg.timeout, so every thread ends
-    # with a report, labels or a recorded error
+    # with labels or a recorded error
     try:
+        try:
+            report = analyst_party_run(cfg, analyst_endpoint)
+        except BaseException as exc:
+            errors.append(exc)
+            analyst_endpoint.close()    # answers the users that are waiting
         for t in threads:
             t.join()
     finally:
@@ -634,12 +644,18 @@ def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
             endpoint.close()
     if errors:
         raise errors[0]
-    report = report_box[0]
     counts = {p: (ep.sent_count, ep.received_count) for p, ep in endpoints.items()}
     return SessionOutcome(report=report, user_labels=user_labels,
                           user_counts=counts,
                           analyst_counts=(analyst_endpoint.sent_count,
                                           analyst_endpoint.received_count))
+
+
+def _check_lattice(cfg: SessionConfig, partition):
+    if (cfg.c, cfg.d) != (partition.c, partition.d):
+        raise ConfigurationError(
+            f"config lattice {cfg.c}x{cfg.d} differs from the partition's "
+            f"{partition.c}x{partition.d}")
 
 
 def _session_inputs(x, partition, anchor, parties=None):
@@ -665,6 +681,7 @@ def run_dc_clustering(x, partition, anchor, cfg: SessionConfig) -> AnalystReport
     first); use the partition's row_order() to map back to dataset order.
     The report equals a session's on the same inputs bit for bit.
     """
+    _check_lattice(cfg, partition)
     blocks, anchor_blocks = _session_inputs(as_matrix(x), partition, anchor)
     shares = [user_step(p, blocks[p], anchor_blocks[p[1]], cfg)
               for p in sorted(blocks)]
@@ -672,7 +689,9 @@ def run_dc_clustering(x, partition, anchor, cfg: SessionConfig) -> AnalystReport
 
 
 def run_in_process_session(x, partition, anchor, cfg: SessionConfig) -> SessionOutcome:
-    """Full session over queue transports, one thread per party."""
+    """Full session over queue transports: one thread per institution, and
+    the analyst on the calling thread."""
+    _check_lattice(cfg, partition)
     blocks, anchor_blocks = _session_inputs(x, partition, anchor)
     inbox = Inbox()
     return _run_session(cfg, blocks, anchor_blocks, inbox,
@@ -682,6 +701,7 @@ def run_in_process_session(x, partition, anchor, cfg: SessionConfig) -> SessionO
 def run_tcp_session(x, partition, anchor, cfg: SessionConfig,
                     host: str = "127.0.0.1") -> SessionOutcome:
     """Full session over localhost sockets on an ephemeral port."""
+    _check_lattice(cfg, partition)
     blocks, anchor_blocks = _session_inputs(x, partition, anchor)
     analyst = TcpAnalystEndpoint(host=host, timeout=cfg.timeout)
     try:

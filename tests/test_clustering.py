@@ -175,6 +175,24 @@ class TestKmeans:
         model = kmeans(x, 3, rng_seed=7)
         assert sorted(set(model.labels.tolist())) == [0, 1, 2]
 
+    @pytest.mark.parametrize("restarts", [1, 10])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fewer_distinct_points_than_k_converges(self, seed, restarts):
+        # the empty-cluster repair moves a duplicate point and the next
+        # assignment moves it back; that must end the run, not max_iter
+        x = np.vstack([np.zeros((8, 2)), np.ones((1, 2))])
+        model = kmeans(x, 3, rng_seed=seed, restarts=restarts)
+        assert model.converged and model.n_iter < 5
+        # every label is a nearest centroid, ties included, and every
+        # non-empty centroid is its members' mean
+        d2 = ((x[:, None, :] - model.centroids[None]) ** 2).sum(axis=2)
+        assert np.array_equal(d2[np.arange(len(x)), model.labels],
+                              d2.min(axis=1))
+        for c in np.unique(model.labels):
+            assert np.array_equal(model.centroids[c],
+                                  x[model.labels == c].mean(axis=0))
+        assert model.inertia == 0.0
+
     def test_inertia_non_increasing(self):
         for seed in range(8):
             x = np.random.default_rng(seed).normal(size=(60, 3))

@@ -14,8 +14,9 @@ import pytest
 from dccluster import cli, federation
 from dccluster.data import (make_blobs, partition_lattice, feature_bounds,
                             generate_anchor)
-from dccluster.errors import (ConfigurationError, DecodeError, ProtocolError,
-                              SessionError, SessionTimeoutError)
+from dccluster.errors import (ConfigurationError, ContractViolationError,
+                              DecodeError, ProtocolError, SessionError,
+                              SessionTimeoutError)
 from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
                                   DEFAULT_TIMEOUT_SECS, TIMEOUT_ENV_VAR,
                                   UserShareMsg, AnalystResultMsg,
@@ -115,6 +116,12 @@ class TestWireRoundTrip:
                            anchor_tilde=np.zeros((0, 4)), config={})
         out = decode_message(encode_message(msg))
         assert out.x_tilde.tobytes() == vals.tobytes()
+
+    def test_decoded_matrices_are_views_into_the_frame(self):
+        out = decode_message(encode_message(sample_share()))
+        for mat in (out.x_tilde, out.anchor_tilde):
+            assert not mat.flags.owndata
+            assert not mat.flags.writeable
 
     def test_empty_matrix_round_trip(self):
         msg = UserShareMsg(party=(0, 1), x_tilde=np.zeros((0, 3)),
@@ -560,6 +567,16 @@ class TestTcpTransport:
         finally:
             analyst.close()
 
+    def test_idle_endpoint_closes_at_once(self):
+        times = []
+        for _ in range(5):
+            analyst = TcpAnalystEndpoint(timeout=5.0)
+            start = time.perf_counter()
+            analyst.close()
+            times.append(time.perf_counter() - start)
+            analyst.close()                     # a second close is harmless
+        assert sorted(times)[2] < 0.02
+
     def test_trickling_peer_cannot_outlast_the_frame_deadline(self):
         # a server that sends a real frame's first 30 bytes, one every 0.1 s
         frame = encode_message(sample_result(row_block=0))
@@ -786,6 +803,43 @@ class TestFullSession:
         monkeypatch.setattr(federation, "analyst_step", slow_step)
         with pytest.raises(SessionTimeoutError, match=r"party \(\d, \d\)"):
             run_in_process_session(ds.features, part, anchor, cfg)
+
+    def test_in_process_session_starts_one_thread_per_institution(
+            self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        ds, part, anchor, cfg = small_session_inputs()
+        run_in_process_session(ds.features, part, anchor, cfg)
+        assert len(started) == cfg.c * cfg.d
+
+    @pytest.mark.parametrize("run", [run_in_process_session, run_tcp_session],
+                             ids=["in-process", "tcp"])
+    def test_analyst_failure_ends_the_session_at_once(self, run):
+        # k above the row count is found only once the shares are in; the
+        # users must hear of it then, not at their 30 s deadline
+        ds, part, anchor, cfg = small_session_inputs()
+        cfg = dataclasses.replace(cfg, k=100, timeout=30.0)
+        start = time.monotonic()
+        with pytest.raises(ContractViolationError, match="k must be"):
+            run(ds.features, part, anchor, cfg)
+        assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize("run", [run_dc_clustering, run_in_process_session,
+                                     run_tcp_session],
+                             ids=["direct", "in-process", "tcp"])
+    def test_config_lattice_must_match_the_partition(self, run):
+        ds, part, anchor, cfg = small_session_inputs()
+        cfg = dataclasses.replace(cfg, c=3, timeout=5.0)
+        start = time.monotonic()
+        with pytest.raises(ConfigurationError, match=r"3x2.*2x2"):
+            run(ds.features, part, anchor, cfg)
+        assert time.monotonic() - start < 1.0
 
     def test_session_is_deterministic(self):
         ds, part, anchor, cfg = small_session_inputs(seed=11)
