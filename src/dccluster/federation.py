@@ -16,12 +16,12 @@ frame's sender: in-process users put their frames with their own down
 queue as the route, and `TcpAnalystEndpoint` is an inbox fed by one reader
 thread per accepted connection, routed back over that connection; its
 listener blocks in `accept()` until `close()` shuts it down.  A user
-endpoint sends one frame and receives one.  Every endpoint counts frames
-so single-round accounting can be asserted.  The party runners own the
-protocol: `user_party_run` and `analyst_party_run` encode and decode, check
-message kinds, and route each answer to the party whose share came in on
-that route.  A session runs each institution on a thread and the analyst
-on the calling thread, which closes its side at once if it fails.
+endpoint sends one frame and receives one.  Every endpoint counts frames,
+so single-round accounting can be asserted, and its `close()` ends the
+wait on it.  The party runners (`user_party_run`, `analyst_party_run`) own
+the protocol: codec, message kinds, and routing.  A session runs each
+institution on a thread and the analyst on the calling thread; the first
+party to fail closes every endpoint, so the session ends with its error.
 """
 from __future__ import annotations
 
@@ -232,9 +232,10 @@ def _parse_prefix(data: bytes) -> tuple[int, int]:
     return kind, payload_len
 
 
-def decode_message(data: bytes):
-    """Parse exactly one frame back into a message whose matrices are
-    views into `data` (read-only when `data` is bytes).
+def decode_message(data):
+    """Parse exactly one frame (bytes, or any byte buffer such as a
+    memoryview) back into a message whose matrices are views into `data`
+    (read-only when `data` is).
 
     Raises DecodeError (with the offending byte offset) on anything
     malformed: wrong magic, unknown kind, truncation, trailing bytes, bad
@@ -256,7 +257,7 @@ def decode_message(data: bytes):
     if pos + header_len > end:
         raise DecodeError("header length exceeds payload", offset=pos)
     try:
-        header = json.loads(data[pos:pos + header_len].decode("utf-8"))
+        header = json.loads(str(data[pos:pos + header_len], "utf-8"))
     # ValueError covers bad UTF-8 and JSON, and integers longer than
     # Python's digit limit; RecursionError covers deeply nested brackets
     except (ValueError, RecursionError) as exc:
@@ -316,7 +317,6 @@ class Inbox:
 
     def __init__(self):
         self._items: queue.Queue = queue.Queue()
-        self._routes = []
         self.sent_count = 0
         self.received_count = 0
 
@@ -329,9 +329,10 @@ class Inbox:
             item = self._items.get(timeout=max(timeout, 0.0))
         except queue.Empty:
             raise SessionTimeoutError(f"no frame within {timeout} s") from None
+        if item is None:
+            self._items.put(None)       # for the next recv, too
+            raise SessionError("the session was closed")
         self.received_count += 1
-        if item[1] is not None:
-            self._routes.append(item[1])
         return item
 
     def reply(self, route, frame: bytes):
@@ -339,11 +340,8 @@ class Inbox:
         self.sent_count += 1
 
     def close(self):
-        """Answer each route delivered so far with an empty frame, which
-        does not decode, so its user stops waiting for a reply."""
-        routes, self._routes = self._routes, []
-        for route in routes:
-            route(b"")
+        """A pending or later `recv` raises SessionError."""
+        self._items.put(None)
 
 
 class InProcessUserEndpoint:
@@ -369,38 +367,45 @@ class InProcessUserEndpoint:
         return frame
 
     def close(self):
-        pass
+        self._down.put(b"")     # a pending or later recv gets a non-frame
 
 
-def _recv_exact(sock: socket.socket, nbytes: int, deadline: float) -> bytes:
-    """nbytes from sock, or b"" if the peer closes before sending any."""
-    chunks, got = [], 0
-    while got < nbytes:
+def _recv_into(sock: socket.socket, view: memoryview, deadline: float) -> int:
+    """Fill view from sock before the deadline; the count of bytes read,
+    short only if the peer closed."""
+    got = 0
+    while got < len(view):
         sock.settimeout(max(deadline - time.monotonic(), 0.001))
         try:
-            chunk = sock.recv(nbytes - got)
+            count = sock.recv_into(view[got:])
         except socket.timeout:
             raise SessionTimeoutError(
-                f"peer sent {got} of {nbytes} bytes before timeout") from None
-        if not chunk:
-            if got:
-                raise DecodeError("connection closed mid-frame", offset=got)
-            return b""
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+                f"peer sent {got} of {len(view)} bytes before timeout") from None
+        if not count:
+            break
+        got += count
+    return got
 
 
-def _recv_frame(sock: socket.socket, timeout: float) -> bytes:
+def _recv_frame(sock: socket.socket, timeout: float) -> bytes | memoryview:
     """One whole frame within timeout seconds (b"" if the peer closes first):
     each recv waits only for the time left, so a peer that trickles bytes
-    cannot outlast the deadline."""
+    cannot outlast the deadline.  The frame is read into one buffer of its
+    declared size and returned as a read-only view of it; the buffer is not
+    zero-filled, so its pages are committed only as bytes arrive."""
     deadline = time.monotonic() + timeout
-    prefix = _recv_exact(sock, _PREFIX.size, deadline)
-    if not prefix:
+    prefix = bytearray(_PREFIX.size)
+    got = _recv_into(sock, memoryview(prefix), deadline)
+    if not got:
         return b""
-    _, payload_len = _parse_prefix(prefix)
-    return prefix + _recv_exact(sock, payload_len, deadline)
+    if got == _PREFIX.size:
+        _, payload_len = _parse_prefix(prefix)
+        frame = np.empty(_PREFIX.size + payload_len, np.uint8)
+        frame[:_PREFIX.size] = prefix
+        got += _recv_into(sock, memoryview(frame)[_PREFIX.size:], deadline)
+        if got == frame.size:
+            return memoryview(frame).toreadonly()
+    raise DecodeError("connection closed mid-frame", offset=got)
 
 
 class TcpUserEndpoint:
@@ -453,7 +458,7 @@ class TcpAnalystEndpoint(Inbox):
     def _read_one(self, conn):
         try:
             frame = _recv_frame(conn, self._timeout)
-        except (SessionError, DecodeError, OSError):
+        except (SessionError, DecodeError, OSError, MemoryError):
             conn.close()
             self.put((b"", None))
             return
@@ -465,7 +470,8 @@ class TcpAnalystEndpoint(Inbox):
         self.put((frame, conn.sendall))
 
     def close(self):
-        """Stop accepting and close every connection; safe to repeat."""
+        """Also stop accepting and close every connection; safe to repeat."""
+        super().close()
         try:
             self._listener.shutdown(socket.SHUT_RDWR)   # wakes accept()
         except OSError:
@@ -612,36 +618,38 @@ class SessionOutcome:
 
 def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
                  user_endpoint_for) -> SessionOutcome:
+    """The first failure of any party closes every endpoint, which ends
+    every other party's wait; the first error in time is raised."""
     errors: list[BaseException] = []
     user_labels: dict[tuple[int, int], np.ndarray] = {}
     endpoints: dict[tuple[int, int], object] = {}
+    threads: list[threading.Thread] = []   # none start if an endpoint fails
+
+    def fail(exc):
+        errors.append(exc)
+        for endpoint in (analyst_endpoint, *endpoints.values()):
+            endpoint.close()
 
     def user_main(party):
         try:
-            endpoint = user_endpoint_for(party)
-            endpoints[party] = endpoint
-            labels = user_party_run(party, blocks[party], anchor_blocks[party[1]],
-                                    cfg, endpoint)
-            user_labels[party] = labels
+            user_labels[party] = user_party_run(
+                party, blocks[party], anchor_blocks[party[1]], cfg, endpoints[party])
         except BaseException as exc:
-            errors.append(exc)
+            fail(exc)
 
-    threads = [threading.Thread(target=user_main, args=(p,)) for p in sorted(blocks)]
-    for t in threads:
-        t.start()
-    # each party's waits are bounded by cfg.timeout, so every thread ends
-    # with labels or a recorded error
     try:
-        try:
-            report = analyst_party_run(cfg, analyst_endpoint)
-        except BaseException as exc:
-            errors.append(exc)
-            analyst_endpoint.close()    # answers the users that are waiting
+        for party in sorted(blocks):
+            endpoints[party] = user_endpoint_for(party)
+        threads = [threading.Thread(target=user_main, args=(p,)) for p in endpoints]
         for t in threads:
-            t.join()
-    finally:
-        for endpoint in list(endpoints.values()):
-            endpoint.close()
+            t.start()
+        report = analyst_party_run(cfg, analyst_endpoint)
+    except BaseException as exc:
+        fail(exc)
+    for t in threads:
+        t.join()
+    for endpoint in endpoints.values():
+        endpoint.close()
     if errors:
         raise errors[0]
     counts = {p: (ep.sent_count, ep.received_count) for p, ep in endpoints.items()}

@@ -17,7 +17,7 @@ from dccluster.errors import ConfigurationError
 from dccluster.experiment import (METRICS, ExperimentSpec, TrialReport,
                                   run_experiment, emit_report, parse_config,
                                   load_config, trial_inputs)
-from dccluster.federation import SessionConfig, SessionSettings
+from dccluster.federation import TIMEOUT_ENV_VAR, SessionConfig, SessionSettings
 from dccluster.metrics import ari
 
 
@@ -259,6 +259,21 @@ class TestRunExperiment:
         assert [a["trial"] for a in report.aborted] == [0, 1]
         assert all("error" in a and a["seed"] for a in report.aborted)
         assert report.values["proposed"]["ari"] == []
+
+    def test_failed_fits_abort_their_trials_at_once(self, monkeypatch):
+        # iris has 4 features, so d = 3 leaves a one-feature column block
+        # whose institutions cannot fit; no trial may wait out its timeout
+        monkeypatch.setenv(TIMEOUT_ENV_VAR, "30")
+        root = pathlib.Path(__file__).parent.parent
+        spec = dataclasses.replace(
+            load_config(str(root / "configs" / "iris_kmeans.cfg")),
+            csv_path=str(root / "data" / "iris.csv"), d=3, trials=2,
+            local="none")
+        start = time.monotonic()
+        report = run_experiment(spec)
+        assert time.monotonic() - start < 5.0
+        assert [a["trial"] for a in report.aborted] == [0, 1]
+        assert all("at least 2 features" in a["error"] for a in report.aborted)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,16 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
+import pathlib
 import socket
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +33,7 @@ from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
                                   analyst_party_run, user_party_run,
                                   resolve_timeout, run_dc_clustering,
                                   run_in_process_session, run_tcp_session,
-                                  _run_session, _session_inputs)
+                                  _recv_frame, _run_session, _session_inputs)
 from dccluster.metrics import ari
 
 _PREFIX_SIZE = struct.calcsize("<4sBQ")
@@ -607,6 +613,56 @@ class TestTcpTransport:
             listener.close()
         assert not server.is_alive()
 
+    def test_a_frame_read_off_a_socket_is_held_once(self):
+        frame = encode_message(sample_share(n=450_000))
+        assert len(frame) >= 10_000_000
+        reader, writer = socket.socketpair()
+        sender = threading.Thread(target=writer.sendall, args=(frame,))
+        try:
+            tracemalloc.start()
+            sender.start()
+            got = _recv_frame(reader, 30.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            sender.join(timeout=30.0)
+            reader.close()
+            writer.close()
+        assert not sender.is_alive()
+        assert got == frame
+        assert peak <= 1.2 * len(frame)
+        # the decoded matrices stay read-only views into the frame
+        msg = decode_message(got)
+        assert msg == sample_share(n=450_000)
+        assert not msg.x_tilde.flags.writeable
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+    def test_a_declared_size_alone_commits_no_memory(self):
+        # A prefix that declares a large payload and then closes must not
+        # make the reader touch a buffer of that size: pages are committed
+        # only as bytes arrive.  Run in a child so ru_maxrss starts fresh.
+        declared = 1 << 28
+        child = textwrap.dedent(f"""
+            import resource, socket, struct
+            from dccluster.errors import DecodeError
+            from dccluster.federation import MAGIC, KIND_USER_SHARE, _recv_frame
+            reader, writer = socket.socketpair()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            writer.sendall(struct.pack("<4sBQ", MAGIC, KIND_USER_SHARE, {declared}))
+            writer.close()
+            try:
+                _recv_frame(reader, 30.0)
+            except DecodeError:
+                pass
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        """)
+        src = str(pathlib.Path(federation.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        grown_kib = int(out.stdout)     # ru_maxrss is in KiB on Linux
+        assert grown_kib * 1024 < declared // 16
+
 
 # ---------------------------------------------------------------------------
 # session orchestration
@@ -828,6 +884,56 @@ class TestFullSession:
         start = time.monotonic()
         with pytest.raises(ContractViolationError, match="k must be"):
             run(ds.features, part, anchor, cfg)
+        assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize("run", [run_in_process_session, run_tcp_session],
+                             ids=["in-process", "tcp"])
+    def test_user_failure_ends_the_session_at_once(self, run):
+        # a one-feature column block cannot be reduced, so both of its
+        # institutions fail to fit; the analyst and the other users must
+        # hear of it then, not at their 30 s deadline
+        ds, part, anchor, cfg = small_session_inputs()
+        part = partition_lattice(ds, c=2, d=2, assignment="iid-random",
+                                 rng_seed=1, col_index_sets=((0,), (1, 2, 3, 4, 5)))
+        cfg = dataclasses.replace(cfg, timeout=30.0)
+        start = time.monotonic()
+        with pytest.raises(ConfigurationError, match="at least 2 features"):
+            run(ds.features, part, anchor, cfg)
+        assert time.monotonic() - start < 5.0
+
+    def test_concurrent_failures_raise_a_failed_fit(self):
+        # the four institutions of column block 0 fail together while the
+        # rest and the analyst wait; under rapid thread switching the error
+        # raised must still be a failed fit, never a closed endpoint's
+        ds, part, anchor, cfg = small_session_inputs()
+        part = partition_lattice(ds, c=4, d=2, assignment="iid-random",
+                                 rng_seed=1, col_index_sets=((0,), (1, 2, 3, 4, 5)))
+        cfg = dataclasses.replace(cfg, c=4, timeout=30.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.monotonic()
+            for run in (run_in_process_session, run_tcp_session) * 10:
+                with pytest.raises(ConfigurationError, match="at least 2 features"):
+                    run(ds.features, part, anchor, cfg)
+            assert time.monotonic() - start < 10.0
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_analyst_failure_during_the_gather_ends_the_session_at_once(self):
+        # a share echoing another k is refused before the real parties'
+        # shares are read; their users must not wait out the 30 s deadline
+        ds, part, anchor, cfg = small_session_inputs()
+        cfg = dataclasses.replace(cfg, timeout=30.0)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor)
+        inbox = Inbox()
+        other = dataclasses.replace(cfg, k=3)
+        InProcessUserEndpoint(inbox).send(
+            encode_message(sample_share(party=(0, 0), config=other.echo())))
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match=r"\['k'\]"):
+            _run_session(cfg, blocks, anchor_blocks, inbox,
+                         lambda p: InProcessUserEndpoint(inbox))
         assert time.monotonic() - start < 5.0
 
     @pytest.mark.parametrize("run", [run_dc_clustering, run_in_process_session,
