@@ -11,7 +11,8 @@ OR-symmetrized into a CSR matrix; its symmetric normalized Laplacian stays
 sparse; and a shift-invert ARPACK solve gives the bottom eigenvectors.  The
 eigenvalue 0 repeats once per graph component, so that null space is not
 taken from the solver but built as sqrt(degree)-scaled component indicators,
-in component order.  k-means then runs on the embedding.
+in component order; the solve runs only when the graph has fewer than k
+components.  k-means then runs on the embedding.
 """
 from __future__ import annotations
 
@@ -245,8 +246,10 @@ def spectral_embedding(x, k: int, neighbors: int = 10) -> SpectralEmbedding:
 
     The first min(k, components) columns span the null space: unit
     sqrt(degree)-scaled indicators of the graph components, in component
-    order, with eigenvalue exactly 0.  The other columns come from the
-    eigensolve, orthogonalized against them and sign-fixed.
+    order, with eigenvalue exactly 0.  The Laplacian is built and solved
+    only when the graph has fewer than k components; the other columns
+    then come from the eigensolve, orthogonalized against the indicators
+    and sign-fixed.
     """
     x = as_matrix(x)
     n = x.shape[0]
@@ -254,15 +257,20 @@ def spectral_embedding(x, k: int, neighbors: int = 10) -> SpectralEmbedding:
         raise ContractViolationError(f"k must be in [1, {n}], got {k}")
     w = build_affinity(x, neighbors)
     components, member = connected_components(w, directed=False)
-    res = eig_symmetric(laplacian_sym(w), top_k=k)
     null = min(k, components)
-    values, vectors = res.values, res.vectors
-    values[:null] = 0.0
     root_deg = np.sqrt(w.sum(axis=1))
     indicators = np.zeros((n, null))
     keep = member < null
     indicators[keep, member[keep]] = root_deg[keep]
     indicators /= np.linalg.norm(indicators, axis=0)
+    if null == k:
+        # column-major, as the solve returns it, so k-means rounds the same
+        return SpectralEmbedding(vectors=np.asfortranarray(indicators),
+                                 eigenvalues=np.zeros(k),
+                                 components=components)
+    res = eig_symmetric(laplacian_sym(w), top_k=k)
+    values, vectors = res.values, res.vectors
+    values[:null] = 0.0
     rest = vectors[:, null:]
     rest -= indicators @ (indicators.T @ rest)
     rest /= np.linalg.norm(rest, axis=0)

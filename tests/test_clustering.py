@@ -1,18 +1,22 @@
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import connected_components
 
+from dccluster import clustering
 from dccluster.clustering import (kmeans, build_affinity, laplacian_sym,
                                   spectral_embedding, spectral_cluster,
-                                  assign_nearest, sqdist, _sample_next_center)
+                                  assign_nearest, sqdist, _sample_next_center,
+                                  SpectralEmbedding)
 from dccluster.data import load_csv, make_blobs, make_circles
 from dccluster.errors import ContractViolationError
 from dccluster.metrics import ari
-from dccluster.numerics import eig_symmetric
+from dccluster.numerics import _fix_signs, as_matrix, eig_symmetric
 
 IRIS = Path(__file__).resolve().parent.parent / "data" / "iris.csv"
 
@@ -92,6 +96,35 @@ def reference_kmeans(x, k, max_iter=300, rng_seed=0, restarts=1):
         if best is None or inertia < best[2]:
             best = (labels, centroids, inertia)
     return best + (repairs,)
+
+
+def reference_spectral_embedding(x, k: int, neighbors: int = 10
+                                 ) -> SpectralEmbedding:
+    """The embedding that always solves, kept as the reference: the
+    Laplacian's bottom-k eigenpairs, with the first min(k, components)
+    columns then replaced by the unit sqrt(degree) component indicators."""
+    x = as_matrix(x)
+    n = x.shape[0]
+    if not 1 <= k <= n:
+        raise ContractViolationError(f"k must be in [1, {n}], got {k}")
+    w = build_affinity(x, neighbors)
+    components, member = connected_components(w, directed=False)
+    res = eig_symmetric(laplacian_sym(w), top_k=k)
+    null = min(k, components)
+    values, vectors = res.values, res.vectors
+    values[:null] = 0.0
+    root_deg = np.sqrt(w.sum(axis=1))
+    indicators = np.zeros((n, null))
+    keep = member < null
+    indicators[keep, member[keep]] = root_deg[keep]
+    indicators /= np.linalg.norm(indicators, axis=0)
+    rest = vectors[:, null:]
+    rest -= indicators @ (indicators.T @ rest)
+    rest /= np.linalg.norm(rest, axis=0)
+    vectors[:, :null] = indicators
+    _fix_signs(rest)
+    return SpectralEmbedding(vectors=vectors, eigenvalues=values,
+                             components=components)
 
 
 def four_blobs(m, seed, n=400):
@@ -417,6 +450,71 @@ class TestSpectralEmbedding:
         v = ref.vectors[:, :k]
         assert np.abs(emb.vectors @ emb.vectors.T - v @ v.T).max() < 1e-8
         assert np.allclose(emb.eigenvalues, ref.values[:k], rtol=0, atol=1e-12)
+
+
+def far_groups(groups, seed, size=40):
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.normal(50.0 * g, 1.0, (size, 2))
+                      for g in range(groups)])
+
+
+def noisy_ring(seed, n=200):
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    return (np.column_stack([np.cos(t), np.sin(t)])
+            + rng.normal(0.0, 0.01, (n, 2)))
+
+
+class TestSpectralSkipsTheKnownNullSpace:
+    """With at least k components the embedding is the k indicators, so
+    the Laplacian is neither built nor solved; with fewer it is, once.
+    Either way every bit matches the embedding that always solves."""
+
+    CASES = {
+        # name: (points, components, Laplacian and eigensolve calls)
+        "more-components-than-k": (far_groups(4, seed=1), 4, 0),
+        "as-many-components-as-k": (far_groups(3, seed=2), 3, 0),
+        "one-ring": (noisy_ring(seed=3), 1, 1),
+    }
+
+    @staticmethod
+    def counted_calls(monkeypatch):
+        calls = Counter()
+        for name in ("laplacian_sym", "eig_symmetric"):
+            original = getattr(clustering, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(clustering, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_solves_only_below_k_components(self, case, monkeypatch):
+        x, components, solves = self.CASES[case]
+        calls = self.counted_calls(monkeypatch)
+        emb = spectral_embedding(x, 3, neighbors=6)
+        assert emb.components == components
+        assert (calls["laplacian_sym"], calls["eig_symmetric"]) == (solves,
+                                                                    solves)
+        spectral_cluster(x, 3, neighbors=6, rng_seed=1)
+        assert calls["laplacian_sym"] == calls["eig_symmetric"] == 2 * solves
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_for_bit_with_the_reference(self, case):
+        x, _, _ = self.CASES[case]
+        emb = spectral_embedding(x, 3, neighbors=6)
+        ref = reference_spectral_embedding(x, 3, neighbors=6)
+        assert emb.components == ref.components
+        assert np.array_equal(emb.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(emb.vectors, ref.vectors)
+        # k-means rounds by the layout it is given
+        assert emb.vectors.flags.f_contiguous == ref.vectors.flags.f_contiguous
+        labels = spectral_cluster(x, 3, neighbors=6, rng_seed=1,
+                                  restarts=5).labels
+        assert np.array_equal(
+            labels, kmeans(ref.vectors, 3, rng_seed=1, restarts=5).labels)
 
 
 class TestSpectralCluster:
