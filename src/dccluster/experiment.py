@@ -67,9 +67,12 @@ class ExperimentSpec(SessionSettings):
     def __post_init__(self):
         super().__post_init__()
         self.formats = _report_formats(self.formats)
-        check_at_least_one(self, "c", "d", "k", "trials", "anchor_size")
+        check_at_least_one(self, "c", "d", "k", "trials", "anchor_size",
+                           "clusters", "per_cluster")
         if self.dataset not in ("blobs", "circles", "csv"):
             raise ConfigurationError(f"unknown dataset kind {self.dataset!r}")
+        if self.dataset == "circles" and self.clusters < 2:
+            raise ConfigurationError("circles dataset needs at least 2 clusters")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigurationError("csv dataset needs csv_path")
         if self.assignment not in ASSIGNMENTS:
@@ -103,9 +106,10 @@ class TrialReport:
             out[method] = {}
             for metric in METRICS:
                 vals = np.asarray(self.values[method][metric], dtype=float)
-                # single trial: variability is undefined, reported as 0
+                # one trial: spread undefined, reported as 0; none: mean NaN
                 std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-                out[method][metric] = {"mean": float(vals.mean()), "std": std}
+                mean = float(vals.mean()) if vals.size else np.nan
+                out[method][metric] = {"mean": mean, "std": std}
         return out
 
     def completed_trials(self) -> int:

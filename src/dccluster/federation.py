@@ -159,13 +159,12 @@ class UserShareMsg:
 
 @dataclass
 class AnalystResultMsg:
-    """Per-row-block payload the analyst returns to its institutions."""
+    """Per-row-block payload the analyst returns to its institutions: only
+    what they read to label their rows, and no config echo."""
 
     row_block: int
     centroids: np.ndarray
     z_block: np.ndarray
-    algorithm: str
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.row_block = int(self.row_block)
@@ -184,7 +183,6 @@ def _is_int(value) -> bool:
 # tuples, so a pair arrives as a list.
 _HEADER_CHECKS = {
     int: _is_int,
-    str: lambda v: isinstance(v, str),
     dict: lambda v: isinstance(v, dict),
     tuple[int, int]: lambda v: (isinstance(v, list) and len(v) == 2
                                 and all(map(_is_int, v))),
@@ -521,11 +519,8 @@ def analyst_step(shares, cfg: SessionConfig):
     clusters, z_blocks = analyst_cluster(
         z, cfg.k, model.row_sizes, max_iter=cfg.max_iter,
         rng_seed=derive_seed(cfg.master_seed, "analyst"), restarts=cfg.restarts)
-    echo = cfg.echo()
     return model, [AnalystResultMsg(row_block=i, centroids=clusters.centroids,
-                                    z_block=z_block, algorithm=cfg.algorithm,
-                                    config=echo)
-                   for i, z_block in enumerate(z_blocks)]
+                                    z_block=z) for i, z in enumerate(z_blocks)]
 
 
 def analyst_report(model: CollaborationModel, results,

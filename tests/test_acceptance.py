@@ -213,9 +213,7 @@ def _fuzz_result(rng):
     return AnalystResultMsg(
         row_block=int(rng.integers(0, 50)),
         centroids=rng.normal(size=(int(rng.integers(1, 6)), dim)),
-        z_block=rng.normal(size=(int(rng.integers(0, 12)), dim)) * 1e-200,
-        algorithm=rng.choice(["kmeans", "spectral"]),
-        config={})
+        z_block=rng.normal(size=(int(rng.integers(0, 12)), dim)) * 1e-200)
 
 
 def test_criterion_08_protocol_properties(capsys):

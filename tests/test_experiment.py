@@ -120,6 +120,26 @@ class TestParseConfig:
             with pytest.raises(ConfigurationError, match="^anchor_size must be"):
                 parse_config(f"dataset = blobs\nc = 1\nd = 1\nanchor_size = {value}\n")
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("clusters", 0, "^clusters must be"),
+        ("per_cluster", 0, "^per_cluster must be"),
+        ("per_cluster", -2, "^per_cluster must be"),
+    ])
+    def test_generator_counts_checked_when_parsed(self, key, value, match):
+        # before any trial runs the generator into its own error
+        for dataset in ("blobs", "circles"):
+            with pytest.raises(ConfigurationError, match=match):
+                parse_config(f"dataset = {dataset}\nc = 1\nd = 1\n"
+                             f"{key} = {value}\n")
+
+    def test_circles_need_two_rings_when_parsed(self):
+        with pytest.raises(ConfigurationError, match="circles.*2 clusters"):
+            parse_config("dataset = circles\nc = 1\nd = 1\nclusters = 1\n")
+        spec = parse_config("dataset = circles\nc = 1\nd = 1\nclusters = 2\n")
+        assert spec.clusters == 2
+        assert parse_config("dataset = blobs\nc = 1\nd = 1\nclusters = 1\n"
+                            ).clusters == 1
+
     def test_missing_required_field(self):
         with pytest.raises(ConfigurationError):
             parse_config("dataset = blobs\n")    # no lattice shape
@@ -259,6 +279,17 @@ class TestRunExperiment:
         assert [a["trial"] for a in report.aborted] == [0, 1]
         assert all("error" in a and a["seed"] for a in report.aborted)
         assert report.values["proposed"]["ari"] == []
+
+    def test_every_trial_aborted_aggregates_to_nan_without_warning(self):
+        # k above the 30 rows fails the analyst once the shares are in
+        report = run_experiment(tiny_spec(k=31, trials=2))
+        assert report.completed_trials() == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            agg = report.aggregate()
+        for method in report.methods:
+            for metric in METRICS:
+                assert np.isnan(agg[method][metric]["mean"])
 
     def test_failed_fits_abort_their_trials_at_once(self, monkeypatch):
         # iris has 4 features, so d = 3 leaves a one-feature column block
