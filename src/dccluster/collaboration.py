@@ -20,7 +20,7 @@ import numpy as np
 from .clustering import kmeans, spectral_embedding
 from .errors import ConfigurationError, ContractViolationError
 from .numerics import (as_matrix, leading_left_vectors, pinv, standardize,
-                       svd)
+                       svd, well_conditioned_gram)
 
 # the choices the analyst's dispatchers below accept
 ALGORITHMS = ("kmeans", "spectral")
@@ -110,12 +110,18 @@ def build_collaboration(shares, mode: str = "affine",
     """Align per-row-block representations through the shared anchor.
 
     The stacked anchor images (with a ones column appended per block in
-    affine mode) are factored once; each row block then gets the
-    least-squares map of its own anchor image onto the leading left singular
-    vectors.  The common dimension defaults to the smallest row-block width
-    and is clamped (with a warning) to the smallest rank among the blocks'
-    designs, counted by pinv's singular-value cutoff.  A share is read only
-    through its `party`, `x_tilde` and `anchor_tilde`.
+    affine mode) are multiplied out once into their Gram matrix G, whose
+    eigenpairs give the common target u1, the stack's leading left singular
+    vectors.  Each row block then gets the least-squares map of its own
+    anchor image, its design D, onto u1: pinv(D) @ u1.  A design whose
+    Gram block G_bb passes `well_conditioned_gram` takes that map as
+    pinv(G_bb) @ D.T @ u1, with D.T @ u1 read off G's eigenpairs, and has
+    full column rank; any other design is factored itself, and its rank is
+    counted by pinv's singular-value cutoff.  The common dimension defaults
+    to the smallest row-block width and is clamped (with a warning) to the
+    smallest rank.  The residual is the largest distance between two row
+    blocks' mapped anchor images, over the largest image's norm.  A share
+    is read only through its `party`, `x_tilde` and `anchor_tilde`.
     """
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -138,17 +144,24 @@ def build_collaboration(shares, mode: str = "affine",
     # One column-major copy of the anchor images, each row block's followed
     # by a ones column in affine mode, so that every design is a column view.
     (r,) = anchor_rows
+    ones = [np.ones((r, 1))] if mode == "affine" else []
     parts = []
     for row in by_row:
-        parts += [s.anchor_tilde for s in row]
-        if mode == "affine":
-            parts.append(np.ones((r, 1)))
+        parts += [s.anchor_tilde for s in row] + ones
     design_widths = [w + 1 for w in widths] if mode == "affine" else widths
     stacked = np.concatenate(parts, axis=1,
                              out=np.empty((r, sum(design_widths)), order="F"))
-    design = np.split(stacked, np.cumsum(design_widths)[:-1], axis=1)
+    gram = stacked.T @ stacked
+    ends = np.cumsum(design_widths)
+    blocks = [slice(end - w, end) for end, w in zip(ends, design_widths)]
 
-    inverses, ranks = zip(*(pinv(a) for a in design))
+    # pinv(D) = pinv(D.T @ D) @ D.T for any D, so a design whose Gram block
+    # is well conditioned is solved through that small block; its rank is
+    # then its width, as its singular values would count it.  Any other
+    # design is factored itself, which also counts its rank.
+    solve_small = [well_conditioned_gram(gram[b, b]) for b in blocks]
+    inverses, ranks = zip(*(pinv(gram[b, b] if small else stacked[:, b])
+                            for b, small in zip(blocks, solve_small)))
     clamped = min(ranks) < m_hat
     if clamped:
         m_hat = min(ranks)
@@ -157,11 +170,13 @@ def build_collaboration(shares, mode: str = "affine",
         if m_hat < 1:
             raise ConfigurationError("anchor representations have rank 0")
     # every rank is at most r, so m_hat is too
-    u1 = leading_left_vectors(stacked, m_hat)
+    u1, projected = leading_left_vectors(stacked, m_hat, gram)
 
     g_maps, x_hat_blocks, anchor_images = [], [], []
-    for x, a, w, inverse in zip(x_tilde, design, widths, inverses):
-        coeff = inverse @ u1
+    for x, b, w, small, inverse in zip(x_tilde, blocks, widths, solve_small,
+                                       inverses):
+        # projected[b] is the design's own D.T @ u1
+        coeff = inverse @ (projected[b] if small else u1)
         if mode == "affine":
             linear, offset = coeff[:-1], coeff[-1]
         else:
@@ -169,9 +184,7 @@ def build_collaboration(shares, mode: str = "affine",
         g = AffineMap(pre_offset=np.zeros(w), linear=linear, post_offset=offset)
         g_maps.append(g)
         x_hat_blocks.append(g.apply(x))
-        # row-major: for m_hat = 1 the product is a matrix-vector one, which
-        # rounds differently on a column-major view
-        anchor_images.append(g.apply(np.ascontiguousarray(a[:, :w])))
+        anchor_images.append(stacked[:, b] @ coeff)
 
     scale = max(np.linalg.norm(img) for img in anchor_images)
     gaps = [np.linalg.norm(a - b) for a, b in combinations(anchor_images, 2)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass, field, fields, asdict
@@ -106,8 +107,9 @@ class TrialReport:
             out[method] = {}
             for metric in METRICS:
                 vals = np.asarray(self.values[method][metric], dtype=float)
-                # one trial: spread undefined, reported as 0; none: mean NaN
-                std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+                # one trial: spread undefined, reported as 0; none: both NaN
+                std = (float(vals.std(ddof=1)) if vals.size > 1
+                       else 0.0 if vals.size else np.nan)
                 mean = float(vals.mean()) if vals.size else np.nan
                 out[method][metric] = {"mean": mean, "std": std}
         return out
@@ -116,13 +118,26 @@ class TrialReport:
         return len(self.trial_seeds) - len(self.aborted)
 
     def to_json(self) -> str:
+        """The report and its aggregate as strict JSON: a NaN or infinite
+        number, which RFC 8259 cannot express, is written as null."""
         payload = {**asdict(self), "aggregate": self.aggregate()}
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                          allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "TrialReport":
         raw = json.loads(text)
         return cls(**{f.name: raw[f.name] for f in fields(cls)})
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
 
 
 def trial_inputs(spec: ExperimentSpec, trial_seed: int,

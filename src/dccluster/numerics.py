@@ -43,6 +43,12 @@ SIGN_TIE_RTOL = 1e-8
 # and eps / GRAM_RTOL = 2.2e-11.  A rotation inside that span rotates
 # everything aligned to it alike, leaving distances and residuals as they
 # are, so the gaps between the leading eigenvalues need no test.
+# well_conditioned_gram applies the same bound to a whole Gram matrix g =
+# a.T @ a, as lam_min / lam_max >= GRAM_RTOL: solving least squares through
+# g then loses about eps * cond(g) <= eps / GRAM_RTOL, and a's singular
+# values have sigma_min / sigma_max >= sqrt(GRAM_RTOL) = 3.2e-3, above
+# pinv's cutoff eps * max(a.shape) for any a of fewer than 1e13 rows, so
+# a's rank is its width without factoring a.
 GRAM_RTOL = 1e-5
 
 
@@ -107,30 +113,51 @@ def svd(a, top_k: int | None = None) -> SvdResult:
     return SvdResult(u=u, s=s, vt=vt)
 
 
-def leading_left_vectors(a, top_k: int) -> np.ndarray:
-    """The top_k leading left singular vectors of a, signs fixed as svd's.
+def leading_left_vectors(a, top_k: int, gram: np.ndarray | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The top_k leading left singular vectors u of a, signs fixed as svd's,
+    and the product a.T @ u.
 
     A matrix taller than it is wide, whose Gram spectrum passes GRAM_RTOL,
-    is factored through its small Gram matrix: u = a @ v / s from the
-    Gram eigenpairs (v, s**2).  Anything else goes to svd(a, top_k).  Like
-    svd, the result does not depend on a's memory layout.
+    is factored through its small Gram matrix g = a.T @ a: with g's
+    eigenpairs (v, s**2), u = a @ v / s and a.T @ u = g @ v / s.
+    `gram` passes g in when the caller has already formed it.  Anything
+    else goes to svd(a, top_k), where a.T @ u = vt.T * s.  Like svd, the
+    result does not depend on a's memory layout.
+    Returns (u, a.T @ u).
     """
     a = np.asfortranarray(as_matrix(a))
     if not 1 <= top_k <= min(a.shape):
         raise ContractViolationError(
             f"top_k must be in [1, {min(a.shape)}], got {top_k}")
     if a.shape[0] > a.shape[1]:
+        g = a.T @ a if gram is None else gram
         try:
-            lam, v = np.linalg.eigh(a.T @ a)
+            lam, v = np.linalg.eigh(g)
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError("eigh", str(exc)) from exc
         lam, v = lam[::-1], v[:, ::-1]
         below = max(lam[top_k], 0.0) if top_k < lam.size else 0.0
         if lam[top_k - 1] - below >= GRAM_RTOL * lam[0] > 0.0:
-            u = a @ v[:, :top_k] / np.sqrt(lam[:top_k])
-            _fix_signs(u)
-            return u
-    return svd(a, top_k).u
+            s = np.sqrt(lam[:top_k])
+            u = a @ v[:, :top_k] / s
+            at_u = g @ v[:, :top_k] / s
+            _fix_signs(u, at_u.T)
+            return u, at_u
+    f = svd(a, top_k)
+    return f.u, f.vt.T * f.s
+
+
+def well_conditioned_gram(g) -> bool:
+    """Whether a Gram matrix g = a.T @ a has eigenvalue ratio
+    lam_min / lam_max at least GRAM_RTOL, which proves a full column rank
+    under pinv's cutoff and bounds what least squares through g loses (see
+    GRAM_RTOL)."""
+    try:
+        lam = np.linalg.eigvalsh(g)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError("eigvalsh", str(exc)) from exc
+    return bool(lam[0] >= GRAM_RTOL * lam[-1] > 0.0)
 
 
 def pinv(a) -> tuple[np.ndarray, int]:

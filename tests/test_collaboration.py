@@ -74,7 +74,7 @@ def reference_alignment(shares, mode, m_hat=None):
     ranks = [np.linalg.matrix_rank(a) for a in design]
     clamped = min(ranks) < m_hat
     m_hat = int(min(ranks)) if clamped else m_hat
-    u1 = leading_left_vectors(stacked, m_hat)
+    u1 = leading_left_vectors(stacked, m_hat)[0]
     x_hat, images = [], []
     for i, anchor in enumerate(anchors):
         coeff = pinv(design[i])[0] @ u1
@@ -89,6 +89,37 @@ def reference_alignment(shares, mode, m_hat=None):
             gap = np.linalg.norm(images[i] - images[j])
             residual = max(residual, gap / scale if scale > 0 else 0.0)
     return np.vstack(x_hat), m_hat, clamped, residual
+
+
+# A row block on the Gram route is solved through D.T @ D, whose condition
+# number that route's guard keeps below 1 / GRAM_RTOL, so x_hat and the
+# residual may differ from the plain pinv's by about eps / GRAM_RTOL =
+# 2.2e-11 relative (the residual is already relative to the images' scale);
+# ranks, m_hat and the clamp stay exact.
+ALIGN_RTOL = np.finfo(np.float64).eps / numerics.GRAM_RTOL
+
+
+def assert_matches_reference(model, reference):
+    x_hat, m_hat, clamped, residual = reference
+    assert (model.m_hat, model.m_hat_clamped) == (m_hat, clamped)
+    assert (np.linalg.norm(model.x_hat - x_hat)
+            <= ALIGN_RTOL * np.linalg.norm(x_hat))
+    assert abs(model.residual - residual) <= ALIGN_RTOL
+
+
+def pinv_inputs(monkeypatch):
+    """Record the shape of every matrix build_collaboration hands to pinv,
+    with the rank pinv counts: (r, w) is a row block's own design, (w, w)
+    its Gram block."""
+    seen, original = [], collaboration.pinv
+
+    def recorded(a):
+        inverse, rank = original(a)
+        seen.append((np.shape(a), rank))
+        return inverse, rank
+
+    monkeypatch.setattr(collaboration, "pinv", recorded)
+    return seen
 
 
 def lattice_shares(c, d, seed, r=60, deficient=()):
@@ -218,10 +249,7 @@ class TestBuildCollaboration:
     def test_matches_reference_bit_for_bit(self, c, d, mode):
         shares = lattice_shares(c, d, seed=10 * c + d)
         model = build_collaboration(shares, mode=mode)
-        x_hat, m_hat, clamped, residual = reference_alignment(shares, mode)
-        assert np.array_equal(model.x_hat, x_hat)
-        assert (model.m_hat, model.m_hat_clamped) == (m_hat, clamped)
-        assert model.residual == residual
+        assert_matches_reference(model, reference_alignment(shares, mode))
 
     @pytest.mark.parametrize("mode", ["affine", "linear"])
     def test_clamp_matches_reference_bit_for_bit(self, mode):
@@ -230,11 +258,9 @@ class TestBuildCollaboration:
         shares = lattice_shares(3, 2, seed=8, deficient={(1, 0), (1, 1)})
         with pytest.warns(RuntimeWarning, match="clamped"):
             model = build_collaboration(shares, mode=mode, m_hat=3)
-        x_hat, m_hat, clamped, residual = reference_alignment(shares, mode, 3)
-        assert clamped and m_hat == (2 if mode == "affine" else 1)
-        assert np.array_equal(model.x_hat, x_hat)
-        assert (model.m_hat, model.m_hat_clamped) == (m_hat, clamped)
-        assert model.residual == residual
+        reference = reference_alignment(shares, mode, 3)
+        assert reference[1:3] == ((2 if mode == "affine" else 1), True)
+        assert_matches_reference(model, reference)
 
     @pytest.mark.parametrize("mode", ["affine", "linear"])
     @pytest.mark.parametrize("r", [1, 2])
@@ -244,11 +270,56 @@ class TestBuildCollaboration:
         shares = lattice_shares(2, 2, seed=9, r=r)
         with pytest.warns(RuntimeWarning, match="clamped"):
             model = build_collaboration(shares, mode=mode)
-        x_hat, m_hat, clamped, residual = reference_alignment(shares, mode)
-        assert clamped and m_hat == r
-        assert np.array_equal(model.x_hat, x_hat)
-        assert (model.m_hat, model.m_hat_clamped) == (m_hat, clamped)
-        assert model.residual == residual
+        reference = reference_alignment(shares, mode)
+        assert reference[1:3] == (r, True)
+        assert_matches_reference(model, reference)
+
+    def test_gram_ratio_just_below_the_bound_factors_the_design(
+            self, monkeypatch):
+        # two row blocks whose Gram blocks have eigenvalue ratio 0.99 and
+        # 1.01 times GRAM_RTOL: only the second is solved through its Gram
+        # block, and both still match the plain pinv
+        rng = np.random.default_rng(21)
+        r = 80
+        shares = []
+        for i, ratio in enumerate((0.99, 1.01)):
+            q = np.linalg.qr(rng.normal(size=(r, 2)))[0]
+            turn = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+            s = np.sqrt([1.0, ratio * numerics.GRAM_RTOL])
+            shares.append(UserShareMsg(party=(i, 0),
+                                       x_tilde=rng.normal(size=(10, 2)),
+                                       anchor_tilde=(q * s) @ turn))
+        seen = pinv_inputs(monkeypatch)
+        model = build_collaboration(shares, mode="linear")
+        assert [shape for shape, _ in seen] == [(r, 2), (2, 2)]
+        assert_matches_reference(model, reference_alignment(shares, "linear"))
+
+    @pytest.mark.parametrize("mode", ["affine", "linear"])
+    def test_deficient_block_keeps_its_singular_value_rank(self, monkeypatch,
+                                                           mode):
+        shares = lattice_shares(3, 2, seed=8, deficient={(1, 0), (1, 1)})
+        seen = pinv_inputs(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            model = build_collaboration(shares, mode=mode, m_hat=3)
+        ones = [np.ones((60, 1))] if mode == "affine" else []
+        design = np.hstack([s.anchor_tilde for s in shares[2:4]] + ones)
+        rank = np.linalg.matrix_rank(design)
+        assert seen[1] == (design.shape, rank)
+        assert (model.m_hat, model.m_hat_clamped) == (rank, True)
+        assert [shape[0] == shape[1] for shape, _ in seen] == [True, False, True]
+
+    def test_rank_counted_where_the_gram_block_would_lose_it(self):
+        # singular values 1 and 1e-10: pinv's cutoff on the design, about
+        # 1e-14, keeps both, while the Gram block's 1e-20 is below its own
+        # cutoff; the rank is the design's, so nothing clamps
+        rng = np.random.default_rng(22)
+        q = np.linalg.qr(rng.normal(size=(50, 2)))[0]
+        shares = [UserShareMsg(party=(0, 0), x_tilde=rng.normal(size=(10, 2)),
+                               anchor_tilde=q * [1.0, 1e-10]),
+                  UserShareMsg(party=(1, 0), x_tilde=rng.normal(size=(10, 2)),
+                               anchor_tilde=rng.normal(size=(50, 2)))]
+        model = build_collaboration(shares, mode="linear")
+        assert (model.m_hat, model.m_hat_clamped) == (2, False)
 
     def test_bad_mode(self):
         shares = equal_range_shares(2, 2, seed=7, with_offsets=False)
@@ -275,6 +346,15 @@ def test_the_call_counts_the_benchmark_pins(monkeypatch):
         count(module, name)
     shares = lattice_shares(3, 2, seed=4, r=200)
     model = build_collaboration(shares)
+    assert (calls["pinv"], calls["svd"]) == (3, 0)
+    # a deficient row block factors its own design; the others stay on the
+    # Gram route, and the count is still one pinv per row block
+    calls.clear()
+    seen = pinv_inputs(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="clamped"):
+        build_collaboration(lattice_shares(3, 2, seed=4, r=200,
+                                           deficient={(1, 0), (1, 1)}))
+    assert [shape[0] for shape, _ in seen] == [5, 200, 6]
     assert (calls["pinv"], calls["svd"]) == (3, 0)
     calls.clear()
     fit = kmeans(model.x_hat, 3, rng_seed=0, restarts=1)

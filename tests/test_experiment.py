@@ -291,6 +291,31 @@ class TestRunExperiment:
             for metric in METRICS:
                 assert np.isnan(agg[method][metric]["mean"])
 
+    def test_every_trial_aborted_reports_no_spread(self, tmp_path):
+        report = run_experiment(tiny_spec(k=31, trials=2))
+        agg = report.aggregate()
+        for method in report.methods:
+            for metric in METRICS:
+                assert np.isnan(agg[method][metric]["std"])
+        (path,) = emit_report(report, formats=["markdown-table"],
+                              out_dir=str(tmp_path))
+        with open(path) as fh:
+            assert "(0.000)" not in fh.read()
+
+    def test_every_trial_aborted_writes_strict_json(self, tmp_path):
+        report = run_experiment(tiny_spec(k=31, trials=2))
+        (path,) = emit_report(report, formats=["json"], out_dir=str(tmp_path))
+        with open(path) as fh:
+            text = fh.read()
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        raw = json.loads(text, parse_constant=refuse)
+        assert raw["aggregate"]["proposed"]["ari"] == {"mean": None,
+                                                      "std": None}
+        assert TrialReport.from_json(text) == report
+
     def test_failed_fits_abort_their_trials_at_once(self, monkeypatch):
         # iris has 4 features, so d = 3 leaves a one-feature column block
         # whose institutions cannot fit; no trial may wait out its timeout

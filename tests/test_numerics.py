@@ -149,6 +149,7 @@ def with_singular_values(s, rows, cols, seed):
 class TestLeadingLeftVectors:
     """Every case matches svd(a, top_k).u within 1e-12, which also pins the
     column signs (a flipped column is off by twice its largest entry), and
+    the returned a.T @ u matches that product within 1e-12 of a's scale;
     counting numerics.svd calls tells the Gram route from the fallback."""
 
     def svd_calls(self, monkeypatch, a, top_k):
@@ -159,9 +160,10 @@ class TestLeadingLeftVectors:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(numerics, "svd", counted)
-        u = leading_left_vectors(a, top_k)
+        u, at_u = leading_left_vectors(a, top_k)
         assert u.shape == (a.shape[0], top_k)
         assert np.abs(u - svd(a, top_k).u).max() <= 1e-12
+        assert np.abs(at_u - a.T @ u).max() <= 1e-12 * np.abs(a).max()
         return len(calls)
 
     def test_tall_well_separated_stack_takes_the_gram_route(self, monkeypatch):
@@ -193,8 +195,10 @@ class TestLeadingLeftVectors:
 
     def test_layout_does_not_change_a_bit(self):
         a = rand((400, 9), 5)
-        assert np.array_equal(leading_left_vectors(a, 3),
-                              leading_left_vectors(np.asfortranarray(a), 3))
+        for c_order, f_order in zip(
+                leading_left_vectors(a, 3),
+                leading_left_vectors(np.asfortranarray(a), 3)):
+            assert np.array_equal(c_order, f_order)
 
     def test_top_k_bounds(self):
         for top_k in (0, 6):
