@@ -115,7 +115,7 @@ def _cmd_user(args) -> int:
         raise ConfigurationError(f"--party expects i,j, got {args.party!r}")
     host, port = _parse_hostport(args.connect)
     ds, part, anchor, cfg = _session_pieces(spec, args.timeout)
-    blocks, anchor_blocks = _session_inputs(ds.features, part, anchor,
+    blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg,
                                             [(i, j)])
     endpoint = TcpUserEndpoint(host, port, timeout=cfg.timeout)
     try:

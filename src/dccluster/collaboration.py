@@ -1,9 +1,10 @@
 """Collaborative representation learning over a lattice partition.
 
-Each institution reduces its block with a privately fitted affine map
-(standardization followed by principal axes, strictly fewer output than
-input dimensions) and shares only the transformed block plus the transformed
-anchor.  The analyst aligns the per-row-block representations by factoring
+Each institution reduces its block with a privately fitted affine map f
+(centring, a per-feature rescaling only when asked, then principal axes,
+strictly fewer output than input dimensions) and shares only the
+transformed block plus the transformed anchor; f itself never leaves the
+fit.  The analyst aligns the per-row-block representations by factoring
 the stacked anchor images: the leading left singular vectors give a common
 target, and each row block gets the least-squares (affine or linear) map of
 its anchor image onto that target.  Applying those maps to the data blocks
@@ -19,8 +20,8 @@ import numpy as np
 
 from .clustering import kmeans, spectral_embedding
 from .errors import ConfigurationError, ContractViolationError
-from .numerics import (as_matrix, leading_left_vectors, pinv, standardize,
-                       svd, well_conditioned_gram)
+from .numerics import (as_matrix, leading_left_vectors, pinv, svd,
+                       well_conditioned_gram)
 
 # the choices the analyst's dispatchers below accept
 ALGORITHMS = ("kmeans", "spectral")
@@ -29,18 +30,17 @@ MODES = ("linear", "affine")
 
 @dataclass
 class AffineMap:
-    """x -> (x - pre_offset) @ linear + post_offset."""
+    """The analyst's map of a row block: x -> x @ linear + offset."""
 
-    pre_offset: np.ndarray
     linear: np.ndarray
-    post_offset: np.ndarray
+    offset: np.ndarray
 
     def apply(self, x) -> np.ndarray:
         x = as_matrix(x)
         if x.shape[1] != self.linear.shape[0]:
             raise ContractViolationError(
                 f"map expects {self.linear.shape[0]} columns, got {x.shape[1]}")
-        return (x - self.pre_offset) @ self.linear + self.post_offset
+        return x @ self.linear + self.offset
 
 
 @dataclass
@@ -54,21 +54,22 @@ class CollaborationModel:
 
 
 def fit_intermediate(x_block, anchor_block, target_dim: int, *, scale: bool):
-    """Fit an institution's private map and transform its block and anchor.
+    """Fit an institution's private map f and transform its block and anchor.
 
-    The map standardizes the block (population std, fitted locally) and
-    projects onto the top target_dim principal axes.  target_dim must be
-    strictly below the block's feature count; the reduction is what keeps
-    the raw block unrecoverable.  The fit is deterministic.
+    f centres the block on its own means and projects onto the top
+    target_dim principal axes.  scale=False, the default of every config,
+    fits those axes to the raw covariance.  scale=True first divides each
+    feature by its population std (a constant feature by 1), fitted
+    locally, so the axes follow the correlation matrix instead.  When
+    features share a unit and informativeness tracks variance, rescaling
+    levels the spectrum and the fitted axes stop agreeing across
+    institutions; the centre-only map keeps them consistent.  target_dim
+    must be strictly below the block's feature count; the reduction is what
+    keeps the raw block unrecoverable.  The fit is deterministic.
 
-    scale=False keeps the centering but skips the per-feature variance
-    rescaling, so the principal axes follow raw covariance.  When features
-    share a unit and informativeness tracks variance, rescaling levels the
-    spectrum and the fitted axes stop agreeing across institutions; the
-    centre-only map keeps them consistent.
-
-    Returns (map, x_tilde, anchor_tilde): the map, the transformed block and
-    the transformed anchor restricted to this institution's columns.
+    Returns (x_tilde, anchor_tilde): the transformed block and the
+    transformed anchor restricted to this institution's columns, the two
+    matrices its share carries.  f itself is never returned.
     """
     x_block = as_matrix(x_block, "x_block")
     anchor_block = as_matrix(anchor_block, "anchor_block")
@@ -81,14 +82,16 @@ def fit_intermediate(x_block, anchor_block, target_dim: int, *, scale: bool):
             f"target_dim must be in [1, {m - 1}] to reduce dimension, got {target_dim}")
     if n < 2:
         raise ContractViolationError("fit needs at least 2 rows")
-    x_std, means, scales = standardize(x_block)
-    if not scale:
-        scales = np.ones_like(scales)
-        x_std = x_block - means
-    axes = svd(x_std, top_k=target_dim).vt.T
-    f = AffineMap(pre_offset=means, linear=axes / scales[:, None],
-                  post_offset=np.zeros(target_dim))
-    return f, f.apply(x_block), f.apply(anchor_block)
+    means = x_block.mean(axis=0)
+    centred = x_block - means
+    if scale:
+        scales = np.sqrt(np.mean(centred * centred, axis=0))  # population std
+        scales[scales == 0.0] = 1.0
+        axes = svd(centred / scales, top_k=target_dim).vt.T
+        linear = axes / scales[:, None]
+    else:
+        linear = svd(centred, top_k=target_dim).vt.T
+    return centred @ linear, (anchor_block - means) @ linear
 
 
 def _grouped_by_row(shares) -> list[list]:
@@ -173,15 +176,14 @@ def build_collaboration(shares, mode: str = "affine",
     u1, projected = leading_left_vectors(stacked, m_hat, gram)
 
     g_maps, x_hat_blocks, anchor_images = [], [], []
-    for x, b, w, small, inverse in zip(x_tilde, blocks, widths, solve_small,
-                                       inverses):
+    for x, b, small, inverse in zip(x_tilde, blocks, solve_small, inverses):
         # projected[b] is the design's own D.T @ u1
         coeff = inverse @ (projected[b] if small else u1)
         if mode == "affine":
             linear, offset = coeff[:-1], coeff[-1]
         else:
             linear, offset = coeff, np.zeros(m_hat)
-        g = AffineMap(pre_offset=np.zeros(w), linear=linear, post_offset=offset)
+        g = AffineMap(linear=linear, offset=offset)
         g_maps.append(g)
         x_hat_blocks.append(g.apply(x))
         anchor_images.append(stacked[:, b] @ coeff)

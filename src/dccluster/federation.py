@@ -502,7 +502,7 @@ def user_step(party, block, anchor_block, cfg: SessionConfig) -> UserShareMsg:
     if block.shape[1] < 2:
         raise ConfigurationError(
             "blocks need at least 2 features to reduce dimension")
-    _, x_tilde, anchor_tilde = fit_intermediate(
+    x_tilde, anchor_tilde = fit_intermediate(
         block, anchor_block, block.shape[1] - 1, scale=cfg.scale)
     return UserShareMsg(party=party, x_tilde=x_tilde,
                         anchor_tilde=anchor_tilde, config=cfg.echo())
@@ -654,17 +654,15 @@ def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
                                           analyst_endpoint.received_count))
 
 
-def _check_lattice(cfg: SessionConfig, partition):
+def _session_inputs(x, partition, anchor, cfg: SessionConfig, parties=None):
+    """The blocks of `parties`, by default the whole lattice, and the
+    anchor's columns for each of their column blocks.  A config lattice
+    other than the partition's, or a party outside it, is a
+    ConfigurationError."""
     if (cfg.c, cfg.d) != (partition.c, partition.d):
         raise ConfigurationError(
             f"config lattice {cfg.c}x{cfg.d} differs from the partition's "
             f"{partition.c}x{partition.d}")
-
-
-def _session_inputs(x, partition, anchor, parties=None):
-    """The blocks of `parties`, by default the whole lattice, and the
-    anchor's columns for each of their column blocks.  A party outside the
-    lattice is a ConfigurationError."""
     lattice = [(i, j) for i in range(partition.c) for j in range(partition.d)]
     outside = sorted(set(parties or ()) - set(lattice))
     if outside:
@@ -684,8 +682,8 @@ def run_dc_clustering(x, partition, anchor, cfg: SessionConfig) -> AnalystReport
     first); use the partition's row_order() to map back to dataset order.
     The report equals a session's on the same inputs bit for bit.
     """
-    _check_lattice(cfg, partition)
-    blocks, anchor_blocks = _session_inputs(as_matrix(x), partition, anchor)
+    blocks, anchor_blocks = _session_inputs(as_matrix(x), partition, anchor,
+                                            cfg)
     shares = [user_step(p, blocks[p], anchor_blocks[p[1]], cfg)
               for p in sorted(blocks)]
     return analyst_report(*analyst_step(shares, cfg))
@@ -694,8 +692,7 @@ def run_dc_clustering(x, partition, anchor, cfg: SessionConfig) -> AnalystReport
 def run_in_process_session(x, partition, anchor, cfg: SessionConfig) -> SessionOutcome:
     """Full session over queue transports: one thread per institution, and
     the analyst on the calling thread."""
-    _check_lattice(cfg, partition)
-    blocks, anchor_blocks = _session_inputs(x, partition, anchor)
+    blocks, anchor_blocks = _session_inputs(x, partition, anchor, cfg)
     inbox = Inbox()
     return _run_session(cfg, blocks, anchor_blocks, inbox,
                         lambda p: InProcessUserEndpoint(inbox))
@@ -704,8 +701,7 @@ def run_in_process_session(x, partition, anchor, cfg: SessionConfig) -> SessionO
 def run_tcp_session(x, partition, anchor, cfg: SessionConfig,
                     host: str = "127.0.0.1") -> SessionOutcome:
     """Full session over localhost sockets on an ephemeral port."""
-    _check_lattice(cfg, partition)
-    blocks, anchor_blocks = _session_inputs(x, partition, anchor)
+    blocks, anchor_blocks = _session_inputs(x, partition, anchor, cfg)
     analyst = TcpAnalystEndpoint(host=host, timeout=cfg.timeout)
     try:
         return _run_session(cfg, blocks, anchor_blocks, analyst,

@@ -123,15 +123,21 @@ def leading_left_vectors(a, top_k: int, gram: np.ndarray | None = None
     eigenpairs (v, s**2), u = a @ v / s and a.T @ u = g @ v / s.
     `gram` passes g in when the caller has already formed it.  Anything
     else goes to svd(a, top_k), where a.T @ u = vt.T * s.  Like svd, the
-    result does not depend on a's memory layout.
+    result does not depend on a's memory layout.  A NaN or Inf in a reaches
+    g's diagonal, so a tall a is scanned for one only when g is not finite;
+    svd scans whatever it is given.
     Returns (u, a.T @ u).
     """
-    a = np.asfortranarray(as_matrix(a))
+    a = np.asfortranarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ContractViolationError(f"matrix must be 2-D, got shape {a.shape}")
     if not 1 <= top_k <= min(a.shape):
         raise ContractViolationError(
             f"top_k must be in [1, {min(a.shape)}], got {top_k}")
     if a.shape[0] > a.shape[1]:
         g = a.T @ a if gram is None else gram
+        if not np.all(np.isfinite(g)):
+            as_matrix(a)
         try:
             lam, v = np.linalg.eigh(g)
         except np.linalg.LinAlgError as exc:
@@ -248,18 +254,3 @@ def eig_symmetric(a, top_k: int | None = None) -> EigResult:
                 vectors[:, start:end] = vectors[:, start:end][:, order]
             start = end
     return EigResult(values=values, vectors=vectors)
-
-
-def standardize(x):
-    """Center columns and divide by their population standard deviation.
-
-    Returns (standardized, means, scales).  Zero-variance columns get scale
-    1.0 so they pass through as zeros instead of dividing by zero.
-    """
-    x = as_matrix(x)
-    if x.shape[0] < 1:
-        raise ContractViolationError("standardize needs at least one row")
-    means = x.mean(axis=0)
-    scales = x.std(axis=0)  # population std, divisor n
-    scales = np.where(scales == 0.0, 1.0, scales)
-    return (x - means) / scales, means, scales

@@ -6,7 +6,7 @@ import pytest
 
 from dccluster import clustering, collaboration, numerics
 from dccluster.clustering import assign_nearest, kmeans
-from dccluster.collaboration import (AffineMap, fit_intermediate,
+from dccluster.collaboration import (fit_intermediate,
                                      build_collaboration,
                                      make_clustering_representation,
                                      analyst_cluster)
@@ -141,6 +141,43 @@ def lattice_shares(c, d, seed, r=60, deficient=()):
     return shares
 
 
+def reference_fit(x, anchor, target_dim, scale):
+    """The fit as first written, kept as the reference: the block is
+    standardized (centred, then divided by its population std, a constant
+    column by 1), and the private map is the three-field
+    (x - pre_offset) @ linear + post_offset, with a zero post_offset,
+    applied to the block and to the anchor."""
+    means = x.mean(axis=0)
+    scales = x.std(axis=0)
+    scales = np.where(scales == 0.0, 1.0, scales)
+    x_std = (x - means) / scales
+    if not scale:
+        scales = np.ones_like(scales)
+        x_std = x - means
+    pre_offset = means
+    linear = svd(x_std, top_k=target_dim).vt.T / scales[:, None]
+    post_offset = np.zeros(target_dim)
+    return ((x - pre_offset) @ linear + post_offset,
+            (anchor - pre_offset) @ linear + post_offset)
+
+
+def fit_inputs(m, seed):
+    """(kind, block, anchor) triples of width m: real-valued features of
+    mixed scales, one of them constant, and integer-valued features whose
+    block holds a row equal to its mean, as the anchor does."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 40))
+    x = rng.normal(size=(n, m)) * rng.uniform(0.1, 5.0, m) + rng.normal(size=m)
+    anchor = rng.uniform(-4, 4, size=(int(rng.integers(2, 30)), m))
+    constant = x.copy()
+    constant[:, rng.integers(m)] = rng.normal()
+    half = rng.integers(-5, 6, size=(n // 2 + 1, m)).astype(float)
+    integer = np.vstack([half, -half, np.zeros((1, m))]) + rng.integers(-3, 4, m)
+    integer_anchor = np.vstack([anchor.round(), integer.mean(axis=0)])
+    return [("real", x, anchor), ("constant", constant, anchor),
+            ("integer", integer, integer_anchor)]
+
+
 class TestFitIntermediate:
     def setup_method(self):
         rng = np.random.default_rng(0)
@@ -148,16 +185,33 @@ class TestFitIntermediate:
         self.anchor = rng.uniform(-4, 4, size=(20, 5))
 
     def test_share_shapes(self):
-        f, x_tilde, anchor_tilde = fit_intermediate(self.x, self.anchor, 3,
-                                                    scale=True)
+        x_tilde, anchor_tilde = fit_intermediate(self.x, self.anchor, 3,
+                                                 scale=True)
         assert x_tilde.shape == (30, 3)
         assert anchor_tilde.shape == (20, 3)
 
+    @pytest.mark.parametrize("scale", [True, False])
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_matches_the_reference_fit_bit_for_bit(self, m, scale):
+        for seed in range(5):
+            for kind, x, anchor in fit_inputs(m, seed):
+                for target_dim in range(1, m):
+                    got = fit_intermediate(x, anchor, target_dim, scale=scale)
+                    want = reference_fit(x, anchor, target_dim, scale)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w), (kind, seed, target_dim)
+                        assert np.array_equal(np.signbit(g), np.signbit(w)), (
+                            kind, seed, target_dim)
+
     def test_same_fitted_map_for_anchor(self):
-        f, x_tilde, anchor_tilde = fit_intermediate(self.x, self.anchor, 2,
-                                                    scale=True)
-        assert np.allclose(f.apply(self.x), x_tilde)
-        assert np.allclose(f.apply(self.anchor), anchor_tilde)
+        # the anchor goes through the block's map, fitted on the block
+        # alone: an anchor that repeats the block comes back as the block's
+        # own image, and the rest as the plain anchor's
+        x_tilde, anchor_tilde = fit_intermediate(
+            self.x, np.vstack([self.x, self.anchor]), 2, scale=True)
+        _, plain = fit_intermediate(self.x, self.anchor, 2, scale=True)
+        assert np.allclose(anchor_tilde[:30], x_tilde)
+        assert np.allclose(anchor_tilde[30:], plain)
 
     def test_must_reduce_dimension(self):
         with pytest.raises(ContractViolationError):
@@ -170,21 +224,49 @@ class TestFitIntermediate:
             fit_intermediate(self.x, self.anchor[:, :4], 2, scale=True)
 
     def test_scaled_variant_standardizes(self):
-        _, x_tilde, _ = fit_intermediate(self.x, self.anchor, 4, scale=True)
+        x_tilde, _ = fit_intermediate(self.x, self.anchor, 4, scale=True)
         # projected through unit-variance axes: coordinates stay O(1)
         assert x_tilde.std(axis=0).max() < 3
 
+    def test_scaled_variant_divides_by_the_population_std(self):
+        # (1, 2, 3) has population std sqrt(2/3); one axis, of either
+        # sign, keeps it all
+        x = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        x_tilde, anchor_tilde = fit_intermediate(x, [[4.0, 0.0]], 1,
+                                                 scale=True)
+        sign = np.sign(x_tilde[2, 0])
+        assert np.allclose(sign * x_tilde[:, 0],
+                           np.array([-1, 0, 1]) / np.sqrt(2 / 3))
+        assert np.allclose(sign * anchor_tilde, 2 / np.sqrt(2 / 3))
+
+    def test_scaled_variant_passes_a_constant_feature_through(self):
+        # a zero std divides by 1, so the centred feature stays all zeros
+        # and the fit is the one without it
+        x = self.x.copy()
+        x[:, 2] = 5.0
+        x_tilde, anchor_tilde = fit_intermediate(x, self.anchor, 3, scale=True)
+        assert np.isfinite(x_tilde).all() and np.isfinite(anchor_tilde).all()
+        kept = [0, 1, 3, 4]
+        without = fit_intermediate(x[:, kept], self.anchor[:, kept], 3,
+                                   scale=True)
+        assert np.allclose(x_tilde, without[0], atol=1e-12)
+        assert np.allclose(anchor_tilde, without[1], atol=1e-12)
+
     def test_center_only_variant(self):
-        f, x_tilde, _ = fit_intermediate(self.x, self.anchor, 2, scale=False)
+        x_tilde, anchor_tilde = fit_intermediate(self.x, self.anchor, 2,
+                                                 scale=False)
         mu = self.x.mean(axis=0)
-        # the map subtracts the block mean, then projects orthonormally
-        assert np.allclose(f.pre_offset, mu)
-        assert np.allclose(f.linear.T @ f.linear, np.eye(2), atol=1e-10)
-        proj = (self.x - mu) @ f.linear
-        assert np.allclose(proj, x_tilde)
+        # the map subtracts the block mean, then projects onto the
+        # orthonormal principal axes of the centred block, anchor included
+        axes = svd(self.x - mu, top_k=2).vt.T
+        assert np.allclose(x_tilde, (self.x - mu) @ axes)
+        assert np.allclose(anchor_tilde, (self.anchor - mu) @ axes)
+        assert np.allclose(x_tilde.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(x_tilde.T @ x_tilde,
+                           np.diag(svd(self.x - mu).s[:2] ** 2))
 
     def test_center_only_keeps_dominant_variance(self):
-        _, x_tilde, _ = fit_intermediate(self.x, self.anchor, 1, scale=False)
+        x_tilde, _ = fit_intermediate(self.x, self.anchor, 1, scale=False)
         total = ((self.x - self.x.mean(axis=0)) ** 2).sum()
         kept = (x_tilde ** 2).sum()
         assert kept / total > 0.5
@@ -399,7 +481,7 @@ class TestAlignmentTheory:
             for dim in (1, rank):
                 shares = []
                 for i, idx in enumerate(rows):
-                    _, x_tilde, anchor_tilde = fit_intermediate(
+                    x_tilde, anchor_tilde = fit_intermediate(
                         x[idx], anchor, dim, scale=False)
                     shares.append(UserShareMsg(party=(i, 0), x_tilde=x_tilde,
                                                anchor_tilde=anchor_tilde))

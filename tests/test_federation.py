@@ -770,7 +770,7 @@ class TestFullSession:
         # themselves, must not abort a session the real parties can finish
         ds, part, anchor, cfg = small_session_inputs(seed=7)
         local = run_in_process_session(ds.features, part, anchor, cfg)
-        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
         analyst = TcpAnalystEndpoint(timeout=cfg.timeout)
         raws = []
         try:
@@ -799,7 +799,7 @@ class TestFullSession:
         # finish, whatever exception the JSON parser raises on it
         ds, part, anchor, cfg = small_session_inputs(seed=7)
         local = run_in_process_session(ds.features, part, anchor, cfg)
-        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
         inbox = Inbox()
         frame = encode_message(sample_share())
         for edit in HOSTILE_HEADERS.values():
@@ -815,7 +815,7 @@ class TestFullSession:
         ds, part, anchor, cfg = small_session_inputs(seed=7)
         cfg = dataclasses.replace(cfg, timeout=5.0)
         local = run_in_process_session(ds.features, part, anchor, cfg)
-        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
         analyst = TcpAnalystEndpoint(timeout=0.2)
         try:
             with socket.create_connection(("127.0.0.1", analyst.port),
@@ -935,7 +935,7 @@ class TestFullSession:
         # shares are read; their users must not wait out the 30 s deadline
         ds, part, anchor, cfg = small_session_inputs()
         cfg = dataclasses.replace(cfg, timeout=30.0)
-        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
         inbox = Inbox()
         other = dataclasses.replace(cfg, k=3)
         InProcessUserEndpoint(inbox).send(

@@ -2,7 +2,8 @@
 seed modules stay below the protocol: the wire format, the party runners,
 the experiment runner and the CLI may import them, never the other way
 round.  The protocol in turn stays below the experiment runner and the
-CLI."""
+CLI.  And every top-level function and class serves the package itself,
+not only its tests."""
 
 import ast
 import importlib.util
@@ -63,3 +64,47 @@ def test_every_benchmark_hook_resolves(monkeypatch):
     missing = [(module, name) for module, name, *_ in tracing.HOOKS
                if not hasattr(importlib.import_module(module), name)]
     assert tracing.HOOKS and missing == []
+
+
+def unreferenced_definitions(package):
+    """The top-level functions and classes of `package`'s modules that no
+    code in `package` names outside their own definition, as
+    "module.name"."""
+    definitions, references = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        definitions += [(path.stem, node.name, node.lineno, node.end_lineno)
+                        for node in tree.body
+                        if isinstance(node, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef,
+                                             ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((node.id, path.stem, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((node.attr, path.stem, node.lineno))
+            elif isinstance(node, ast.alias):
+                references.append((node.name.rpartition(".")[2], path.stem,
+                                   node.lineno))
+    return [f"{module}.{name}" for module, name, first, last in definitions
+            if not any(ref == name and (where != module
+                                        or not first <= line <= last)
+                       for ref, where, line in references)]
+
+
+def test_every_definition_is_used_by_the_package():
+    """A function or class that only tests call is dead code."""
+    assert unreferenced_definitions(PACKAGE) == []
+
+
+def test_the_dead_code_check_sees_self_reference_and_imports(tmp_path):
+    (tmp_path / "a.py").write_text("def loop(n):\n"
+                                   "    return loop(n - 1)\n"
+                                   "class Used:\n"
+                                   "    pass\n"
+                                   "def caller():\n"
+                                   "    return b.helper()\n")
+    (tmp_path / "b.py").write_text("from .a import Used\n"
+                                   "def helper():\n"
+                                   "    return 1\n")
+    assert unreferenced_definitions(tmp_path) == ["a.loop", "a.caller"]

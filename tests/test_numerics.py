@@ -5,7 +5,7 @@ import scipy.sparse
 from dccluster import numerics
 from dccluster.errors import ContractViolationError
 from dccluster.numerics import (as_matrix, svd, pinv, eig_symmetric,
-                                leading_left_vectors, standardize)
+                                leading_left_vectors)
 
 
 def rand(shape, seed):
@@ -205,6 +205,21 @@ class TestLeadingLeftVectors:
             with pytest.raises(ContractViolationError):
                 leading_left_vectors(rand((8, 5), 6), top_k)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape", [(40, 5), (5, 40)])
+    def test_rejects_nan_and_inf_with_and_without_gram(self, bad, shape):
+        a = rand(shape, 7)
+        a[3, 2] = bad
+        with np.errstate(invalid="ignore"):
+            gram = a.T @ a
+        for given in (None, gram):
+            with pytest.raises(ContractViolationError, match="NaN or Inf"):
+                leading_left_vectors(a, 2, given)
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(ContractViolationError, match="2-D"):
+            leading_left_vectors(np.ones(5), 1)
+
 
 class TestEigSymmetric:
     def test_ascending_and_orthonormal(self):
@@ -294,36 +309,3 @@ class TestEigSymmetric:
             eig_symmetric(scipy.sparse.csr_array((4, 5)), top_k=2)
         with pytest.raises(ContractViolationError, match="top_k"):
             eig_symmetric(self.path_laplacian(8), top_k=9)
-
-
-class TestStandardize:
-    def test_hand_example(self):
-        out, means, scales = standardize(np.array([[1.0], [2.0], [3.0]]))
-        # population std of (1,2,3) around 2 is sqrt(2/3)
-        assert np.allclose(means, [2.0])
-        assert np.allclose(scales, [np.sqrt(2.0 / 3.0)])
-        assert np.allclose(out[:, 0], np.array([-1, 0, 1]) / np.sqrt(2.0 / 3.0))
-
-    def test_constant_column(self):
-        out, means, scales = standardize(np.full((3, 1), 5.0))
-        assert np.allclose(out, 0.0)
-        assert scales[0] == 1.0 and means[0] == 5.0
-
-    def test_output_moments(self):
-        x = rand((40, 6), 21) * 7 + 3
-        out, _, _ = standardize(x)
-        assert np.allclose(out.mean(axis=0), 0, atol=1e-12)
-        assert np.allclose(out.std(axis=0), 1, atol=1e-12)
-
-    def test_idempotent_on_fitted_output(self):
-        x = rand((25, 4), 30)
-        once, _, _ = standardize(x)
-        twice, _, _ = standardize(once)
-        assert np.allclose(once, twice, atol=1e-12)
-
-    def test_fitted_transform_reapplies_to_new_rows(self):
-        x = rand((30, 3), 14)
-        _, means, scales = standardize(x)
-        fresh = rand((10, 3), 15)
-        manual = (fresh - means) / scales
-        assert np.isfinite(manual).all()

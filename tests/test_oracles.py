@@ -24,7 +24,7 @@ def lattice_shares(c, d, seed):
     anchor = generate_anchor(feature_bounds(ds.features), r=40,
                              rng_seed=seed + 2)
     cfg = SessionConfig(c=c, d=d, k=3, master_seed=seed, timeout=1.0)
-    blocks, anchor_blocks = _session_inputs(ds.features, part, anchor)
+    blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
     return [user_step(p, blocks[p], anchor_blocks[p[1]], cfg)
             for p in sorted(blocks)], cfg
 
