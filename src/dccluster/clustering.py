@@ -3,6 +3,10 @@
 Both algorithms are deterministic given a seed: k-means uses squared-distance
 weighted seeding with cumulative-probability sampling, Lloyd updates with an
 explicit empty-cluster repair, and an early stop when assignments repeat.
+Each assignment pass holds its distances centroid-major, as a k x n array
+whose rows run over the points, and labels a point by a strict `<` compare
+of each centroid's row against the running minimum, so a tie goes to the
+lowest centroid index.
 
 Spectral clustering never forms an n x n dense array.  A kd-tree finds each
 point's nearest neighbours, ranked by (squared distance, index) so that ties
@@ -48,22 +52,68 @@ class SpectralEmbedding:
     components: int
 
 
-def sqdist(a: np.ndarray, b: np.ndarray, aa: np.ndarray | None = None
-           ) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at zero.
+def sqdist(a: np.ndarray, b: np.ndarray, aa: np.ndarray | None = None,
+           out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Pairwise squared Euclidean distances aa + bb - 2 a b^T, clipped at zero.
 
-    aa, a's squared row norms as a column, may be passed in when a is used
-    again.
+    The n x k result is the transpose of a k x n array, so every step after
+    the product runs along rows of length n rather than k.  The product
+    stays the BLAS call a @ b.T, whose bits b @ a.T does not always repeat
+    (it differed in the last bits at k = 16, n = 4500 on OpenBLAS 0.3.31).
+    aa, a's squared row norms, may be passed in when a is used again, and
+    out, a k x n and an n x k scratch array, when the shapes repeat.
     """
+    # the method is np.sum's add.reduce without its dispatch, which costs
+    # more than the sum itself at a few centroids
     if aa is None:
-        aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+        aa = (a * a).sum(axis=1)
+    bb = (b * b).sum(axis=1)[:, None]
+    if out is None:
+        out = _scratch(a.shape[0], b.shape[0])
+    d2, ab = out
+    np.matmul(a, b.T, out=ab)
+    ab *= 2.0
+    np.add(aa, bb, out=d2)
+    d2 -= ab.T
+    np.maximum(d2, 0.0, out=d2)
+    return d2.T
+
+
+def _scratch(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.empty((k, n)), np.empty((n, k))
+
+
+def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest centroid, ties to the lowest index as argmin's,
+    and its distance, from sqdist's n x k view.
+
+    The k x n base is compared one centroid row at a time against a running
+    minimum, kept in (and overwriting) its first row.
+    """
+    rows = d2.T
+    k, n = rows.shape
+    best = rows[0]
+    kind = np.uint8 if k <= 256 else np.intp
+    labels, pick = np.zeros(n, kind), np.empty(n, kind)
+    closer = np.empty(n, bool)
+    step = closer.view(np.uint8)
+    for j in range(1, k):
+        row = rows[j]
+        np.less(row, best, out=closer)
+        np.minimum(best, row, out=best)
+        # every label is below j, so the max sets j exactly where closer
+        # holds; an arithmetic select, where a masked store would branch
+        np.multiply(step, kind(j), out=pick)
+        np.maximum(labels, pick, out=labels)
+    return labels.astype(np.intp), best
 
 
 def assign_nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of the nearest centroid per row; ties go to the lowest index."""
-    return np.argmin(sqdist(as_matrix(x), as_matrix(centroids)), axis=1)
+    centroids = as_matrix(centroids)
+    if not centroids.shape[0]:
+        raise ContractViolationError("no centroids to assign rows to")
+    return _nearest(sqdist(as_matrix(x), centroids))[0]
 
 
 def _sample_next_center(d2: np.ndarray, rng) -> int:
@@ -106,41 +156,44 @@ def _update_centroids(x, xt, labels, k, centroids):
         # row by row, the order x[labels == c].mean(axis=0) sums in
         for j, column in enumerate(xt):
             sums = np.bincount(labels, weights=column, minlength=k)
-            centroids[full, j] = sums[full] / counts[full]
+            np.divide(sums, counts, out=centroids[:, j], where=full)
     # Empty-cluster repair: the point farthest from its centroid (among
     # clusters that can spare one) becomes a singleton centroid.  It works
-    # on a copy, so the caller keeps the assignment it passed in.
+    # on a copy, so the caller keeps the assignment it passed in.  The
+    # distances are taken once; a move changes only the donor's and those
+    # of its old cluster, whose centroid moves.
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         labels = labels.copy()
-    for e in empty:
         dist = np.sum((x - centroids[labels]) ** 2, axis=1)
-        dist[counts[labels] < 2] = -np.inf
-        donor = int(np.argmax(dist))
+    for e in empty:
+        donor = int(np.argmax(np.where(counts[labels] < 2, -np.inf, dist)))
         old = labels[donor]
         labels[donor] = e
         counts[old] -= 1
         counts[e] += 1
         centroids[e] = x[donor]
+        members = labels == old
         if counts[old]:
-            centroids[old] = x[labels == old].mean(axis=0)
+            centroids[old] = x[members].mean(axis=0)
+        moved = np.append(np.flatnonzero(members), donor)
+        dist[moved] = np.sum((x[moved] - centroids[labels[moved]]) ** 2,
+                             axis=1)
     return centroids, labels
 
 
-def _lloyd(x, xt, aa, k: int, max_iter: int, rng) -> ClusterModel:
+def _lloyd(x, xt, aa, scratch, k: int, max_iter: int, rng) -> ClusterModel:
     centroids = _seed_centers(x, xt, k, rng)
     labels = assigned = None
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        d2 = sqdist(x, centroids, aa)
-        new_labels = np.argmin(d2, axis=1)
-        if labels is not None and np.array_equal(new_labels, labels):
-            inertia = float(
-                np.take_along_axis(d2, new_labels[:, None], axis=1).sum())
+        new_labels, nearest = _nearest(sqdist(x, centroids, aa, scratch))
+        if labels is not None and (new_labels == labels).all():
+            inertia = float(nearest.sum())
             return ClusterModel(centroids=centroids, labels=labels,
                                 inertia=inertia, n_iter=it, converged=True)
-        if assigned is not labels and np.array_equal(new_labels, assigned):
+        if assigned is not labels and (new_labels == assigned).all():
             # this pass undid the last one's empty-cluster repair, which
             # every later pass would redo: the repaired pair is final
             converged = True
@@ -166,8 +219,14 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
     what every later pass would return.
     With restarts > 1 the whole procedure reruns on a continuing stream
     from the same seed and the lowest-inertia run wins (first on ties), so
-    restarts=1 reproduces the plain single-run behaviour bit for bit.  The
-    row norms and a coordinate-major copy of x are made once per call.
+    restarts=1 reproduces the plain single-run behaviour bit for bit.
+
+    Each assignment pass is one sqdist into a k x n array: the product
+    x @ centroids.T, then aa + bb - 2 ab along rows of length n.  Each
+    label comes from a k-way strict `<` compare against a running minimum,
+    so a tie goes to the lowest centroid index, as argmin's does, and a
+    converged run's inertia is that minimum's sum.  The row norms, a
+    coordinate-major copy of x and sqdist's scratch are made once per call.
     """
     x = as_matrix(x)
     n = x.shape[0]
@@ -177,12 +236,13 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
         raise ContractViolationError("max_iter must be positive")
     if restarts < 1:
         raise ContractViolationError("restarts must be positive")
-    aa = np.sum(x * x, axis=1)[:, None]
+    aa = (x * x).sum(axis=1)
     xt = np.ascontiguousarray(x.T)
+    scratch = _scratch(n, k)
     rng = np.random.default_rng(rng_seed)
     best = None
     for _ in range(restarts):
-        model = _lloyd(x, xt, aa, k, max_iter, rng)
+        model = _lloyd(x, xt, aa, scratch, k, max_iter, rng)
         if best is None or model.inertia < best.inertia:
             best = model
     return best

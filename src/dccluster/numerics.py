@@ -125,7 +125,8 @@ def leading_left_vectors(a, top_k: int, gram: np.ndarray | None = None
     else goes to svd(a, top_k), where a.T @ u = vt.T * s.  Like svd, the
     result does not depend on a's memory layout.  A NaN or Inf in a reaches
     g's diagonal, so a tall a is scanned for one only when g is not finite;
-    svd scans whatever it is given.
+    a finite a whose g overflowed goes to svd, which scales what it
+    factors, and svd scans whatever it is given.
     Returns (u, a.T @ u).
     """
     a = np.asfortranarray(a, dtype=np.float64)
@@ -134,10 +135,14 @@ def leading_left_vectors(a, top_k: int, gram: np.ndarray | None = None
     if not 1 <= top_k <= min(a.shape):
         raise ContractViolationError(
             f"top_k must be in [1, {min(a.shape)}], got {top_k}")
+    g = None
     if a.shape[0] > a.shape[1]:
-        g = a.T @ a if gram is None else gram
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = a.T @ a if gram is None else gram
         if not np.all(np.isfinite(g)):
             as_matrix(a)
+            g = None
+    if g is not None:
         try:
             lam, v = np.linalg.eigh(g)
         except np.linalg.LinAlgError as exc:

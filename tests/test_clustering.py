@@ -11,7 +11,8 @@ from scipy.sparse.csgraph import connected_components
 from dccluster import clustering
 from dccluster.clustering import (kmeans, build_affinity, laplacian_sym,
                                   spectral_embedding, spectral_cluster,
-                                  assign_nearest, sqdist, _sample_next_center,
+                                  assign_nearest, sqdist, _nearest,
+                                  _sample_next_center, _update_centroids,
                                   SpectralEmbedding)
 from dccluster.data import load_csv, make_blobs, make_circles
 from dccluster.errors import ContractViolationError
@@ -50,6 +51,32 @@ def best_partition_inertia(x, k):
     return best
 
 
+def reference_sqdist(a, b):
+    """Squared distances as the n x k formula they were first written in,
+    frozen here so that a change to sqdist cannot move both sides."""
+    aa = np.sum(a * a, axis=1)[:, None]
+    bb = np.sum(b * b, axis=1)[None, :]
+    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+
+
+def reference_repair(x, labels, counts, centroids):
+    """The empty-cluster repair that takes every distance again for each
+    empty cluster; updates its arguments in place, returns the repairs."""
+    empty = np.flatnonzero(counts == 0)
+    for e in empty:
+        dist = np.sum((x - centroids[labels]) ** 2, axis=1)
+        dist[counts[labels] < 2] = -np.inf
+        donor = int(np.argmax(dist))
+        old = labels[donor]
+        labels[donor] = e
+        counts[old] -= 1
+        counts[e] += 1
+        centroids[e] = x[donor]
+        if counts[old]:
+            centroids[old] = x[labels == old].mean(axis=0)
+    return empty.size
+
+
 def reference_kmeans(x, k, max_iter=300, rng_seed=0, restarts=1):
     """The plain Lloyd, kept as the reference: each seeding distance a row
     sum, each centroid a masked mean per cluster, each inertia read through
@@ -68,7 +95,7 @@ def reference_kmeans(x, k, max_iter=300, rng_seed=0, restarts=1):
         centroids = x[np.array(chosen)].copy()
         labels, converged = None, False
         for _ in range(max_iter):
-            d2 = sqdist(x, centroids)
+            d2 = reference_sqdist(x, centroids)
             new_labels = np.argmin(d2, axis=1)
             inertia = float(d2[np.arange(n), new_labels].sum())
             if labels is not None and np.array_equal(new_labels, labels):
@@ -79,18 +106,7 @@ def reference_kmeans(x, k, max_iter=300, rng_seed=0, restarts=1):
             for c in range(k):
                 if counts[c]:
                     centroids[c] = x[labels == c].mean(axis=0)
-            for e in np.flatnonzero(counts == 0):
-                repairs += 1
-                dist = np.sum((x - centroids[labels]) ** 2, axis=1)
-                dist[counts[labels] < 2] = -np.inf
-                donor = int(np.argmax(dist))
-                old = labels[donor]
-                labels[donor] = e
-                counts[old] -= 1
-                counts[e] += 1
-                centroids[e] = x[donor]
-                if counts[old]:
-                    centroids[old] = x[labels == old].mean(axis=0)
+            repairs += reference_repair(x, labels, counts, centroids)
         if not converged:
             inertia = float(np.sum((x - centroids[labels]) ** 2))
         if best is None or inertia < best[2]:
@@ -159,6 +175,39 @@ class TestKmeansMatchesReference:
         assert np.array_equal(model.centroids, centroids)
         assert model.inertia == inertia
 
+    @pytest.mark.parametrize("restarts", [1, 10])
+    def test_two_empty_clusters_repaired_bit_for_bit(self, restarts):
+        # four clusters over two distinct points: the first pass leaves the
+        # two repeated centres empty, and one repair fills both
+        x = np.vstack([np.zeros((8, 2)), np.ones((1, 2))])
+        model = kmeans(x, 4, rng_seed=2, restarts=restarts)
+        labels, centroids, inertia, repairs = reference_kmeans(
+            x, 4, rng_seed=2, restarts=restarts)
+        assert repairs >= 2 * restarts
+        assert np.array_equal(model.labels, labels)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.inertia == inertia
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repair_of_several_empty_clusters_matches_the_full_recompute(
+            self, seed):
+        # spread-out points in three clusters out of eight: each donor
+        # moves its old centroid, so the next donor depends on the moved
+        # distances
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(40, 3)) * rng.uniform(0.5, 2.0, 3)
+        labels = rng.integers(0, 3, 40)
+        centroids = rng.normal(size=(8, 3))
+        got_centroids, got_labels = _update_centroids(
+            x, np.ascontiguousarray(x.T), labels, 8, centroids.copy())
+        want_labels, want_centroids = labels.copy(), centroids.copy()
+        counts = np.bincount(want_labels, minlength=8)
+        for c in range(3):
+            want_centroids[c] = x[want_labels == c].mean(axis=0)
+        assert reference_repair(x, want_labels, counts, want_centroids) == 5
+        assert np.array_equal(got_labels, want_labels)
+        assert np.array_equal(got_centroids, want_centroids)
+
     def test_twelve_columns_sum_pairwise_but_agree(self):
         # numpy sums a row of 8 or more terms pairwise, so the seeding
         # distances may differ in the last bits from column-by-column sums
@@ -168,6 +217,82 @@ class TestKmeansMatchesReference:
                                                  restarts=10)
         assert np.array_equal(model.labels, labels)
         assert model.inertia == pytest.approx(inertia, rel=1e-12, abs=0)
+
+
+def tie_grid(k):
+    """Integer grid points and k integer centroids, in an order that puts
+    the lower-indexed centroid of a tied pair on either side.  Every
+    product and sum is an exact integer, so ties are exact."""
+    g = np.arange(-4.0, 5.0)
+    x = np.array([(a, b) for a in g for b in g])
+    spots = np.array([(2.0, 0.0), (-2.0, 0.0), (0.0, 2.0), (0.0, -2.0),
+                      (2.0, 2.0), (-2.0, -2.0)])
+    return x, spots[:k][::-1 if k % 2 else 1].copy()
+
+
+def layout_cases():
+    """(x, centroids) pairs that a k x n pass must treat as the n x k one."""
+    rng = np.random.default_rng(11)
+    cases = {f"ties-k{k}": tie_grid(k) for k in range(2, 7)}
+    z = np.asfortranarray(rng.normal(size=(300, 3)))
+    cases["f-order"] = (z, z[[3, 70, 150]].copy())
+    x = rng.normal(size=(50, 1))
+    cases["m1"] = (x, np.array([[-1.0], [0.0], [0.5]]))
+    cases["k1"] = (rng.normal(size=(40, 4)), rng.normal(size=(1, 4)))
+    # more labels than a byte holds
+    x = rng.normal(size=(300, 2))
+    cases["k-equals-n"] = (x, x[::-1].copy())
+    # at this width c @ x.T is not always bit-identical to x @ c.T's transpose
+    x = rng.normal(size=(4500, 5))
+    cases["k16"] = (x, x[rng.choice(4500, 16, replace=False)]
+                    + rng.normal(size=(16, 5)) * 0.1)
+    return cases
+
+
+LAYOUT_CASES = layout_cases()
+
+
+class TestAssignmentPass:
+    """The k x n pass against argmin over the frozen n x k distances."""
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_labels_and_minimum_match_argmin(self, case):
+        x, centroids = LAYOUT_CASES[case]
+        want_d2 = reference_sqdist(x, centroids)
+        want = np.argmin(want_d2, axis=1)
+        d2 = sqdist(x, centroids)
+        assert d2.shape == want_d2.shape
+        assert np.array_equal(d2, want_d2)
+        labels, nearest = _nearest(d2)
+        assert labels.dtype == np.intp
+        assert np.array_equal(labels, want)
+        assert nearest.sum() == np.take_along_axis(
+            want_d2, want[:, None], axis=1).sum()
+        assert np.array_equal(assign_nearest(x, centroids), want)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_the_tie_grid_ties_two_and_more_centroids(self, k):
+        x, centroids = tie_grid(k)
+        d2 = reference_sqdist(x, centroids)
+        tied = (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1)
+        assert np.count_nonzero(tied >= 2) > 0
+        if k >= 4:
+            assert np.count_nonzero(tied >= 3) > 0
+
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_kmeans_matches_reference(self, case):
+        x, centroids = LAYOUT_CASES[case]
+        k = centroids.shape[0]
+        model = kmeans(x, k, rng_seed=3, restarts=3)
+        labels, centroids, inertia, _ = reference_kmeans(x, k, rng_seed=3,
+                                                         restarts=3)
+        assert np.array_equal(model.labels, labels)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.inertia == inertia
+
+    def test_no_centroids_is_refused(self):
+        with pytest.raises(ContractViolationError, match="no centroids"):
+            assign_nearest(np.zeros((3, 2)), np.zeros((0, 2)))
 
 
 class TestKmeans:

@@ -411,7 +411,8 @@ class TestBuildCollaboration:
 
 def test_the_call_counts_the_benchmark_pins(monkeypatch):
     """One pinv per row block and, on a tall well-conditioned anchor stack,
-    no svd in the alignment; one sqdist per Lloyd pass in k-means."""
+    no svd in the alignment; one sqdist per Lloyd pass of every k-means
+    restart, and one per assign_nearest call."""
     calls = Counter()
 
     def count(module, name):
@@ -441,6 +442,22 @@ def test_the_call_counts_the_benchmark_pins(monkeypatch):
     calls.clear()
     fit = kmeans(model.x_hat, 3, rng_seed=0, restarts=1)
     assert calls["sqdist"] == fit.n_iter > 1
+    # every restart's passes count, not only the winner's
+    runs = []
+    lloyd = clustering._lloyd
+
+    def recorded(*args, **kwargs):
+        run = lloyd(*args, **kwargs)
+        runs.append(run.n_iter)
+        return run
+
+    monkeypatch.setattr(clustering, "_lloyd", recorded)
+    calls.clear()
+    kmeans(model.x_hat, 3, rng_seed=0, restarts=3)
+    assert len(runs) == 3 and calls["sqdist"] == sum(runs) > 3
+    calls.clear()
+    assign_nearest(model.x_hat, fit.centroids)
+    assert calls["sqdist"] == 1
 
 
 class TestAlignmentTheory:

@@ -205,6 +205,18 @@ class TestLeadingLeftVectors:
             with pytest.raises(ContractViolationError):
                 leading_left_vectors(rand((8, 5), 6), top_k)
 
+    def test_finite_stack_whose_gram_overflows_takes_svd(self, monkeypatch):
+        # each a.T @ a entry is about 50e400: no Gram matrix, but a finite
+        # stack that svd factors, with no overflow warning on the way
+        a = np.random.default_rng(0).standard_normal((50, 4)) * 1e200
+        assert self.svd_calls(monkeypatch, a, 2) == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = a.T @ a
+        u, at_u = leading_left_vectors(a, 2, gram)
+        f = svd(a, 2)
+        assert np.array_equal(u, f.u)
+        assert np.array_equal(at_u, f.vt.T * f.s)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("shape", [(40, 5), (5, 40)])
     def test_rejects_nan_and_inf_with_and_without_gram(self, bad, shape):
