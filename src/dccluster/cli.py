@@ -21,10 +21,9 @@ from . import datasets
 from .errors import ConfigurationError, IngestionError
 from .experiment import (FORMAT_ALIASES, FORMATS, METRICS, ExperimentSpec,
                          load_config, run_experiment, emit_report,
-                         trial_inputs)
+                         trial_inputs, trial_seed_for)
 from .federation import (TcpAnalystEndpoint, TcpUserEndpoint,
                          _session_inputs, analyst_party_run, user_party_run)
-from .seeds import derive_seed
 
 
 def _collect_configs(path: str) -> list:
@@ -71,8 +70,7 @@ def _cmd_run(args) -> int:
 def _session_pieces(spec: ExperimentSpec, timeout: float | None):
     """Trial 0's inputs, which every role re-derives from the shared config;
     the session timeout resolves from `timeout` as SessionConfig's does."""
-    ds, part, anchor, cfg = trial_inputs(
-        spec, derive_seed(spec.master_seed, "trial", 0))
+    ds, part, anchor, cfg = trial_inputs(spec, trial_seed_for(spec, 0))
     return ds, part, anchor, dataclasses.replace(cfg, timeout=timeout)
 
 
@@ -88,7 +86,11 @@ def _cmd_analyst(args) -> int:
     spec = load_config(args.config)
     host, port = _parse_hostport(args.listen)
     _, _, _, cfg = _session_pieces(spec, args.timeout)
-    endpoint = TcpAnalystEndpoint(host=host, port=port, timeout=cfg.timeout)
+    try:
+        endpoint = TcpAnalystEndpoint(host=host, port=port, timeout=cfg.timeout)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot listen on {args.listen}: {exc}") from exc
     print(f"analyst listening on {host}:{endpoint.port} "
           f"({cfg.c}x{cfg.d} lattice, k={cfg.k}, {cfg.algorithm})")
     try:

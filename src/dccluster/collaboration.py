@@ -84,13 +84,11 @@ def fit_intermediate(x_block, anchor_block, target_dim: int, *, scale: bool):
         raise ContractViolationError("fit needs at least 2 rows")
     means = x_block.mean(axis=0)
     centred = x_block - means
+    scales = np.ones(m)   # dividing by 1.0 is exact
     if scale:
         scales = np.sqrt(np.mean(centred * centred, axis=0))  # population std
         scales[scales == 0.0] = 1.0
-        axes = svd(centred / scales, top_k=target_dim).vt.T
-        linear = axes / scales[:, None]
-    else:
-        linear = svd(centred, top_k=target_dim).vt.T
+    linear = svd(centred / scales, top_k=target_dim).vt.T / scales[:, None]
     return centred @ linear, (anchor_block - means) @ linear
 
 
@@ -115,16 +113,18 @@ def build_collaboration(shares, mode: str = "affine",
     The stacked anchor images (with a ones column appended per block in
     affine mode) are multiplied out once into their Gram matrix G, whose
     eigenpairs give the common target u1, the stack's leading left singular
-    vectors.  Each row block then gets the least-squares map of its own
-    anchor image, its design D, onto u1: pinv(D) @ u1.  A design whose
-    Gram block G_bb passes `well_conditioned_gram` takes that map as
-    pinv(G_bb) @ D.T @ u1, with D.T @ u1 read off G's eigenpairs, and has
-    full column rank; any other design is factored itself, and its rank is
-    counted by pinv's singular-value cutoff.  The common dimension defaults
-    to the smallest row-block width and is clamped (with a warning) to the
-    smallest rank.  The residual is the largest distance between two row
-    blocks' mapped anchor images, over the largest image's norm.  A share
-    is read only through its `party`, `x_tilde` and `anchor_tilde`.
+    vectors, unless G overflowed, when svd gives u1.  Each row block then
+    gets the least-squares map of its own anchor image, its design D, onto
+    u1: pinv(D) @ u1.  A design whose Gram block G_bb passes
+    `well_conditioned_gram` takes that map as pinv(G_bb) @ D.T @ u1, with
+    D.T @ u1 from the factorization that gave u1, and has full column rank;
+    any other design, one whose G_bb overflowed included, is factored
+    itself, and its rank is counted by pinv's singular-value cutoff.  The
+    common dimension defaults to the smallest row-block width and is
+    clamped (with a warning) to the smallest rank.  The residual is the
+    largest distance between two row blocks' mapped anchor images, over the
+    largest image's norm.  A share is read only through its `party`,
+    `x_tilde` and `anchor_tilde`.
     """
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -154,7 +154,8 @@ def build_collaboration(shares, mode: str = "affine",
     design_widths = [w + 1 for w in widths] if mode == "affine" else widths
     stacked = np.concatenate(parts, axis=1,
                              out=np.empty((r, sum(design_widths)), order="F"))
-    gram = stacked.T @ stacked
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = stacked.T @ stacked
     ends = np.cumsum(design_widths)
     blocks = [slice(end - w, end) for end, w in zip(ends, design_widths)]
 

@@ -9,7 +9,7 @@ analyst align their outputs later.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 import csv
 
@@ -39,7 +39,6 @@ class LabeledDataset:
 
     features: np.ndarray
     labels: np.ndarray
-    feature_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.features = as_matrix(self.features, "features")
@@ -48,8 +47,6 @@ class LabeledDataset:
             raise ContractViolationError(
                 f"labels shape {self.labels.shape} does not match "
                 f"{self.features.shape[0]} rows")
-        if not self.feature_names:
-            self.feature_names = [f"f{j}" for j in range(self.features.shape[1])]
 
     @property
     def n_clusters(self) -> int:
@@ -196,8 +193,7 @@ def make_blobs(k: int, per_cluster: int, rng_seed: int = 0) -> LabeledDataset:
     major = np.vstack([c + rng.standard_normal((per_cluster, 2)) for c in centers])
     features = np.hstack([major, _minor_features(n, rng)])
     labels = np.repeat(np.arange(k), per_cluster)
-    names = ["major0", "major1"] + [f"minor{i}" for i in range(MINOR_FEATURES)]
-    return LabeledDataset(features=features, labels=labels, feature_names=names)
+    return LabeledDataset(features=features, labels=labels)
 
 
 def make_circles(rings: int, per_cluster: int, noise_std: float = 0.05,
@@ -224,8 +220,7 @@ def make_circles(rings: int, per_cluster: int, noise_std: float = 0.05,
     n = rings * per_cluster
     features = np.hstack([np.vstack(majors), _minor_features(n, rng)])
     labels = np.repeat(np.arange(rings), per_cluster)
-    names = ["major0", "major1"] + [f"minor{i}" for i in range(MINOR_FEATURES)]
-    return LabeledDataset(features=features, labels=labels, feature_names=names)
+    return LabeledDataset(features=features, labels=labels)
 
 
 def load_csv(path, label_column: str) -> LabeledDataset:
@@ -246,7 +241,6 @@ def load_csv(path, label_column: str) -> LabeledDataset:
             raise ConfigurationError(
                 f"label column {label_column!r} not in header {header}")
         label_idx = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
 
         rows, raw_labels = [], []
         for row_no, row in enumerate(reader, start=2):
@@ -273,7 +267,7 @@ def load_csv(path, label_column: str) -> LabeledDataset:
     codes: dict[str, int] = {}
     labels = np.array([codes.setdefault(lab, len(codes)) for lab in raw_labels])
     return LabeledDataset(features=np.array(rows, dtype=np.float64),
-                          labels=labels, feature_names=feature_names)
+                          labels=labels)
 
 
 def feature_bounds(x) -> tuple[np.ndarray, np.ndarray]:

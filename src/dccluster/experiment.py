@@ -140,6 +140,11 @@ def _finite_or_null(obj):
     return obj
 
 
+def trial_seed_for(spec: ExperimentSpec, t: int) -> int:
+    """The seed of trial t, from which all of that trial's inputs derive."""
+    return derive_seed(spec.master_seed, "trial", t)
+
+
 def trial_inputs(spec: ExperimentSpec, trial_seed: int,
                  loaded: LabeledDataset | None = None):
     """Dataset, partition, anchor and session config of one trial.
@@ -206,7 +211,7 @@ def run_experiment(spec: ExperimentSpec) -> TrialReport:
     m_hats, residuals = [], []
 
     for t in range(spec.trials):
-        trial_seed = derive_seed(spec.master_seed, "trial", t)
+        trial_seed = trial_seed_for(spec, t)
         trial_seeds.append(trial_seed)
         try:
             ds, part, anchor, cfg = trial_inputs(spec, trial_seed, loaded)
@@ -371,7 +376,11 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentSpec:
 
 
 def load_config(path: str) -> ExperimentSpec:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigurationError(f"cannot read config {path}: {reason}") from exc
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_config(text, name=name)

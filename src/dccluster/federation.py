@@ -613,7 +613,8 @@ class SessionOutcome:
 
 def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
                  user_endpoint_for) -> SessionOutcome:
-    """The first failure of any party closes every endpoint, which ends
+    """Every endpoint, the analyst's included, is closed when the session
+    ends.  The first failure of any party closes them at once, which ends
     every other party's wait; the first error in time is raised."""
     errors: list[BaseException] = []
     user_labels: dict[tuple[int, int], np.ndarray] = {}
@@ -643,7 +644,7 @@ def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
         fail(exc)
     for t in threads:
         t.join()
-    for endpoint in endpoints.values():
+    for endpoint in (analyst_endpoint, *endpoints.values()):
         endpoint.close()
     if errors:
         raise errors[0]
@@ -698,14 +699,10 @@ def run_in_process_session(x, partition, anchor, cfg: SessionConfig) -> SessionO
                         lambda p: InProcessUserEndpoint(inbox))
 
 
-def run_tcp_session(x, partition, anchor, cfg: SessionConfig,
-                    host: str = "127.0.0.1") -> SessionOutcome:
+def run_tcp_session(x, partition, anchor, cfg: SessionConfig) -> SessionOutcome:
     """Full session over localhost sockets on an ephemeral port."""
     blocks, anchor_blocks = _session_inputs(x, partition, anchor, cfg)
-    analyst = TcpAnalystEndpoint(host=host, timeout=cfg.timeout)
-    try:
-        return _run_session(cfg, blocks, anchor_blocks, analyst,
-                            lambda p: TcpUserEndpoint(host, analyst.port,
-                                                      timeout=cfg.timeout))
-    finally:
-        analyst.close()
+    analyst = TcpAnalystEndpoint(timeout=cfg.timeout)
+    return _run_session(cfg, blocks, anchor_blocks, analyst,
+                        lambda p: TcpUserEndpoint("127.0.0.1", analyst.port,
+                                                  timeout=cfg.timeout))

@@ -113,21 +113,16 @@ def svd(a, top_k: int | None = None) -> SvdResult:
     return SvdResult(u=u, s=s, vt=vt)
 
 
-def leading_left_vectors(a, top_k: int, gram: np.ndarray | None = None
-                         ) -> tuple[np.ndarray, np.ndarray]:
+def leading_left_vectors(a, top_k: int, gram) -> tuple[np.ndarray, np.ndarray]:
     """The top_k leading left singular vectors u of a, signs fixed as svd's,
-    and the product a.T @ u.
+    and the product a.T @ u, given a's Gram matrix gram = a.T @ a.
 
-    A matrix taller than it is wide, whose Gram spectrum passes GRAM_RTOL,
-    is factored through its small Gram matrix g = a.T @ a: with g's
-    eigenpairs (v, s**2), u = a @ v / s and a.T @ u = g @ v / s.
-    `gram` passes g in when the caller has already formed it.  Anything
-    else goes to svd(a, top_k), where a.T @ u = vt.T * s.  Like svd, the
-    result does not depend on a's memory layout.  A NaN or Inf in a reaches
-    g's diagonal, so a tall a is scanned for one only when g is not finite;
-    a finite a whose g overflowed goes to svd, which scales what it
-    factors, and svd scans whatever it is given.
-    Returns (u, a.T @ u).
+    A tall a whose gram is finite and passes GRAM_RTOL is factored through
+    it: with its eigenpairs (v, s**2), u = a @ v / s and a.T @ u =
+    gram @ v / s.  Anything else goes to svd(a, top_k), where a.T @ u =
+    vt.T * s, including a finite a whose gram overflowed and an a holding
+    NaN or Inf, which svd refuses.  Like svd, the result does not depend on
+    a's memory layout.  Returns (u, a.T @ u).
     """
     a = np.asfortranarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -135,16 +130,9 @@ def leading_left_vectors(a, top_k: int, gram: np.ndarray | None = None
     if not 1 <= top_k <= min(a.shape):
         raise ContractViolationError(
             f"top_k must be in [1, {min(a.shape)}], got {top_k}")
-    g = None
-    if a.shape[0] > a.shape[1]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = a.T @ a if gram is None else gram
-        if not np.all(np.isfinite(g)):
-            as_matrix(a)
-            g = None
-    if g is not None:
+    if a.shape[0] > a.shape[1] and np.all(np.isfinite(gram)):
         try:
-            lam, v = np.linalg.eigh(g)
+            lam, v = np.linalg.eigh(gram)
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError("eigh", str(exc)) from exc
         lam, v = lam[::-1], v[:, ::-1]
@@ -152,7 +140,7 @@ def leading_left_vectors(a, top_k: int, gram: np.ndarray | None = None
         if lam[top_k - 1] - below >= GRAM_RTOL * lam[0] > 0.0:
             s = np.sqrt(lam[:top_k])
             u = a @ v[:, :top_k] / s
-            at_u = g @ v[:, :top_k] / s
+            at_u = gram @ v[:, :top_k] / s
             _fix_signs(u, at_u.T)
             return u, at_u
     f = svd(a, top_k)
@@ -160,10 +148,12 @@ def leading_left_vectors(a, top_k: int, gram: np.ndarray | None = None
 
 
 def well_conditioned_gram(g) -> bool:
-    """Whether a Gram matrix g = a.T @ a has eigenvalue ratio
+    """Whether a Gram matrix g = a.T @ a is finite, with eigenvalue ratio
     lam_min / lam_max at least GRAM_RTOL, which proves a full column rank
     under pinv's cutoff and bounds what least squares through g loses (see
     GRAM_RTOL)."""
+    if not np.all(np.isfinite(g)):
+        return False
     try:
         lam = np.linalg.eigvalsh(g)
     except np.linalg.LinAlgError as exc:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -74,7 +75,7 @@ def reference_alignment(shares, mode, m_hat=None):
     ranks = [np.linalg.matrix_rank(a) for a in design]
     clamped = min(ranks) < m_hat
     m_hat = int(min(ranks)) if clamped else m_hat
-    u1 = leading_left_vectors(stacked, m_hat)[0]
+    u1 = leading_left_vectors(stacked, m_hat, stacked.T @ stacked)[0]
     x_hat, images = [], []
     for i, anchor in enumerate(anchors):
         coeff = pinv(design[i])[0] @ u1
@@ -402,6 +403,27 @@ class TestBuildCollaboration:
                                anchor_tilde=rng.normal(size=(50, 2)))]
         model = build_collaboration(shares, mode="linear")
         assert (model.m_hat, model.m_hat_clamped) == (2, False)
+
+    @pytest.mark.parametrize("mode", ["affine", "linear"])
+    def test_shares_whose_gram_overflows_align_without_warning(
+            self, monkeypatch, mode):
+        # anchor entries near 1e160 square past float64's range: no Gram
+        # block is finite, so each design is factored itself, still one
+        # pinv per row block, and u1 comes from the stack's svd
+        shares = lattice_shares(2, 2, seed=3)
+        big = [dataclasses.replace(s, x_tilde=s.x_tilde * 1e160,
+                                   anchor_tilde=s.anchor_tilde * 1e160)
+               for s in shares]
+        seen = pinv_inputs(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = build_collaboration(big, mode=mode)
+        assert [shape[0] for shape, _ in seen] == [60, 60]
+        assert np.all(np.isfinite(model.x_hat))
+        if mode == "linear":
+            plain = build_collaboration(shares, mode=mode).x_hat
+            assert (np.linalg.norm(model.x_hat - plain)
+                    <= 1e-12 * np.linalg.norm(plain))
 
     def test_bad_mode(self):
         shares = equal_range_shares(2, 2, seed=7, with_offsets=False)

@@ -433,6 +433,21 @@ class TestCli:
         assert cli.main(["run", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe"],
+                             ids=["missing", "not-text"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content):
+        cfg = tmp_path / "unread.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert cli.main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unread.cfg" in err
+
+    def test_roles_use_the_runner_trial_seed(self):
+        spec = tiny_spec(trials=1)
+        cfg = cli._session_pieces(spec, None)[3]
+        assert cfg.master_seed == run_experiment(spec).trial_seeds[0]
+
     def test_unknown_dataset_fetch_exits_2(self, tmp_path, capsys):
         assert cli.main(["datasets", "fetch", "nosuch",
                          "--dest", str(tmp_path)]) == 2

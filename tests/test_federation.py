@@ -842,6 +842,26 @@ class TestFullSession:
         leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert leaked == []
 
+    def test_session_closes_the_analyst_endpoint(self):
+        ds, part, anchor, cfg = small_session_inputs(seed=5)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
+        inbox = Inbox()
+        _run_session(cfg, blocks, anchor_blocks, inbox,
+                     lambda p: InProcessUserEndpoint(inbox))
+        with pytest.raises(SessionError, match="closed"):
+            inbox.recv(0.1)
+
+    def test_features_whose_gram_overflows_cluster_without_warning(self):
+        # anchor entries near 1e160 square past float64's range, so the
+        # alignment's Gram matrix is not finite and no Gram route applies
+        ds, part, _, cfg = small_session_inputs()
+        x = ds.features * 1e160
+        anchor = generate_anchor(feature_bounds(x), r=x.shape[0], rng_seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = run_in_process_session(x, part, anchor, cfg)
+        assert ari(ds.labels[part.row_order()], outcome.report.labels) == 1.0
+
     @pytest.mark.parametrize("algorithm", ["kmeans", "spectral"])
     def test_direct_pipeline_matches_session_bit_for_bit(self, algorithm):
         ds, part, anchor, cfg = small_session_inputs(seed=9)
@@ -1052,3 +1072,15 @@ class TestCliAddress:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and port in err
+
+    def test_listen_address_in_use_is_a_configuration_error(self, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "wire.cfg"
+        cfg.write_text("dataset = blobs\nclusters = 2\nper_cluster = 10\n"
+                       "c = 1\nd = 2\nm_hat = 2\n")
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = taken.getsockname()[1]
+            assert cli.main(["analyst", str(cfg), "--listen",
+                             f"127.0.0.1:{port}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(port) in err

@@ -52,10 +52,20 @@ def test_the_check_sees_every_import_form(tmp_path):
                                        "numerics"}
 
 
+def called_names(path):
+    """The names that `path` calls directly, as `name(...)`."""
+    return {node.func.id
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
 def test_every_benchmark_hook_resolves(monkeypatch):
     """The benchmark's tracer swaps wrappers into the names it lists; a
     refactor that renames one, or stops importing it where its callers look
-    it up, must fail here and not only under the benchmark's own tests."""
+    it up, must fail here and not only under the benchmark's own tests.
+    Each name must also be called where the hook patches it, or be an entry
+    point of the package, which the benchmark calls itself: a name kept
+    there only as an import would give its span a silent 0."""
     path = pathlib.Path(__file__).parent.parent / "benchmarks" / "tracing.py"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
@@ -64,6 +74,10 @@ def test_every_benchmark_hook_resolves(monkeypatch):
     missing = [(module, name) for module, name, *_ in tracing.HOOKS
                if not hasattr(importlib.import_module(module), name)]
     assert tracing.HOOKS and missing == []
+    dead = [(module, name) for module, name, *_ in tracing.HOOKS
+            if name not in called_names(PACKAGE / f"{module.split('.')[1]}.py")
+            and name not in dccluster.__all__]
+    assert dead == []
 
 
 def unreferenced_definitions(package):

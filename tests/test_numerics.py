@@ -160,7 +160,9 @@ class TestLeadingLeftVectors:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(numerics, "svd", counted)
-        u, at_u = leading_left_vectors(a, top_k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = a.T @ a
+        u, at_u = leading_left_vectors(a, top_k, gram)
         assert u.shape == (a.shape[0], top_k)
         assert np.abs(u - svd(a, top_k).u).max() <= 1e-12
         assert np.abs(at_u - a.T @ u).max() <= 1e-12 * np.abs(a).max()
@@ -196,22 +198,24 @@ class TestLeadingLeftVectors:
     def test_layout_does_not_change_a_bit(self):
         a = rand((400, 9), 5)
         for c_order, f_order in zip(
-                leading_left_vectors(a, 3),
-                leading_left_vectors(np.asfortranarray(a), 3)):
+                leading_left_vectors(a, 3, a.T @ a),
+                leading_left_vectors(np.asfortranarray(a), 3, a.T @ a)):
             assert np.array_equal(c_order, f_order)
 
     def test_top_k_bounds(self):
+        a = rand((8, 5), 6)
         for top_k in (0, 6):
             with pytest.raises(ContractViolationError):
-                leading_left_vectors(rand((8, 5), 6), top_k)
+                leading_left_vectors(a, top_k, a.T @ a)
 
     def test_finite_stack_whose_gram_overflows_takes_svd(self, monkeypatch):
         # each a.T @ a entry is about 50e400: no Gram matrix, but a finite
         # stack that svd factors, with no overflow warning on the way
         a = np.random.default_rng(0).standard_normal((50, 4)) * 1e200
-        assert self.svd_calls(monkeypatch, a, 2) == 1
         with np.errstate(over="ignore", invalid="ignore"):
             gram = a.T @ a
+        assert not np.all(np.isfinite(gram))
+        assert self.svd_calls(monkeypatch, a, 2) == 1
         u, at_u = leading_left_vectors(a, 2, gram)
         f = svd(a, 2)
         assert np.array_equal(u, f.u)
@@ -224,13 +228,12 @@ class TestLeadingLeftVectors:
         a[3, 2] = bad
         with np.errstate(invalid="ignore"):
             gram = a.T @ a
-        for given in (None, gram):
-            with pytest.raises(ContractViolationError, match="NaN or Inf"):
-                leading_left_vectors(a, 2, given)
+        with pytest.raises(ContractViolationError, match="NaN or Inf"):
+            leading_left_vectors(a, 2, gram)
 
     def test_rejects_a_vector(self):
         with pytest.raises(ContractViolationError, match="2-D"):
-            leading_left_vectors(np.ones(5), 1)
+            leading_left_vectors(np.ones(5), 1, np.ones((1, 1)))
 
 
 class TestEigSymmetric:
