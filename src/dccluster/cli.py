@@ -6,6 +6,11 @@ over TCP so the roles can live in separate processes: both sides read the
 same config and derive the identical partition from the master seed, each
 user then only touches its own block.  `datasets fetch` pulls the open
 datasets into the local cache.
+
+A failure the user can act on prints one `error: ...` line and exits with
+EXIT_CONFIG (2) for a config, file or address that is not usable, or
+EXIT_SESSION (3) for a session that could not complete: a peer that cannot
+be reached, a timeout, or a peer that broke the protocol.
 """
 
 from __future__ import annotations
@@ -18,12 +23,16 @@ import sys
 import numpy as np
 
 from . import datasets
-from .errors import ConfigurationError, IngestionError
+from .errors import (ConfigurationError, IngestionError, ProtocolError,
+                     SessionError)
 from .experiment import (FORMAT_ALIASES, FORMATS, METRICS, ExperimentSpec,
                          load_config, run_experiment, emit_report,
                          trial_inputs, trial_seed_for)
 from .federation import (TcpAnalystEndpoint, TcpUserEndpoint,
                          _session_inputs, analyst_party_run, user_party_run)
+
+EXIT_CONFIG = 2
+EXIT_SESSION = 3
 
 
 def _collect_configs(path: str) -> list:
@@ -194,7 +203,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigurationError, IngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_CONFIG
+    except (SessionError, ProtocolError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SESSION
 
 
 if __name__ == "__main__":

@@ -14,18 +14,27 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 
 from .clustering import kmeans, spectral_embedding
 from .errors import ConfigurationError, ContractViolationError
-from .numerics import (as_matrix, leading_left_vectors, pinv, svd,
-                       well_conditioned_gram)
+from .numerics import (_fix_signs, as_matrix, leading_left_vectors, pinv,
+                       svd, svd_left_vectors, well_conditioned_gram)
 
 # the choices the analyst's dispatchers below accept
 ALGORITHMS = ("kmeans", "spectral")
 MODES = ("linear", "affine")
+# Anchor rows the alignment copies into its buffer and multiplies at a
+# time.  Aligning the blobs shares (r = 300k, W = 50, ten row blocks) on a
+# 2-core Xeon with 4 MB of L2 per core took about as long with blocks of
+# 2 048 to 8 192 rows (medians 140-186 ms) and longer with larger ones:
+# 151-201 ms at 16 384, 179-246 ms at 32 768, 244-303 ms at 65 536.  8 192
+# is the largest of the fast sizes, so that every anchor of up to 8 192
+# rows, circles' 4 500 and iris's 150 among them, is one block, whose G and
+# u1 come from single products over the whole stack.
+ANCHOR_BLOCK_ROWS = 8_192
 
 
 @dataclass
@@ -106,25 +115,87 @@ def _grouped_by_row(shares) -> list[list]:
     return [[lookup[(i, j)] for j in range(d)] for i in range(c)]
 
 
+def _side_by_side(parts, rows: slice = slice(None), out=None) -> np.ndarray:
+    """Rows `rows` of the matrices in `parts`, side by side in out's columns,
+    or in a new column-major array when out is None."""
+    if out is None:
+        out = np.empty((parts[0][rows].shape[0],
+                        sum(p.shape[1] for p in parts)), order="F")
+    start = 0
+    for part in parts:
+        out[:, start:start + part.shape[1]] = part[rows]
+        start += part.shape[1]
+    return out
+
+
+def _anchor_blocks(parts, r: int):
+    """(rows, b) for each run of ANCHOR_BLOCK_ROWS anchor rows, where b holds
+    those rows of `parts` side by side in one column-major buffer that every
+    block reuses."""
+    buffer = np.empty((min(ANCHOR_BLOCK_ROWS, r), sum(p.shape[1] for p in parts)),
+                      order="F")
+    for start in range(0, r, ANCHOR_BLOCK_ROWS):
+        rows = slice(start, min(start + ANCHOR_BLOCK_ROWS, r))
+        yield rows, _side_by_side(parts, rows, buffer[:rows.stop - start])
+
+
+def _walk_anchor(parts, r: int, lead, coeffs):
+    """One walk over the stack of designs `parts`, r rows: (stack @ lead or
+    None, the residual or None), as lead and coeffs are given or None.
+
+    The residual is that of the row blocks' anchor images D_i @ coeffs[i],
+    none of which is kept.  Each block of rows gives every image by one
+    product and their pairwise differences by a product with a +-1 matrix,
+    which forms each difference exactly; only the squared norms of both
+    are summed.
+    """
+    led = None if lead is None else np.empty((r, lead.shape[1]), order="F")
+    if coeffs is not None:
+        c, m_hat = len(coeffs), coeffs[0].shape[1]
+        mapped = scipy.linalg.block_diag(*coeffs)
+        first, second = np.triu_indices(c, 1)     # every pair of row blocks
+        differ = np.kron(np.eye(c)[:, first] - np.eye(c)[:, second],
+                         np.eye(m_hat))
+        norms, gaps = np.zeros(c * m_hat), np.zeros(first.size * m_hat)
+    for rows, b in _anchor_blocks(parts, r):
+        if lead is not None:
+            led[rows] = b @ lead
+        if coeffs is not None:
+            images = b @ mapped
+            diffs = images @ differ
+            norms += np.einsum("ij,ij->j", images, images)
+            gaps += np.einsum("ij,ij->j", diffs, diffs)
+    if coeffs is None:
+        return led, None
+    scale = np.sqrt(norms.reshape(c, m_hat).sum(axis=1).max())
+    gap = np.sqrt(gaps.reshape(-1, m_hat).sum(axis=1).max(initial=0.0))
+    return led, float(gap / scale) if scale > 0 else 0.0
+
+
 def build_collaboration(shares, mode: str = "affine",
                         m_hat: int | None = None) -> CollaborationModel:
     """Align per-row-block representations through the shared anchor.
 
-    The stacked anchor images (with a ones column appended per block in
-    affine mode) are multiplied out once into their Gram matrix G, whose
-    eigenpairs give the common target u1, the stack's leading left singular
-    vectors, unless G overflowed, when svd gives u1.  Each row block then
-    gets the least-squares map of its own anchor image, its design D, onto
-    u1: pinv(D) @ u1.  A design whose Gram block G_bb passes
-    `well_conditioned_gram` takes that map as pinv(G_bb) @ D.T @ u1, with
-    D.T @ u1 from the factorization that gave u1, and has full column rank;
-    any other design, one whose G_bb overflowed included, is factored
-    itself, and its rank is counted by pinv's singular-value cutoff.  The
-    common dimension defaults to the smallest row-block width and is
-    clamped (with a warning) to the smallest rank.  The residual is the
-    largest distance between two row blocks' mapped anchor images, over the
-    largest image's norm.  A share is read only through its `party`,
-    `x_tilde` and `anchor_tilde`.
+    Row block i's design D_i is its shares' anchor images side by side,
+    plus a ones column in affine mode; the stack is every design side by
+    side, r × W.  Its rows are walked ANCHOR_BLOCK_ROWS at a time through
+    one reused buffer, so the common path never copies the stack whole.
+    The first walk sums the blocks' Gram products into the stack's Gram
+    matrix G, whose eigenpairs give the common target u1, the stack's
+    leading left singular vectors, and every D_i.T @ u1 (see
+    `numerics.leading_left_vectors`).  Row block i's map is the least-squares
+    map of D_i onto u1, pinv(D_i) @ u1: pinv(G_ii) @ D_i.T @ u1 when G_ii
+    passes `well_conditioned_gram`, which proves D_i's full column rank;
+    otherwise D_i, one whose G_ii overflowed included, is copied out and
+    factored, and pinv's singular-value cutoff counts its rank.  Where G is
+    not finite or has no eigengap, the whole stack is copied out and svd
+    gives u1.  The second walk makes u1's rows and the residual: the largest
+    distance between two row blocks' mapped anchor images, over the largest
+    image's norm.  A design factored on the Gram route needs all of u1
+    first, and then the residual takes a third walk.  The common dimension
+    defaults to the smallest row-block width and is clamped (with a
+    warning) to the smallest rank.  A share is read only through its
+    `party`, `x_tilde` and `anchor_tilde`.
     """
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -144,28 +215,25 @@ def build_collaboration(shares, mode: str = "affine",
     if not 1 <= m_hat <= min(widths):
         raise ConfigurationError(f"m_hat must be in [1, {min(widths)}], got {m_hat}")
 
-    # One column-major copy of the anchor images, each row block's followed
-    # by a ones column in affine mode, so that every design is a column view.
     (r,) = anchor_rows
-    ones = [np.ones((r, 1))] if mode == "affine" else []
-    parts = []
-    for row in by_row:
-        parts += [s.anchor_tilde for s in row] + ones
-    design_widths = [w + 1 for w in widths] if mode == "affine" else widths
-    stacked = np.concatenate(parts, axis=1,
-                             out=np.empty((r, sum(design_widths)), order="F"))
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = stacked.T @ stacked
+    ones = [np.broadcast_to(1.0, (r, 1))] if mode == "affine" else []
+    designs = [[s.anchor_tilde for s in row] + ones for row in by_row]
+    parts = [part for design in designs for part in design]
+    design_widths = [w + len(ones) for w in widths]
     ends = np.cumsum(design_widths)
     blocks = [slice(end - w, end) for end, w in zip(ends, design_widths)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = sum((b.T @ b for _, b in _anchor_blocks(parts, r)),
+                   np.zeros((ends[-1], ends[-1])))
 
     # pinv(D) = pinv(D.T @ D) @ D.T for any D, so a design whose Gram block
     # is well conditioned is solved through that small block; its rank is
     # then its width, as its singular values would count it.  Any other
-    # design is factored itself, which also counts its rank.
+    # design is copied out and factored itself, which also counts its rank.
     solve_small = [well_conditioned_gram(gram[b, b]) for b in blocks]
-    inverses, ranks = zip(*(pinv(gram[b, b] if small else stacked[:, b])
-                            for b, small in zip(blocks, solve_small)))
+    inverses, ranks = zip(*(pinv(gram[b, b] if small else _side_by_side(design))
+                            for b, small, design in zip(blocks, solve_small,
+                                                        designs)))
     clamped = min(ranks) < m_hat
     if clamped:
         m_hat = min(ranks)
@@ -173,28 +241,38 @@ def build_collaboration(shares, mode: str = "affine",
                       f"clamped to {m_hat}", RuntimeWarning, stacklevel=2)
         if m_hat < 1:
             raise ConfigurationError("anchor representations have rank 0")
+
     # every rank is at most r, so m_hat is too
-    u1, projected = leading_left_vectors(stacked, m_hat, gram)
+    gram_route = leading_left_vectors(gram, m_hat, r)
+    residual = None
+    if gram_route is None:
+        u1, projected = svd_left_vectors(_side_by_side(parts), m_hat)
+    else:
+        # u1 = stack @ v / s, its signs fixed once all its rows are made;
+        # flipping a column of u1 flips the same column of every image,
+        # which leaves the residual as it is
+        v, s, projected = gram_route
+        unsigned = [inverse @ projected[b] if small else None
+                    for b, small, inverse in zip(blocks, solve_small, inverses)]
+        u1, residual = _walk_anchor(parts, r, v,
+                                    unsigned if all(solve_small) else None)
+        u1 /= s
+        projected *= _fix_signs(u1)
+    # projected[b] is the design's own D.T @ u1
+    coeffs = [inverse @ (projected[b] if small else u1)
+              for b, small, inverse in zip(blocks, solve_small, inverses)]
+    if residual is None:
+        residual = _walk_anchor(parts, r, None, coeffs)[1]
 
-    g_maps, x_hat_blocks, anchor_images = [], [], []
-    for x, b, small, inverse in zip(x_tilde, blocks, solve_small, inverses):
-        # projected[b] is the design's own D.T @ u1
-        coeff = inverse @ (projected[b] if small else u1)
+    g_maps = []
+    for coeff in coeffs:
         if mode == "affine":
-            linear, offset = coeff[:-1], coeff[-1]
+            g_maps.append(AffineMap(linear=coeff[:-1], offset=coeff[-1]))
         else:
-            linear, offset = coeff, np.zeros(m_hat)
-        g = AffineMap(linear=linear, offset=offset)
-        g_maps.append(g)
-        x_hat_blocks.append(g.apply(x))
-        anchor_images.append(stacked[:, b] @ coeff)
-
-    scale = max(np.linalg.norm(img) for img in anchor_images)
-    gaps = [np.linalg.norm(a - b) for a, b in combinations(anchor_images, 2)]
-    residual = max(gaps, default=0.0) / scale if scale > 0 else 0.0
-
+            g_maps.append(AffineMap(linear=coeff, offset=np.zeros(m_hat)))
     return CollaborationModel(m_hat=m_hat, g_maps=g_maps,
-                              x_hat=np.vstack(x_hat_blocks),
+                              x_hat=np.vstack([g.apply(x) for g, x
+                                               in zip(g_maps, x_tilde)]),
                               row_sizes=[x.shape[0] for x in x_tilde],
                               residual=residual, m_hat_clamped=clamped)
 

@@ -62,22 +62,27 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def _fix_signs(u: np.ndarray, vt: np.ndarray | None = None) -> None:
-    """Flip factor columns in place so each one's leading entry is >= 0.
+def _fix_signs(u: np.ndarray, vt: np.ndarray | None = None) -> np.ndarray:
+    """Flip factor columns in place so each one's leading entry is >= 0, and
+    return the signs applied, one per column.
 
     The leading entry is the lowest-index one within a relative
-    SIGN_TIE_RTOL of the column's largest magnitude.  When vt is given its
-    rows are flipped together with u's columns so the product is unchanged.
+    SIGN_TIE_RTOL of the column's largest magnitude.  Each column is
+    searched on its own, along its length.  When vt is given its rows are
+    flipped together with u's columns so the product is unchanged.
     """
-    if u.shape[0] == 0 or u.shape[1] == 0:
-        return
-    mag = np.abs(u)
-    lead = np.argmax(mag >= mag.max(axis=0) * (1.0 - SIGN_TIE_RTOL), axis=0)
-    signs = np.sign(u[lead, np.arange(u.shape[1])])
-    signs[signs == 0] = 1.0
-    u *= signs
-    if vt is not None:
-        vt *= signs[:, None]
+    signs = np.ones(u.shape[1])
+    if u.shape[0] == 0:
+        return signs
+    for j in range(u.shape[1]):
+        mag = np.abs(u[:, j])
+        lead = np.argmax(mag >= mag.max() * (1.0 - SIGN_TIE_RTOL))
+        if u[lead, j] < 0.0:
+            signs[j] = -1.0
+            u[:, j] *= -1.0
+            if vt is not None:
+                vt[j] *= -1.0
+    return signs
 
 
 @dataclass(frozen=True)
@@ -113,36 +118,45 @@ def svd(a, top_k: int | None = None) -> SvdResult:
     return SvdResult(u=u, s=s, vt=vt)
 
 
-def leading_left_vectors(a, top_k: int, gram) -> tuple[np.ndarray, np.ndarray]:
-    """The top_k leading left singular vectors u of a, signs fixed as svd's,
-    and the product a.T @ u, given a's Gram matrix gram = a.T @ a.
+def leading_left_vectors(gram, top_k: int, rows: int):
+    """The Gram route to the top_k leading left singular vectors u of a
+    matrix a of `rows` rows, from its Gram matrix gram = a.T @ a alone.
 
-    A tall a whose gram is finite and passes GRAM_RTOL is factored through
-    it: with its eigenpairs (v, s**2), u = a @ v / s and a.T @ u =
-    gram @ v / s.  Anything else goes to svd(a, top_k), where a.T @ u =
-    vt.T * s, including a finite a whose gram overflowed and an a holding
-    NaN or Inf, which svd refuses.  Like svd, the result does not depend on
-    a's memory layout.  Returns (u, a.T @ u).
+    With gram's leading eigenpairs (v, s**2), u = (a @ v) / s and
+    a.T @ u = gram @ v / s.  Returns (v, s, a.T @ u), with no column sign
+    fixed: the caller, who holds a, forms u and fixes its signs as svd's
+    with `_fix_signs(u)`, whose returned signs a.T @ u's columns take too.
+    Returns None where the route does not hold, and `svd_left_vectors(a,
+    top_k)` is the route left: an a not taller than it is wide, a gram
+    that is not finite (an a holding NaN or Inf, which svd refuses, or a
+    finite a whose product overflowed), or a relative eigengap
+    (lam_m - lam_{m+1}) / lam_1 below GRAM_RTOL.
     """
-    a = np.asfortranarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ContractViolationError(f"matrix must be 2-D, got shape {a.shape}")
-    if not 1 <= top_k <= min(a.shape):
+    gram = np.asarray(gram, dtype=np.float64)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ContractViolationError(
-            f"top_k must be in [1, {min(a.shape)}], got {top_k}")
-    if a.shape[0] > a.shape[1] and np.all(np.isfinite(gram)):
-        try:
-            lam, v = np.linalg.eigh(gram)
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailureError("eigh", str(exc)) from exc
-        lam, v = lam[::-1], v[:, ::-1]
-        below = max(lam[top_k], 0.0) if top_k < lam.size else 0.0
-        if lam[top_k - 1] - below >= GRAM_RTOL * lam[0] > 0.0:
-            s = np.sqrt(lam[:top_k])
-            u = a @ v[:, :top_k] / s
-            at_u = gram @ v[:, :top_k] / s
-            _fix_signs(u, at_u.T)
-            return u, at_u
+            f"gram must be a square 2-D matrix, got shape {gram.shape}")
+    if not 1 <= top_k <= min(rows, gram.shape[0]):
+        raise ContractViolationError(
+            f"top_k must be in [1, {min(rows, gram.shape[0])}], got {top_k}")
+    if rows <= gram.shape[0] or not np.all(np.isfinite(gram)):
+        return None
+    try:
+        lam, v = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError("eigh", str(exc)) from exc
+    lam, v = lam[::-1], v[:, ::-1]
+    below = max(lam[top_k], 0.0) if top_k < lam.size else 0.0
+    if not lam[top_k - 1] - below >= GRAM_RTOL * lam[0] > 0.0:
+        return None
+    s = np.sqrt(lam[:top_k])
+    return v[:, :top_k], s, gram @ v[:, :top_k] / s
+
+
+def svd_left_vectors(a, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The route `leading_left_vectors` declines: the top_k leading left
+    singular vectors u of a, signs fixed, and a.T @ u, which is vt.T * s
+    without a product of a."""
     f = svd(a, top_k)
     return f.u, f.vt.T * f.s
 

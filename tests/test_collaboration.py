@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -18,7 +19,7 @@ from dccluster.federation import (AnalystResultMsg, SessionConfig,
                                   UserShareMsg, analyst_step,
                                   run_dc_clustering, user_step)
 from dccluster.metrics import ari
-from dccluster.numerics import leading_left_vectors, pinv, svd
+from dccluster.numerics import _fix_signs, leading_left_vectors, pinv, svd
 
 
 def equal_range_shares(c, m_tilde, seed, with_offsets, n=40, r=30, m=None):
@@ -56,11 +57,25 @@ def aligned_anchor_images(shares, model):
     return out
 
 
+def left_vectors(a, top_k):
+    """a's top_k leading left singular vectors, signs fixed as svd's: from
+    the whole of a through its Gram matrix where that route holds, else from
+    svd."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        route = leading_left_vectors(a.T @ a, top_k, a.shape[0])
+    if route is None:
+        return svd(a, top_k).u
+    v, s, _ = route
+    u = a @ v / s
+    _fix_signs(u)
+    return u
+
+
 def reference_alignment(shares, mode, m_hat=None):
     """The plain alignment, kept as the reference: one hstack copy of the
     anchor images per row block, another per design and a third stacked,
-    each design's rank from matrix_rank, and u's signs fixed on every
-    column before truncation."""
+    each design's rank from matrix_rank, u1 from the whole stack, and every
+    mapped anchor image held at once."""
     rows = {}
     for s in sorted(shares, key=lambda s: s.party):
         rows.setdefault(s.party[0], []).append(s)
@@ -75,7 +90,7 @@ def reference_alignment(shares, mode, m_hat=None):
     ranks = [np.linalg.matrix_rank(a) for a in design]
     clamped = min(ranks) < m_hat
     m_hat = int(min(ranks)) if clamped else m_hat
-    u1 = leading_left_vectors(stacked, m_hat, stacked.T @ stacked)[0]
+    u1 = left_vectors(stacked, m_hat)
     x_hat, images = [], []
     for i, anchor in enumerate(anchors):
         coeff = pinv(design[i])[0] @ u1
@@ -429,6 +444,81 @@ class TestBuildCollaboration:
         shares = equal_range_shares(2, 2, seed=7, with_offsets=False)
         with pytest.raises(ConfigurationError):
             build_collaboration(shares, mode="projective")
+
+
+class TestAnchorBlocks:
+    """The alignment walks the anchor ANCHOR_BLOCK_ROWS rows at a time.  With
+    blocks of 7 rows, so that 60 anchor rows take 9 blocks, the last one
+    short, every case still matches the reference within ALIGN_RTOL."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(collaboration, "ANCHOR_BLOCK_ROWS", 7)
+
+    @pytest.mark.parametrize("mode", ["affine", "linear"])
+    @pytest.mark.parametrize("c,d", [(1, 1), (2, 2), (3, 2), (5, 3)])
+    def test_matches_reference(self, c, d, mode):
+        shares = lattice_shares(c, d, seed=10 * c + d)
+        model = build_collaboration(shares, mode=mode)
+        assert_matches_reference(model, reference_alignment(shares, mode))
+
+    @pytest.mark.parametrize("mode", ["affine", "linear"])
+    def test_rank_deficient_row_block(self, monkeypatch, mode):
+        # row block 1 factors its own design; u1 stays on the Gram route, so
+        # the residual takes a third walk, once every map is known
+        shares = lattice_shares(3, 2, seed=8, deficient={(1, 0), (1, 1)})
+        seen = pinv_inputs(monkeypatch)
+        svds = []
+        monkeypatch.setattr(numerics, "svd",
+                            lambda *a, **k: svds.append(a) or svd(*a, **k))
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            model = build_collaboration(shares, mode=mode, m_hat=3)
+        assert [shape[0] == 60 for shape, _ in seen] == [False, True, False]
+        assert svds == []
+        assert_matches_reference(model, reference_alignment(shares, mode, 3))
+
+    @pytest.mark.parametrize("mode", ["affine", "linear"])
+    def test_gram_overflow(self, monkeypatch, mode):
+        # no Gram block is finite: every design and then the whole stack
+        # are copied out and factored, and the residual takes its own walk
+        shares = [dataclasses.replace(s, x_tilde=s.x_tilde * 1e160,
+                                      anchor_tilde=s.anchor_tilde * 1e160)
+                  for s in lattice_shares(3, 2, seed=3)]
+        seen = pinv_inputs(monkeypatch)
+        svds = []
+        monkeypatch.setattr(numerics, "svd",
+                            lambda a, k: svds.append(np.shape(a)) or svd(a, k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = build_collaboration(shares, mode=mode)
+        assert [shape[0] for shape, _ in seen] == [60, 60, 60]
+        assert [shape[0] for shape in svds] == [60]
+        assert_matches_reference(model, reference_alignment(shares, mode))
+
+
+def test_share_layout_does_not_change_a_bit():
+    shares = lattice_shares(3, 2, seed=6)
+    fortran = [dataclasses.replace(s, x_tilde=np.asfortranarray(s.x_tilde),
+                                   anchor_tilde=np.asfortranarray(s.anchor_tilde))
+               for s in shares]
+    a, b = build_collaboration(shares), build_collaboration(fortran)
+    assert np.array_equal(a.x_hat, b.x_hat) and a.residual == b.residual
+
+
+def test_alignment_holds_no_copy_of_the_anchor_images():
+    """Walked in blocks of ANCHOR_BLOCK_ROWS anchor rows, 50 000 rows here,
+    the alignment's allocations peak below the bytes of the shares' own
+    anchor images, which one stacked copy of them would already pass."""
+    shares = lattice_shares(2, 2, seed=5, r=50_000)
+    assert collaboration.ANCHOR_BLOCK_ROWS < 50_000
+    anchor_bytes = sum(s.anchor_tilde.nbytes for s in shares)
+    tracemalloc.start()
+    try:
+        build_collaboration(shares, m_hat=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < anchor_bytes
 
 
 def test_the_call_counts_the_benchmark_pins(monkeypatch):

@@ -461,6 +461,20 @@ class TestCli:
                          f"--party={party}", "--timeout", "1"]) == 2
         assert "outside the 2x2 lattice" in capsys.readouterr().err
 
+    def test_unreachable_analyst_exits_3(self, tmp_path, capsys):
+        # a port that was free a moment ago: nothing listens there
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(TINY_CFG)
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        assert cli.main(["user", str(cfg), "--connect", f"127.0.0.1:{port}",
+                         "--party", "0,0", "--timeout", "2"]) == cli.EXIT_SESSION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cannot reach analyst" in err
+
     def test_tcp_roles_agree_with_in_process(self, tmp_path, capsys):
         # analyst in a thread, users in the foreground, all through main()
         cfg = tmp_path / "wire.cfg"

@@ -147,32 +147,31 @@ def with_singular_values(s, rows, cols, seed):
 
 
 class TestLeadingLeftVectors:
-    """Every case matches svd(a, top_k).u within 1e-12, which also pins the
+    """Where the Gram route holds, u = (a @ v) / s with its signs fixed by
+    `_fix_signs` matches svd(a, top_k).u within 1e-12, which also pins the
     column signs (a flipped column is off by twice its largest entry), and
-    the returned a.T @ u matches that product within 1e-12 of a's scale;
-    counting numerics.svd calls tells the Gram route from the fallback."""
+    the returned a.T @ u, given the same signs, matches that product within
+    1e-12 of a's scale.  A route of None sends the caller to svd."""
 
-    def svd_calls(self, monkeypatch, a, top_k):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(numerics, "svd", counted)
+    def takes_gram_route(self, a, top_k):
         with np.errstate(over="ignore", invalid="ignore"):
             gram = a.T @ a
-        u, at_u = leading_left_vectors(a, top_k, gram)
+        route = leading_left_vectors(gram, top_k, a.shape[0])
+        if route is None:
+            return False
+        v, s, at_u = route
+        u = a @ v / s
+        at_u = at_u * numerics._fix_signs(u)
         assert u.shape == (a.shape[0], top_k)
         assert np.abs(u - svd(a, top_k).u).max() <= 1e-12
         assert np.abs(at_u - a.T @ u).max() <= 1e-12 * np.abs(a).max()
-        return len(calls)
+        return True
 
-    def test_tall_well_separated_stack_takes_the_gram_route(self, monkeypatch):
+    def test_tall_well_separated_stack_takes_the_gram_route(self):
         a = with_singular_values(np.geomspace(10.0, 0.1, 12), 500, 12, 0)
-        assert self.svd_calls(monkeypatch, a, 4) == 0
+        assert self.takes_gram_route(a, 4)
 
-    def test_affine_stack_with_repeated_ones_columns(self, monkeypatch):
+    def test_affine_stack_with_repeated_ones_columns(self):
         # three row blocks' designs, each with its own copy of the ones
         # column, so the stack is rank-deficient by two
         rng = np.random.default_rng(1)
@@ -180,43 +179,38 @@ class TestLeadingLeftVectors:
         a = np.hstack([part for _ in range(3) for part in (
             rng.normal(size=(300, 3)) + rng.normal(size=3), ones)])
         assert np.linalg.matrix_rank(a) == a.shape[1] - 2
-        assert self.svd_calls(monkeypatch, a, 4) == 0
+        assert self.takes_gram_route(a, 4)
 
-    def test_tie_at_top_k_falls_back_to_svd(self, monkeypatch):
+    def test_tie_at_top_k_falls_back_to_svd(self):
         a = with_singular_values([3.0, 2.0, 1.0, 1.0, 0.5], 200, 5, 2)
-        assert self.svd_calls(monkeypatch, a, 3) == 1
+        assert not self.takes_gram_route(a, 3)
 
-    def test_small_trailing_eigenvalue_falls_back_to_svd(self, monkeypatch):
+    def test_small_trailing_eigenvalue_falls_back_to_svd(self):
         # lam_2 / lam_1 = 1e-6, below GRAM_RTOL
         a = with_singular_values([1.0, 1e-3, 1e-6, 1e-7], 200, 4, 3)
         assert numerics.GRAM_RTOL > 1e-6
-        assert self.svd_calls(monkeypatch, a, 2) == 1
+        assert not self.takes_gram_route(a, 2)
 
-    def test_wide_matrix_falls_back_to_svd(self, monkeypatch):
-        assert self.svd_calls(monkeypatch, rand((5, 8), 4), 3) == 1
-
-    def test_layout_does_not_change_a_bit(self):
-        a = rand((400, 9), 5)
-        for c_order, f_order in zip(
-                leading_left_vectors(a, 3, a.T @ a),
-                leading_left_vectors(np.asfortranarray(a), 3, a.T @ a)):
-            assert np.array_equal(c_order, f_order)
+    def test_wide_matrix_falls_back_to_svd(self):
+        assert not self.takes_gram_route(rand((5, 8), 4), 3)
 
     def test_top_k_bounds(self):
         a = rand((8, 5), 6)
         for top_k in (0, 6):
             with pytest.raises(ContractViolationError):
-                leading_left_vectors(a, top_k, a.T @ a)
+                leading_left_vectors(a.T @ a, top_k, 8)
+        with pytest.raises(ContractViolationError):
+            leading_left_vectors(a.T @ a, 5, 4)
 
-    def test_finite_stack_whose_gram_overflows_takes_svd(self, monkeypatch):
+    def test_finite_stack_whose_gram_overflows_takes_svd(self):
         # each a.T @ a entry is about 50e400: no Gram matrix, but a finite
-        # stack that svd factors, with no overflow warning on the way
+        # stack that svd factors
         a = np.random.default_rng(0).standard_normal((50, 4)) * 1e200
         with np.errstate(over="ignore", invalid="ignore"):
             gram = a.T @ a
         assert not np.all(np.isfinite(gram))
-        assert self.svd_calls(monkeypatch, a, 2) == 1
-        u, at_u = leading_left_vectors(a, 2, gram)
+        assert not self.takes_gram_route(a, 2)
+        u, at_u = numerics.svd_left_vectors(a, 2)
         f = svd(a, 2)
         assert np.array_equal(u, f.u)
         assert np.array_equal(at_u, f.vt.T * f.s)
@@ -224,16 +218,66 @@ class TestLeadingLeftVectors:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("shape", [(40, 5), (5, 40)])
     def test_rejects_nan_and_inf_with_and_without_gram(self, bad, shape):
+        # the Gram matrix of a stack holding NaN or Inf is not finite, so
+        # the route declines it, and the svd route refuses the stack
         a = rand(shape, 7)
         a[3, 2] = bad
         with np.errstate(invalid="ignore"):
             gram = a.T @ a
+        assert leading_left_vectors(gram, 2, a.shape[0]) is None
         with pytest.raises(ContractViolationError, match="NaN or Inf"):
-            leading_left_vectors(a, 2, gram)
+            numerics.svd_left_vectors(a, 2)
 
     def test_rejects_a_vector(self):
         with pytest.raises(ContractViolationError, match="2-D"):
-            leading_left_vectors(np.ones(5), 1, np.ones((1, 1)))
+            leading_left_vectors(np.ones(5), 1, 5)
+        with pytest.raises(ContractViolationError, match="square"):
+            leading_left_vectors(np.ones((5, 4)), 1, 5)
+
+
+def old_rule_signs(u):
+    """The sign rule as first written, over the whole matrix at once: each
+    column's lead is the lowest-index entry within SIGN_TIE_RTOL of its
+    largest magnitude, and a zero lead counts as positive."""
+    mag = np.abs(u)
+    lead = np.argmax(mag >= mag.max(axis=0) * (1.0 - numerics.SIGN_TIE_RTOL),
+                     axis=0)
+    signs = np.sign(u[lead, np.arange(u.shape[1])])
+    signs[signs == 0] = 1.0
+    return signs
+
+
+class TestFixSigns:
+    def columns(self, seed):
+        """Tie-heavy columns (small integers, so the largest magnitude
+        repeats, with either sign first), antisymmetric columns nudged by
+        roundoff, a zero column and a column of one negative entry."""
+        rng = np.random.default_rng(seed)
+        ties = rng.integers(-2, 3, size=(40, 4)).astype(float)
+        half = rng.normal(size=(20, 3))
+        antisymmetric = np.vstack([half, -half[::-1]])
+        antisymmetric *= 1.0 + rng.uniform(-1e-12, 1e-12, size=(40, 3))
+        single = np.zeros((40, 1))
+        single[17] = -3.0
+        return np.hstack([ties, antisymmetric, np.zeros((40, 1)), single])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_old_rule_bit_for_bit(self, seed, order):
+        u = np.asarray(self.columns(seed), order=order)
+        vt = rand((u.shape[1], 6), seed)
+        want = old_rule_signs(u)
+        fixed, fixed_vt = u.copy(order=order), vt.copy()
+        signs = numerics._fix_signs(fixed, fixed_vt)
+        assert np.array_equal(signs, want)
+        assert np.array_equal(fixed, u * want)
+        assert np.array_equal(np.signbit(fixed), np.signbit(u * want))
+        assert np.array_equal(fixed_vt, vt * want[:, None])
+
+    def test_empty_factors_keep_every_sign(self):
+        for shape in ((0, 3), (4, 0)):
+            u = np.zeros(shape)
+            assert np.array_equal(numerics._fix_signs(u), np.ones(shape[1]))
 
 
 class TestEigSymmetric:
