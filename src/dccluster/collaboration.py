@@ -27,13 +27,19 @@ from .numerics import (_fix_signs, as_matrix, leading_left_vectors, pinv,
 ALGORITHMS = ("kmeans", "spectral")
 MODES = ("linear", "affine")
 # Anchor rows the alignment copies into its buffer and multiplies at a
-# time.  Aligning the blobs shares (r = 300k, W = 50, ten row blocks) on a
-# 2-core Xeon with 4 MB of L2 per core took about as long with blocks of
-# 2 048 to 8 192 rows (medians 140-186 ms) and longer with larger ones:
-# 151-201 ms at 16 384, 179-246 ms at 32 768, 244-303 ms at 65 536.  8 192
-# is the largest of the fast sizes, so that every anchor of up to 8 192
-# rows, circles' 4 500 and iris's 150 among them, is one block, whose G and
-# u1 come from single products over the whole stack.
+# time, and the rows an institution centres and maps at a time.  Aligning
+# the blobs shares (r = 300k, W = 50, ten row blocks) on a 2-core Xeon with
+# 4 MB of L2 per core took about as long with blocks of 2 048 to 8 192 rows
+# (medians 140-186 ms) and longer with larger ones: 151-201 ms at 16 384,
+# 179-246 ms at 32 768, 244-303 ms at 65 536.  8 192 is the largest of the
+# fast sizes, so that every anchor of up to 8 192 rows, circles' 4 500 and
+# iris's 150 among them, is one block, whose G and u1 come from single
+# products over the whole stack.  In the fit, a block bounds the centred
+# temporary at 8 192 x m instead of r x m, and on blobs (m = 3) a product
+# that small is below OpenBLAS's threading threshold, so it runs on the
+# calling thread: the 20 blobs fits, each one 300k-row product at once, had
+# contended for the BLAS thread pool and ended 0.31-0.36 s into the
+# session, against 0.23-0.28 s in blocks.
 ANCHOR_BLOCK_ROWS = 8_192
 
 
@@ -78,7 +84,13 @@ def fit_intermediate(x_block, anchor_block, target_dim: int, *, scale: bool):
 
     Returns (x_tilde, anchor_tilde): the transformed block and the
     transformed anchor restricted to this institution's columns, the two
-    matrices its share carries.  f itself is never returned.
+    matrices its share carries.  f itself is never returned.  The anchor,
+    r rows, is centred and mapped ANCHOR_BLOCK_ROWS rows at a time into
+    anchor_tilde, so no r x m temporary is made, and on narrow blocks each
+    product is small enough to run on the calling thread while the other
+    institutions fit theirs.  The blocks' rows are those of one whole
+    product, bit for bit, which the reference-fit tests check across block
+    edges.
     """
     x_block = as_matrix(x_block, "x_block")
     anchor_block = as_matrix(anchor_block, "anchor_block")
@@ -98,7 +110,11 @@ def fit_intermediate(x_block, anchor_block, target_dim: int, *, scale: bool):
         scales = np.sqrt(np.mean(centred * centred, axis=0))  # population std
         scales[scales == 0.0] = 1.0
     linear = svd(centred / scales, top_k=target_dim).vt.T / scales[:, None]
-    return centred @ linear, (anchor_block - means) @ linear
+    anchor_tilde = np.empty((anchor_block.shape[0], target_dim))
+    for start in range(0, anchor_block.shape[0], ANCHOR_BLOCK_ROWS):
+        rows = slice(start, start + ANCHOR_BLOCK_ROWS)
+        np.matmul(anchor_block[rows] - means, linear, out=anchor_tilde[rows])
+    return centred @ linear, anchor_tilde
 
 
 def _grouped_by_row(shares) -> list[list]:

@@ -180,7 +180,9 @@ def reference_fit(x, anchor, target_dim, scale):
 def fit_inputs(m, seed):
     """(kind, block, anchor) triples of width m: real-valued features of
     mixed scales, one of them constant, and integer-valued features whose
-    block holds a row equal to its mean, as the anchor does."""
+    block holds a row equal to its mean, as the anchor does.  The tall
+    anchor spans three ANCHOR_BLOCK_ROWS blocks, the last one short, and
+    holds the block's mean on both sides of the first edge and last."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 40))
     x = rng.normal(size=(n, m)) * rng.uniform(0.1, 5.0, m) + rng.normal(size=m)
@@ -190,8 +192,11 @@ def fit_inputs(m, seed):
     half = rng.integers(-5, 6, size=(n // 2 + 1, m)).astype(float)
     integer = np.vstack([half, -half, np.zeros((1, m))]) + rng.integers(-3, 4, m)
     integer_anchor = np.vstack([anchor.round(), integer.mean(axis=0)])
+    edge = collaboration.ANCHOR_BLOCK_ROWS
+    tall = rng.uniform(-4, 4, size=(2 * edge + 37, m))
+    tall[[edge - 1, edge, -1]] = x.mean(axis=0)
     return [("real", x, anchor), ("constant", constant, anchor),
-            ("integer", integer, integer_anchor)]
+            ("integer", integer, integer_anchor), ("tall", x, tall)]
 
 
 class TestFitIntermediate:
@@ -218,6 +223,22 @@ class TestFitIntermediate:
                         assert np.array_equal(g, w), (kind, seed, target_dim)
                         assert np.array_equal(np.signbit(g), np.signbit(w)), (
                             kind, seed, target_dim)
+
+    def test_maps_the_anchor_without_an_anchor_sized_temporary(self):
+        """The anchor is centred and mapped ANCHOR_BLOCK_ROWS rows at a
+        time, so the fit's allocations peak below its outputs plus half of
+        one r x m array; one centred copy of the anchor would pass that."""
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(50, 6))
+        anchor = rng.uniform(-4, 4, size=(3 * collaboration.ANCHOR_BLOCK_ROWS
+                                          + 5, 6))
+        tracemalloc.start()
+        try:
+            outputs = fit_intermediate(x, anchor, 5, scale=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(o.nbytes for o in outputs) + anchor.nbytes / 2
 
     def test_same_fitted_map_for_anchor(self):
         # the anchor goes through the block's map, fitted on the block

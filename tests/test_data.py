@@ -9,10 +9,10 @@ import pytest
 from test_acceptance import STRETCH, stretch_spec
 
 from dccluster import datasets
-from dccluster.data import (LabeledDataset, make_blobs, make_circles,
-                            partition_lattice, load_csv, feature_bounds,
-                            generate_anchor, MINOR_FEATURES, MINOR_VAR,
-                            MINOR_COV)
+from dccluster.data import (LabeledDataset, LatticePartition, make_blobs,
+                            make_circles, partition_lattice, load_csv,
+                            feature_bounds, generate_anchor, MINOR_FEATURES,
+                            MINOR_VAR, MINOR_COV)
 from dccluster.errors import (ContractViolationError, ConfigurationError,
                               IngestionError)
 
@@ -130,12 +130,22 @@ class TestPartition:
                               cluster_map={0: [0], 1: [1]})
 
     def test_block_extraction(self):
+        # a contiguous lattice, then shuffled, unsorted and empty row sets
+        # with unsorted columns, from a C- and a Fortran-ordered matrix
         ds = blobs_ds(4)
-        part = partition_lattice(ds, 2, 2, "contiguous")
-        block = part.block(ds.features, 1, 0)
-        manual = ds.features[np.ix_(part.row_index_sets[1],
-                                    part.col_index_sets[0])]
-        assert np.array_equal(block, manual)
+        rows = np.random.default_rng(3).permutation(ds.features.shape[0])
+        shuffled = LatticePartition(
+            row_index_sets=[rows[:700], rows[700:], np.array([], dtype=np.int64)],
+            col_index_sets=[np.array([4, 0, 2]), np.array([5, 1, 3])])
+        for x in (ds.features, np.asfortranarray(ds.features)):
+            for part in (partition_lattice(ds, 2, 2, "contiguous"), shuffled):
+                for i, j in np.ndindex(part.c, part.d):
+                    block = part.block(x, i, j)
+                    manual = x[np.ix_(part.row_index_sets[i],
+                                      part.col_index_sets[j])]
+                    assert block.shape == manual.shape
+                    assert np.array_equal(block, manual)
+                    assert block.flags.c_contiguous
 
     def test_col_override(self):
         ds = blobs_ds(4)

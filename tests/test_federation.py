@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -724,6 +725,50 @@ class TestSessionProtocol:
         cfg = SessionConfig(c=1, d=1, k=2, timeout=1.0)
         with pytest.raises(ProtocolError, match="row block 5"):
             user_party_run((0, 0), block, anchor, cfg, MisroutingTransport())
+
+    def test_the_share_is_let_go_before_it_is_sent(self, monkeypatch):
+        """While an institution sends and then waits for its reply, the
+        share it built is already gone; only its party id is kept, for the
+        errors that name it."""
+        shares, real_step = [], federation.user_step
+
+        def step(*args):
+            share = real_step(*args)
+            shares.append(weakref.ref(share))
+            return share
+
+        monkeypatch.setattr(federation, "user_step", step)
+
+        class ReleaseCheckingTransport:
+            def __init__(self, reply):
+                self.reply = reply
+                self.sent = []
+
+            def send(self, frame):
+                assert shares[-1]() is None
+                self.sent.append(len(frame))
+
+            def recv(self, timeout):
+                assert shares[-1]() is None
+                if self.reply is None:
+                    raise SessionTimeoutError("no analyst frame")
+                return encode_message(self.reply)
+
+        rng = np.random.default_rng(0)
+        block = rng.normal(size=(12, 4))
+        anchor = rng.uniform(-1, 1, size=(30, 4))
+        cfg = SessionConfig(c=2, d=2, k=3, timeout=1.0)
+        ok = ReleaseCheckingTransport(sample_result(row_block=1))
+        labels = user_party_run((1, 0), block, anchor, cfg, ok)
+        assert labels.shape == (9,) and len(ok.sent) == 1
+        late = ReleaseCheckingTransport(None)
+        with pytest.raises(SessionTimeoutError, match=r"party \(1, 1\)"):
+            user_party_run((np.int64(1), 1), block, anchor, cfg, late)
+        stray = ReleaseCheckingTransport(sample_result(row_block=0))
+        with pytest.raises(ProtocolError,
+                           match=r"row block 0 sent to party \(1, 0\)"):
+            user_party_run((1, 0), block, anchor, cfg, stray)
+        assert len(shares) == 3
 
 
 class TestFullSession:
