@@ -253,10 +253,10 @@ def build_collaboration(shares, mode: str = "affine",
     clamped = min(ranks) < m_hat
     if clamped:
         m_hat = min(ranks)
-        warnings.warn(f"anchor representation rank-deficient; common dimension "
-                      f"clamped to {m_hat}", RuntimeWarning, stacklevel=2)
         if m_hat < 1:
             raise ConfigurationError("anchor representations have rank 0")
+        warnings.warn(f"anchor representation rank-deficient; common dimension "
+                      f"clamped to {m_hat}", RuntimeWarning, stacklevel=2)
 
     # every rank is at most r, so m_hat is too
     gram_route = leading_left_vectors(gram, m_hat, r)

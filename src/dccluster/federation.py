@@ -12,16 +12,17 @@ matrices are views into the frame.
 
 Transports only move frames.  On the analyst's side both are one `Inbox`
 of `(frame, route)` pairs, where `route` carries a reply back to the
-frame's sender: in-process users put their frames with their own down
-queue as the route, and `TcpAnalystEndpoint` is an inbox fed by one reader
-thread per accepted connection, routed back over that connection; its
-listener blocks in `accept()` until `close()` shuts it down.  A user
-endpoint sends one frame and receives one.  Every endpoint counts frames,
-so single-round accounting can be asserted, and its `close()` ends the
-wait on it.  The party runners (`user_party_run`, `analyst_party_run`) own
-the protocol: codec, message kinds, and routing.  A session runs each
-institution on a thread and the analyst on the calling thread; the first
-party to fail closes every endpoint, so the session ends with its error.
+frame's sender: an in-process user is itself an inbox and puts its frames
+with its own `put` as the route, and `TcpAnalystEndpoint` is an inbox fed
+by one reader thread per accepted connection, routed back over that
+connection; its listener blocks in `accept()` until `close()` shuts it
+down.  A user endpoint sends one frame and receives one.  Every endpoint
+counts frames, so single-round accounting can be asserted, and its
+`close()` ends the wait on it.  The party runners (`user_party_run`,
+`analyst_party_run`) own the protocol: codec, message kinds, and routing.
+A session runs each institution on a thread and the analyst on the calling
+thread; the first party to fail closes every endpoint, so the session ends
+with its error.
 """
 from __future__ import annotations
 
@@ -305,12 +306,14 @@ def decode_message(data):
 # ---------------------------------------------------------------------------
 
 class Inbox:
-    """The analyst's side of either transport: frames in arrival order, each
-    with the route that carries a reply back to whoever sent it.
+    """A queue of one party's incoming items, with a deadline, a close and a
+    count of the items handed out.
 
-    Producers put `(frame, route)` pairs; `route(frame)` sends one frame
-    back.  A connection that fails mid-frame arrives as `(b"", None)`, which
-    decodes to nothing and is dropped like any other bad frame.
+    The analyst's side of either transport is an `Inbox` of `(frame, route)`
+    pairs, where `route(frame)` sends one frame back to whoever sent it; a
+    connection that fails mid-frame arrives as `(b"", None)`, which decodes
+    to nothing and is dropped like any other bad frame.  An in-process
+    institution receives its answer through an `Inbox` of its own.
     """
 
     def __init__(self):
@@ -322,7 +325,9 @@ class Inbox:
         self._items.put(item)
 
     def recv(self, timeout: float):
-        """Next (frame, route); SessionTimeoutError when none arrives."""
+        """The next item; SessionTimeoutError when none arrives in time, and
+        SessionError once the inbox is closed.  Only an item handed out is
+        counted."""
         try:
             item = self._items.get(timeout=max(timeout, 0.0))
         except queue.Empty:
@@ -342,30 +347,18 @@ class Inbox:
         self._items.put(None)
 
 
-class InProcessUserEndpoint:
-    """One institution's queue pair onto an in-process `Inbox`."""
+class InProcessUserEndpoint(Inbox):
+    """One institution's end of an in-process session: it sends each frame
+    into the analyst's inbox, routed back into its own, and receives its
+    answer from its own under the same timeout, close and count."""
 
-    def __init__(self, inbox: Inbox):
-        self._inbox = inbox
-        self._down: queue.Queue = queue.Queue()
-        self.sent_count = 0
-        self.received_count = 0
+    def __init__(self, analyst: Inbox):
+        super().__init__()
+        self._analyst = analyst
 
     def send(self, frame: bytes):
-        self._inbox.put((frame, self._down.put))
+        self._analyst.put((frame, self.put))
         self.sent_count += 1
-
-    def recv(self, timeout: float) -> bytes:
-        try:
-            frame = self._down.get(timeout=timeout)
-        except queue.Empty:
-            raise SessionTimeoutError(
-                f"no analyst frame within {timeout} s") from None
-        self.received_count += 1
-        return frame
-
-    def close(self):
-        self._down.put(b"")     # a pending or later recv gets a non-frame
 
 
 def _recv_into(sock: socket.socket, view: memoryview, deadline: float) -> int:
@@ -422,7 +415,10 @@ class TcpUserEndpoint:
         self.sent_count += 1
 
     def recv(self, timeout: float) -> bytes:
+        """The analyst's frame; SessionError if it closes without one."""
         frame = _recv_frame(self._sock, timeout)
+        if not frame:
+            raise SessionError("the analyst closed the connection")
         self.received_count += 1
         return frame
 
@@ -512,23 +508,22 @@ def analyst_step(shares, cfg: SessionConfig):
     """The analyst's whole computation: align every share, cluster once, and
     split the answer into one result per row block.
 
-    Returns (collaboration model, results); results[i] goes to row block i.
+    Returns (report, results): results[i] goes to row block i, and the
+    report's labels are each row block's by nearest centroid, as its
+    institutions recover them from the same result, in row-block order.
+    The step lets go of `shares` once aligned, so a caller that keeps no
+    reference of its own holds no share through clustering.
     """
     model = build_collaboration(shares, mode=cfg.mode, m_hat=cfg.m_hat)
+    del shares
     z = make_clustering_representation(model, cfg.algorithm, cfg.k, cfg.neighbors)
     clusters, z_blocks = analyst_cluster(
         z, cfg.k, model.row_sizes, max_iter=cfg.max_iter,
         rng_seed=derive_seed(cfg.master_seed, "analyst"), restarts=cfg.restarts)
-    return model, [AnalystResultMsg(row_block=i, centroids=clusters.centroids,
-                                    z_block=z) for i, z in enumerate(z_blocks)]
-
-
-def analyst_report(model: CollaborationModel, results,
-                   frames_dropped: int = 0) -> AnalystReport:
-    """Each row block's labels by nearest centroid, as its institutions
-    recover them from the same result, in row-block order."""
+    results = [AnalystResultMsg(row_block=i, centroids=clusters.centroids,
+                                z_block=z) for i, z in enumerate(z_blocks)]
     labels = [assign_nearest(res.z_block, res.centroids) for res in results]
-    return AnalystReport(np.concatenate(labels), model, frames_dropped)
+    return AnalystReport(np.concatenate(labels), model), results
 
 
 def user_party_run(party, local_block, anchor_block, cfg: SessionConfig,
@@ -562,18 +557,22 @@ def user_party_run(party, local_block, anchor_block, cfg: SessionConfig,
 def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     """Run the analyst: collect every share, align, cluster, answer everyone.
 
-    A frame that does not decode to a share is dropped and counted.  A
-    repeated party id, a party outside the lattice, or a config echo that
-    differs from the analyst's own is a protocol error; parties still
-    missing when the deadline passes abort the session with the absentees
-    listed.  Each party's answer goes back by the route its share came in on.
+    A frame that does not decode to a share is dropped.  A repeated party
+    id, a party outside the lattice, or a config echo that differs from the
+    analyst's own is a protocol error; parties still missing when the
+    deadline passes abort the session with the absentees listed.  Every
+    frame the inbox hands out is either accepted or dropped, so the report
+    counts as dropped all but the c*d accepted.  The shares go to
+    `analyst_step` with no other reference kept, so none outlives the
+    alignment; on blobs that lets go of about 106 MB of frames before
+    clustering.  Each party's answer goes back by the route its share came
+    in on.
     """
     expected = {(i, j) for i in range(cfg.c) for j in range(cfg.d)}
     echo = cfg.echo()
     deadline = time.monotonic() + cfg.timeout
     shares: dict[tuple[int, int], UserShareMsg] = {}
     routes = {}
-    dropped = 0
 
     def absent():
         return SessionError("timed out waiting for shares from "
@@ -589,9 +588,8 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
         except SessionTimeoutError:
             raise absent() from None
         except DecodeError:
-            msg = None
+            continue
         if not isinstance(msg, UserShareMsg):
-            dropped += 1
             continue
         if msg.party in shares:
             raise ProtocolError(f"duplicate share from party {msg.party}")
@@ -605,12 +603,14 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
                 f"party {msg.party} echoes a different config: {differ}")
         shares[msg.party] = msg
         routes[msg.party] = route
+    del msg, frame
 
-    model, results = analyst_step([shares[p] for p in sorted(shares)], cfg)
+    report, results = analyst_step([shares.pop(p) for p in sorted(expected)], cfg)
     for res in results:
         for j in range(cfg.d):
             inbox.reply(routes[(res.row_block, j)], encode_message(res))
-    return analyst_report(model, results, frames_dropped=dropped)
+    report.frames_dropped = inbox.received_count - len(expected)
+    return report
 
 
 @dataclass
@@ -697,7 +697,7 @@ def run_dc_clustering(x, partition, anchor, cfg: SessionConfig) -> AnalystReport
                                             cfg)
     shares = [user_step(p, blocks[p], anchor_blocks[p[1]], cfg)
               for p in sorted(blocks)]
-    return analyst_report(*analyst_step(shares, cfg))
+    return analyst_step(shares, cfg)[0]
 
 
 def run_in_process_session(x, partition, anchor, cfg: SessionConfig) -> SessionOutcome:

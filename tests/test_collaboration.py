@@ -362,6 +362,18 @@ class TestBuildCollaboration:
             model = build_collaboration(shares, mode="linear")
         assert model.m_hat == 1 and model.m_hat_clamped
 
+    def test_rank_zero_anchor_raises_without_a_clamp_warning(self):
+        # a zero anchor image has rank 0 in linear mode: a configuration
+        # error, not a clamp to 0 announced first
+        rng = np.random.default_rng(6)
+        shares = [UserShareMsg(party=(i, 0), x_tilde=rng.normal(size=(2, 2)),
+                               anchor_tilde=np.zeros((2, 2)))
+                  for i in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="rank 0"):
+                build_collaboration(shares, mode="linear")
+
     @pytest.mark.parametrize("mode", ["affine", "linear"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("c", [1, 2, 3, 5])
@@ -680,13 +692,16 @@ class TestAnalystAndUsers:
     def test_analyst_step_answers_each_row_block(self):
         shares = equal_range_shares(2, 2, seed=8, with_offsets=True)
         cfg = SessionConfig(c=2, d=1, k=2, m_hat=2)
-        model, results = analyst_step(shares, cfg)
+        report, results = analyst_step(shares, cfg)
         assert [r.row_block for r in results] == [0, 1]
-        assert [r.z_block.shape[0] for r in results] == model.row_sizes
+        assert [r.z_block.shape[0] for r in results] == report.model.row_sizes
         # one clustering answers every block: the same k centroids in z's space
         assert results[0].centroids.shape == (2, results[0].z_block.shape[1])
         assert all(np.array_equal(r.centroids, results[0].centroids)
                    for r in results)
+        # the analyst's labels are those its institutions recover
+        assert np.array_equal(report.labels, np.concatenate(
+            [assign_nearest(r.z_block, r.centroids) for r in results]))
 
     def test_analyst_result_carries_no_private_fields(self):
         assert {f.name for f in dataclasses.fields(AnalystResultMsg)} == {

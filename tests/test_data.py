@@ -203,6 +203,29 @@ class TestCsv:
             load_csv(p, label_column="label")
         assert "row 3" in str(err.value) and "b" in str(err.value)
 
+    @pytest.mark.parametrize("text, message", [("", "is empty"),
+                                               ("a,b,label\n", "no data rows")],
+                             ids=["empty", "header-only"])
+    def test_file_without_rows_is_refused(self, tmp_path, text, message):
+        p = tmp_path / "rowless.csv"
+        p.write_text(text)
+        with pytest.raises(IngestionError, match=message):
+            load_csv(p, label_column="label")
+
+    def test_short_row_reports_its_row(self, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text("a,b,label\n1,2,x\n3,y\n")
+        with pytest.raises(IngestionError, match="expected 3 cells, got 2") as err:
+            load_csv(p, label_column="label")
+        assert err.value.row == 3
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        p = tmp_path / "gap.csv"
+        p.write_text("a,b,label\n1,2,x\n\n3,4,y\n")
+        ds = load_csv(p, label_column="label")
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
+
     def test_iris_bundle(self):
         ds = load_csv("data/iris.csv", label_column="species")
         assert ds.features.shape == (150, 4)

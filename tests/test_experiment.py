@@ -427,6 +427,21 @@ class TestCli:
         report = capsys.readouterr().out
         assert "trials=1" in report
 
+    def test_aborted_trials_exit_1_with_one_line_each(self, tmp_path, capsys):
+        # k above the 24 rows aborts both trials at the analyst
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(TINY_CFG + f"k = 31\nout_dir = {tmp_path / 'reports'}\n")
+        assert cli.main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == [
+            "  aborted trial 0", "  aborted trial 1"]
+
+    def test_directory_without_configs_exits_2(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("no config here\n")
+        assert cli.main(["run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no .cfg files" in err
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("dataset = blobs\nwidgets = 5\n")
@@ -452,6 +467,13 @@ class TestCli:
         assert cli.main(["datasets", "fetch", "nosuch",
                          "--dest", str(tmp_path)]) == 2
         assert "unknown dataset" in capsys.readouterr().err
+
+    def test_party_without_a_column_index_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(TINY_CFG)
+        assert cli.main(["user", str(cfg), "--connect", "127.0.0.1:9",
+                         "--party", "0", "--timeout", "1"]) == 2
+        assert "--party expects i,j" in capsys.readouterr().err
 
     @pytest.mark.parametrize("party", ["2,0", "0,2", "-1,0"])
     def test_user_outside_the_lattice_exits_2(self, tmp_path, capsys, party):

@@ -525,6 +525,14 @@ class TestInProcessHub:
         with pytest.raises(SessionTimeoutError):
             Inbox().recv(timeout=0.05)
 
+    def test_closed_user_endpoint_raises_and_counts_nothing(self):
+        user = InProcessUserEndpoint(Inbox())
+        user.close()
+        for _ in range(2):              # a pending or later recv alike
+            with pytest.raises(SessionError, match="closed"):
+                user.recv(timeout=1.0)
+        assert user.received_count == 0
+
 
 class TestTcpTransport:
     def test_connect_refused_reports_unreachable(self):
@@ -583,6 +591,20 @@ class TestTcpTransport:
             user.close()
         finally:
             analyst.close()
+
+    def test_analyst_closing_first_is_no_received_frame(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        user = TcpUserEndpoint("127.0.0.1", listener.getsockname()[1],
+                               timeout=5.0)
+        try:
+            conn, _ = listener.accept()
+            conn.close()
+            with pytest.raises(SessionError, match="closed"):
+                user.recv(5.0)
+            assert user.received_count == 0
+        finally:
+            user.close()
+            listener.close()
 
     def test_idle_endpoint_closes_at_once(self):
         times = []
@@ -725,6 +747,23 @@ class TestSessionProtocol:
         cfg = SessionConfig(c=1, d=1, k=2, timeout=1.0)
         with pytest.raises(ProtocolError, match="row block 5"):
             user_party_run((0, 0), block, anchor, cfg, MisroutingTransport())
+
+    def test_share_frame_in_place_of_a_result_detected(self):
+        class EchoingTransport:
+            """Hands the institution its own share back as the reply."""
+
+            def send(self, frame):
+                self.frame = frame
+
+            def recv(self, timeout):
+                return self.frame
+
+        rng = np.random.default_rng(0)
+        block = rng.normal(size=(12, 4))
+        anchor = rng.uniform(-1, 1, size=(12, 4))
+        cfg = SessionConfig(c=1, d=1, k=2, timeout=1.0)
+        with pytest.raises(ProtocolError, match="expected an analyst result"):
+            user_party_run((0, 0), block, anchor, cfg, EchoingTransport())
 
     def test_the_share_is_let_go_before_it_is_sent(self, monkeypatch):
         """While an institution sends and then waits for its reply, the
@@ -877,6 +916,34 @@ class TestFullSession:
         assert np.array_equal(local.report.labels, wired.report.labels)
         for party, labels in local.user_labels.items():
             assert np.array_equal(labels, wired.user_labels[party])
+
+    @pytest.mark.parametrize("run", [run_in_process_session, run_tcp_session],
+                             ids=["in-process", "tcp"])
+    def test_no_share_outlives_the_alignment(self, run, monkeypatch):
+        # only x_hat is needed after the alignment: every share, and so
+        # every frame its matrices are views into, is gone by clustering
+        decoded, alive = [], []
+        decode = federation.decode_message
+        represent = federation.make_clustering_representation
+
+        def recording_decode(frame):
+            msg = decode(frame)
+            if isinstance(msg, UserShareMsg):
+                decoded.append(weakref.ref(msg))
+            return msg
+
+        def checking_represent(*args):
+            alive.append(sum(ref() is not None for ref in decoded))
+            return represent(*args)
+
+        monkeypatch.setattr(federation, "decode_message", recording_decode)
+        monkeypatch.setattr(federation, "make_clustering_representation",
+                            checking_represent)
+        ds, part, anchor, cfg = small_session_inputs()
+        outcome = run(ds.features, part, anchor, cfg)
+        assert len(decoded) == cfg.c * cfg.d
+        assert alive == [0]
+        assert outcome.report.frames_dropped == 0
 
     def test_tcp_session_closes_every_socket(self):
         ds, part, anchor, cfg = small_session_inputs(seed=5)

@@ -12,8 +12,8 @@ from dccluster.clustering import (assign_nearest, build_affinity, kmeans,
                                   laplacian_sym, spectral_embedding)
 from dccluster.data import (feature_bounds, generate_anchor, make_blobs,
                             partition_lattice)
-from dccluster.federation import (SessionConfig, UserShareMsg, analyst_report,
-                                  analyst_step, user_step, _session_inputs)
+from dccluster.federation import (SessionConfig, UserShareMsg, analyst_step,
+                                  user_step, _session_inputs)
 
 
 def lattice_shares(c, d, seed):
@@ -52,9 +52,8 @@ def test_alignment_is_blind_to_each_partys_rotation(c, d, mode):
     shares, cfg = lattice_shares(c, d, seed=10 * c + d)
     cfg = dataclasses.replace(cfg, mode=mode)
     rng = np.random.default_rng(c * d)
-    plain = analyst_report(*analyst_step(shares, cfg))
-    turned = analyst_report(*analyst_step([rotated(s, rng) for s in shares],
-                                          cfg))
+    plain = analyst_step(shares, cfg)[0]
+    turned = analyst_step([rotated(s, rng) for s in shares], cfg)[0]
     assert relative(turned.model.x_hat, plain.model.x_hat) <= 1e-12
     assert np.array_equal(turned.labels, plain.labels)
 
