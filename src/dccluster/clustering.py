@@ -3,10 +3,16 @@
 Both algorithms are deterministic given a seed: k-means uses squared-distance
 weighted seeding with cumulative-probability sampling, Lloyd updates with an
 explicit empty-cluster repair, and an early stop when assignments repeat.
-Each assignment pass holds its distances centroid-major, as a k x n array
-whose rows run over the points, and labels a point by a strict `<` compare
-of each centroid's row against the running minimum, so a tie goes to the
-lowest centroid index.
+Its restarts run in lockstep batches, as wide as BUDGET allows at the
+input's size: a batch's seeds are drawn together, in the order one restart
+after another would draw them, and each pass is one stacked computation
+over the batch's centroid sets, from which a restart leaves once it stops,
+so every result is bit for bit that of the restarts run one by one.  Each
+assignment pass holds its distances centroid-major, as a k x n array per
+restart whose rows run over the points, and labels a point by a strict `<`
+compare of each centroid's row against the running minimum, so a tie goes
+to the lowest centroid index.  Input whose squared distances could overflow
+float64 is refused by name.
 
 Spectral clustering never forms an n x n dense array.  A kd-tree finds each
 point's nearest neighbours, ranked by (squared distance, index) so that ties
@@ -34,6 +40,14 @@ from .numerics import _fix_signs, as_matrix, eig_symmetric
 # farther than the neighbourhood boundary by more than roundoff, so every
 # point tied with the boundary is among the candidates.
 _BOUNDARY_RTOL = 1e-9
+# k-means runs its restarts in lockstep batches of BUDGET // (k * n), so
+# that a batch's (width, k, n) distances hold at most this many doubles,
+# 128 KiB, and stay in cache.  Ten restarts at k = 3 took, on 2 cores with
+# numpy 2.4.6 and OpenBLAS 0.3.31: 1.8 ms in one batch against 5.4 ms one
+# at a time on 150 x 2 iris rows; 4.7 ms at width 2 against 4.8 ms on
+# 2 000 x 3 blob rows (k * n = 6 000); and, on circles' 4 500 x 3
+# embedding, 4.4 ms in one batch against 2.9 ms, its arrays out of cache.
+BUDGET = 2 ** 14
 
 
 @dataclass
@@ -56,46 +70,72 @@ def sqdist(a: np.ndarray, b: np.ndarray, aa: np.ndarray | None = None,
            out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances aa + bb - 2 a b^T, clipped at zero.
 
-    The n x k result is the transpose of a k x n array, so every step after
-    the product runs along rows of length n rather than k.  The product
-    stays the BLAS call a @ b.T, whose bits b @ a.T does not always repeat
-    (it differed in the last bits at k = 16, n = 4500 on OpenBLAS 0.3.31).
-    aa, a's squared row norms, may be passed in when a is used again, and
-    out, a k x n and an n x k scratch array, when the shapes repeat.
+    b is one k x m set of centroids, giving an n x k result, or a stack of
+    them, (..., k, m), giving (..., n, k).  Each n x k result is the
+    transpose of a k x n array, so every step after the product runs along
+    rows of length n rather than k.  The product stays the BLAS call
+    a @ b.T, one per set of a stack, whose bits b @ a.T does not always
+    repeat (it differed in the last bits at k = 16, n = 4500 on OpenBLAS
+    0.3.31).  aa, a's squared row norms, may be passed in when a is used
+    again, and out, a (..., k, n) and an (..., n, k) scratch array, when the
+    shapes repeat.
     """
     # the method is np.sum's add.reduce without its dispatch, which costs
     # more than the sum itself at a few centroids
     if aa is None:
         aa = (a * a).sum(axis=1)
-    bb = (b * b).sum(axis=1)[:, None]
+    bb = (b * b).sum(axis=-1)[..., None]
     if out is None:
-        out = _scratch(a.shape[0], b.shape[0])
+        out = _scratch(a.shape[0], *b.shape[:-1])
     d2, ab = out
-    np.matmul(a, b.T, out=ab)
+    np.matmul(a, b.swapaxes(-1, -2), out=ab)
     ab *= 2.0
     np.add(aa, bb, out=d2)
-    d2 -= ab.T
+    d2 -= ab.swapaxes(-1, -2)
     np.maximum(d2, 0.0, out=d2)
-    return d2.T
+    return d2.swapaxes(-1, -2)
 
 
-def _scratch(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.empty((k, n)), np.empty((n, k))
+def _scratch(n: int, *sets: int) -> tuple[np.ndarray, np.ndarray]:
+    # sqdist's two arrays for n rows against centroid sets of shape (..., k)
+    return np.empty((*sets, n)), np.empty((*sets[:-1], n, sets[-1]))
+
+
+def _row_norms(a: np.ndarray, n: int) -> np.ndarray:
+    """a's squared row norms, refused with a ContractViolationError when a
+    squared distance or a sum of n of them could overflow.
+
+    Every squared distance k-means forms is |x_i - c|^2 <= (|x_i| + |c|)^2
+    <= 4 M, M the largest squared row norm of x or of the centroids: a
+    centroid is a row or a mean of rows, and so within M, and so are aa, bb
+    and |2 ab| <= 2 M.  A seeding cumsum or an inertia adds at most n of
+    them, 4 n M.  Rounding raises none of these by more than a relative
+    n * eps, so refusing 8 n M above the float64 maximum leaves a factor of
+    two, and nothing formed from finite input overflows.
+    """
+    with np.errstate(over="ignore"):
+        aa = (a * a).sum(axis=1)
+        if aa.size and not 8.0 * n * aa.max() <= np.finfo(np.float64).max:
+            raise ContractViolationError(
+                f"squared distances overflow: rows of squared norm up to "
+                f"{aa.max():.3g} among {n} rows")
+    return aa
 
 
 def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's nearest centroid, ties to the lowest index as argmin's,
-    and its distance, from sqdist's n x k view.
+    and its distance, from sqdist's (..., n, k) view.
 
-    The k x n base is compared one centroid row at a time against a running
-    minimum, kept in (and overwriting) its first row.
+    The (..., k, n) base is compared one centroid row at a time against a
+    running minimum, kept in (and overwriting) its first row.
     """
-    rows = d2.T
-    k, n = rows.shape
+    # k leading, so that rows[j] is centroid j's row of every set
+    rows = d2.swapaxes(-1, -2).swapaxes(0, -2)
+    k = rows.shape[0]
     best = rows[0]
     kind = np.uint8 if k <= 256 else np.intp
-    labels, pick = np.zeros(n, kind), np.empty(n, kind)
-    closer = np.empty(n, bool)
+    labels, pick = np.zeros(best.shape, kind), np.empty(best.shape, kind)
+    closer = np.empty(best.shape, bool)
     step = closer.view(np.uint8)
     for j in range(1, k):
         row = rows[j]
@@ -109,11 +149,17 @@ def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assign_nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of the nearest centroid per row; ties go to the lowest index."""
-    centroids = as_matrix(centroids)
+    """Index of the nearest centroid per row; ties go to the lowest index.
+
+    Rows or centroids whose squared distances could overflow are refused
+    with a ContractViolationError, by kmeans's bound.
+    """
+    x, centroids = as_matrix(x), as_matrix(centroids)
     if not centroids.shape[0]:
         raise ContractViolationError("no centroids to assign rows to")
-    return _nearest(sqdist(as_matrix(x), centroids))[0]
+    n = x.shape[0]
+    _row_norms(centroids, n)
+    return _nearest(sqdist(x, centroids, _row_norms(x, n)))[0]
 
 
 def _sample_next_center(d2: np.ndarray, rng) -> int:
@@ -125,16 +171,18 @@ def _sample_next_center(d2: np.ndarray, rng) -> int:
     return min(int(np.searchsorted(np.cumsum(d2), r, side="right")), d2.size - 1)
 
 
-def _sqdist_to(xt: np.ndarray, point: np.ndarray) -> np.ndarray:
-    # Squared distance from every row to one point, summed one coordinate at
-    # a time in order, as numpy sums a row of fewer than 8 terms.
-    d2 = np.square(xt[0] - point[0])
+def _sqdist_to(xt: np.ndarray, points: np.ndarray) -> np.ndarray:
+    # Squared distance from every row to a point, summed one coordinate at a
+    # time in order, as numpy sums a row of fewer than 8 terms; points is one
+    # point, or an (m, width, 1) stack of them, coordinate-major.
+    d2 = np.square(xt[0] - points[0])
     for j in range(1, xt.shape[0]):
-        d2 += np.square(xt[j] - point[j])
+        d2 += np.square(xt[j] - points[j])
     return d2
 
 
-def _seed_centers(x: np.ndarray, xt: np.ndarray, k: int, rng) -> np.ndarray:
+def _seed_centers(x: np.ndarray, xt: np.ndarray, k: int, rng) -> list[int]:
+    # the row indices of one restart's seeds
     n = x.shape[0]
     chosen = [int(rng.integers(n))]  # first center uniform
     d2 = _sqdist_to(xt, x[chosen[0]])
@@ -142,31 +190,58 @@ def _seed_centers(x: np.ndarray, xt: np.ndarray, k: int, rng) -> np.ndarray:
         idx = _sample_next_center(d2, rng)
         chosen.append(idx)
         np.minimum(d2, _sqdist_to(xt, x[idx]), out=d2)
-    return x[np.array(chosen)].copy()
+    return chosen
 
 
-def _update_centroids(x, xt, labels, k, centroids):
-    counts = np.bincount(labels, minlength=k)
-    full = counts > 0
-    if xt.shape[0] == 1:
-        # numpy sums one contiguous column pairwise, not row by row
-        for c in np.flatnonzero(full):
-            centroids[c] = x[labels == c].mean(axis=0)
-    else:
-        # row by row, the order x[labels == c].mean(axis=0) sums in
-        for j, column in enumerate(xt):
-            sums = np.bincount(labels, weights=column, minlength=k)
-            np.divide(sums, counts, out=centroids[:, j], where=full)
-    # Empty-cluster repair: the point farthest from its centroid (among
-    # clusters that can spare one) becomes a singleton centroid.  It works
-    # on a copy, so the caller keeps the assignment it passed in.  The
-    # distances are taken once; a move changes only the donor's and those
-    # of its old cluster, whose centroid moves.
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        labels = labels.copy()
-        dist = np.sum((x - centroids[labels]) ** 2, axis=1)
-    for e in empty:
+def _seed_together(x: np.ndarray, xt: np.ndarray, k: int, rng,
+                   width: int) -> np.ndarray | None:
+    """_seed_centers for width restarts in one pass, as a (width, k) index
+    array, or None where some restart meets an all-zero distance mass.
+
+    Each restart draws integers(n) and then k - 1 random(), so they are
+    drawn first, in restart order, as the restarts one by one draw them.  A
+    zero mass draws integers in place of random, which the caller must
+    replay one restart at a time.
+    """
+    n = x.shape[0]
+    chosen = np.empty((width, k), np.intp)
+    u = np.empty((width, k - 1))
+    for b in range(width):
+        chosen[b, 0] = rng.integers(n)
+        u[b] = rng.random(k - 1)
+    d2 = _sqdist_to(xt, x[chosen[:, 0]].T[:, :, None])
+    for s in range(1, k):
+        total = d2.sum(axis=1)
+        if not (total > 0.0).all():
+            return None
+        # searchsorted(cumsum, r, "right") per row, since no cumsum of
+        # non-negative terms decreases
+        below = np.cumsum(d2, axis=1) <= (u[:, s - 1] * total)[:, None]
+        chosen[:, s] = np.minimum(below.sum(axis=1), n - 1)
+        np.minimum(d2, _sqdist_to(xt, x[chosen[:, s]].T[:, :, None]), out=d2)
+    return chosen
+
+
+def _seed_batch(x: np.ndarray, xt: np.ndarray, k: int, rng,
+                width: int) -> np.ndarray:
+    """The seeded centroid sets of the next width restarts, (width, k, m),
+    leaving the generator where the restarts one by one would leave it."""
+    if width > 1:
+        state = rng.bit_generator.state
+        chosen = _seed_together(x, xt, k, rng, width)
+        if chosen is not None:
+            return x[chosen]
+        rng.bit_generator.state = state
+    return x[np.array([_seed_centers(x, xt, k, rng) for _ in range(width)])]
+
+
+def _repair(x, labels, counts, centroids) -> None:
+    # Empty-cluster repair of one restart, in place: the point farthest from
+    # its centroid (among clusters that can spare one) becomes a singleton
+    # centroid.  The distances are taken once; a move changes only the
+    # donor's and those of its old cluster, whose centroid moves.
+    dist = np.sum((x - centroids[labels]) ** 2, axis=1)
+    for e in np.flatnonzero(counts == 0):
         donor = int(np.argmax(np.where(counts[labels] < 2, -np.inf, dist)))
         old = labels[donor]
         labels[donor] = e
@@ -179,31 +254,93 @@ def _update_centroids(x, xt, labels, k, centroids):
         moved = np.append(np.flatnonzero(members), donor)
         dist[moved] = np.sum((x[moved] - centroids[labels[moved]]) ** 2,
                              axis=1)
-    return centroids, labels
 
 
-def _lloyd(x, xt, aa, scratch, k: int, max_iter: int, rng) -> ClusterModel:
-    centroids = _seed_centers(x, xt, k, rng)
-    labels = assigned = None
-    converged = False
-    it = 0
+def _update_centroids(x, xtb, labels, centroids) -> dict:
+    """Move each centroid set of a (width, k, m) stack to the means of its
+    members under labels, (width, n), and repair its empty clusters, all in
+    place.  Returns each repaired set's labels from before its repair.
+
+    One bincount over the labels offset by b * k counts every set's
+    clusters, and one per coordinate sums them; xtb holds each column of x
+    width times over.
+    """
+    width, k, m = centroids.shape
+    flat = labels.ravel()
+    if width > 1:
+        flat = (labels + np.arange(0, width * k, k)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=width * k)
+    full = counts > 0
+    sets = centroids.reshape(width * k, m)
+    if m == 1:
+        # numpy sums one contiguous column pairwise, not row by row
+        for f in np.flatnonzero(full):
+            sets[f] = x[labels[f // k] == f % k].mean(axis=0)
+    else:
+        # row by row, the order x[labels == c].mean(axis=0) sums in
+        for j in range(m):
+            sums = np.bincount(flat, weights=xtb[j, :flat.size],
+                               minlength=width * k)
+            np.divide(sums, counts, out=sets[:, j], where=full)
+    undone = {}
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        for b in np.unique(empty // k):
+            undone[b] = labels[b].copy()
+            _repair(x, labels[b], counts[b * k:(b + 1) * k], centroids[b])
+    return undone
+
+
+def _inertia(x, centroids, labels) -> float:
+    return float(np.sum((x - centroids[labels]) ** 2))
+
+
+def _lloyd_batch(x, xtb, aa, scratch, centroids, max_iter: int
+                 ) -> list[ClusterModel]:
+    """Lloyd passes for a stack of restarts' centroid sets, (width, k, m),
+    in lockstep; returns each restart's ClusterModel, in stack order.
+
+    A pass is one sqdist over the stack's sets, one _nearest and one
+    _update_centroids.  A restart leaves the stack on the pass that repeats
+    its labels or undoes its last repair, or after max_iter passes, and
+    the others go on.  Nothing here draws a number.
+    """
+    ids = list(range(centroids.shape[0]))   # each row's place in the stack
+    out = scratch[0][:len(ids)], scratch[1][:len(ids)]
+    models = [None] * len(ids)
+    labels, undone = None, {}
     for it in range(1, max_iter + 1):
-        new_labels, nearest = _nearest(sqdist(x, centroids, aa, scratch))
-        if labels is not None and (new_labels == labels).all():
-            inertia = float(nearest.sum())
-            return ClusterModel(centroids=centroids, labels=labels,
-                                inertia=inertia, n_iter=it, converged=True)
-        if assigned is not labels and (new_labels == assigned).all():
-            # this pass undid the last one's empty-cluster repair, which
+        assigned, nearest = _nearest(sqdist(x, centroids, aa, out))
+        if labels is not None:
+            stop = (assigned == labels).all(axis=1).tolist()
+            # a pass that undid the last one's empty-cluster repair, which
             # every later pass would redo: the repaired pair is final
-            converged = True
-            break
-        assigned = new_labels
-        centroids, labels = _update_centroids(x, xt, assigned, k, centroids)
-    # the last pass measured centroids it then moved, or labels it undid
-    inertia = float(np.sum((x - centroids[labels]) ** 2))
-    return ClusterModel(centroids=centroids, labels=labels, inertia=inertia,
-                        n_iter=it, converged=converged)
+            undid = {b for b, before in undone.items()
+                     if not stop[b] and (assigned[b] == before).all()}
+            if any(stop) or undid:
+                keep = []
+                for b, place in enumerate(ids):
+                    if not (stop[b] or b in undid):
+                        keep.append(b)
+                        continue
+                    inertia = (_inertia(x, centroids[b], labels[b])
+                               if b in undid else float(nearest[b].sum()))
+                    models[place] = ClusterModel(
+                        centroids=centroids[b], labels=labels[b],
+                        inertia=inertia, n_iter=it, converged=True)
+                if not keep:
+                    return models
+                centroids, assigned = centroids[keep], assigned[keep]
+                ids = [ids[b] for b in keep]
+                out = scratch[0][:len(ids)], scratch[1][:len(ids)]
+        undone = _update_centroids(x, xtb, assigned, centroids)
+        labels = assigned
+    # the last pass measured centroids it then moved
+    for b, place in enumerate(ids):
+        models[place] = ClusterModel(
+            centroids=centroids[b], labels=labels[b],
+            inertia=_inertia(x, centroids[b], labels[b]), n_iter=max_iter)
+    return models
 
 
 def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
@@ -221,12 +358,18 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
     from the same seed and the lowest-inertia run wins (first on ties), so
     restarts=1 reproduces the plain single-run behaviour bit for bit.
 
-    Each assignment pass is one sqdist into a k x n array: the product
-    x @ centroids.T, then aa + bb - 2 ab along rows of length n.  Each
-    label comes from a k-way strict `<` compare against a running minimum,
-    so a tie goes to the lowest centroid index, as argmin's does, and a
+    Restarts run in lockstep batches of min(restarts, BUDGET // (k * n)),
+    at least one.  A batch's seeds are drawn first, together, in the order
+    the restarts one by one would draw them, and its Lloyd passes draw
+    nothing, so every result is that of the restarts run one by one.  Each
+    pass is one sqdist into a (batch, k, n) array: the products
+    x @ centroids.T, then aa + bb - 2 ab along rows of length n.  Each label
+    comes from a k-way strict `<` compare against a running minimum, so a
+    tie goes to the lowest centroid index, as argmin's does, and a
     converged run's inertia is that minimum's sum.  The row norms, a
     coordinate-major copy of x and sqdist's scratch are made once per call.
+    Input whose squared distances could overflow float64 is refused with a
+    ContractViolationError (see _row_norms).
     """
     x = as_matrix(x)
     n = x.shape[0]
@@ -236,15 +379,18 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
         raise ContractViolationError("max_iter must be positive")
     if restarts < 1:
         raise ContractViolationError("restarts must be positive")
-    aa = (x * x).sum(axis=1)
+    aa = _row_norms(x, n)
     xt = np.ascontiguousarray(x.T)
-    scratch = _scratch(n, k)
+    width = min(restarts, max(1, BUDGET // (k * n)))
+    xtb = np.tile(xt, width) if width > 1 else xt
+    scratch = _scratch(n, width, k)
     rng = np.random.default_rng(rng_seed)
     best = None
-    for _ in range(restarts):
-        model = _lloyd(x, xt, aa, scratch, k, max_iter, rng)
-        if best is None or model.inertia < best.inertia:
-            best = model
+    for done in range(0, restarts, width):
+        seeds = _seed_batch(x, xt, k, rng, min(width, restarts - done))
+        for model in _lloyd_batch(x, xtb, aa, scratch, seeds, max_iter):
+            if best is None or model.inertia < best.inertia:
+                best = model
     return best
 
 

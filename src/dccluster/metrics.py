@@ -26,9 +26,9 @@ def contingency(y_true, y_pred) -> np.ndarray:
     yt, yp = _check_pair(y_true, y_pred)
     _, ti = np.unique(yt, return_inverse=True)
     _, pi = np.unique(yp, return_inverse=True)
-    table = np.zeros((ti.max() + 1, pi.max() + 1), dtype=np.int64)
-    np.add.at(table, (ti, pi), 1)
-    return table
+    rows, cols = ti.max() + 1, pi.max() + 1
+    return np.bincount(ti * cols + pi, minlength=rows * cols).reshape(
+        rows, cols).astype(np.int64, copy=False)
 
 
 def _comb2(x):
@@ -43,7 +43,10 @@ def ari(y_true, y_pred) -> float:
     denominator is zero (both partitions all-in-one or all-singletons, which
     forces agreement) the value is defined as 1.0.
     """
-    table = contingency(y_true, y_pred)
+    return _ari(contingency(y_true, y_pred))
+
+
+def _ari(table) -> float:
     n = table.sum()
     sum_cells = _comb2(table).sum()
     sum_rows = _comb2(table.sum(axis=1)).sum()
@@ -67,7 +70,10 @@ def nmi(y_true, y_pred) -> float:
     value is 1.0 when both are single-cluster (forced agreement) and 0.0
     otherwise.
     """
-    table = contingency(y_true, y_pred)
+    return _nmi(contingency(y_true, y_pred))
+
+
+def _nmi(table) -> float:
     n = table.sum()
     h_true = _entropy(table.sum(axis=1), n)
     h_pred = _entropy(table.sum(axis=0), n)
@@ -85,7 +91,10 @@ def acc(y_true, y_pred) -> float:
     The contingency table is padded to square and an optimal assignment
     maximizes the matched count; surplus clusters match nothing.
     """
-    table = contingency(y_true, y_pred)
+    return _acc(contingency(y_true, y_pred))
+
+
+def _acc(table) -> float:
     size = max(table.shape)
     padded = np.zeros((size, size), dtype=np.int64)
     padded[: table.shape[0], : table.shape[1]] = table
@@ -94,6 +103,7 @@ def acc(y_true, y_pred) -> float:
 
 
 def score_all(y_true, y_pred) -> dict[str, float]:
-    """The three indices in one call, keyed by short name."""
-    return {"ari": ari(y_true, y_pred), "nmi": nmi(y_true, y_pred),
-            "acc": acc(y_true, y_pred)}
+    """The three indices in one call, keyed by short name, from one
+    contingency table."""
+    table = contingency(y_true, y_pred)
+    return {"ari": _ari(table), "nmi": _nmi(table), "acc": _acc(table)}

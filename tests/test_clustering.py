@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from dccluster.clustering import (kmeans, build_affinity, laplacian_sym,
                                   spectral_embedding, spectral_cluster,
                                   assign_nearest, sqdist, _nearest,
                                   _sample_next_center, _update_centroids,
+                                  _seed_centers, _seed_together,
                                   SpectralEmbedding)
 from dccluster.data import load_csv, make_blobs, make_circles
 from dccluster.errors import ContractViolationError
@@ -198,8 +201,12 @@ class TestKmeansMatchesReference:
         x = rng.normal(size=(40, 3)) * rng.uniform(0.5, 2.0, 3)
         labels = rng.integers(0, 3, 40)
         centroids = rng.normal(size=(8, 3))
-        got_centroids, got_labels = _update_centroids(
-            x, np.ascontiguousarray(x.T), labels, 8, centroids.copy())
+        # a stack of one set, updated in place
+        got_labels, got_centroids = labels[None].copy(), centroids[None].copy()
+        undone = _update_centroids(x, np.ascontiguousarray(x.T), got_labels,
+                                   got_centroids)
+        assert list(undone) == [0] and np.array_equal(undone[0], labels)
+        got_labels, got_centroids = got_labels[0], got_centroids[0]
         want_labels, want_centroids = labels.copy(), centroids.copy()
         counts = np.bincount(want_labels, minlength=8)
         for c in range(3):
@@ -217,6 +224,197 @@ class TestKmeansMatchesReference:
                                                  restarts=10)
         assert np.array_equal(model.labels, labels)
         assert model.inertia == pytest.approx(inertia, rel=1e-12, abs=0)
+
+
+def force_width(monkeypatch, width, k, n):
+    """Patch BUDGET so that kmeans on n rows and k clusters runs its
+    restarts width at a time; width None runs them all at once."""
+    monkeypatch.setattr(clustering, "BUDGET", k * n * (width or 10 ** 6))
+
+
+def batch_cases():
+    """(x, k, max_iter, rng_seed) for ten restarts run in batches."""
+    cases = {
+        "m2": (four_blobs(2, seed=21, n=120), 4, 300, 21),
+        "m1": (four_blobs(1, seed=22, n=90), 3, 300, 22),
+        "m12": (four_blobs(12, seed=23, n=80), 4, 300, 23),
+        "max-iter-2": (four_blobs(3, seed=24, n=100), 4, 2, 24),
+        # two distinct points for three clusters: every seeding meets a
+        # zero distance mass, and every restart repairs
+        "few-distinct": (np.vstack([np.zeros((8, 2)), np.ones((1, 2))]), 3,
+                         300, 2),
+    }
+    # heavy-tailed rows where one restart of a batch empties a cluster
+    # while the others go on without a repair
+    x = np.exp(2.0 * np.random.default_rng(758).normal(size=(30, 2)))
+    cases["one-repair"] = (x, 5, 300, 758)
+    return cases
+
+
+BATCH_CASES = batch_cases()
+
+
+class TestRestartBatches:
+    """Restarts run in lockstep batches of BUDGET // (k * n).  Every width,
+    one at a time included, gives what reference_kmeans gives, and what one
+    restart at a time gives, n_iter and converged included."""
+
+    @staticmethod
+    def run(monkeypatch, case, width):
+        x, k, max_iter, seed = BATCH_CASES[case]
+        force_width(monkeypatch, width, k, x.shape[0])
+        return kmeans(x, k, max_iter=max_iter, rng_seed=seed, restarts=10)
+
+    @staticmethod
+    def record(monkeypatch, name):
+        """Each call's (arguments, result) of clustering.<name>."""
+        original, seen = getattr(clustering, name), []
+
+        def recorded(*args):
+            result = original(*args)
+            seen.append((args, result))
+            return result
+
+        monkeypatch.setattr(clustering, name, recorded)
+        return seen
+
+    @pytest.mark.parametrize("width", [1, 2, 3, None])
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_matches_reference(self, monkeypatch, case, width):
+        x, k, max_iter, seed = BATCH_CASES[case]
+        one = self.run(monkeypatch, case, 1)
+        model = self.run(monkeypatch, case, width)
+        assert np.array_equal(model.labels, one.labels)
+        assert np.array_equal(model.centroids, one.centroids)
+        assert model.inertia == one.inertia
+        assert (model.n_iter, model.converged) == (one.n_iter, one.converged)
+        labels, centroids, inertia, _ = reference_kmeans(
+            x, k, max_iter=max_iter, rng_seed=seed, restarts=10)
+        assert np.array_equal(model.labels, labels)
+        if x.shape[1] < 8:
+            assert np.array_equal(model.centroids, centroids)
+            assert model.inertia == inertia
+        else:
+            # see test_twelve_columns_sum_pairwise_but_agree
+            assert model.inertia == pytest.approx(inertia, rel=1e-12, abs=0)
+
+    def test_restarts_leave_the_batch_on_different_passes(self, monkeypatch):
+        batches = self.record(monkeypatch, "_lloyd_batch")
+        self.run(monkeypatch, "m2", None)
+        assert len(batches) == 1
+        passes = [model.n_iter for model in batches[0][1]]
+        assert len(passes) == 10 and len(set(passes)) > 2
+
+    def test_max_iter_stops_some_restarts_and_not_others(self, monkeypatch):
+        batches = self.record(monkeypatch, "_lloyd_batch")
+        self.run(monkeypatch, "max-iter-2", None)
+        converged = {model.converged for model in batches[0][1]}
+        assert converged == {True, False}
+
+    def test_one_restart_of_a_batch_repairs(self, monkeypatch):
+        updates = self.record(monkeypatch, "_update_centroids")
+        self.run(monkeypatch, "one-repair", None)
+        repairs = [(args[2].shape[0], len(undone))
+                   for args, undone in updates if undone]
+        assert any(repaired < rows for rows, repaired in repairs)
+
+    def test_zero_mass_replays_the_seeding_one_restart_at_a_time(
+            self, monkeypatch):
+        seedings = self.record(monkeypatch, "_seed_centers")
+        together = self.record(monkeypatch, "_seed_together")
+        self.run(monkeypatch, "few-distinct", None)
+        assert [result for _, result in together] == [None]
+        assert len(seedings) == 10
+
+    @pytest.mark.parametrize("m", [1, 3, 12])
+    def test_seeds_drawn_together_are_the_serial_seeds(self, m):
+        x = four_blobs(m, seed=m, n=200)
+        xt = np.ascontiguousarray(x.T)
+        serial, batch = np.random.default_rng(m), np.random.default_rng(m)
+        want = [_seed_centers(x, xt, 5, serial) for _ in range(7)]
+        assert np.array_equal(_seed_together(x, xt, 5, batch, 7), want)
+        assert batch.bit_generator.state == serial.bit_generator.state
+
+    def test_stacked_passes_match_one_set_at_a_time(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n, m = int(rng.integers(1, 3000)), int(rng.integers(1, 8))
+            k, sets = int(rng.integers(1, 20)), int(rng.integers(2, 12))
+            x = rng.normal(size=(n, m))
+            if rng.random() < 0.5:
+                x = np.asfortranarray(x)
+            stack = rng.normal(size=(sets, k, m))
+            d2 = sqdist(x, stack)
+            # _nearest keeps its running minimum in its input's first row
+            labels, nearest = _nearest(d2.copy())
+            for b in range(sets):
+                one = sqdist(x, stack[b])
+                assert np.array_equal(d2[b], one)
+                want_labels, want_nearest = _nearest(one)
+                assert np.array_equal(labels[b], want_labels)
+                assert np.array_equal(nearest[b], want_nearest)
+
+    def test_ten_restarts_hold_no_more_than_one(self):
+        """The width cap keeps a large input to one restart at a time: ten
+        restarts' allocations peak less than one restart's sqdist scratch
+        above those of a single restart."""
+        x = np.random.default_rng(4).normal(size=(100_000, 2))
+        scratch = 2 * 3 * x.shape[0] * x.itemsize
+
+        def peak(restarts):
+            tracemalloc.start()
+            try:
+                kmeans(x, 3, max_iter=3, restarts=restarts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10) < peak(1) + scratch
+
+
+class TestOverflow:
+    """Rows whose squared distances could overflow float64 are refused by
+    name, before any arithmetic warns; the bound is 8 n M at most the float64
+    maximum, M the largest squared row norm."""
+
+    @staticmethod
+    def rows():
+        return np.random.default_rng(0).standard_normal((20, 2))
+
+    @staticmethod
+    def largest_scale(x):
+        """The largest power of two s with 8 n M s^2 within the maximum."""
+        bound = 8.0 * x.shape[0] * (x * x).sum(axis=1).max()
+        e = math.floor(math.log2(np.finfo(np.float64).max / bound) / 2)
+        while bound * 4.0 ** e > np.finfo(np.float64).max:
+            e -= 1
+        return 2.0 ** e
+
+    def test_kmeans_refuses(self):
+        with pytest.raises(ContractViolationError, match="overflow"):
+            kmeans(self.rows() * 1e155, 3, restarts=2)
+
+    def test_assign_nearest_refuses_rows_and_centroids(self):
+        x = self.rows()
+        with pytest.raises(ContractViolationError, match="overflow"):
+            assign_nearest(x * 1e155, x[:3] * 1e155)
+        with pytest.raises(ContractViolationError, match="overflow"):
+            assign_nearest(x, x[:3] * 1e155)
+
+    def test_the_largest_accepted_scale_scales_every_result_exactly(self):
+        # a power of two scales every sum and product exactly, so the
+        # labels repeat and the inertia scales by its square
+        x = self.rows()
+        s = self.largest_scale(x)
+        plain = kmeans(x, 3, restarts=4)
+        model = kmeans(x * s, 3, restarts=4)
+        assert np.array_equal(model.labels, plain.labels)
+        assert np.array_equal(model.centroids, plain.centroids * s)
+        assert model.inertia == plain.inertia * s * s
+        assert np.array_equal(assign_nearest(x * s, model.centroids),
+                              plain.labels)
+        with pytest.raises(ContractViolationError, match="overflow"):
+            kmeans(x * (2.0 * s), 3)
 
 
 def tie_grid(k):

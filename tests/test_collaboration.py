@@ -556,8 +556,8 @@ def test_alignment_holds_no_copy_of_the_anchor_images():
 
 def test_the_call_counts_the_benchmark_pins(monkeypatch):
     """One pinv per row block and, on a tall well-conditioned anchor stack,
-    no svd in the alignment; one sqdist per Lloyd pass of every k-means
-    restart, and one per assign_nearest call."""
+    no svd in the alignment; one sqdist per Lloyd pass of a batch of k-means
+    restarts, and one per assign_nearest call."""
     calls = Counter()
 
     def count(module, name):
@@ -587,19 +587,21 @@ def test_the_call_counts_the_benchmark_pins(monkeypatch):
     calls.clear()
     fit = kmeans(model.x_hat, 3, rng_seed=0, restarts=1)
     assert calls["sqdist"] == fit.n_iter > 1
-    # every restart's passes count, not only the winner's
-    runs = []
-    lloyd = clustering._lloyd
+    # three restarts run in one batch, one sqdist per pass until the
+    # slowest restart leaves it, not only the winner's passes
+    batches = []
+    lloyd = clustering._lloyd_batch
 
     def recorded(*args, **kwargs):
-        run = lloyd(*args, **kwargs)
-        runs.append(run.n_iter)
-        return run
+        models = lloyd(*args, **kwargs)
+        batches.append([model.n_iter for model in models])
+        return models
 
-    monkeypatch.setattr(clustering, "_lloyd", recorded)
+    monkeypatch.setattr(clustering, "_lloyd_batch", recorded)
     calls.clear()
     kmeans(model.x_hat, 3, rng_seed=0, restarts=3)
-    assert len(runs) == 3 and calls["sqdist"] == sum(runs) > 3
+    assert len(batches) == 1 and len(batches[0]) == 3
+    assert calls["sqdist"] == max(batches[0]) > 1
     calls.clear()
     assign_nearest(model.x_hat, fit.centroids)
     assert calls["sqdist"] == 1

@@ -161,3 +161,19 @@ class TestStructure:
         s = score_all(y, y)
         assert set(s) == {"ari", "nmi", "acc"}
         assert all(v == pytest.approx(1.0) for v in s.values())
+
+    @pytest.mark.parametrize("case", ["random", "single-cluster",
+                                      "mismatched-counts", "lone-point"])
+    def test_score_all_equals_the_three_calls(self, case):
+        # score_all builds one contingency table for all three indices
+        rng = np.random.default_rng(3)
+        y = rng.integers(0, 3, 150)
+        y_true, y_pred = {
+            "random": (y, rng.integers(0, 3, 150)),
+            "single-cluster": (y, np.zeros(150, dtype=int)),
+            "mismatched-counts": (y, rng.integers(-2, 5, 150) * 10),
+            "lone-point": (np.array([4]), np.array([1])),
+        }[case]
+        assert score_all(y_true, y_pred) == {"ari": ari(y_true, y_pred),
+                                             "nmi": nmi(y_true, y_pred),
+                                             "acc": acc(y_true, y_pred)}
