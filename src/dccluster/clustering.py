@@ -4,10 +4,13 @@ Both algorithms are deterministic given a seed: k-means uses squared-distance
 weighted seeding with cumulative-probability sampling, Lloyd updates with an
 explicit empty-cluster repair, and an early stop when assignments repeat.
 Its restarts run in lockstep batches, as wide as BUDGET allows at the
-input's size: a batch's seeds are drawn together, in the order one restart
-after another would draw them, and each pass is one stacked computation
-over the batch's centroid sets, from which a restart leaves once it stops,
-so every result is bit for bit that of the restarts run one by one.  Each
+input's size.  One routine seeds a batch of any width: each restart makes
+the same draws, integers(n) and then random(k - 1), in restart order, and
+where its distance mass is zero (every row already a seed) it picks a row
+uniformly from the same draw, so a batch's seeds are those of its
+restarts seeded one by one.  Each pass is one stacked computation over the
+batch's centroid sets, from which a restart leaves once it stops, so every
+result is bit for bit that of the restarts run one by one.  Each
 assignment pass holds its distances centroid-major, as a k x n array per
 restart whose rows run over the points, and labels a point by a strict `<`
 compare of each centroid's row against the running minimum, so a tie goes
@@ -162,46 +165,28 @@ def assign_nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return _nearest(sqdist(x, centroids, _row_norms(x, n)))[0]
 
 
-def _sample_next_center(d2: np.ndarray, rng) -> int:
-    # Draw an index with probability d2 / d2.sum(); uniform if all mass is 0.
-    total = d2.sum()
-    if total <= 0.0:
-        return int(rng.integers(d2.size))
-    r = rng.random() * total
-    return min(int(np.searchsorted(np.cumsum(d2), r, side="right")), d2.size - 1)
-
-
 def _sqdist_to(xt: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # Squared distance from every row to a point, summed one coordinate at a
-    # time in order, as numpy sums a row of fewer than 8 terms; points is one
-    # point, or an (m, width, 1) stack of them, coordinate-major.
+    # Squared distance from every row to each of an (m, width, 1) stack of
+    # points, coordinate-major, summed one coordinate at a time in order, as
+    # numpy sums a row of fewer than 8 terms.
     d2 = np.square(xt[0] - points[0])
     for j in range(1, xt.shape[0]):
         d2 += np.square(xt[j] - points[j])
     return d2
 
 
-def _seed_centers(x: np.ndarray, xt: np.ndarray, k: int, rng) -> list[int]:
-    # the row indices of one restart's seeds
-    n = x.shape[0]
-    chosen = [int(rng.integers(n))]  # first center uniform
-    d2 = _sqdist_to(xt, x[chosen[0]])
-    for _ in range(1, k):
-        idx = _sample_next_center(d2, rng)
-        chosen.append(idx)
-        np.minimum(d2, _sqdist_to(xt, x[idx]), out=d2)
-    return chosen
+def _seed_batch(x: np.ndarray, xt: np.ndarray, k: int, rng,
+                width: int) -> np.ndarray:
+    """The seeded centroid sets of the next width restarts, (width, k, m).
 
-
-def _seed_together(x: np.ndarray, xt: np.ndarray, k: int, rng,
-                   width: int) -> np.ndarray | None:
-    """_seed_centers for width restarts in one pass, as a (width, k) index
-    array, or None where some restart meets an all-zero distance mass.
-
-    Each restart draws integers(n) and then k - 1 random(), so they are
-    drawn first, in restart order, as the restarts one by one draw them.  A
-    zero mass draws integers in place of random, which the caller must
-    replay one restart at a time.
+    Each restart draws integers(n) for its first seed and then random(k - 1),
+    in restart order and before any distance is taken, so every restart
+    makes the same draws whatever its rows.  The next seed for a draw u is
+    the first row whose cumulative distance mass passes u times the total,
+    the count of cumsum entries <= u * total, as searchsorted(cumsum,
+    u * total, "right") finds it, and at most n - 1.  A zero total means
+    every row coincides with a seed, so any row will do, and u picks row
+    int(u * n).
     """
     n = x.shape[0]
     chosen = np.empty((width, k), np.intp)
@@ -209,30 +194,16 @@ def _seed_together(x: np.ndarray, xt: np.ndarray, k: int, rng,
     for b in range(width):
         chosen[b, 0] = rng.integers(n)
         u[b] = rng.random(k - 1)
-    d2 = _sqdist_to(xt, x[chosen[:, 0]].T[:, :, None])
+    d2 = None
     for s in range(1, k):
+        near = _sqdist_to(xt, x[chosen[:, s - 1]].T[:, :, None])
+        d2 = near if d2 is None else np.minimum(d2, near, out=d2)
         total = d2.sum(axis=1)
-        if not (total > 0.0).all():
-            return None
-        # searchsorted(cumsum, r, "right") per row, since no cumsum of
-        # non-negative terms decreases
         below = np.cumsum(d2, axis=1) <= (u[:, s - 1] * total)[:, None]
-        chosen[:, s] = np.minimum(below.sum(axis=1), n - 1)
-        np.minimum(d2, _sqdist_to(xt, x[chosen[:, s]].T[:, :, None]), out=d2)
-    return chosen
-
-
-def _seed_batch(x: np.ndarray, xt: np.ndarray, k: int, rng,
-                width: int) -> np.ndarray:
-    """The seeded centroid sets of the next width restarts, (width, k, m),
-    leaving the generator where the restarts one by one would leave it."""
-    if width > 1:
-        state = rng.bit_generator.state
-        chosen = _seed_together(x, xt, k, rng, width)
-        if chosen is not None:
-            return x[chosen]
-        rng.bit_generator.state = state
-    return x[np.array([_seed_centers(x, xt, k, rng) for _ in range(width)])]
+        picks = np.where(total > 0.0, below.sum(axis=1),
+                         (u[:, s - 1] * n).astype(np.intp))
+        chosen[:, s] = np.minimum(picks, n - 1)
+    return x[chosen]
 
 
 def _repair(x, labels, counts, centroids) -> None:
@@ -359,9 +330,12 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
     restarts=1 reproduces the plain single-run behaviour bit for bit.
 
     Restarts run in lockstep batches of min(restarts, BUDGET // (k * n)),
-    at least one.  A batch's seeds are drawn first, together, in the order
-    the restarts one by one would draw them, and its Lloyd passes draw
-    nothing, so every result is that of the restarts run one by one.  Each
+    at least one.  Each restart draws integers(n) and then random(k - 1),
+    whatever its rows, and a batch draws them first, in restart order (see
+    _seed_batch); its Lloyd passes draw nothing, so every result is that of
+    the restarts run one by one.  Where a restart's distance mass is zero,
+    every row already coincides with a seed, and its next seed is row
+    int(u * n) of its draw u, uniform over the rows.  Each
     pass is one sqdist into a (batch, k, n) array: the products
     x @ centroids.T, then aa + bb - 2 ab along rows of length n.  Each label
     comes from a k-way strict `<` compare against a running minimum, so a

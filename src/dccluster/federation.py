@@ -16,7 +16,9 @@ frame's sender: an in-process user is itself an inbox and puts its frames
 with its own `put` as the route, and `TcpAnalystEndpoint` is an inbox fed
 by one reader thread per accepted connection, routed back over that
 connection; its listener blocks in `accept()` until `close()` shuts it
-down.  A user endpoint sends one frame and receives one.  Every endpoint
+down.  A user endpoint sends one frame and receives one.  A TCP endpoint
+bounds each send, as each read, by its own timeout, so a peer that stops
+reading fails it with a SessionTimeoutError.  Every endpoint
 counts frames, so single-round accounting can be asserted, and its
 `close()` ends the wait on it.  The party runners (`user_party_run`,
 `analyst_party_run`) own the protocol: codec, message kinds, and routing.
@@ -26,6 +28,7 @@ with its error.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -378,6 +381,18 @@ def _recv_into(sock: socket.socket, view: memoryview, deadline: float) -> int:
     return got
 
 
+def _send_all(sock: socket.socket, frame, timeout: float):
+    """Send a whole frame within timeout seconds, or raise
+    SessionTimeoutError: a peer that stops reading cannot hold it longer."""
+    sock.settimeout(timeout)
+    try:
+        sock.sendall(frame)
+    except socket.timeout:
+        raise SessionTimeoutError(
+            f"peer did not take a whole {len(frame)}-byte frame within "
+            f"{timeout} s") from None
+
+
 def _recv_frame(sock: socket.socket, timeout: float) -> bytes | memoryview:
     """One whole frame within timeout seconds (b"" if the peer closes first):
     each recv waits only for the time left, so a peer that trickles bytes
@@ -400,18 +415,20 @@ def _recv_frame(sock: socket.socket, timeout: float) -> bytes | memoryview:
 
 
 class TcpUserEndpoint:
-    """One connection to the analyst: send a frame, wait for one back."""
+    """One connection to the analyst: send a frame within the endpoint's
+    timeout, wait for one back."""
 
     def __init__(self, host: str, port: int, *, timeout: float):
         self.sent_count = 0
         self.received_count = 0
+        self._timeout = timeout
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except (ConnectionError, socket.timeout, OSError) as exc:
             raise SessionTimeoutError(f"cannot reach analyst at {host}:{port}: {exc}") from None
 
     def send(self, frame: bytes):
-        self._sock.sendall(frame)
+        _send_all(self._sock, frame, self._timeout)
         self.sent_count += 1
 
     def recv(self, timeout: float) -> bytes:
@@ -428,7 +445,8 @@ class TcpUserEndpoint:
 
 class TcpAnalystEndpoint(Inbox):
     """Listening side: accepts connections concurrently and reads one frame
-    from each into the inbox, routed back over the same connection."""
+    from each into the inbox, routed back over the same connection.  Each
+    read and each reply is bounded by the endpoint's own timeout."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  timeout: float):
@@ -461,7 +479,8 @@ class TcpAnalystEndpoint(Inbox):
             # dropped client); not this session's concern
             conn.close()
             return
-        self.put((frame, conn.sendall))
+        self.put((frame, functools.partial(_send_all, conn,
+                                           timeout=self._timeout)))
 
     def close(self):
         """Also stop accepting and close every connection; safe to repeat."""
@@ -539,9 +558,9 @@ def user_party_run(party, local_block, anchor_block, cfg: SessionConfig,
     share = user_step(party, local_block, anchor_block, cfg)
     party, frame = share.party, encode_message(share)
     del share
-    transport.send(frame)
-    del frame
     try:
+        transport.send(frame)
+        del frame
         frame = transport.recv(cfg.timeout)
     except SessionTimeoutError as exc:
         raise SessionTimeoutError(f"party {party}: {exc}") from None
@@ -566,7 +585,8 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     `analyst_step` with no other reference kept, so none outlives the
     alignment; on blobs that lets go of about 106 MB of frames before
     clustering.  Each party's answer goes back by the route its share came
-    in on.
+    in on; one its transport cannot deliver in time fails the session with
+    a SessionTimeoutError that names the party.
     """
     expected = {(i, j) for i in range(cfg.c) for j in range(cfg.d)}
     echo = cfg.echo()
@@ -608,7 +628,11 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     report, results = analyst_step([shares.pop(p) for p in sorted(expected)], cfg)
     for res in results:
         for j in range(cfg.d):
-            inbox.reply(routes[(res.row_block, j)], encode_message(res))
+            party = (res.row_block, j)
+            try:
+                inbox.reply(routes[party], encode_message(res))
+            except SessionTimeoutError as exc:
+                raise SessionTimeoutError(f"party {party}: {exc}") from None
     report.frames_dropped = inbox.received_count - len(expected)
     return report
 

@@ -14,8 +14,7 @@ from dccluster import clustering
 from dccluster.clustering import (kmeans, build_affinity, laplacian_sym,
                                   spectral_embedding, spectral_cluster,
                                   assign_nearest, sqdist, _nearest,
-                                  _sample_next_center, _update_centroids,
-                                  _seed_centers, _seed_together,
+                                  _update_centroids, _seed_batch,
                                   SpectralEmbedding)
 from dccluster.data import load_csv, make_blobs, make_circles
 from dccluster.errors import ContractViolationError
@@ -80,21 +79,40 @@ def reference_repair(x, labels, counts, centroids):
     return empty.size
 
 
+def reference_next_center(d2, u):
+    """The row a draw u in [0, 1) seeds next: row i with probability
+    d2[i] / d2.sum(), by the first cumulative mass past u * total, or, when
+    every distance is zero, row int(u * n), uniform over the rows."""
+    n = d2.size
+    total = d2.sum()
+    if total <= 0.0:
+        return min(int(u * n), n - 1)
+    return min(int(np.searchsorted(np.cumsum(d2), u * total, side="right")),
+               n - 1)
+
+
+def reference_seeds(x, k, rng):
+    """One restart's seed rows, seeded serially: integers(n) for the first,
+    then one random() for each next, each seeding distance a row sum."""
+    chosen = [int(rng.integers(x.shape[0]))]
+    d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        idx = reference_next_center(d2, rng.random())
+        chosen.append(idx)
+        d2 = np.minimum(d2, np.sum((x - x[idx]) ** 2, axis=1))
+    return chosen
+
+
 def reference_kmeans(x, k, max_iter=300, rng_seed=0, restarts=1):
-    """The plain Lloyd, kept as the reference: each seeding distance a row
-    sum, each centroid a masked mean per cluster, each inertia read through
-    arange(n), and a run that stops at max_iter scored by the pair it
-    returns.  Returns (labels, centroids, inertia, empty-cluster repairs)."""
+    """The plain Lloyd, kept as the reference: serial seeding, each centroid
+    a masked mean per cluster, each inertia read through arange(n), and a
+    run that stops at max_iter scored by the pair it returns.  Returns
+    (labels, centroids, inertia, empty-cluster repairs)."""
     n = x.shape[0]
     rng = np.random.default_rng(rng_seed)
     best, repairs = None, 0
     for _ in range(restarts):
-        chosen = [int(rng.integers(n))]
-        d2 = np.sum((x - x[chosen[0]]) ** 2, axis=1)
-        for _ in range(1, k):
-            idx = _sample_next_center(d2, rng)
-            chosen.append(idx)
-            d2 = np.minimum(d2, np.sum((x - x[idx]) ** 2, axis=1))
+        chosen = reference_seeds(x, k, rng)
         centroids = x[np.array(chosen)].copy()
         labels, converged = None, False
         for _ in range(max_iter):
@@ -318,22 +336,46 @@ class TestRestartBatches:
                    for args, undone in updates if undone]
         assert any(repaired < rows for rows, repaired in repairs)
 
-    def test_zero_mass_replays_the_seeding_one_restart_at_a_time(
-            self, monkeypatch):
-        seedings = self.record(monkeypatch, "_seed_centers")
-        together = self.record(monkeypatch, "_seed_together")
-        self.run(monkeypatch, "few-distinct", None)
-        assert [result for _, result in together] == [None]
-        assert len(seedings) == 10
+    def test_zero_mass_seeds_in_one_batch(self, monkeypatch):
+        # two distinct rows for three seeds: every restart's third seed
+        # meets a zero mass, and the whole batch is still seeded in one call
+        x, k, max_iter, seed = BATCH_CASES["few-distinct"]
+        seedings = self.record(monkeypatch, "_seed_batch")
+        model = self.run(monkeypatch, "few-distinct", None)
+        assert [args[-1] for args, _ in seedings] == [10]
+        # each restart drew integers(n) and random(k - 1), and nothing else
+        want = np.random.default_rng(seed)
+        for _ in range(10):
+            want.integers(x.shape[0])
+            want.random(k - 1)
+        assert seedings[0][0][3].bit_generator.state == want.bit_generator.state
+        labels, centroids, inertia, _ = reference_kmeans(
+            x, k, max_iter=max_iter, rng_seed=seed, restarts=10)
+        assert np.array_equal(model.labels, labels)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.inertia == inertia
+
+    @pytest.mark.parametrize("width", [1, 2, 40])
+    def test_zero_mass_seeds_are_the_serial_seeds(self, width):
+        # the zero-mass pick lands on the lone ones row about one time in
+        # nine, so a batch of 40 seeds a third centroid of each kind
+        x = BATCH_CASES["few-distinct"][0]
+        serial, batch = np.random.default_rng(5), np.random.default_rng(5)
+        want = x[[reference_seeds(x, 3, serial) for _ in range(width)]]
+        got = _seed_batch(x, np.ascontiguousarray(x.T), 3, batch, width)
+        assert np.array_equal(got, want)
+        if width == 40:
+            assert len(np.unique(got[:, 2], axis=0)) == 2
 
     @pytest.mark.parametrize("m", [1, 3, 12])
     def test_seeds_drawn_together_are_the_serial_seeds(self, m):
         x = four_blobs(m, seed=m, n=200)
         xt = np.ascontiguousarray(x.T)
         serial, batch = np.random.default_rng(m), np.random.default_rng(m)
-        want = [_seed_centers(x, xt, 5, serial) for _ in range(7)]
-        assert np.array_equal(_seed_together(x, xt, 5, batch, 7), want)
-        assert batch.bit_generator.state == serial.bit_generator.state
+        for width in (1, 2, 7):
+            want = x[[reference_seeds(x, 5, serial) for _ in range(width)]]
+            assert np.array_equal(_seed_batch(x, xt, 5, batch, width), want)
+            assert batch.bit_generator.state == serial.bit_generator.state
 
     def test_stacked_passes_match_one_set_at_a_time(self):
         rng = np.random.default_rng(17)
@@ -601,19 +643,31 @@ class TestKmeans:
         assert sorted(set(model.labels.tolist())) == [0, 1]
         assert model.inertia == 0.0
 
+    @staticmethod
+    def pick_counts(d2, draws, seed):
+        rng = np.random.default_rng(seed)
+        counts = np.zeros(d2.size)
+        for _ in range(draws):
+            counts[reference_next_center(d2, rng.random())] += 1
+        return counts
+
+    @staticmethod
+    def within_three_sigma(counts, probs):
+        draws = counts.sum()
+        sigma = np.sqrt(draws * probs * (1 - probs))
+        return np.all(np.abs(counts - draws * probs) <= 3 * sigma + 1)
+
     def test_seeding_frequency_matches_squared_distance(self):
         # second-center draw follows the squared-distance weights
         x = np.array([[0.0], [1.0], [2.0], [3.0], [10.0]])
         first = x[0:1]
         d2 = sqdist(x, first).min(axis=1)
-        probs = d2 / d2.sum()
-        rng = np.random.default_rng(123)
-        draws = 10000
-        counts = np.zeros(5)
-        for _ in range(draws):
-            counts[_sample_next_center(d2, rng)] += 1
-        sigma = np.sqrt(draws * probs * (1 - probs))
-        assert np.all(np.abs(counts - draws * probs) <= 3 * sigma + 1)
+        counts = self.pick_counts(d2, 10000, 123)
+        assert self.within_three_sigma(counts, d2 / d2.sum())
+
+    def test_zero_mass_pick_is_uniform_over_the_rows(self):
+        counts = self.pick_counts(np.zeros(7), 10000, 321)
+        assert self.within_three_sigma(counts, np.full(7, 1 / 7))
 
 
 class TestLloydVsExhaustive:

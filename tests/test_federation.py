@@ -38,6 +38,9 @@ from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
 from dccluster.metrics import ari
 
 _PREFIX_SIZE = struct.calcsize("<4sBQ")
+# more than a localhost connection's send and receive buffers hold, so a
+# frame this large stays in sendall until the peer reads it
+UNREAD_FRAME_BYTES = 64 << 20
 
 
 def sample_share(seed=0, party=(1, 0), n=7, r=5, width=3, config=None):
@@ -668,6 +671,58 @@ class TestTcpTransport:
         msg = decode_message(got)
         assert msg == sample_share(n=450_000)
         assert not msg.x_tilde.flags.writeable
+
+    def test_stalled_send_names_the_party(self, monkeypatch):
+        # an analyst that accepts and never reads: a share larger than the
+        # socket buffers cannot drain, and the send fails in the endpoint's
+        # own timeout, by party
+        ds, part, anchor, cfg = small_session_inputs()
+        cfg = dataclasses.replace(cfg, timeout=0.5)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
+        monkeypatch.setattr(federation, "encode_message",
+                            lambda msg: bytes(UNREAD_FRAME_BYTES))
+        listener = socket.create_server(("127.0.0.1", 0))
+        user = TcpUserEndpoint("127.0.0.1", listener.getsockname()[1],
+                               timeout=cfg.timeout)
+        conn, _ = listener.accept()
+        try:
+            start = time.monotonic()
+            with pytest.raises(SessionTimeoutError, match=r"party \(0, 1\)"):
+                user_party_run((0, 1), blocks[(0, 1)], anchor_blocks[1], cfg,
+                               user)
+            assert time.monotonic() - start < 5.0
+            assert user.sent_count == 0
+        finally:
+            user.close()
+            conn.close()
+            listener.close()
+
+    def test_stalled_reply_names_the_party(self, monkeypatch):
+        # institutions that send their shares and never read: an answer
+        # larger than the socket buffers fails in the analyst endpoint's own
+        # timeout, by party
+        ds, part, anchor, cfg = small_session_inputs()
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
+        shares = [encode_message(federation.user_step(
+            p, blocks[p], anchor_blocks[p[1]], cfg)) for p in sorted(blocks)]
+        monkeypatch.setattr(federation, "encode_message",
+                            lambda msg: bytes(UNREAD_FRAME_BYTES))
+        analyst = TcpAnalystEndpoint(timeout=0.5)
+        peers = []
+        try:
+            for share in shares:
+                peers.append(socket.create_connection(
+                    ("127.0.0.1", analyst.port), timeout=5.0))
+                peers[-1].sendall(share)
+            start = time.monotonic()
+            with pytest.raises(SessionTimeoutError, match=r"party \(0, 0\)"):
+                analyst_party_run(cfg, analyst)
+            assert time.monotonic() - start < 5.0
+            assert analyst.sent_count == 0
+        finally:
+            for peer in peers:
+                peer.close()
+            analyst.close()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
     def test_a_declared_size_alone_commits_no_memory(self):
