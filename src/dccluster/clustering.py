@@ -10,11 +10,12 @@ where its distance mass is zero (every row already a seed) it picks a row
 uniformly from the same draw, so a batch's seeds are those of its
 restarts seeded one by one.  Each pass is one stacked computation over the
 batch's centroid sets, from which a restart leaves once it stops, so every
-result is bit for bit that of the restarts run one by one.  Each
-assignment pass holds its distances centroid-major, as a k x n array per
-restart whose rows run over the points, and labels a point by a strict `<`
-compare of each centroid's row against the running minimum, so a tie goes
-to the lowest centroid index.  Input whose squared distances could overflow
+result is bit for bit that of the restarts run one by one.  Seeding, each
+pass and assign_nearest take every squared distance from one kernel, which
+sums squared coordinate differences, and hold a pass's distances as a
+k x n array per restart; a point's label comes from a strict `<` compare
+of each centroid's row against the running minimum, so a tie goes to the
+lowest centroid index.  Input whose squared distances could overflow
 float64 is refused by name.
 
 Spectral clustering never forms an n x n dense array.  A kd-tree finds each
@@ -69,79 +70,71 @@ class SpectralEmbedding:
     components: int
 
 
-def sqdist(a: np.ndarray, b: np.ndarray, aa: np.ndarray | None = None,
-           out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Pairwise squared Euclidean distances aa + bb - 2 a b^T, clipped at zero.
+def _sqdist(xt: np.ndarray, points: np.ndarray,
+            out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Squared distances, (..., n), from a (..., m) stack of points to the
+    n rows of x, given coordinate-major as xt, (m, n).
 
-    b is one k x m set of centroids, giving an n x k result, or a stack of
-    them, (..., k, m), giving (..., n, k).  Each n x k result is the
-    transpose of a k x n array, so every step after the product runs along
-    rows of length n rather than k.  The product stays the BLAS call
-    a @ b.T, one per set of a stack, whose bits b @ a.T does not always
-    repeat (it differed in the last bits at k = 16, n = 4500 on OpenBLAS
-    0.3.31).  aa, a's squared row norms, may be passed in when a is used
-    again, and out, a (..., k, n) and an (..., n, k) scratch array, when the
-    shapes repeat.
+    Each is the sum of the squared coordinate differences, added one
+    coordinate at a time (numpy's order for a row of fewer than 8 terms),
+    so it is never negative and keeps near points apart far from the
+    origin, where aa + bb - 2 ab cancels.  out, a pair of (..., n) arrays
+    for the result and the difference, may be passed when shapes repeat.
     """
-    # the method is np.sum's add.reduce without its dispatch, which costs
-    # more than the sum itself at a few centroids
-    if aa is None:
-        aa = (a * a).sum(axis=1)
-    bb = (b * b).sum(axis=-1)[..., None]
     if out is None:
-        out = _scratch(a.shape[0], *b.shape[:-1])
-    d2, ab = out
-    np.matmul(a, b.swapaxes(-1, -2), out=ab)
-    ab *= 2.0
-    np.add(aa, bb, out=d2)
-    d2 -= ab.swapaxes(-1, -2)
-    np.maximum(d2, 0.0, out=d2)
-    return d2.swapaxes(-1, -2)
+        shape = (*points.shape[:-1], xt.shape[1])
+        out = np.empty(shape), np.empty(shape)
+    d2, diff = out
+    np.subtract(xt[0], points[..., 0, None], out=d2)
+    np.square(d2, out=d2)
+    for j in range(1, xt.shape[0]):
+        np.subtract(xt[j], points[..., j, None], out=diff)
+        np.square(diff, out=diff)
+        d2 += diff
+    return d2
 
 
-def _scratch(n: int, *sets: int) -> tuple[np.ndarray, np.ndarray]:
-    # sqdist's two arrays for n rows against centroid sets of shape (..., k)
-    return np.empty((*sets, n)), np.empty((*sets[:-1], n, sets[-1]))
+# the name a Lloyd pass and assign_nearest call the kernel by, and the one
+# benchmarks/tracing.py counts passes by; seeding calls it as _sqdist
+sqdist = _sqdist
 
 
-def _row_norms(a: np.ndarray, n: int) -> np.ndarray:
-    """a's squared row norms, refused with a ContractViolationError when a
-    squared distance or a sum of n of them could overflow.
+def _refuse_overflow(xt: np.ndarray, terms: int) -> None:
+    """Refuse, with a ContractViolationError, coordinate-major rows xt
+    without a coordinate, or whose squared distances, or a sum of terms of
+    them, could overflow.
 
-    Every squared distance k-means forms is |x_i - c|^2 <= (|x_i| + |c|)^2
-    <= 4 M, M the largest squared row norm of x or of the centroids: a
-    centroid is a row or a mean of rows, and so within M, and so are aa, bb
-    and |2 ab| <= 2 M.  A seeding cumsum or an inertia adds at most n of
-    them, 4 n M.  Rounding raises none of these by more than a relative
-    n * eps, so refusing 8 n M above the float64 maximum leaves a factor of
-    two, and nothing formed from finite input overflows.
+    Every squared distance formed is |x_i - c|^2 <= (|x_i| + |c|)^2 <= 4 M,
+    M the largest squared row norm of x or of the centroids: a centroid is
+    a row or a mean of rows, and so within M.  A seeding cumsum or an
+    inertia adds at most n of them, 4 n M.  Rounding raises none of these
+    by more than a relative n * eps, so refusing 8 terms M above the
+    float64 maximum leaves a factor of two, and nothing formed from finite
+    input overflows.  The norms are _sqdist's distances to the origin.
     """
+    if not xt.shape[0]:
+        raise ContractViolationError("rows have no coordinates")
     with np.errstate(over="ignore"):
-        aa = (a * a).sum(axis=1)
-        if aa.size and not 8.0 * n * aa.max() <= np.finfo(np.float64).max:
+        top = _sqdist(xt, np.zeros(xt.shape[0])).max(initial=0.0)
+        if not 8.0 * terms * top <= np.finfo(np.float64).max:
             raise ContractViolationError(
                 f"squared distances overflow: rows of squared norm up to "
-                f"{aa.max():.3g} among {n} rows")
-    return aa
+                f"{top:.3g} among {xt.shape[1]} rows")
 
 
 def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's nearest centroid, ties to the lowest index as argmin's,
-    and its distance, from sqdist's (..., n, k) view.
-
-    The (..., k, n) base is compared one centroid row at a time against a
-    running minimum, kept in (and overwriting) its first row.
+    and its distance, from sqdist's (..., k, n) distances.  The running
+    minimum is kept in (and overwrites) the first centroid's row.
     """
-    # k leading, so that rows[j] is centroid j's row of every set
-    rows = d2.swapaxes(-1, -2).swapaxes(0, -2)
-    k = rows.shape[0]
-    best = rows[0]
+    k = d2.shape[-2]
+    best = d2[..., 0, :]
     kind = np.uint8 if k <= 256 else np.intp
     labels, pick = np.zeros(best.shape, kind), np.empty(best.shape, kind)
     closer = np.empty(best.shape, bool)
     step = closer.view(np.uint8)
     for j in range(1, k):
-        row = rows[j]
+        row = d2[..., j, :]
         np.less(row, best, out=closer)
         np.minimum(best, row, out=best)
         # every label is below j, so the max sets j exactly where closer
@@ -152,27 +145,19 @@ def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assign_nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of the nearest centroid per row; ties go to the lowest index.
-
-    Rows or centroids whose squared distances could overflow are refused
-    with a ContractViolationError, by kmeans's bound.
+    """Index of the nearest centroid per row by sqdist's distances; ties go
+    to the lowest index.  Rows or centroids whose squared distances could
+    overflow are refused with a ContractViolationError, by kmeans's bound.
     """
     x, centroids = as_matrix(x), as_matrix(centroids)
     if not centroids.shape[0]:
         raise ContractViolationError("no centroids to assign rows to")
-    n = x.shape[0]
-    _row_norms(centroids, n)
-    return _nearest(sqdist(x, centroids, _row_norms(x, n)))[0]
-
-
-def _sqdist_to(xt: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # Squared distance from every row to each of an (m, width, 1) stack of
-    # points, coordinate-major, summed one coordinate at a time in order, as
-    # numpy sums a row of fewer than 8 terms.
-    d2 = np.square(xt[0] - points[0])
-    for j in range(1, xt.shape[0]):
-        d2 += np.square(xt[j] - points[j])
-    return d2
+    if centroids.shape[1] != x.shape[1]:
+        raise ContractViolationError("centroid and row widths differ")
+    xt = np.ascontiguousarray(x.T)
+    _refuse_overflow(centroids.T, x.shape[0])
+    _refuse_overflow(xt, x.shape[0])
+    return _nearest(sqdist(xt, centroids))[0]
 
 
 def _seed_batch(x: np.ndarray, xt: np.ndarray, k: int, rng,
@@ -196,7 +181,7 @@ def _seed_batch(x: np.ndarray, xt: np.ndarray, k: int, rng,
         u[b] = rng.random(k - 1)
     d2 = None
     for s in range(1, k):
-        near = _sqdist_to(xt, x[chosen[:, s - 1]].T[:, :, None])
+        near = _sqdist(xt, x[chosen[:, s - 1]])
         d2 = near if d2 is None else np.minimum(d2, near, out=d2)
         total = d2.sum(axis=1)
         below = np.cumsum(d2, axis=1) <= (u[:, s - 1] * total)[:, None]
@@ -266,7 +251,7 @@ def _inertia(x, centroids, labels) -> float:
     return float(np.sum((x - centroids[labels]) ** 2))
 
 
-def _lloyd_batch(x, xtb, aa, scratch, centroids, max_iter: int
+def _lloyd_batch(x, xtb, scratch, centroids, max_iter: int
                  ) -> list[ClusterModel]:
     """Lloyd passes for a stack of restarts' centroid sets, (width, k, m),
     in lockstep; returns each restart's ClusterModel, in stack order.
@@ -277,11 +262,12 @@ def _lloyd_batch(x, xtb, aa, scratch, centroids, max_iter: int
     the others go on.  Nothing here draws a number.
     """
     ids = list(range(centroids.shape[0]))   # each row's place in the stack
+    xt = xtb[:, :x.shape[0]]
     out = scratch[0][:len(ids)], scratch[1][:len(ids)]
     models = [None] * len(ids)
     labels, undone = None, {}
     for it in range(1, max_iter + 1):
-        assigned, nearest = _nearest(sqdist(x, centroids, aa, out))
+        assigned, nearest = _nearest(sqdist(xt, centroids, out))
         if labels is not None:
             stop = (assigned == labels).all(axis=1).tolist()
             # a pass that undid the last one's empty-cluster repair, which
@@ -335,15 +321,15 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
     _seed_batch); its Lloyd passes draw nothing, so every result is that of
     the restarts run one by one.  Where a restart's distance mass is zero,
     every row already coincides with a seed, and its next seed is row
-    int(u * n) of its draw u, uniform over the rows.  Each
-    pass is one sqdist into a (batch, k, n) array: the products
-    x @ centroids.T, then aa + bb - 2 ab along rows of length n.  Each label
-    comes from a k-way strict `<` compare against a running minimum, so a
-    tie goes to the lowest centroid index, as argmin's does, and a
-    converged run's inertia is that minimum's sum.  The row norms, a
-    coordinate-major copy of x and sqdist's scratch are made once per call.
-    Input whose squared distances could overflow float64 is refused with a
-    ContractViolationError (see _row_norms).
+    int(u * n) of its draw u, uniform over the rows.  Seeding and each
+    pass take their squared distances, sums of squared coordinate
+    differences, from one kernel (see _sqdist); a pass writes them into a
+    (batch, k, n) array.  Each label comes from a k-way strict `<` compare
+    against a running minimum, so a tie goes to the lowest centroid index,
+    as argmin's does, and a converged run's inertia is that minimum's sum.
+    A coordinate-major copy of x and the pass's scratch are made once per
+    call.  Input whose squared distances could overflow float64 is refused
+    with a ContractViolationError (see _refuse_overflow).
     """
     x = as_matrix(x)
     n = x.shape[0]
@@ -353,16 +339,18 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
         raise ContractViolationError("max_iter must be positive")
     if restarts < 1:
         raise ContractViolationError("restarts must be positive")
-    aa = _row_norms(x, n)
     xt = np.ascontiguousarray(x.T)
+    _refuse_overflow(xt, n)
     width = min(restarts, max(1, BUDGET // (k * n)))
     xtb = np.tile(xt, width) if width > 1 else xt
-    scratch = _scratch(n, width, k)
+    # two arrays: one freed block of twice the size raised glibc's mmap
+    # threshold, and blobs' benchmark peak RSS, from about 700 to 800 MB
+    scratch = np.empty((width, k, n)), np.empty((width, k, n))
     rng = np.random.default_rng(rng_seed)
     best = None
     for done in range(0, restarts, width):
         seeds = _seed_batch(x, xt, k, rng, min(width, restarts - done))
-        for model in _lloyd_batch(x, xtb, aa, scratch, seeds, max_iter):
+        for model in _lloyd_batch(x, xtb, scratch, seeds, max_iter):
             if best is None or model.inertia < best.inertia:
                 best = model
     return best
@@ -375,13 +363,16 @@ def build_affinity(x, neighbors: int) -> scipy.sparse.csr_array:
     distance (summed coordinate differences) and then by index, so equal
     distances at the neighborhood boundary resolve to the lower index.  The
     matrix is symmetrized with an OR so an edge from either side survives.
-    Diagonal is zero.  Returned as CSR.
+    Diagonal is zero.  Returned as CSR.  A squared distance is at most 4 M,
+    M the largest squared row norm, and none is summed over rows, so rows
+    with 8 M above the float64 maximum are refused before the search.
     """
     x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= neighbors < n:
         raise ContractViolationError(
             f"neighbors must be in [1, {n - 1}], got {neighbors}")
+    _refuse_overflow(x.T, 1)
     tree = cKDTree(x)
     cols = np.empty((n, neighbors), dtype=np.intp)
     rows = np.arange(n)

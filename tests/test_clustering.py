@@ -54,11 +54,10 @@ def best_partition_inertia(x, k):
 
 
 def reference_sqdist(a, b):
-    """Squared distances as the n x k formula they were first written in,
-    frozen here so that a change to sqdist cannot move both sides."""
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
+    """Squared distances as an n x k array of summed squared coordinate
+    differences, frozen here so that a change to sqdist cannot move both
+    sides; for fewer than 8 columns numpy sums each in column order."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
 def reference_repair(x, labels, counts, centroids):
@@ -234,8 +233,9 @@ class TestKmeansMatchesReference:
         assert np.array_equal(got_centroids, want_centroids)
 
     def test_twelve_columns_sum_pairwise_but_agree(self):
-        # numpy sums a row of 8 or more terms pairwise, so the seeding
-        # distances may differ in the last bits from column-by-column sums
+        # numpy sums a row of 8 or more terms pairwise, so the reference's
+        # distances may differ in the last bits from the kernel's
+        # column-by-column sums
         x = four_blobs(12, seed=12)
         model = kmeans(x, 4, rng_seed=12, restarts=10)
         labels, _, inertia, _ = reference_kmeans(x, 4, rng_seed=12,
@@ -386,11 +386,11 @@ class TestRestartBatches:
             if rng.random() < 0.5:
                 x = np.asfortranarray(x)
             stack = rng.normal(size=(sets, k, m))
-            d2 = sqdist(x, stack)
+            d2 = sqdist(x.T, stack)
             # _nearest keeps its running minimum in its input's first row
             labels, nearest = _nearest(d2.copy())
             for b in range(sets):
-                one = sqdist(x, stack[b])
+                one = sqdist(x.T, stack[b])
                 assert np.array_equal(d2[b], one)
                 want_labels, want_nearest = _nearest(one)
                 assert np.array_equal(labels[b], want_labels)
@@ -417,16 +417,22 @@ class TestRestartBatches:
 class TestOverflow:
     """Rows whose squared distances could overflow float64 are refused by
     name, before any arithmetic warns; the bound is 8 n M at most the float64
-    maximum, M the largest squared row norm."""
+    maximum for k-means, M the largest squared row norm summed one
+    coordinate at a time, and 8 M for the kNN graph, which sums no
+    distances over rows."""
 
     @staticmethod
-    def rows():
-        return np.random.default_rng(0).standard_normal((20, 2))
+    def rows(m=2):
+        return np.random.default_rng(0).standard_normal((20, m))
 
     @staticmethod
-    def largest_scale(x):
-        """The largest power of two s with 8 n M s^2 within the maximum."""
-        bound = 8.0 * x.shape[0] * (x * x).sum(axis=1).max()
+    def largest_scale(x, terms):
+        """The largest power of two s with 8 terms M s^2 within the
+        maximum."""
+        norms = x[:, 0] ** 2
+        for j in range(1, x.shape[1]):
+            norms = norms + x[:, j] ** 2
+        bound = 8.0 * terms * norms.max()
         e = math.floor(math.log2(np.finfo(np.float64).max / bound) / 2)
         while bound * 4.0 ** e > np.finfo(np.float64).max:
             e -= 1
@@ -445,18 +451,106 @@ class TestOverflow:
 
     def test_the_largest_accepted_scale_scales_every_result_exactly(self):
         # a power of two scales every sum and product exactly, so the
-        # labels repeat and the inertia scales by its square
-        x = self.rows()
-        s = self.largest_scale(x)
-        plain = kmeans(x, 3, restarts=4)
-        model = kmeans(x * s, 3, restarts=4)
-        assert np.array_equal(model.labels, plain.labels)
-        assert np.array_equal(model.centroids, plain.centroids * s)
-        assert model.inertia == plain.inertia * s * s
-        assert np.array_equal(assign_nearest(x * s, model.centroids),
-                              plain.labels)
+        # labels repeat and the inertia scales by its square; at m = 12 the
+        # guard's one-coordinate-at-a-time norms set the boundary, which
+        # numpy's pairwise row sum need not repeat
+        for m in (2, 12):
+            x = self.rows(m)
+            s = self.largest_scale(x, x.shape[0])
+            plain = kmeans(x, 3, restarts=4)
+            model = kmeans(x * s, 3, restarts=4)
+            assert np.array_equal(model.labels, plain.labels)
+            assert np.array_equal(model.centroids, plain.centroids * s)
+            assert model.inertia == plain.inertia * s * s
+            assert np.array_equal(assign_nearest(x * s, model.centroids),
+                                  plain.labels)
+            with pytest.raises(ContractViolationError, match="overflow"):
+                kmeans(x * (2.0 * s), 3)
+
+    def test_the_knn_graph_refuses_by_name(self):
+        # the tree's squared distances overflowed and it returned the
+        # missing-neighbour index n, which indexing then refused
+        x = self.rows() * 1e155
         with pytest.raises(ContractViolationError, match="overflow"):
-            kmeans(x * (2.0 * s), 3)
+            build_affinity(x, 5)
+        with pytest.raises(ContractViolationError, match="overflow"):
+            spectral_cluster(x, 2, neighbors=5)
+
+    def test_rows_without_coordinates_are_refused_by_name(self):
+        # the guard that reads every row refuses them first; the kernel
+        # has no coordinate to start its sum from
+        x = np.zeros((6, 0))
+        for call in (lambda: kmeans(x, 2),
+                     lambda: assign_nearest(x, np.zeros((2, 0))),
+                     lambda: build_affinity(x, 2)):
+            with pytest.raises(ContractViolationError, match="coordinates"):
+                call()
+
+    def test_the_largest_accepted_scale_gives_the_same_graph(self):
+        for m in (2, 12):
+            x = self.rows(m)
+            s = self.largest_scale(x, 1)
+            plain = build_affinity(x, 5).toarray()
+            assert np.array_equal(build_affinity(x * s, 5).toarray(), plain)
+            with pytest.raises(ContractViolationError, match="overflow"):
+                build_affinity(x * (2.0 * s), 5)
+
+
+class TestFarFromTheOrigin:
+    """Near points far from the origin: each distance is about 1 against
+    squared norms of 2e16, where aa + bb - 2 ab cancels away every digit
+    that tells the centroids apart."""
+
+    @staticmethod
+    def rows():
+        rng = np.random.default_rng(6)
+        centres = 1e8 + np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        x = centres[np.repeat(np.arange(3), 1000)] + rng.normal(
+            scale=0.1, size=(3000, 2))
+        return x, centres
+
+    def test_assign_nearest_keeps_the_differences(self):
+        x, centres = self.rows()
+        want = np.argmin(reference_sqdist(x, centres), axis=1)
+        assert np.array_equal(want, np.repeat(np.arange(3), 1000))
+        assert np.array_equal(assign_nearest(x, centres), want)
+
+    def test_kmeans_keeps_the_differences(self):
+        x, _ = self.rows()
+        model = kmeans(x, 3, rng_seed=0, restarts=10)
+        d2 = reference_sqdist(x, model.centroids)
+        assert np.array_equal(model.labels, np.argmin(d2, axis=1))
+        assert model.inertia == np.take_along_axis(
+            d2, model.labels[:, None], axis=1).sum()
+        assert model.inertia < 1.1 * 3000 * 2 * 0.1 ** 2
+        assert ari(model.labels, np.repeat(np.arange(3), 1000)) == 1.0
+
+
+def test_seeding_and_every_pass_call_one_kernel(monkeypatch):
+    """Seeding calls the kernel as _sqdist, each Lloyd pass and
+    assign_nearest as sqdist, the name a count of passes wraps: one
+    function under two names."""
+    assert clustering.sqdist is clustering._sqdist
+    calls = Counter()
+
+    def count(name):
+        kernel = getattr(clustering, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, name, counted)
+
+    count("_sqdist")
+    count("sqdist")
+    x = four_blobs(2, seed=2)
+    model = kmeans(x, 4, rng_seed=2)
+    # the overflow guard's norms, then k - 1 seeding distances
+    assert calls == {"_sqdist": 1 + 3, "sqdist": model.n_iter}
+    calls.clear()
+    assign_nearest(x, model.centroids)
+    assert calls == {"_sqdist": 2, "sqdist": 1}
 
 
 def tie_grid(k):
@@ -500,9 +594,9 @@ class TestAssignmentPass:
         x, centroids = LAYOUT_CASES[case]
         want_d2 = reference_sqdist(x, centroids)
         want = np.argmin(want_d2, axis=1)
-        d2 = sqdist(x, centroids)
-        assert d2.shape == want_d2.shape
-        assert np.array_equal(d2, want_d2)
+        d2 = sqdist(np.ascontiguousarray(x.T), centroids)
+        assert d2.shape == want_d2.T.shape
+        assert np.array_equal(d2, want_d2.T)
         labels, nearest = _nearest(d2)
         assert labels.dtype == np.intp
         assert np.array_equal(labels, want)
@@ -533,6 +627,13 @@ class TestAssignmentPass:
     def test_no_centroids_is_refused(self):
         with pytest.raises(ContractViolationError, match="no centroids"):
             assign_nearest(np.zeros((3, 2)), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_centroids_of_another_width_are_refused(self, m):
+        # the kernel reads the rows' coordinates only, so wider centroids
+        # would be cut short without a word
+        with pytest.raises(ContractViolationError, match="widths differ"):
+            assign_nearest(np.zeros((3, 2)), np.zeros((2, m)))
 
 
 class TestKmeans:
@@ -661,7 +762,7 @@ class TestKmeans:
         # second-center draw follows the squared-distance weights
         x = np.array([[0.0], [1.0], [2.0], [3.0], [10.0]])
         first = x[0:1]
-        d2 = sqdist(x, first).min(axis=1)
+        d2 = sqdist(x.T, first).min(axis=0)
         counts = self.pick_counts(d2, 10000, 123)
         assert self.within_three_sigma(counts, d2 / d2.sum())
 
