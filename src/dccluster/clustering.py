@@ -26,16 +26,15 @@ sparse; and a shift-invert ARPACK solve gives the bottom eigenvectors.  The
 eigenvalue 0 repeats once per graph component, so that null space is not
 taken from the solver but built as sqrt(degree)-scaled component indicators,
 in component order; the solve runs only when the graph has fewer than k
-components.  k-means then runs on the embedding.
+components.  k-means then runs on the embedding.  This path alone needs
+scipy, so its imports sit inside the functions that call it: a process that
+runs only k-means, as every institution does, never loads scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .errors import ContractViolationError
 from .numerics import _fix_signs, as_matrix, eig_symmetric
@@ -356,7 +355,7 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
     return best
 
 
-def build_affinity(x, neighbors: int) -> scipy.sparse.csr_array:
+def build_affinity(x, neighbors: int):
     """Binary kNN affinity: w[i, j] = 1 if j is among i's nearest neighbors.
 
     Self is excluded by index, neighbours are ranked by squared Euclidean
@@ -367,6 +366,8 @@ def build_affinity(x, neighbors: int) -> scipy.sparse.csr_array:
     M the largest squared row norm, and none is summed over rows, so rows
     with 8 M above the float64 maximum are refused before the search.
     """
+    import scipy.sparse
+    from scipy.spatial import cKDTree
     x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= neighbors < n:
@@ -397,11 +398,12 @@ def build_affinity(x, neighbors: int) -> scipy.sparse.csr_array:
     return w.maximum(w.T).tocsr()
 
 
-def laplacian_sym(w) -> scipy.sparse.csr_array:
+def laplacian_sym(w):
     """Symmetric normalized Laplacian D^-1/2 (D - W) D^-1/2, as CSR.
 
     Zero-degree nodes take 0 in D^-1/2, leaving their rows zero.
     """
+    import scipy.sparse
     w = scipy.sparse.csr_array(w, dtype=np.float64)
     deg = w.sum(axis=1)
     with np.errstate(divide="ignore"):
@@ -422,6 +424,7 @@ def spectral_embedding(x, k: int, neighbors: int = 10) -> SpectralEmbedding:
     then come from the eigensolve, orthogonalized against the indicators
     and sign-fixed.
     """
+    from scipy.sparse.csgraph import connected_components
     x = as_matrix(x)
     n = x.shape[0]
     if not 1 <= k <= n:

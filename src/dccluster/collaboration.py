@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .clustering import kmeans, spectral_embedding
 from .errors import ConfigurationError, ContractViolationError
@@ -155,6 +154,18 @@ def _anchor_blocks(parts, r: int):
         yield rows, _side_by_side(parts, rows, buffer[:rows.stop - start])
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """The 2-D float64 blocks along the diagonal of one zero matrix, as
+    scipy.linalg.block_diag lays them out."""
+    out = np.zeros((sum(b.shape[0] for b in blocks),
+                    sum(b.shape[1] for b in blocks)))
+    row = col = 0
+    for b in blocks:
+        out[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
+    return out
+
+
 def _walk_anchor(parts, r: int, lead, coeffs):
     """One walk over the stack of designs `parts`, r rows: (stack @ lead or
     None, the residual or None), as lead and coeffs are given or None.
@@ -168,7 +179,7 @@ def _walk_anchor(parts, r: int, lead, coeffs):
     led = None if lead is None else np.empty((r, lead.shape[1]), order="F")
     if coeffs is not None:
         c, m_hat = len(coeffs), coeffs[0].shape[1]
-        mapped = scipy.linalg.block_diag(*coeffs)
+        mapped = _block_diag(coeffs)
         first, second = np.triu_indices(c, 1)     # every pair of row blocks
         differ = np.kron(np.eye(c)[:, first] - np.eye(c)[:, second],
                          np.eye(m_hat))

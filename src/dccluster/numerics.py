@@ -4,16 +4,15 @@ Thin wrappers around LAPACK and ARPACK (via numpy/scipy) that pin down the
 conventions the rest of the package relies on: a fixed sign convention for
 factor columns, ascending eigenvalue order with stable tie handling, and a
 documented singular-value cutoff for the pseudoinverse.  Repeated calls on
-identical input are bit-identical.
+identical input are bit-identical.  Only eig_symmetric, which serves the
+spectral path, uses scipy, so it imports scipy itself: the alignment and
+k-means run on numpy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ContractViolationError, NumericFailureError
 
@@ -218,6 +217,9 @@ def eig_symmetric(a, top_k: int | None = None) -> EigResult:
     positive semidefinite, as a graph Laplacian is.  Otherwise sparse input
     is densified and solved by LAPACK.
     """
+    import scipy.linalg
+    import scipy.sparse
+    import scipy.sparse.linalg
     if scipy.sparse.issparse(a):
         a = scipy.sparse.csr_array(a, dtype=np.float64)
         if not np.all(np.isfinite(a.data)):
@@ -250,8 +252,7 @@ def eig_symmetric(a, top_k: int | None = None) -> EigResult:
             else:
                 values, vectors = scipy.linalg.eigh(
                     sym, subset_by_index=[0, top_k - 1])
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError,
-            scipy.sparse.linalg.ArpackError) as exc:
+    except (np.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
         raise NumericFailureError("eig_symmetric", str(exc)) from exc
     _fix_signs(vectors)
     # Stable order inside groups of exactly equal eigenvalues.

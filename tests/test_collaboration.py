@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dccluster import clustering, collaboration, numerics
 from dccluster.clustering import assign_nearest, kmeans
@@ -527,6 +528,32 @@ class TestAnchorBlocks:
         assert [shape[0] for shape, _ in seen] == [60, 60, 60]
         assert [shape[0] for shape in svds] == [60]
         assert_matches_reference(model, reference_alignment(shares, mode))
+
+
+@pytest.mark.parametrize("mode", ["affine", "linear"])
+@pytest.mark.parametrize("m_hat", [1, 2])
+@pytest.mark.parametrize("c", [1, 2, 5])
+def test_block_diagonal_is_scipys_bit_for_bit(monkeypatch, c, m_hat, mode):
+    """The residual walk's block diagonal of the row blocks' maps, on the
+    maps and design heights (one higher in affine mode) that an alignment
+    hands it, is scipy.linalg.block_diag's, byte for byte and in layout."""
+    seen, walk = [], collaboration._walk_anchor
+    monkeypatch.setattr(collaboration, "_walk_anchor",
+                        lambda parts, r, lead, coeffs: seen.append(coeffs)
+                        or walk(parts, r, lead, coeffs))
+    shares = lattice_shares(c, 2, seed=c + 3 * m_hat)
+    build_collaboration(shares, mode=mode, m_hat=m_hat)
+    coeffs = next(found for found in seen if found is not None)
+    heights = [a.shape[0] for a in coeffs]
+    widths = [sum(s.anchor_tilde.shape[1] for s in shares if s.party[0] == i)
+              for i in range(c)]
+    assert heights == [w + (mode == "affine") for w in widths]
+    assert [a.shape[1] for a in coeffs] == [m_hat] * c
+    ours = collaboration._block_diag(coeffs)
+    theirs = scipy.linalg.block_diag(*coeffs)
+    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+    assert ours.strides == theirs.strides
+    assert ours.tobytes() == theirs.tobytes()
 
 
 def test_share_layout_does_not_change_a_bit():

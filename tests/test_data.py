@@ -291,6 +291,22 @@ class TestAnchor:
         assert np.all(anchor.features >= x.min(axis=0) - 1e-12)
         assert np.all(anchor.features <= x.max(axis=0) + 1e-12)
 
+    # 12 000 rows of 6 features take three blocks, the last one short
+    @pytest.mark.parametrize("x", [
+        make_blobs(3, 4000, rng_seed=2).features,
+        np.asfortranarray(make_blobs(3, 4000, rng_seed=3).features),
+        np.array([[1.5, -2.0, 0.0]]),
+        np.array([[0.0, 1.0], [-0.0, 2.0], [0.0, -1.0], [-0.0, 3.0]]),
+        np.array([[-0.0, 1.0], [0.0, 2.0]]),
+        np.vstack([np.zeros((1, 6)), make_blobs(3, 4000, rng_seed=4).features,
+                   [[50.0, -50.0, 50.0, -50.0, 50.0, -50.0]]]),
+    ], ids=["c-order", "f-order", "one-row", "signed-zero", "zero-first",
+            "extremes-last"])
+    def test_bounds_are_the_row_extremes(self, x):
+        mins, maxs = feature_bounds(x)
+        assert np.array_equal(mins, x.min(axis=0))
+        assert np.array_equal(maxs, x.max(axis=0))
+
     def test_uniform_spread(self):
         x = np.array([[0.0, 10.0], [1.0, 20.0]])
         anchor = generate_anchor(feature_bounds(x), 4000, rng_seed=3)

@@ -7,12 +7,18 @@ not only its tests."""
 
 import ast
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
 import dccluster
+from dccluster.clustering import spectral_cluster
+from dccluster.data import make_circles
+from dccluster.metrics import score_all
 
 PACKAGE = pathlib.Path(dccluster.__file__).parent
 UPPER = {"federation", "experiment", "cli"}
@@ -50,6 +56,60 @@ def test_the_check_sees_every_import_form(tmp_path):
                      "from dccluster.numerics import svd\n")
     assert imported_modules(probe) == {"federation", "experiment", "cli",
                                        "numerics"}
+
+
+# A fresh interpreter plays every k-means role and then the spectral path
+# and the scores, reporting which modules each part loaded.
+KMEANS_THEN_SPECTRAL = """\
+import json, sys
+import dccluster, dccluster.cli
+from dccluster.clustering import spectral_cluster
+from dccluster.data import (feature_bounds, generate_anchor, make_blobs,
+                            make_circles, partition_lattice)
+from dccluster.federation import (SessionConfig, run_dc_clustering,
+                                  run_tcp_session, user_step)
+from dccluster.metrics import score_all
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "scipy" or m == "urllib.request")
+
+ds = make_blobs(k=2, per_cluster=20, rng_seed=0)
+part = partition_lattice(ds, c=2, d=2, assignment="iid-random", rng_seed=1)
+anchor = generate_anchor(feature_bounds(ds.features), r=40, rng_seed=2)
+cfg = SessionConfig(c=2, d=2, k=2, algorithm="kmeans", m_hat=2,
+                    master_seed=0, timeout=20.0)
+run_tcp_session(ds.features, part, anchor, cfg)
+run_dc_clustering(ds.features, part, anchor, cfg)
+user_step((0, 0), part.block(ds.features, 0, 0),
+          anchor.features[:, part.col_index_sets[0]], cfg)
+kmeans_loaded = loaded()
+rings = make_circles(3, 60, rng_seed=4)
+labels = spectral_cluster(rings.features, 3, rng_seed=5).labels
+print(json.dumps({"kmeans": kmeans_loaded, "spectral": labels.tolist(),
+                  "scores": score_all([0, 0, 1, 1, 2, 2], [1, 1, 0, 0, 0, 2]),
+                  "after": loaded()}))
+"""
+
+
+def test_a_kmeans_party_loads_no_scipy():
+    """Importing the package and the CLI, a k-means TCP session, the
+    in-process run and an institution's step load neither scipy nor
+    urllib.request; the spectral path and the scores load scipy on their
+    first call and give what they give in this process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", KMEANS_THEN_SPECTRAL],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["kmeans"] == []
+    assert "scipy.sparse" in seen["after"] and "scipy.optimize" in seen["after"]
+    rings = make_circles(3, 60, rng_seed=4)
+    assert seen["spectral"] == spectral_cluster(rings.features, 3,
+                                                rng_seed=5).labels.tolist()
+    scores = score_all([0, 0, 1, 1, 2, 2], [1, 1, 0, 0, 0, 2])
+    assert seen["scores"] == scores and scores["acc"] == 5 / 6
 
 
 def called_names(path):
