@@ -237,10 +237,11 @@ def load_csv(path, label_column: str) -> LabeledDataset:
     """Load a headered numeric CSV, factor-encoding the label column.
 
     Label codes follow first appearance order.  Cell parse failures raise
-    IngestionError with the 1-based file row and the column name.
+    IngestionError with the 1-based file row and the column name.  A UTF-8
+    byte-order mark before the header is dropped.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -376,8 +376,10 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentSpec:
 
 
 def load_config(path: str) -> ExperimentSpec:
+    """The spec of a UTF-8 config file, a byte-order mark dropped, named
+    after the file unless it names itself."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc

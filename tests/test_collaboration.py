@@ -474,6 +474,26 @@ class TestBuildCollaboration:
             assert (np.linalg.norm(model.x_hat - plain)
                     <= 1e-12 * np.linalg.norm(plain))
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-155, 1e-157, 1e-160,
+                                       1e-162, 1e-199])
+    @pytest.mark.parametrize("c,d", [(1, 1), (2, 2), (3, 2)])
+    def test_shares_whose_gram_is_subnormal_align_without_warning(
+            self, c, d, scale):
+        # anchor entries near 1e-157 give Gram blocks near 1e-310, below
+        # GRAM_FLOOR: each design and the stack are factored themselves,
+        # and in linear mode the maps absorb the scale, so x_hat is the
+        # unscaled shares' within roundoff
+        shares = lattice_shares(c, d, seed=3, r=30)
+        small = [dataclasses.replace(s, x_tilde=s.x_tilde * scale,
+                                     anchor_tilde=s.anchor_tilde * scale)
+                 for s in shares]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = build_collaboration(small, mode="linear")
+        plain = build_collaboration(shares, mode="linear").x_hat
+        assert (np.linalg.norm(model.x_hat - plain)
+                <= 1e-14 * np.linalg.norm(plain))
+
     def test_bad_mode(self):
         shares = equal_range_shares(2, 2, seed=7, with_offsets=False)
         with pytest.raises(ConfigurationError):

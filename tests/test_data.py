@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import io
 import json
@@ -187,6 +188,13 @@ class TestCsv:
         p.write_text("a,label,b\n1,x,2\n3,y,4\n")
         ds = load_csv(p, label_column="label")
         # the middle label column is dropped, the others keep their order
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
+
+    def test_byte_order_mark_before_the_label_column(self, tmp_path):
+        p = tmp_path / "excel.csv"
+        p.write_bytes(codecs.BOM_UTF8 + b"species,a,b\nx,1,2\ny,3,4\n")
+        ds = load_csv(p, label_column="species")
         assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert ds.labels.tolist() == [0, 1]
 

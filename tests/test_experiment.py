@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import gc
@@ -149,6 +150,13 @@ class TestParseConfig:
         path.write_text(TINY_CFG.replace("name = smoke\n", ""))
         spec = load_config(str(path))
         assert spec.name == "ring_study"
+
+    def test_load_config_drops_a_byte_order_mark(self, tmp_path):
+        text = TINY_CFG.replace("# quick smoke experiment\n", "")
+        assert text.startswith("name")
+        path = tmp_path / "smoke.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert load_config(str(path)) == parse_config(text)
 
     def test_explicit_name_beats_filename(self, tmp_path):
         path = tmp_path / "whatever.cfg"

@@ -2,8 +2,10 @@
 seed modules stay below the protocol: the wire format, the party runners,
 the experiment runner and the CLI may import them, never the other way
 round.  The protocol in turn stays below the experiment runner and the
-CLI.  And every top-level function and class serves the package itself,
-not only its tests."""
+CLI.  scipy is imported only inside the functions that call it, and never
+by the metrics, so a k-means process runs on numpy alone.  And every
+top-level function and class serves the package itself, not only its
+tests."""
 
 import ast
 import importlib.util
@@ -18,6 +20,7 @@ import pytest
 import dccluster
 from dccluster.clustering import spectral_cluster
 from dccluster.data import make_circles
+from dccluster.experiment import ExperimentSpec, run_experiment
 from dccluster.metrics import score_all
 
 PACKAGE = pathlib.Path(dccluster.__file__).parent
@@ -58,14 +61,16 @@ def test_the_check_sees_every_import_form(tmp_path):
                                        "numerics"}
 
 
-# A fresh interpreter plays every k-means role and then the spectral path
-# and the scores, reporting which modules each part loaded.
+# A fresh interpreter plays every k-means role, scores labels and runs a
+# small k-means experiment, then takes the spectral path, reporting which
+# modules each part loaded.
 KMEANS_THEN_SPECTRAL = """\
 import json, sys
 import dccluster, dccluster.cli
 from dccluster.clustering import spectral_cluster
 from dccluster.data import (feature_bounds, generate_anchor, make_blobs,
                             make_circles, partition_lattice)
+from dccluster.experiment import ExperimentSpec, run_experiment
 from dccluster.federation import (SessionConfig, run_dc_clustering,
                                   run_tcp_session, user_step)
 from dccluster.metrics import score_all
@@ -83,20 +88,25 @@ run_tcp_session(ds.features, part, anchor, cfg)
 run_dc_clustering(ds.features, part, anchor, cfg)
 user_step((0, 0), part.block(ds.features, 0, 0),
           anchor.features[:, part.col_index_sets[0]], cfg)
+scores = score_all([0, 0, 1, 1, 2, 2], [1, 1, 0, 0, 0, 2])
+report = run_experiment(ExperimentSpec(
+    name="probe", dataset="blobs", c=2, d=2, clusters=3, per_cluster=15,
+    trials=2, m_hat=2, master_seed=1, local="all", out_dir="unused"))
 kmeans_loaded = loaded()
 rings = make_circles(3, 60, rng_seed=4)
 labels = spectral_cluster(rings.features, 3, rng_seed=5).labels
 print(json.dumps({"kmeans": kmeans_loaded, "spectral": labels.tolist(),
-                  "scores": score_all([0, 0, 1, 1, 2, 2], [1, 1, 0, 0, 0, 2]),
+                  "scores": scores, "values": report.values,
                   "after": loaded()}))
 """
 
 
 def test_a_kmeans_party_loads_no_scipy():
     """Importing the package and the CLI, a k-means TCP session, the
-    in-process run and an institution's step load neither scipy nor
-    urllib.request; the spectral path and the scores load scipy on their
-    first call and give what they give in this process."""
+    in-process run, an institution's step, the scores and a k-means
+    experiment load neither scipy nor urllib.request; the spectral path
+    loads scipy's sparse and graph modules, not its optimizer, on its first
+    call, and every part gives what it gives in this process."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", KMEANS_THEN_SPECTRAL],
@@ -104,12 +114,72 @@ def test_a_kmeans_party_loads_no_scipy():
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen["kmeans"] == []
-    assert "scipy.sparse" in seen["after"] and "scipy.optimize" in seen["after"]
+    assert "scipy.sparse" in seen["after"]
+    assert "scipy.optimize" not in seen["after"]
     rings = make_circles(3, 60, rng_seed=4)
     assert seen["spectral"] == spectral_cluster(rings.features, 3,
                                                 rng_seed=5).labels.tolist()
     scores = score_all([0, 0, 1, 1, 2, 2], [1, 1, 0, 0, 0, 2])
     assert seen["scores"] == scores and scores["acc"] == 5 / 6
+    report = run_experiment(ExperimentSpec(
+        name="probe", dataset="blobs", c=2, d=2, clusters=3, per_cluster=15,
+        trials=2, m_hat=2, master_seed=1, local="all", out_dir="unused"))
+    assert seen["values"] == json.loads(json.dumps(report.values))
+
+
+def scipy_imports(path):
+    """(line, scope) of each scipy import in `path`, where scope is
+    "function" for one inside a function body and "module" for one that
+    runs on import, at module or class level."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(node) for function in ast.walk(tree)
+              if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(function) if node is not function}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append((node.lineno,
+                          "function" if id(node) in inside else "module"))
+    return found
+
+
+def scipy_rule_breaches(package):
+    """The modules of `package` that break the scipy rule, as "module:line":
+    no module imports scipy where its import runs with the module's own,
+    and metrics imports it nowhere."""
+    return [f"{path.stem}:{line}" for path in sorted(package.glob("*.py"))
+            for line, scope in scipy_imports(path)
+            if scope == "module" or path.stem == "metrics"]
+
+
+def test_scipy_is_imported_only_inside_functions_and_never_by_metrics():
+    assert scipy_rule_breaches(PACKAGE) == []
+
+
+def test_the_scipy_rule_sees_every_placement(tmp_path):
+    (tmp_path / "top.py").write_text("import scipy.sparse\n")
+    (tmp_path / "guarded.py").write_text("try:\n"
+                                         "    from scipy import linalg\n"
+                                         "except ImportError:\n"
+                                         "    pass\n")
+    (tmp_path / "in_class.py").write_text("class A:\n"
+                                          "    import scipy\n")
+    (tmp_path / "lazy.py").write_text("def f():\n"
+                                      "    import scipy.linalg\n"
+                                      "    class B:\n"
+                                      "        from scipy.sparse import eye\n")
+    (tmp_path / "metrics.py").write_text("def f():\n"
+                                         "    from scipy.optimize import x\n")
+    (tmp_path / "fine.py").write_text("import numpy\n"
+                                      "from .scipy_like import y\n")
+    assert scipy_rule_breaches(tmp_path) == ["guarded:2", "in_class:2",
+                                             "metrics:2", "top:1"]
 
 
 def called_names(path):

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from dccluster.metrics import ari, nmi, acc, contingency, score_all
+from dccluster.metrics import (ari, nmi, acc, contingency, max_assignment,
+                               score_all)
 
 
 # --- independent oracles built from the definitions, not the implementation
@@ -127,6 +129,52 @@ class TestKnownValues:
         z = np.array([0, 0, 1, 2, 2, 2])
         # best mapping keeps clusters 0 and 2, cluster 1 is unmatched
         assert acc(y, z) == pytest.approx(5 / 6)
+
+
+def brute_max_assignment(table):
+    """The best sum over every placement of the shorter side's entries."""
+    if table.shape[0] > table.shape[1]:
+        table = table.T
+    rows, cols = table.shape
+    return max(sum(int(table[i, j]) for i, j in enumerate(placement))
+               for placement in itertools.permutations(range(cols), rows))
+
+
+class TestMaxAssignment:
+    @pytest.mark.parametrize("cols", range(1, 7))
+    @pytest.mark.parametrize("rows", range(1, 7))
+    def test_brute_force_on_every_shape_to_6(self, rows, cols):
+        # all-zero and all-tied tables, then random ones whose entries are
+        # drawn from 2, 3 and 50 values, so that ties abound in the first
+        rng = np.random.default_rng(10 * rows + cols)
+        tables = [np.zeros((rows, cols), np.int64),
+                  np.full((rows, cols), 7, np.int64)]
+        tables += [rng.integers(0, high, size=(rows, cols))
+                   for high in (2, 3, 50) for _ in range(10)]
+        for table in tables:
+            assert max_assignment(table) == brute_max_assignment(table)
+
+    def test_scipy_on_tables_to_40_a_side(self):
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            rows, cols = rng.integers(1, 41, size=2)
+            table = rng.integers(0, int(rng.integers(1, 60)),
+                                 size=(rows, cols))
+            picked = linear_sum_assignment(table, maximize=True)
+            assert max_assignment(table) == table[picked].sum()
+
+    def test_returns_an_int_of_the_table_as_given(self):
+        table = np.array([[5, 1], [4, 4], [0, 9]])
+        best = max_assignment(table)
+        assert type(best) is int and best == 14
+        assert max_assignment(table.T) == best
+        assert max_assignment(table.tolist()) == best
+
+    def test_acc_is_the_matched_share(self):
+        rng = np.random.default_rng(41)
+        y_true, y_pred = rng.integers(0, 4, 200), rng.integers(0, 6, 200)
+        assert acc(y_true, y_pred) == (
+            max_assignment(contingency(y_true, y_pred)) / 200)
 
 
 class TestStructure:

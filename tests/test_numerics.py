@@ -215,6 +215,15 @@ class TestLeadingLeftVectors:
         assert np.array_equal(u, f.u)
         assert np.array_equal(at_u, f.vt.T * f.s)
 
+    @pytest.mark.parametrize("scale,gram_route", [(1e-140, True),
+                                                  (1e-150, False),
+                                                  (1e-157, False)])
+    def test_gram_below_the_floor_takes_svd(self, scale, gram_route):
+        # a.T @ a is about 30 * scale**2: 3e-279, 3e-299 and 3e-313, of
+        # which only the first is at or above GRAM_FLOOR
+        a = rand((30, 3), 8) * scale
+        assert self.takes_gram_route(a, 2) == gram_route
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("shape", [(40, 5), (5, 40)])
     def test_rejects_nan_and_inf_with_and_without_gram(self, bad, shape):
@@ -233,6 +242,22 @@ class TestLeadingLeftVectors:
             leading_left_vectors(np.ones(5), 1, 5)
         with pytest.raises(ContractViolationError, match="square"):
             leading_left_vectors(np.ones((5, 4)), 1, 5)
+
+
+class TestWellConditionedGram:
+    def test_ratio_and_floor(self):
+        floor = numerics.GRAM_FLOOR
+        assert numerics.well_conditioned_gram(np.diag([1.0, 1e-5]))
+        assert not numerics.well_conditioned_gram(np.diag([1.0, 0.99e-5]))
+        assert numerics.well_conditioned_gram(np.eye(3) * floor)
+        # a subnormal Gram matrix, whose ratio alone would pass: pinv's
+        # 1 / s of it overflows
+        assert not numerics.well_conditioned_gram(np.eye(3) * 1e-310)
+        assert not numerics.well_conditioned_gram(np.eye(3) * floor * 0.99)
+
+    def test_not_finite_and_zero(self):
+        assert not numerics.well_conditioned_gram(np.diag([np.inf, 1.0]))
+        assert not numerics.well_conditioned_gram(np.zeros((2, 2)))
 
 
 def old_rule_signs(u):
