@@ -15,8 +15,11 @@ pass and assign_nearest take every squared distance from one kernel, which
 sums squared coordinate differences, and hold a pass's distances as a
 k x n array per restart; a point's label comes from a strict `<` compare
 of each centroid's row against the running minimum, so a tie goes to the
-lowest centroid index.  Input whose squared distances could overflow
-float64 is refused by name.
+lowest centroid index.  A centroid is its members' coordinates summed in
+row order, whatever the width, over their count.  x's memory layout moves
+no bit: distances and centroid sums read a coordinate-major copy of x, and
+the repair's and the inertia's differences from x come out row-major.
+Input whose squared distances could overflow float64 is refused by name.
 
 Spectral clustering never forms an n x n dense array.  A kd-tree finds each
 point's nearest neighbours, ranked by (squared distance, index) so that ties
@@ -217,8 +220,8 @@ def _update_centroids(x, xtb, labels, centroids) -> dict:
     place.  Returns each repaired set's labels from before its repair.
 
     One bincount over the labels offset by b * k counts every set's
-    clusters, and one per coordinate sums them; xtb holds each column of x
-    width times over.
+    clusters, and one per coordinate sums them in row order, at every width
+    m; xtb holds each column of x width times over.
     """
     width, k, m = centroids.shape
     flat = labels.ravel()
@@ -227,16 +230,10 @@ def _update_centroids(x, xtb, labels, centroids) -> dict:
     counts = np.bincount(flat, minlength=width * k)
     full = counts > 0
     sets = centroids.reshape(width * k, m)
-    if m == 1:
-        # numpy sums one contiguous column pairwise, not row by row
-        for f in np.flatnonzero(full):
-            sets[f] = x[labels[f // k] == f % k].mean(axis=0)
-    else:
-        # row by row, the order x[labels == c].mean(axis=0) sums in
-        for j in range(m):
-            sums = np.bincount(flat, weights=xtb[j, :flat.size],
-                               minlength=width * k)
-            np.divide(sums, counts, out=sets[:, j], where=full)
+    for j in range(m):
+        sums = np.bincount(flat, weights=xtb[j, :flat.size],
+                           minlength=width * k)
+        np.divide(sums, counts, out=sets[:, j], where=full)
     undone = {}
     empty = np.flatnonzero(counts == 0)
     if empty.size:
@@ -438,9 +435,7 @@ def spectral_embedding(x, k: int, neighbors: int = 10) -> SpectralEmbedding:
     indicators[keep, member[keep]] = root_deg[keep]
     indicators /= np.linalg.norm(indicators, axis=0)
     if null == k:
-        # column-major, as the solve returns it, so k-means rounds the same
-        return SpectralEmbedding(vectors=np.asfortranarray(indicators),
-                                 eigenvalues=np.zeros(k),
+        return SpectralEmbedding(vectors=indicators, eigenvalues=np.zeros(k),
                                  components=components)
     res = eig_symmetric(laplacian_sym(w), top_k=k)
     values, vectors = res.values, res.vectors

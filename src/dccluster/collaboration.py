@@ -325,9 +325,9 @@ def analyst_cluster(z, k: int, row_sizes, *, max_iter: int, rng_seed: int,
     for its records.
     """
     z = as_matrix(z)
-    model = kmeans(z, k, max_iter=max_iter, rng_seed=rng_seed,
-                   restarts=restarts)
     if sum(row_sizes) != z.shape[0]:
         raise ConfigurationError(
             f"row_sizes {row_sizes} do not sum to {z.shape[0]} rows")
+    model = kmeans(z, k, max_iter=max_iter, rng_seed=rng_seed,
+                   restarts=restarts)
     return model, np.split(z, np.cumsum(row_sizes)[:-1])

@@ -220,15 +220,15 @@ def eig_symmetric(a, top_k: int | None = None) -> EigResult:
     is symmetrized exactly before the solve.  Eigenvalues come back
     ascending.  Vector columns are sign-fixed, and exactly-tied eigenvalues
     keep a stable order: their columns are sorted lexicographically by
-    entries.  top_k keeps only the smallest top_k eigenpairs, computed
-    directly by a subset solver.  For sparse input with top_k < n - 1 that
-    solver is ARPACK in shift-invert mode around EIGSH_SIGMA, started from a
-    fixed vector so that repeated calls agree.  It finds the eigenvalues
-    nearest EIGSH_SIGMA, which are the smallest only when the matrix is
-    positive semidefinite, as a graph Laplacian is.  Otherwise sparse input
-    is densified and solved by LAPACK.
+    entries.  top_k keeps only the smallest top_k eigenpairs.  For sparse
+    input with top_k < n - 1 they come from ARPACK in shift-invert mode
+    around EIGSH_SIGMA, started from a fixed vector so that repeated calls
+    agree.  It finds the eigenvalues nearest EIGSH_SIGMA, which are the
+    smallest only when the matrix is positive semidefinite, as a graph
+    Laplacian is.  Otherwise the input, densified if sparse, is solved in
+    full by LAPACK and its first top_k pairs are kept, so they are exactly
+    the prefix of the full solve.
     """
-    import scipy.linalg
     import scipy.sparse
     import scipy.sparse.linalg
     if scipy.sparse.issparse(a):
@@ -258,11 +258,7 @@ def eig_symmetric(a, top_k: int | None = None) -> EigResult:
         else:
             if scipy.sparse.issparse(sym):
                 sym = sym.toarray()
-            if top_k is None or top_k == n:
-                values, vectors = np.linalg.eigh(sym)
-            else:
-                values, vectors = scipy.linalg.eigh(
-                    sym, subset_by_index=[0, top_k - 1])
+            values, vectors = np.linalg.eigh(sym)
     except (np.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
         raise NumericFailureError("eig_symmetric", str(exc)) from exc
     _fix_signs(vectors)
@@ -274,4 +270,4 @@ def eig_symmetric(a, top_k: int | None = None) -> EigResult:
                 order = np.lexsort(np.flipud(vectors[:, start:end]))
                 vectors[:, start:end] = vectors[:, start:end][:, order]
             start = end
-    return EigResult(values=values, vectors=vectors)
+    return EigResult(values=values[:top_k], vectors=vectors[:, :top_k])

@@ -104,9 +104,10 @@ def reference_seeds(x, k, rng):
 
 def reference_kmeans(x, k, max_iter=300, rng_seed=0, restarts=1):
     """The plain Lloyd, kept as the reference: serial seeding, each centroid
-    a masked mean per cluster, each inertia read through arange(n), and a
-    run that stops at max_iter scored by the pair it returns.  Returns
-    (labels, centroids, inertia, empty-cluster repairs)."""
+    its masked members summed one row after another over their count, each
+    inertia read through arange(n), and a run that stops at max_iter scored
+    by the pair it returns.  Returns (labels, centroids, inertia,
+    empty-cluster repairs)."""
     n = x.shape[0]
     rng = np.random.default_rng(rng_seed)
     best, repairs = None, 0
@@ -125,7 +126,8 @@ def reference_kmeans(x, k, max_iter=300, rng_seed=0, restarts=1):
             counts = np.bincount(labels, minlength=k)
             for c in range(k):
                 if counts[c]:
-                    centroids[c] = x[labels == c].mean(axis=0)
+                    centroids[c] = (np.cumsum(x[labels == c], axis=0)[-1]
+                                    / counts[c])
             repairs += reference_repair(x, labels, counts, centroids)
         if not converged:
             inertia = float(np.sum((x - centroids[labels]) ** 2))
@@ -270,6 +272,13 @@ def batch_cases():
 
 
 BATCH_CASES = batch_cases()
+# the batch cases, whose ten restarts share each pass, and inputs of
+# k * n above BUDGET, whose restarts run one at a time
+LAYOUT_KMEANS_CASES = dict(
+    BATCH_CASES,
+    **{"m1-serial": (four_blobs(1, seed=25, n=6000), 3, 300, 25),
+       "m8-serial": (four_blobs(8, seed=26, n=2100), 8, 300, 26),
+       "max-iter-1-serial": (four_blobs(3, seed=27, n=6000), 4, 1, 27)})
 
 
 class TestRestartBatches:
@@ -412,6 +421,29 @@ class TestRestartBatches:
                 tracemalloc.stop()
 
         assert peak(10) < peak(1) + scratch
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    @pytest.mark.parametrize("case", sorted(LAYOUT_KMEANS_CASES))
+    def test_memory_layout_changes_nothing(self, case, layout):
+        x, k, max_iter, seed = LAYOUT_KMEANS_CASES[case]
+        assert (k * x.shape[0] > clustering.BUDGET) == case.endswith("serial")
+        if layout == "fortran":
+            other = np.asfortranarray(x)
+            assert other.flags.f_contiguous
+        else:
+            # every other column of a wider array: neither C nor F
+            # contiguous, unlike an m = 1 array, which is always both
+            other = np.repeat(x, 2, axis=1)[:, ::2]
+            assert not (other.flags.c_contiguous or other.flags.f_contiguous)
+        plain = kmeans(np.ascontiguousarray(x), k, max_iter=max_iter,
+                       rng_seed=seed, restarts=10)
+        model = kmeans(other, k, max_iter=max_iter, rng_seed=seed,
+                       restarts=10)
+        assert np.array_equal(model.labels, plain.labels)
+        assert np.array_equal(model.centroids, plain.centroids)
+        assert model.inertia == plain.inertia
+        assert (model.n_iter, model.converged) == (plain.n_iter,
+                                                   plain.converged)
 
 
 class TestOverflow:
@@ -987,8 +1019,6 @@ class TestSpectralSkipsTheKnownNullSpace:
         assert emb.components == ref.components
         assert np.array_equal(emb.eigenvalues, ref.eigenvalues)
         assert np.array_equal(emb.vectors, ref.vectors)
-        # k-means rounds by the layout it is given
-        assert emb.vectors.flags.f_contiguous == ref.vectors.flags.f_contiguous
         labels = spectral_cluster(x, 3, neighbors=6, rng_seed=1,
                                   restarts=5).labels
         assert np.array_equal(

@@ -722,11 +722,15 @@ class TestAnalystAndUsers:
                                  for b in z_blocks])
         assert np.array_equal(joined, model.labels)
 
-    def test_row_sizes_must_sum(self):
-        z = np.zeros((5, 2))
-        with pytest.raises(ConfigurationError):
-            analyst_cluster(z, 1, [2, 2], max_iter=300, rng_seed=0,
-                            restarts=10)
+    def test_row_sizes_must_sum(self, monkeypatch):
+        # checked before k-means runs on rows that cannot be split
+        def refuse(*args, **kwargs):
+            raise AssertionError("kmeans ran on a split that cannot hold")
+
+        monkeypatch.setattr(collaboration, "kmeans", refuse)
+        with pytest.raises(ConfigurationError, match="do not sum"):
+            analyst_cluster(np.zeros((5, 2)), 1, [2, 2], max_iter=300,
+                            rng_seed=0, restarts=10)
 
     def test_user_step_builds_the_whole_share(self):
         cfg = SessionConfig(c=2, d=3, k=2)

@@ -18,7 +18,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dccluster import cli, federation
+from dccluster import cli, collaboration, federation
 from dccluster.data import (make_blobs, partition_lattice, feature_bounds,
                             generate_anchor)
 from dccluster.errors import (ConfigurationError, ContractViolationError,
@@ -36,6 +36,7 @@ from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
                                   run_in_process_session, run_tcp_session,
                                   _recv_frame, _run_session, _session_inputs)
 from dccluster.metrics import ari
+from dccluster.numerics import leading_left_vectors, well_conditioned_gram
 
 _PREFIX_SIZE = struct.calcsize("<4sBQ")
 # more than a localhost connection's send and receive buffers hold, so a
@@ -1143,6 +1144,47 @@ class TestFullSession:
         with pytest.raises(ConfigurationError, match=r"3x2.*2x2"):
             run(ds.features, part, anchor, cfg)
         assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("mode", ["affine", "linear"])
+    def test_features_in_mixed_units_take_the_factored_route(self, monkeypatch,
+                                                             mode):
+        # one major feature in units 100 times smaller leaves every design's
+        # Gram block, and the stack's, too ill-conditioned for the Gram
+        # route: every design is factored and u1 comes from svd
+        ds = make_blobs(k=3, per_cluster=200, rng_seed=0)
+        ds.features[:, 0] *= 100.0
+        part = partition_lattice(ds, c=2, d=2, assignment="iid-random",
+                                 rng_seed=1)
+        anchor = generate_anchor(feature_bounds(ds.features), r=600,
+                                 rng_seed=2)
+        cfg = SessionConfig(c=2, d=2, k=3, mode=mode, timeout=20.0)
+        factored, svd_u1 = [], []
+
+        def design_route(g):
+            small = well_conditioned_gram(g)
+            factored.append(not small)
+            return small
+
+        def stack_route(*args):
+            route = leading_left_vectors(*args)
+            svd_u1.append(route is None)
+            return route
+
+        monkeypatch.setattr(collaboration, "well_conditioned_gram",
+                            design_route)
+        monkeypatch.setattr(collaboration, "leading_left_vectors",
+                            stack_route)
+        direct = run_dc_clustering(ds.features, part, anchor, cfg)
+        local = run_in_process_session(ds.features, part, anchor, cfg)
+        wired = run_tcp_session(ds.features, part, anchor, cfg)
+        # two row blocks' designs, and one stack, per run
+        assert factored == [True] * 6 and svd_u1 == [True] * 3
+        assert ari(ds.labels[part.row_order()], direct.labels) == 1.0
+        for run in (local, wired):
+            assert np.array_equal(run.report.labels, direct.labels)
+            assert np.array_equal(run.report.model.x_hat, direct.model.x_hat)
+        for party, labels in local.user_labels.items():
+            assert np.array_equal(labels, wired.user_labels[party])
 
     def test_session_is_deterministic(self):
         ds, part, anchor, cfg = small_session_inputs(seed=11)
