@@ -196,8 +196,8 @@ def _seed_batch(x: np.ndarray, xt: np.ndarray, k: int, rng,
 def _repair(x, labels, counts, centroids) -> None:
     # Empty-cluster repair of one restart, in place: the point farthest from
     # its centroid (among clusters that can spare one) becomes a singleton
-    # centroid.  The distances are taken once; a move changes only the
-    # donor's and those of its old cluster, whose centroid moves.
+    # centroid.  Distances are taken once; a move changes only the donor's and
+    # its old cluster's, whose centroid moves to a row-order mean, as in Lloyd.
     dist = np.sum((x - centroids[labels]) ** 2, axis=1)
     for e in np.flatnonzero(counts == 0):
         donor = int(np.argmax(np.where(counts[labels] < 2, -np.inf, dist)))
@@ -208,7 +208,7 @@ def _repair(x, labels, counts, centroids) -> None:
         centroids[e] = x[donor]
         members = labels == old
         if counts[old]:
-            centroids[old] = x[members].mean(axis=0)
+            centroids[old] = np.cumsum(x[members], axis=0)[-1] / counts[old]
         moved = np.append(np.flatnonzero(members), donor)
         dist[moved] = np.sum((x[moved] - centroids[labels[moved]]) ** 2,
                              axis=1)

@@ -154,48 +154,33 @@ def _anchor_blocks(parts, r: int):
         yield rows, _side_by_side(parts, rows, buffer[:rows.stop - start])
 
 
-def _block_diag(blocks) -> np.ndarray:
-    """The 2-D float64 blocks along the diagonal of one zero matrix, as
-    scipy.linalg.block_diag lays them out."""
-    out = np.zeros((sum(b.shape[0] for b in blocks),
-                    sum(b.shape[1] for b in blocks)))
-    row = col = 0
-    for b in blocks:
-        out[row:row + b.shape[0], col:col + b.shape[1]] = b
-        row, col = row + b.shape[0], col + b.shape[1]
-    return out
-
-
-def _walk_anchor(parts, r: int, lead, coeffs):
+def _walk_anchor(parts, r: int, lead, blocks, coeffs):
     """One walk over the stack of designs `parts`, r rows: (stack @ lead or
     None, the residual or None), as lead and coeffs are given or None.
 
     The residual is that of the row blocks' anchor images D_i @ coeffs[i],
-    none of which is kept.  Each block of rows gives every image by one
-    product and their pairwise differences by a product with a +-1 matrix,
-    which forms each difference exactly; only the squared norms of both
-    are summed.
+    D_i the stack's columns blocks[i], none of which is kept whole.  Each
+    block of rows maps every design by its own product and subtracts every
+    pair of the images; only the squared norms of both are summed.
     """
     led = None if lead is None else np.empty((r, lead.shape[1]), order="F")
     if coeffs is not None:
-        c, m_hat = len(coeffs), coeffs[0].shape[1]
-        mapped = _block_diag(coeffs)
-        first, second = np.triu_indices(c, 1)     # every pair of row blocks
-        differ = np.kron(np.eye(c)[:, first] - np.eye(c)[:, second],
-                         np.eye(m_hat))
-        norms, gaps = np.zeros(c * m_hat), np.zeros(first.size * m_hat)
-    for rows, b in _anchor_blocks(parts, r):
+        c = len(coeffs)
+        pairs = [(a, b) for a in range(c) for b in range(a + 1, c)]
+        norms, gaps = np.zeros(c), np.zeros(len(pairs))
+    for rows, stack in _anchor_blocks(parts, r):
         if lead is not None:
-            led[rows] = b @ lead
+            led[rows] = stack @ lead
         if coeffs is not None:
-            images = b @ mapped
-            diffs = images @ differ
-            norms += np.einsum("ij,ij->j", images, images)
-            gaps += np.einsum("ij,ij->j", diffs, diffs)
+            images = [stack[:, cols] @ coeff
+                      for cols, coeff in zip(blocks, coeffs)]
+            norms += [np.vdot(image, image) for image in images]
+            gaps += [np.vdot(diff, diff) for diff
+                     in (images[a] - images[b] for a, b in pairs)]
     if coeffs is None:
         return led, None
-    scale = np.sqrt(norms.reshape(c, m_hat).sum(axis=1).max())
-    gap = np.sqrt(gaps.reshape(-1, m_hat).sum(axis=1).max(initial=0.0))
+    scale = np.sqrt(norms.max())
+    gap = np.sqrt(gaps.max(initial=0.0))
     return led, float(gap / scale) if scale > 0 else 0.0
 
 
@@ -281,7 +266,7 @@ def build_collaboration(shares, mode: str = "affine",
         v, s, projected = gram_route
         unsigned = [inverse @ projected[b] if small else None
                     for b, small, inverse in zip(blocks, solve_small, inverses)]
-        u1, residual = _walk_anchor(parts, r, v,
+        u1, residual = _walk_anchor(parts, r, v, blocks,
                                     unsigned if all(solve_small) else None)
         u1 /= s
         projected *= _fix_signs(u1)
@@ -289,7 +274,7 @@ def build_collaboration(shares, mode: str = "affine",
     coeffs = [inverse @ (projected[b] if small else u1)
               for b, small, inverse in zip(blocks, solve_small, inverses)]
     if residual is None:
-        residual = _walk_anchor(parts, r, None, coeffs)[1]
+        residual = _walk_anchor(parts, r, None, blocks, coeffs)[1]
 
     g_maps = []
     for coeff in coeffs:

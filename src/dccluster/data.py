@@ -10,8 +10,9 @@ analyst align their outputs later.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 import csv
+import io
+import math
 
 import numpy as np
 
@@ -233,46 +234,57 @@ def make_circles(rings: int, per_cluster: int, noise_std: float = 0.05,
     return LabeledDataset(features=features, labels=labels)
 
 
+def read_text(path, error=IngestionError) -> str:
+    """A UTF-8 file's text, newlines as written and a byte-order mark
+    dropped; a file that cannot be read or decoded raises `error`."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise error(f"cannot read {path}: {reason}") from exc
+
+
 def load_csv(path, label_column: str) -> LabeledDataset:
     """Load a headered numeric CSV, factor-encoding the label column.
 
-    Label codes follow first appearance order.  Cell parse failures raise
-    IngestionError with the 1-based file row and the column name.  A UTF-8
-    byte-order mark before the header is dropped.
+    Label codes follow first appearance order.  A cell that is not a finite
+    number raises IngestionError with the 1-based file row and the column
+    name.  A UTF-8 byte-order mark before the header is dropped.
     """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        if label_column not in header:
-            raise ConfigurationError(
-                f"label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path} is empty") from None
+    header = [h.strip() for h in header]
+    if label_column not in header:
+        raise ConfigurationError(
+            f"label column {label_column!r} not in header {header}")
+    label_idx = header.index(label_column)
 
-        rows, raw_labels = [], []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
+    rows, raw_labels = [], []
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise IngestionError(
+                f"{path}: expected {len(header)} cells, got {len(row)}",
+                row=row_no, column=len(header))
+        vals = []
+        for i, cell in enumerate(row):
+            if i == label_idx:
+                raw_labels.append(cell.strip())
                 continue
-            if len(row) != len(header):
+            try:
+                vals.append(float(cell))
+                if not math.isfinite(vals[-1]):
+                    raise ValueError
+            except ValueError:
                 raise IngestionError(
-                    f"{path}: expected {len(header)} cells, got {len(row)}",
-                    row=row_no, column=len(header))
-            vals = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    raw_labels.append(cell.strip())
-                    continue
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}: cannot parse {cell!r} as a number",
-                        row=row_no, column=header[i]) from None
-            rows.append(vals)
+                    f"{path}: cannot parse {cell!r} as a finite number",
+                    row=row_no, column=header[i]) from None
+        rows.append(vals)
     if not rows:
         raise IngestionError(f"{path} has a header but no data rows")
     codes: dict[str, int] = {}

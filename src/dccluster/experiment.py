@@ -21,7 +21,7 @@ import numpy as np
 from .clustering import kmeans, spectral_cluster
 from .data import (LabeledDataset, make_blobs, make_circles, load_csv,
                    partition_lattice, feature_bounds, generate_anchor,
-                   ASSIGNMENTS)
+                   read_text, ASSIGNMENTS)
 from .errors import ConfigurationError
 from .federation import (SessionConfig, SessionSettings, check_at_least_one,
                          run_in_process_session)
@@ -80,6 +80,13 @@ class ExperimentSpec(SessionSettings):
             raise ConfigurationError(f"assignment must be one of {ASSIGNMENTS}")
         if self.local not in LOCAL_CHOICES:
             raise ConfigurationError(f"local must be one of {LOCAL_CHOICES}")
+        if self.col_blocks is not None and len(self.col_blocks) != self.d:
+            raise ConfigurationError(f"col_blocks has {len(self.col_blocks)} "
+                                     f"groups, expected d = {self.d}")
+        for cluster, blocks in (self.cluster_map or {}).items():
+            if not all(0 <= b < self.c for b in np.atleast_1d(blocks)):
+                raise ConfigurationError(f"cluster_map sends cluster {cluster}"
+                                         f" outside row blocks 0 to {self.c - 1}")
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -378,11 +385,5 @@ def parse_config(text: str, name: str = "experiment") -> ExperimentSpec:
 def load_config(path: str) -> ExperimentSpec:
     """The spec of a UTF-8 config file, a byte-order mark dropped, named
     after the file unless it names itself."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ConfigurationError(f"cannot read config {path}: {reason}") from exc
     name = os.path.splitext(os.path.basename(path))[0]
-    return parse_config(text, name=name)
+    return parse_config(read_text(path, ConfigurationError), name=name)

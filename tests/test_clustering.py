@@ -74,7 +74,8 @@ def reference_repair(x, labels, counts, centroids):
         counts[e] += 1
         centroids[e] = x[donor]
         if counts[old]:
-            centroids[old] = x[labels == old].mean(axis=0)
+            centroids[old] = (np.cumsum(x[labels == old], axis=0)[-1]
+                              / counts[old])
     return empty.size
 
 
@@ -210,16 +211,18 @@ class TestKmeansMatchesReference:
         assert np.array_equal(model.centroids, centroids)
         assert model.inertia == inertia
 
+    @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("seed", range(6))
     def test_repair_of_several_empty_clusters_matches_the_full_recompute(
-            self, seed):
+            self, seed, m):
         # spread-out points in three clusters out of eight: each donor
         # moves its old centroid, so the next donor depends on the moved
-        # distances
+        # distances; at m = 1 too, every centroid is its members summed in
+        # row order, which a pairwise sum of one column would not give
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(40, 3)) * rng.uniform(0.5, 2.0, 3)
+        x = rng.normal(size=(40, m)) * rng.uniform(0.5, 2.0, m)
         labels = rng.integers(0, 3, 40)
-        centroids = rng.normal(size=(8, 3))
+        centroids = rng.normal(size=(8, m))
         # a stack of one set, updated in place
         got_labels, got_centroids = labels[None].copy(), centroids[None].copy()
         undone = _update_centroids(x, np.ascontiguousarray(x.T), got_labels,
@@ -229,7 +232,8 @@ class TestKmeansMatchesReference:
         want_labels, want_centroids = labels.copy(), centroids.copy()
         counts = np.bincount(want_labels, minlength=8)
         for c in range(3):
-            want_centroids[c] = x[want_labels == c].mean(axis=0)
+            want_centroids[c] = (np.cumsum(x[want_labels == c], axis=0)[-1]
+                                 / counts[c])
         assert reference_repair(x, want_labels, counts, want_centroids) == 5
         assert np.array_equal(got_labels, want_labels)
         assert np.array_equal(got_centroids, want_centroids)

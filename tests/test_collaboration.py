@@ -1,11 +1,11 @@
 import dataclasses
+import itertools
 import tracemalloc
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from dccluster import clustering, collaboration, numerics
 from dccluster.clustering import assign_nearest, kmeans
@@ -550,30 +550,38 @@ class TestAnchorBlocks:
         assert_matches_reference(model, reference_alignment(shares, mode))
 
 
+@pytest.mark.parametrize("deficient", [False, True], ids=["walk-2", "walk-3"])
 @pytest.mark.parametrize("mode", ["affine", "linear"])
-@pytest.mark.parametrize("m_hat", [1, 2])
 @pytest.mark.parametrize("c", [1, 2, 5])
-def test_block_diagonal_is_scipys_bit_for_bit(monkeypatch, c, m_hat, mode):
-    """The residual walk's block diagonal of the row blocks' maps, on the
-    maps and design heights (one higher in affine mode) that an alignment
-    hands it, is scipy.linalg.block_diag's, byte for byte and in layout."""
+def test_residual_is_that_of_the_whole_images(monkeypatch, c, mode, deficient):
+    """Summed over blocks of 7 anchor rows, the walk's residual is the
+    largest norm of a difference of two row blocks' whole anchor images,
+    D_i @ coeffs[i], over the largest image's norm, within 1e-14 relative,
+    and 0 with one row block.  A deficient last row block is factored, so
+    the residual takes the third walk instead of the second."""
+    monkeypatch.setattr(collaboration, "ANCHOR_BLOCK_ROWS", 7)
     seen, walk = [], collaboration._walk_anchor
     monkeypatch.setattr(collaboration, "_walk_anchor",
-                        lambda parts, r, lead, coeffs: seen.append(coeffs)
-                        or walk(parts, r, lead, coeffs))
-    shares = lattice_shares(c, 2, seed=c + 3 * m_hat)
-    build_collaboration(shares, mode=mode, m_hat=m_hat)
-    coeffs = next(found for found in seen if found is not None)
-    heights = [a.shape[0] for a in coeffs]
-    widths = [sum(s.anchor_tilde.shape[1] for s in shares if s.party[0] == i)
-              for i in range(c)]
-    assert heights == [w + (mode == "affine") for w in widths]
-    assert [a.shape[1] for a in coeffs] == [m_hat] * c
-    ours = collaboration._block_diag(coeffs)
-    theirs = scipy.linalg.block_diag(*coeffs)
-    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
-    assert ours.strides == theirs.strides
-    assert ours.tobytes() == theirs.tobytes()
+                        lambda parts, r, lead, blocks, coeffs:
+                        seen.append(coeffs) or walk(parts, r, lead, blocks,
+                                                    coeffs))
+    shares = lattice_shares(c, 2, seed=c + 7 * deficient,
+                            deficient={(c - 1, 0), (c - 1, 1)} if deficient
+                            else ())
+    if deficient:
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            model = build_collaboration(shares, mode=mode)
+    else:
+        model = build_collaboration(shares, mode=mode)
+    assert [coeffs is None for coeffs in seen] == [True, False][1 - deficient:]
+    ones = [np.ones((60, 1))] if mode == "affine" else []
+    images = [np.hstack([s.anchor_tilde for s in shares if s.party[0] == i]
+                        + ones) @ coeff for i, coeff in enumerate(seen[-1])]
+    gap = max((np.linalg.norm(a - b)
+               for a, b in itertools.combinations(images, 2)), default=0.0)
+    direct = gap / max(np.linalg.norm(image) for image in images)
+    assert abs(model.residual - direct) <= 1e-14 * direct
+    assert (model.residual == 0.0) == (c == 1)
 
 
 def test_share_layout_does_not_change_a_bit():

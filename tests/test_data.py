@@ -211,6 +211,23 @@ class TestCsv:
             load_csv(p, label_column="label")
         assert "row 3" in str(err.value) and "b" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "holed.csv"
+        p.write_text(f"a,b,label\n1,2,x\n3,{cell},y\n")
+        with pytest.raises(IngestionError, match="finite number") as err:
+            load_csv(p, label_column="label")
+        assert (err.value.row, err.value.column) == (3, "b")
+
+    @pytest.mark.parametrize("content", [None, b"a,label\n\xff,x\n"],
+                             ids=["missing", "not-text"])
+    def test_unreadable_file_names_its_path(self, tmp_path, content):
+        p = tmp_path / "unread.csv"
+        if content is not None:
+            p.write_bytes(content)
+        with pytest.raises(IngestionError, match="cannot read .*unread.csv"):
+            load_csv(p, label_column="label")
+
     @pytest.mark.parametrize("text, message", [("", "is empty"),
                                                ("a,b,label\n", "no data rows")],
                              ids=["empty", "header-only"])

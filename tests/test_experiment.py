@@ -96,6 +96,17 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="cluster_map"):
             parse_config("dataset = blobs\nc = 1\nd = 1\ncluster_map = 0\n")
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("col_blocks", "0,1|2|3,4,5", "col_blocks has 3 groups, expected d = 2"),
+        ("col_blocks", "0,1,2,3,4,5", "col_blocks has 1 groups, expected d = 2"),
+        ("cluster_map", "0:0 1:0,2", "cluster_map sends cluster 1 outside"),
+        ("cluster_map", "0:-1 1:1", "cluster_map sends cluster 0 outside"),
+    ])
+    def test_lattice_keys_checked_when_parsed(self, key, value, match):
+        # before any trial runs partition_lattice into its own error
+        with pytest.raises(ConfigurationError, match=match):
+            parse_config(f"dataset = blobs\nc = 2\nd = 2\n{key} = {value}\n")
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigurationError, match="jsn"):
             parse_config("dataset = blobs\nc = 1\nd = 1\nformats = csv, jsn\n")
@@ -465,6 +476,29 @@ class TestCli:
         assert cli.main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "unread.cfg" in err
+
+    @pytest.mark.parametrize("lines, csv_text", [
+        ("dataset = csv\ncsv_path = {dir}/absent.csv\nlabel_column = label\n",
+         None),
+        ("dataset = csv\ncsv_path = {dir}/holed.csv\nlabel_column = label\n",
+         "a,b,c,label\n1,2,3,x\n4,nan,6,y\n"),
+        ("col_blocks = 0,1|2|3,4,5\n", None),
+    ], ids=["missing-csv", "nan-cell", "col-blocks-count"])
+    def test_bad_inputs_exit_2_before_any_trial(self, tmp_path, capsys,
+                                                monkeypatch, lines, csv_text):
+        if csv_text is not None:
+            (tmp_path / "holed.csv").write_text(csv_text)
+        sessions = []
+        monkeypatch.setattr(experiment, "run_in_process_session",
+                            lambda *a: sessions.append(a))
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(TINY_CFG + lines.format(dir=tmp_path)
+                       + f"out_dir = {tmp_path / 'reports'}\n")
+        assert cli.main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert sessions == [] and not (tmp_path / "reports").exists()
 
     def test_roles_use_the_runner_trial_seed(self):
         spec = tiny_spec(trials=1)
