@@ -29,7 +29,8 @@ from .experiment import (FORMAT_ALIASES, FORMATS, METRICS, ExperimentSpec,
                          load_config, run_experiment, emit_report,
                          trial_inputs, trial_seed_for)
 from .federation import (TcpAnalystEndpoint, TcpUserEndpoint,
-                         _session_inputs, analyst_party_run, user_party_run)
+                         _session_inputs, analyst_party_run, user_party_run,
+                         user_send)
 
 EXIT_CONFIG = 2
 EXIT_SESSION = 3
@@ -130,8 +131,8 @@ def _cmd_user(args) -> int:
                                             [(i, j)])
     endpoint = TcpUserEndpoint(host, port, timeout=cfg.timeout)
     try:
-        labels = user_party_run((i, j), blocks[(i, j)], anchor_blocks[j],
-                                cfg, endpoint)
+        user_send((i, j), blocks[(i, j)], anchor_blocks[j], cfg, endpoint)
+        labels = user_party_run((i, j), cfg, endpoint)
     finally:
         endpoint.close()
     print(f"party ({i},{j}): {labels.size} rows labeled, "

@@ -87,6 +87,13 @@ class ExperimentSpec(SessionSettings):
             if not all(0 <= b < self.c for b in np.atleast_1d(blocks)):
                 raise ConfigurationError(f"cluster_map sends cluster {cluster}"
                                          f" outside row blocks 0 to {self.c - 1}")
+        by_map = self.assignment == "by-cluster-map"
+        if by_map and self.cluster_map is None:
+            raise ConfigurationError("by-cluster-map assignment needs cluster_map")
+        if not by_map and self.cluster_map is not None:
+            raise ConfigurationError(
+                f"cluster_map is read only by assignment = by-cluster-map, "
+                f"not {self.assignment}")
 
     def echo(self) -> dict:
         out = asdict(self)

@@ -20,11 +20,14 @@ down.  A user endpoint sends one frame and receives one.  A TCP endpoint
 bounds each send, as each read, by its own timeout, so a peer that stops
 reading fails it with a SessionTimeoutError.  Every endpoint
 counts frames, so single-round accounting can be asserted, and its
-`close()` ends the wait on it.  The party runners (`user_party_run`,
-`analyst_party_run`) own the protocol: codec, message kinds, and routing.
-A session runs each institution on a thread and the analyst on the calling
-thread; the first party to fail closes every endpoint, so the session ends
-with its error.
+`close()` ends the wait on it.  The party runners own the protocol: codec,
+message kinds, and routing.  An institution runs in two halves,
+`user_send` and then `user_party_run`; the analyst in one,
+`analyst_party_run`.  An in-process session plays the round on the calling
+thread: every institution sends, the analyst answers into their inboxes,
+every institution recovers.  A TCP session runs each institution on a
+thread and the analyst on the calling thread.  Either way, the first party
+to fail closes every endpoint, so the session ends with its error.
 """
 from __future__ import annotations
 
@@ -545,9 +548,8 @@ def analyst_step(shares, cfg: SessionConfig):
     return AnalystReport(np.concatenate(labels), model), results
 
 
-def user_party_run(party, local_block, anchor_block, cfg: SessionConfig,
-                   transport) -> np.ndarray:
-    """Run one institution: fit, share, wait, recover this block's labels.
+def user_send(party, local_block, anchor_block, cfg: SessionConfig, transport):
+    """An institution's first half: fit, frame and send its one share.
 
     Only the share's party id outlives the frame: the share is let go once
     it is framed and the frame once it is sent.  So while its send drains,
@@ -560,7 +562,15 @@ def user_party_run(party, local_block, anchor_block, cfg: SessionConfig,
     del share
     try:
         transport.send(frame)
-        del frame
+    except SessionTimeoutError as exc:
+        raise SessionTimeoutError(f"party {party}: {exc}") from None
+
+
+def user_party_run(party, cfg: SessionConfig, transport) -> np.ndarray:
+    """An institution's second half: wait for its answer, then recover this
+    block's labels from it."""
+    party = (int(party[0]), int(party[1]))
+    try:
         frame = transport.recv(cfg.timeout)
     except SessionTimeoutError as exc:
         raise SessionTimeoutError(f"party {party}: {exc}") from None
@@ -645,9 +655,20 @@ class SessionOutcome:
     analyst_counts: tuple[int, int]
 
 
+def _outcome(report, user_labels, endpoints, analyst_endpoint) -> SessionOutcome:
+    counts = {p: (ep.sent_count, ep.received_count) for p, ep in endpoints.items()}
+    return SessionOutcome(report=report, user_labels=user_labels,
+                          user_counts=counts,
+                          analyst_counts=(analyst_endpoint.sent_count,
+                                          analyst_endpoint.received_count))
+
+
 def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
                  user_endpoint_for) -> SessionOutcome:
-    """Every endpoint, the analyst's included, is closed when the session
+    """Each institution on a thread of its own, sending and then waiting for
+    its answer, and the analyst on the calling thread.
+
+    Every endpoint, the analyst's included, is closed when the session
     ends.  The first failure of any party closes them at once, which ends
     every other party's wait; the first error in time is raised."""
     errors: list[BaseException] = []
@@ -662,8 +683,9 @@ def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
 
     def user_main(party):
         try:
-            user_labels[party] = user_party_run(
-                party, blocks[party], anchor_blocks[party[1]], cfg, endpoints[party])
+            user_send(party, blocks[party], anchor_blocks[party[1]], cfg,
+                      endpoints[party])
+            user_labels[party] = user_party_run(party, cfg, endpoints[party])
         except BaseException as exc:
             fail(exc)
 
@@ -682,11 +704,7 @@ def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
         endpoint.close()
     if errors:
         raise errors[0]
-    counts = {p: (ep.sent_count, ep.received_count) for p, ep in endpoints.items()}
-    return SessionOutcome(report=report, user_labels=user_labels,
-                          user_counts=counts,
-                          analyst_counts=(analyst_endpoint.sent_count,
-                                          analyst_endpoint.received_count))
+    return _outcome(report, user_labels, endpoints, analyst_endpoint)
 
 
 def _session_inputs(x, partition, anchor, cfg: SessionConfig, parties=None):
@@ -725,12 +743,25 @@ def run_dc_clustering(x, partition, anchor, cfg: SessionConfig) -> AnalystReport
 
 
 def run_in_process_session(x, partition, anchor, cfg: SessionConfig) -> SessionOutcome:
-    """Full session over queue transports: one thread per institution, and
-    the analyst on the calling thread."""
+    """Full session over queue transports, on the calling thread: every
+    institution sends its share, the analyst answers each into its inbox,
+    then every institution recovers its labels.  So no institution's
+    deadline covers the analyst's compute.  Every endpoint is closed when
+    the session ends."""
     blocks, anchor_blocks = _session_inputs(x, partition, anchor, cfg)
     inbox = Inbox()
-    return _run_session(cfg, blocks, anchor_blocks, inbox,
-                        lambda p: InProcessUserEndpoint(inbox))
+    endpoints = {p: InProcessUserEndpoint(inbox) for p in sorted(blocks)}
+    try:
+        for party, endpoint in endpoints.items():
+            user_send(party, blocks[party], anchor_blocks[party[1]], cfg,
+                      endpoint)
+        report = analyst_party_run(cfg, inbox)
+        user_labels = {p: user_party_run(p, cfg, endpoint)
+                       for p, endpoint in endpoints.items()}
+    finally:
+        for endpoint in (inbox, *endpoints.values()):
+            endpoint.close()
+    return _outcome(report, user_labels, endpoints, inbox)
 
 
 def run_tcp_session(x, partition, anchor, cfg: SessionConfig) -> SessionOutcome:

@@ -62,6 +62,7 @@ class TestParseConfig:
             trials = 4
             scale = true
             centralized = false
+            assignment = by-cluster-map
             cluster_map = 0:0 1:0,1 2:1
             col_blocks = 0,2,3|1,4,5
             formats = csv, json
@@ -106,6 +107,21 @@ class TestParseConfig:
         # before any trial runs partition_lattice into its own error
         with pytest.raises(ConfigurationError, match=match):
             parse_config(f"dataset = blobs\nc = 2\nd = 2\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("lines, match", [
+        ("cluster_map = 0:0 1:0 2:0\n",
+         "cluster_map is read only by assignment = by-cluster-map, "
+         "not iid-random"),
+        ("assignment = contiguous\ncluster_map = 0:0 1:1 2:1\n",
+         "not contiguous"),
+        ("assignment = by-cluster-map\n",
+         "by-cluster-map assignment needs cluster_map"),
+    ], ids=["unread-under-iid", "unread-under-contiguous", "no-map-to-read"])
+    def test_cluster_map_goes_with_its_assignment(self, lines, match):
+        # a map no trial would read, or a map-driven split without one, is
+        # refused before any trial runs
+        with pytest.raises(ConfigurationError, match=match):
+            parse_config(f"dataset = blobs\nc = 2\nd = 2\nclusters = 3\n{lines}")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigurationError, match="jsn"):
@@ -226,7 +242,8 @@ class TestSessionSettings:
 
 class TestSpecEcho:
     def test_echo_is_json_ready(self):
-        spec = tiny_spec(cluster_map={0: (0,), 1: (0, 1)},
+        spec = tiny_spec(assignment="by-cluster-map",
+                         cluster_map={0: (0,), 1: (0, 1)},
                          col_blocks=((0, 1), (2, 3, 4, 5)))
         echo = spec.echo()
         text = json.dumps(echo)
@@ -483,7 +500,10 @@ class TestCli:
         ("dataset = csv\ncsv_path = {dir}/holed.csv\nlabel_column = label\n",
          "a,b,c,label\n1,2,3,x\n4,nan,6,y\n"),
         ("col_blocks = 0,1|2|3,4,5\n", None),
-    ], ids=["missing-csv", "nan-cell", "col-blocks-count"])
+        ("cluster_map = 0:0 1:1\n", None),
+        ("assignment = by-cluster-map\n", None),
+    ], ids=["missing-csv", "nan-cell", "col-blocks-count", "unread-cluster-map",
+            "cluster-map-missing"])
     def test_bad_inputs_exit_2_before_any_trial(self, tmp_path, capsys,
                                                 monkeypatch, lines, csv_text):
         if csv_text is not None:

@@ -32,6 +32,7 @@ from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
                                   TcpAnalystEndpoint, TcpUserEndpoint,
                                   SessionConfig,
                                   analyst_party_run, user_party_run,
+                                  user_send,
                                   resolve_timeout, run_dc_clustering,
                                   run_in_process_session, run_tcp_session,
                                   _recv_frame, _run_session, _session_inputs)
@@ -689,8 +690,7 @@ class TestTcpTransport:
         try:
             start = time.monotonic()
             with pytest.raises(SessionTimeoutError, match=r"party \(0, 1\)"):
-                user_party_run((0, 1), blocks[(0, 1)], anchor_blocks[1], cfg,
-                               user)
+                user_send((0, 1), blocks[(0, 1)], anchor_blocks[1], cfg, user)
             assert time.monotonic() - start < 5.0
             assert user.sent_count == 0
         finally:
@@ -801,8 +801,10 @@ class TestSessionProtocol:
         block = rng.normal(size=(12, 4))
         anchor = rng.uniform(-1, 1, size=(12, 4))
         cfg = SessionConfig(c=1, d=1, k=2, timeout=1.0)
+        transport = MisroutingTransport()
+        user_send((0, 0), block, anchor, cfg, transport)
         with pytest.raises(ProtocolError, match="row block 5"):
-            user_party_run((0, 0), block, anchor, cfg, MisroutingTransport())
+            user_party_run((0, 0), cfg, transport)
 
     def test_share_frame_in_place_of_a_result_detected(self):
         class EchoingTransport:
@@ -818,8 +820,10 @@ class TestSessionProtocol:
         block = rng.normal(size=(12, 4))
         anchor = rng.uniform(-1, 1, size=(12, 4))
         cfg = SessionConfig(c=1, d=1, k=2, timeout=1.0)
+        transport = EchoingTransport()
+        user_send((0, 0), block, anchor, cfg, transport)
         with pytest.raises(ProtocolError, match="expected an analyst result"):
-            user_party_run((0, 0), block, anchor, cfg, EchoingTransport())
+            user_party_run((0, 0), cfg, transport)
 
     def test_the_share_is_let_go_before_it_is_sent(self, monkeypatch):
         """While an institution sends and then waits for its reply, the
@@ -854,15 +858,18 @@ class TestSessionProtocol:
         anchor = rng.uniform(-1, 1, size=(30, 4))
         cfg = SessionConfig(c=2, d=2, k=3, timeout=1.0)
         ok = ReleaseCheckingTransport(sample_result(row_block=1))
-        labels = user_party_run((1, 0), block, anchor, cfg, ok)
+        user_send((1, 0), block, anchor, cfg, ok)
+        labels = user_party_run((1, 0), cfg, ok)
         assert labels.shape == (9,) and len(ok.sent) == 1
         late = ReleaseCheckingTransport(None)
+        user_send((np.int64(1), 1), block, anchor, cfg, late)
         with pytest.raises(SessionTimeoutError, match=r"party \(1, 1\)"):
-            user_party_run((np.int64(1), 1), block, anchor, cfg, late)
+            user_party_run((np.int64(1), 1), cfg, late)
         stray = ReleaseCheckingTransport(sample_result(row_block=0))
+        user_send((1, 0), block, anchor, cfg, stray)
         with pytest.raises(ProtocolError,
                            match=r"row block 0 sent to party \(1, 0\)"):
-            user_party_run((1, 0), block, anchor, cfg, stray)
+            user_party_run((1, 0), cfg, stray)
         assert len(shares) == 3
 
 
@@ -1046,6 +1053,7 @@ class TestFullSession:
             assert np.array_equal(direct.model.x_hat, wired.model.x_hat)
 
     def test_user_past_its_deadline_names_its_party(self, monkeypatch):
+        # over TCP an institution still waits while the analyst computes
         ds, part, anchor, cfg = small_session_inputs()
         cfg = dataclasses.replace(cfg, timeout=0.2)
         step = federation.analyst_step
@@ -1056,21 +1064,60 @@ class TestFullSession:
 
         monkeypatch.setattr(federation, "analyst_step", slow_step)
         with pytest.raises(SessionTimeoutError, match=r"party \(\d, \d\)"):
-            run_in_process_session(ds.features, part, anchor, cfg)
+            run_tcp_session(ds.features, part, anchor, cfg)
 
-    def test_in_process_session_starts_one_thread_per_institution(
+    def test_in_process_deadline_leaves_out_the_analysts_compute(
             self, monkeypatch):
-        started = []
-        start = threading.Thread.start
+        # every answer is in its institution's inbox before any institution
+        # waits, so an analyst slower than the timeout fails nobody
+        ds, part, anchor, cfg = small_session_inputs()
+        cfg = dataclasses.replace(cfg, timeout=0.2)
+        direct = run_dc_clustering(ds.features, part, anchor, cfg)
+        step = federation.analyst_step
+
+        def slow_step(shares, cfg):
+            time.sleep(3 * cfg.timeout)
+            return step(shares, cfg)
+
+        monkeypatch.setattr(federation, "analyst_step", slow_step)
+        outcome = run_in_process_session(ds.features, part, anchor, cfg)
+        assert np.array_equal(outcome.report.labels, direct.labels)
+        assert np.array_equal(
+            np.concatenate([outcome.user_labels[(i, 0)] for i in range(cfg.c)]),
+            direct.labels)
+
+    @staticmethod
+    def _watch_threads(monkeypatch):
+        """The threads started, and the thread each institution recovered on."""
+        started, recovered_on = [], []
+        start, recover = threading.Thread.start, federation.user_party_run
 
         def counted(thread):
             started.append(thread)
             start(thread)
 
+        def watched(*args):
+            recovered_on.append(threading.get_ident())
+            return recover(*args)
+
         monkeypatch.setattr(threading.Thread, "start", counted)
+        monkeypatch.setattr(federation, "user_party_run", watched)
+        return started, recovered_on
+
+    def test_in_process_session_starts_no_thread(self, monkeypatch):
+        started, recovered_on = self._watch_threads(monkeypatch)
         ds, part, anchor, cfg = small_session_inputs()
         run_in_process_session(ds.features, part, anchor, cfg)
-        assert len(started) == cfg.c * cfg.d
+        assert started == []
+        assert recovered_on == [threading.get_ident()] * (cfg.c * cfg.d)
+
+    def test_tcp_session_starts_one_thread_per_institution(self, monkeypatch):
+        started, recovered_on = self._watch_threads(monkeypatch)
+        ds, part, anchor, cfg = small_session_inputs()
+        run_tcp_session(ds.features, part, anchor, cfg)
+        assert len(set(recovered_on)) == len(recovered_on) == cfg.c * cfg.d
+        assert threading.get_ident() not in recovered_on
+        assert {t.ident for t in started} >= set(recovered_on)
 
     @pytest.mark.parametrize("run", [run_in_process_session, run_tcp_session],
                              ids=["in-process", "tcp"])
