@@ -11,27 +11,27 @@ conforming peer cannot leak its private map even by accident.  Decoded
 matrices are views into the frame.
 
 Transports only move frames.  On the analyst's side both are one `Inbox`
-of `(frame, route)` pairs, where `route` carries a reply back to the
-frame's sender: an in-process user is itself an inbox and puts its frames
-with its own `put` as the route, and `TcpAnalystEndpoint` is an inbox fed
-by one reader thread per accepted connection, routed back over that
-connection; its listener blocks in `accept()` until `close()` shuts it
+of `(frame, route)` pairs, and `reply(route, frame, party)` sends a party
+its answer by the route its share came in on: an in-process user is itself
+an inbox and puts its frames with its own `put` as the route, and
+`TcpAnalystEndpoint` is an inbox fed by one thread per accepted
+connection, which reads that connection's one frame and later sends its
+answer back; its listener blocks in `accept()` until `close()` shuts it
 down.  A user endpoint sends one frame and receives one.  A TCP endpoint
 bounds each send, as each read, by its own timeout, so a peer that stops
-reading fails it with a SessionTimeoutError.  Every endpoint
-counts frames, so single-round accounting can be asserted, and its
-`close()` ends the wait on it.  The party runners own the protocol: codec,
-message kinds, and routing.  An institution runs in two halves,
-`user_send` and then `user_party_run`; the analyst in one,
-`analyst_party_run`.  An in-process session plays the round on the calling
-thread: every institution sends, the analyst answers into their inboxes,
-every institution recovers.  A TCP session runs each institution on a
-thread and the analyst on the calling thread.  Either way, the first party
-to fail closes every endpoint, so the session ends with its error.
+reading fails it with a SessionTimeoutError.  Every endpoint counts
+frames, so single-round accounting can be asserted, and its `close()`
+ends the wait on it.  The party runners own the protocol: codec, message
+kinds, and routing.  An institution runs in two halves, `user_send` and
+then `user_party_run`; the analyst in one, `analyst_party_run`.  Either
+session plays the round on the calling thread: every institution connects
+and sends, the analyst answers, every institution recovers.  So the first
+party to fail ends the session with its error, and no institution's
+deadline covers the analyst's compute.
 """
 from __future__ import annotations
 
-import functools
+import contextlib
 import json
 import math
 import os
@@ -316,10 +316,10 @@ class Inbox:
     count of the items handed out.
 
     The analyst's side of either transport is an `Inbox` of `(frame, route)`
-    pairs, where `route(frame)` sends one frame back to whoever sent it; a
-    connection that fails mid-frame arrives as `(b"", None)`, which decodes
-    to nothing and is dropped like any other bad frame.  An in-process
-    institution receives its answer through an `Inbox` of its own.
+    pairs, where `route` leads back to whoever sent the frame; a connection
+    that fails mid-frame arrives as `(b"", None)`, which decodes to nothing
+    and is dropped like any other bad frame.  An in-process institution
+    receives its answer through an `Inbox` of its own.
     """
 
     def __init__(self):
@@ -344,7 +344,8 @@ class Inbox:
         self.received_count += 1
         return item
 
-    def reply(self, route, frame: bytes):
+    def reply(self, route, frame: bytes, party):
+        """Send `party` its answer by the route its share came in on."""
         route(frame)
         self.sent_count += 1
 
@@ -447,15 +448,19 @@ class TcpUserEndpoint:
 
 
 class TcpAnalystEndpoint(Inbox):
-    """Listening side: accepts connections concurrently and reads one frame
-    from each into the inbox, routed back over the same connection.  Each
-    read and each reply is bounded by the endpoint's own timeout."""
+    """Listening side: accepts connections concurrently, and each
+    connection's thread reads its one frame into the inbox and then sends
+    the answer routed back to it, each within the endpoint's own timeout.
+    So `reply` never waits on a peer, and a peer that never reads holds
+    only its own answer."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  timeout: float):
         super().__init__()
         self._timeout = timeout
-        self._accepted: list[socket.socket] = []
+        self._lock = threading.Lock()
+        self._untaken: set[tuple[int, int]] = set()
+        self._connections: list[tuple] = []     # (socket, answer, thread)
         self._listener = socket.create_server((host, port))
         self.port = self._listener.getsockname()[1]
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
@@ -467,10 +472,13 @@ class TcpAnalystEndpoint(Inbox):
                 conn, _ = self._listener.accept()
             except OSError:             # the listener was shut down
                 return
-            self._accepted.append(conn)
-            threading.Thread(target=self._read_one, args=(conn,), daemon=True).start()
+            answer = queue.SimpleQueue()
+            thread = threading.Thread(target=self._serve, args=(conn, answer),
+                                      daemon=True)
+            self._connections.append((conn, answer, thread))
+            thread.start()
 
-    def _read_one(self, conn):
+    def _serve(self, conn, answer):
         try:
             frame = _recv_frame(conn, self._timeout)
         except (SessionError, DecodeError, OSError, MemoryError):
@@ -482,23 +490,45 @@ class TcpAnalystEndpoint(Inbox):
             # dropped client); not this session's concern
             conn.close()
             return
-        self.put((frame, functools.partial(_send_all, conn,
-                                           timeout=self._timeout)))
+        self.put((frame, answer.put))
+        del frame                       # the inbox holds the share's frame
+        handed = answer.get()           # (party, frame), or None at close
+        if handed is None:
+            return
+        party, frame = handed
+        with contextlib.suppress(SessionError, OSError):
+            _send_all(conn, frame, self._timeout)
+            with self._lock:
+                self._untaken.discard(party)
+                self.sent_count += 1
+
+    def reply(self, route, frame: bytes, party):
+        """Hand `party`'s answer to its connection's thread."""
+        with self._lock:
+            self._untaken.add(party)
+        route((party, frame))
 
     def close(self):
-        """Also stop accepting and close every connection; safe to repeat."""
+        """Stop accepting, give the answers already handed over one timeout
+        in all to be sent, and close every connection; safe to repeat.
+        Raises SessionTimeoutError naming each party not sent its answer."""
         super().close()
-        try:
+        with contextlib.suppress(OSError):
             self._listener.shutdown(socket.SHUT_RDWR)   # wakes accept()
-        except OSError:
-            pass
         self._listener.close()
         self._accept_thread.join(timeout=2.0)
-        for conn in self._accepted:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        for conn, answer, _ in self._connections:
+            answer.put(None)            # ends a wait for an answer,
+            with contextlib.suppress(OSError):      # and a read, not a send
+                conn.shutdown(socket.SHUT_RD)
+        deadline = time.monotonic() + self._timeout
+        for conn, _, thread in self._connections:
+            thread.join(max(deadline - time.monotonic(), 0.0))
+            conn.close()
+        with self._lock:
+            untaken, self._untaken = sorted(self._untaken), set()
+        if untaken:
+            raise SessionTimeoutError(f"timed out sending answers to {untaken}")
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +625,8 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     `analyst_step` with no other reference kept, so none outlives the
     alignment; on blobs that lets go of about 106 MB of frames before
     clustering.  Each party's answer goes back by the route its share came
-    in on; one its transport cannot deliver in time fails the session with
-    a SessionTimeoutError that names the party.
+    in on, and no reply waits on a peer: the TCP endpoint's `close()` names
+    every party that did not take its answer.
     """
     expected = {(i, j) for i in range(cfg.c) for j in range(cfg.d)}
     echo = cfg.echo()
@@ -639,10 +669,7 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     for res in results:
         for j in range(cfg.d):
             party = (res.row_block, j)
-            try:
-                inbox.reply(routes[party], encode_message(res))
-            except SessionTimeoutError as exc:
-                raise SessionTimeoutError(f"party {party}: {exc}") from None
+            inbox.reply(routes[party], encode_message(res), party)
     report.frames_dropped = inbox.received_count - len(expected)
     return report
 
@@ -655,56 +682,35 @@ class SessionOutcome:
     analyst_counts: tuple[int, int]
 
 
-def _outcome(report, user_labels, endpoints, analyst_endpoint) -> SessionOutcome:
-    counts = {p: (ep.sent_count, ep.received_count) for p, ep in endpoints.items()}
-    return SessionOutcome(report=report, user_labels=user_labels,
-                          user_counts=counts,
-                          analyst_counts=(analyst_endpoint.sent_count,
-                                          analyst_endpoint.received_count))
-
-
 def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
                  user_endpoint_for) -> SessionOutcome:
-    """Each institution on a thread of its own, sending and then waiting for
-    its answer, and the analyst on the calling thread.
-
-    Every endpoint, the analyst's included, is closed when the session
-    ends.  The first failure of any party closes them at once, which ends
-    every other party's wait; the first error in time is raised."""
-    errors: list[BaseException] = []
-    user_labels: dict[tuple[int, int], np.ndarray] = {}
+    """The one round, on the calling thread: each institution in turn
+    connects, right before its fit, and sends its share; the analyst
+    answers; every institution recovers its labels.  The first party to
+    fail raises its error.  Every endpoint is closed when the session ends,
+    the analyst's last, so that it waits on no answer left unread."""
     endpoints: dict[tuple[int, int], object] = {}
-    threads: list[threading.Thread] = []   # none start if an endpoint fails
-
-    def fail(exc):
-        errors.append(exc)
-        for endpoint in (analyst_endpoint, *endpoints.values()):
-            endpoint.close()
-
-    def user_main(party):
-        try:
-            user_send(party, blocks[party], anchor_blocks[party[1]], cfg,
-                      endpoints[party])
-            user_labels[party] = user_party_run(party, cfg, endpoints[party])
-        except BaseException as exc:
-            fail(exc)
-
     try:
         for party in sorted(blocks):
             endpoints[party] = user_endpoint_for(party)
-        threads = [threading.Thread(target=user_main, args=(p,)) for p in endpoints]
-        for t in threads:
-            t.start()
+            user_send(party, blocks[party], anchor_blocks[party[1]], cfg,
+                      endpoints[party])
         report = analyst_party_run(cfg, analyst_endpoint)
-    except BaseException as exc:
-        fail(exc)
-    for t in threads:
-        t.join()
-    for endpoint in (analyst_endpoint, *endpoints.values()):
-        endpoint.close()
-    if errors:
-        raise errors[0]
-    return _outcome(report, user_labels, endpoints, analyst_endpoint)
+        user_labels = {p: user_party_run(p, cfg, endpoint)
+                       for p, endpoint in endpoints.items()}
+    finally:
+        for endpoint in endpoints.values():
+            endpoint.close()
+        # each institution has read its answer or raised its own error, so
+        # an answer the analyst could not deliver is no news here
+        with contextlib.suppress(SessionTimeoutError):
+            analyst_endpoint.close()
+    return SessionOutcome(
+        report=report, user_labels=user_labels,
+        user_counts={p: (ep.sent_count, ep.received_count)
+                     for p, ep in endpoints.items()},
+        analyst_counts=(analyst_endpoint.sent_count,
+                        analyst_endpoint.received_count))
 
 
 def _session_inputs(x, partition, anchor, cfg: SessionConfig, parties=None):
@@ -743,25 +749,12 @@ def run_dc_clustering(x, partition, anchor, cfg: SessionConfig) -> AnalystReport
 
 
 def run_in_process_session(x, partition, anchor, cfg: SessionConfig) -> SessionOutcome:
-    """Full session over queue transports, on the calling thread: every
-    institution sends its share, the analyst answers each into its inbox,
-    then every institution recovers its labels.  So no institution's
-    deadline covers the analyst's compute.  Every endpoint is closed when
-    the session ends."""
+    """Full session over queue transports: every answer is in its
+    institution's inbox before any institution waits."""
     blocks, anchor_blocks = _session_inputs(x, partition, anchor, cfg)
     inbox = Inbox()
-    endpoints = {p: InProcessUserEndpoint(inbox) for p in sorted(blocks)}
-    try:
-        for party, endpoint in endpoints.items():
-            user_send(party, blocks[party], anchor_blocks[party[1]], cfg,
-                      endpoint)
-        report = analyst_party_run(cfg, inbox)
-        user_labels = {p: user_party_run(p, cfg, endpoint)
-                       for p, endpoint in endpoints.items()}
-    finally:
-        for endpoint in (inbox, *endpoints.values()):
-            endpoint.close()
-    return _outcome(report, user_labels, endpoints, inbox)
+    return _run_session(cfg, blocks, anchor_blocks, inbox,
+                        lambda p: InProcessUserEndpoint(inbox))
 
 
 def run_tcp_session(x, partition, anchor, cfg: SessionConfig) -> SessionOutcome:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import socket
 import struct
 import subprocess
@@ -24,6 +25,7 @@ from dccluster.data import (make_blobs, partition_lattice, feature_bounds,
 from dccluster.errors import (ConfigurationError, ContractViolationError,
                               DecodeError, ProtocolError, SessionError,
                               SessionTimeoutError)
+from dccluster.experiment import load_config
 from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
                                   DEFAULT_TIMEOUT_SECS, TIMEOUT_ENV_VAR,
                                   UserShareMsg, AnalystResultMsg,
@@ -82,6 +84,21 @@ HOSTILE_HEADERS = {
     "huge-shape": lambda t: t.replace('["x_tilde", 7, 3]',
                                       f'["x_tilde", {HUGE_INT}, 3]'),
 }
+
+
+def stall_first_answers(monkeypatch, count):
+    """The first `count` answers the analyst encodes, in party order, become
+    frames too large to sit in the socket buffers; every other frame is
+    real."""
+    encode, big = federation.encode_message, bytes(UNREAD_FRAME_BYTES)
+    stalled = iter([big] * count)
+
+    def encode_message(msg):
+        if isinstance(msg, AnalystResultMsg):
+            return next(stalled, None) or encode(msg)
+        return encode(msg)
+
+    monkeypatch.setattr(federation, "encode_message", encode_message)
 
 
 def small_session_inputs(seed=0, n_per=20):
@@ -520,7 +537,7 @@ class TestInProcessHub:
         user_a.send(b"a")
         user_b.send(b"b")
         routes = dict(inbox.recv(timeout=1.0) for _ in range(2))
-        inbox.reply(routes[b"b"], b"answer")
+        inbox.reply(routes[b"b"], b"answer", (0, 1))
         assert user_b.recv(timeout=1.0) == b"answer"
         assert (inbox.sent_count, user_b.received_count) == (1, 1)
         with pytest.raises(SessionTimeoutError):
@@ -558,13 +575,14 @@ class TestTcpTransport:
             got, route = analyst.recv(timeout=5.0)
             assert got == share
             result = encode_message(sample_result(row_block=0))
-            analyst.reply(route, result)
+            analyst.reply(route, result, (0, 0))
             assert user.recv(timeout=5.0) == result
             assert (user.sent_count, user.received_count) == (1, 1)
-            assert (analyst.sent_count, analyst.received_count) == (1, 1)
             user.close()
         finally:
             analyst.close()
+        # the connection's own thread sends the answer; close waits for it
+        assert (analyst.sent_count, analyst.received_count) == (1, 1)
 
     def test_garbage_on_the_wire_surfaces_decode_error(self):
         analyst = TcpAnalystEndpoint(timeout=1.0)
@@ -698,32 +716,121 @@ class TestTcpTransport:
             conn.close()
             listener.close()
 
-    def test_stalled_reply_names_the_party(self, monkeypatch):
-        # institutions that send their shares and never read: an answer
-        # larger than the socket buffers fails in the analyst endpoint's own
-        # timeout, by party
+    def _stalled_replies(self, monkeypatch, stalled, timeout):
+        """Four institutions send their shares over raw connections; the
+        first `stalled` answers (party order) are too large for the socket
+        buffers and their peers never read.  Every other peer reads and
+        decodes its answer.  Returns the endpoint, closed, after checking
+        that its close names the stalled parties within one timeout."""
         ds, part, anchor, cfg = small_session_inputs()
         blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
+        parties = sorted(blocks)
         shares = [encode_message(federation.user_step(
-            p, blocks[p], anchor_blocks[p[1]], cfg)) for p in sorted(blocks)]
-        monkeypatch.setattr(federation, "encode_message",
-                            lambda msg: bytes(UNREAD_FRAME_BYTES))
-        analyst = TcpAnalystEndpoint(timeout=0.5)
+            p, blocks[p], anchor_blocks[p[1]], cfg)) for p in parties]
+        stall_first_answers(monkeypatch, stalled)
+        analyst = TcpAnalystEndpoint(timeout=timeout)
         peers = []
         try:
             for share in shares:
                 peers.append(socket.create_connection(
                     ("127.0.0.1", analyst.port), timeout=5.0))
                 peers[-1].sendall(share)
+            analyst_party_run(cfg, analyst)
             start = time.monotonic()
-            with pytest.raises(SessionTimeoutError, match=r"party \(0, 0\)"):
-                analyst_party_run(cfg, analyst)
-            assert time.monotonic() - start < 5.0
-            assert analyst.sent_count == 0
+            for party, peer in list(zip(parties, peers))[stalled:]:
+                answer = decode_message(_recv_frame(peer, 5.0))
+                assert answer.row_block == party[0]
+            untaken = ", ".join(map(str, parties[:stalled]))
+            with pytest.raises(SessionTimeoutError,
+                               match=re.escape(f"answers to [{untaken}]")):
+                analyst.close()
+            assert time.monotonic() - start < timeout + 0.4
         finally:
             for peer in peers:
                 peer.close()
             analyst.close()
+        return analyst
+
+    def test_stalled_reply_names_the_party(self, monkeypatch):
+        # a peer that sends its share and never reads holds only its own
+        # answer: the other three take theirs, and the analyst's close names
+        # it within the endpoint's own timeout
+        analyst = self._stalled_replies(monkeypatch, 1, timeout=0.5)
+        assert analyst.sent_count == 4 - 1
+
+    def test_two_stalled_replies_cost_one_timeout(self, monkeypatch):
+        analyst = self._stalled_replies(monkeypatch, 2, timeout=1.0)
+        assert analyst.sent_count == 4 - 2
+
+    def test_answers_sent_at_once_are_each_counted(self):
+        # many connection threads finish their sends together, under rapid
+        # thread switching: none of the counts may be lost
+        analyst = TcpAnalystEndpoint(timeout=5.0)
+        peers, parties = [], [(i, 0) for i in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for party in parties:
+                peers.append(socket.create_connection(
+                    ("127.0.0.1", analyst.port), timeout=5.0))
+                peers[-1].sendall(encode_message(sample_share(party=party)))
+            routes = [analyst.recv(5.0)[1] for _ in parties]
+            answer = encode_message(sample_result(row_block=0))
+            for party, route in zip(parties, routes):
+                analyst.reply(route, answer, party)
+            assert all(_recv_frame(peer, 5.0) == answer for peer in peers)
+            analyst.close()
+        finally:
+            sys.setswitchinterval(interval)
+            for peer in peers:
+                peer.close()
+            analyst.close()
+        assert analyst.sent_count == len(parties)
+
+    def test_analyst_cli_names_an_unread_answer_and_exits_3(
+            self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "wire.cfg"
+        cfg_path.write_text("dataset = blobs\nclusters = 2\nper_cluster = 10\n"
+                            "c = 1\nd = 2\nm_hat = 2\n")
+        ds, part, anchor, cfg = cli._session_pieces(load_config(str(cfg_path)),
+                                                    2.0)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
+        shares = [encode_message(federation.user_step(
+            p, blocks[p], anchor_blocks[p[1]], cfg)) for p in sorted(blocks)]
+        stall_first_answers(monkeypatch, 1)
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        codes = []
+        analyst = threading.Thread(target=lambda: codes.append(cli.main(
+            ["analyst", str(cfg_path), "--listen", f"127.0.0.1:{port}",
+             "--timeout", "2"])))
+        analyst.start()
+        peers = []
+        try:
+            for _ in range(50):                    # wait for the listener
+                try:
+                    socket.create_connection(("127.0.0.1", port),
+                                             timeout=0.2).close()
+                    break
+                except OSError:
+                    time.sleep(0.1)
+            for share in shares:
+                peers.append(socket.create_connection(("127.0.0.1", port),
+                                                      timeout=5.0))
+                peers[-1].sendall(share)
+            # party (0, 1) takes its answer; party (0, 0) never reads
+            assert decode_message(_recv_frame(peers[1], 5.0)).row_block == 0
+            analyst.join(timeout=10.0)
+        finally:
+            for peer in peers:
+                peer.close()
+            analyst.join(timeout=10.0)
+        assert codes == [cli.EXIT_SESSION]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "answers to [(0, 0)]" in err
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
     def test_a_declared_size_alone_commits_no_memory(self):
@@ -1052,24 +1159,30 @@ class TestFullSession:
             assert direct.model.row_sizes == wired.model.row_sizes
             assert np.array_equal(direct.model.x_hat, wired.model.x_hat)
 
-    def test_user_past_its_deadline_names_its_party(self, monkeypatch):
-        # over TCP an institution still waits while the analyst computes
+    def test_user_past_its_deadline_names_its_party(self):
+        # an analyst that takes the share and never answers, as one in
+        # another process may: the institution's wait ends at its timeout
         ds, part, anchor, cfg = small_session_inputs()
         cfg = dataclasses.replace(cfg, timeout=0.2)
-        step = federation.analyst_step
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
+        analyst = TcpAnalystEndpoint(timeout=5.0)
+        user = TcpUserEndpoint("127.0.0.1", analyst.port, timeout=cfg.timeout)
+        try:
+            user_send((1, 0), blocks[(1, 0)], anchor_blocks[0], cfg, user)
+            analyst.recv(5.0)
+            start = time.monotonic()
+            with pytest.raises(SessionTimeoutError, match=r"party \(1, 0\)"):
+                user_party_run((1, 0), cfg, user)
+            assert time.monotonic() - start < 2.0
+        finally:
+            user.close()
+            analyst.close()
 
-        def slow_step(shares, cfg):
-            time.sleep(0.6)
-            return step(shares, cfg)
-
-        monkeypatch.setattr(federation, "analyst_step", slow_step)
-        with pytest.raises(SessionTimeoutError, match=r"party \(\d, \d\)"):
-            run_tcp_session(ds.features, part, anchor, cfg)
-
-    def test_in_process_deadline_leaves_out_the_analysts_compute(
-            self, monkeypatch):
-        # every answer is in its institution's inbox before any institution
-        # waits, so an analyst slower than the timeout fails nobody
+    @pytest.mark.parametrize("run", [run_in_process_session, run_tcp_session],
+                             ids=["in-process", "tcp"])
+    def test_deadline_leaves_out_the_analysts_compute(self, run, monkeypatch):
+        # every answer is on its way before any institution waits, so an
+        # analyst slower than the timeout fails nobody
         ds, part, anchor, cfg = small_session_inputs()
         cfg = dataclasses.replace(cfg, timeout=0.2)
         direct = run_dc_clustering(ds.features, part, anchor, cfg)
@@ -1080,7 +1193,7 @@ class TestFullSession:
             return step(shares, cfg)
 
         monkeypatch.setattr(federation, "analyst_step", slow_step)
-        outcome = run_in_process_session(ds.features, part, anchor, cfg)
+        outcome = run(ds.features, part, anchor, cfg)
         assert np.array_equal(outcome.report.labels, direct.labels)
         assert np.array_equal(
             np.concatenate([outcome.user_labels[(i, 0)] for i in range(cfg.c)]),
@@ -1111,13 +1224,48 @@ class TestFullSession:
         assert started == []
         assert recovered_on == [threading.get_ident()] * (cfg.c * cfg.d)
 
-    def test_tcp_session_starts_one_thread_per_institution(self, monkeypatch):
+    def test_tcp_session_starts_one_thread_per_connection(self, monkeypatch):
+        # the analyst endpoint's accept thread and one per connection; every
+        # institution recovers on the calling thread
         started, recovered_on = self._watch_threads(monkeypatch)
         ds, part, anchor, cfg = small_session_inputs()
         run_tcp_session(ds.features, part, anchor, cfg)
-        assert len(set(recovered_on)) == len(recovered_on) == cfg.c * cfg.d
-        assert threading.get_ident() not in recovered_on
-        assert {t.ident for t in started} >= set(recovered_on)
+        assert len(started) == cfg.c * cfg.d + 1
+        assert recovered_on == [threading.get_ident()] * (cfg.c * cfg.d)
+
+    def test_each_institution_connects_right_before_its_fit(self,
+                                                            monkeypatch):
+        # a reader's deadline starts when its connection is accepted; were
+        # every institution to connect first, the last share would arrive
+        # after four fits, past its reader's 0.4 s
+        ds, part, anchor, cfg = small_session_inputs()
+        cfg = dataclasses.replace(cfg, timeout=0.4)
+        local = run_in_process_session(ds.features, part, anchor, cfg)
+        fit = federation.fit_intermediate
+
+        def slow_fit(*args, **kwargs):
+            time.sleep(0.15)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "fit_intermediate", slow_fit)
+        wired = run_tcp_session(ds.features, part, anchor, cfg)
+        assert np.array_equal(local.report.labels, wired.report.labels)
+        for party, labels in local.user_labels.items():
+            assert np.array_equal(labels, wired.user_labels[party])
+
+    def test_an_institution_failing_on_its_answer_ends_the_session_at_once(
+            self, monkeypatch):
+        # every answer is handed over and none can be decoded: the first
+        # institution fails, and its endpoint and the others' are closed
+        # before the analyst's, whose connection threads then stop sending
+        # at once instead of waiting out the 5 s timeout
+        ds, part, anchor, cfg = small_session_inputs()
+        cfg = dataclasses.replace(cfg, timeout=5.0)
+        stall_first_answers(monkeypatch, cfg.c * cfg.d)
+        start = time.monotonic()
+        with pytest.raises(DecodeError, match="bad magic"):
+            run_tcp_session(ds.features, part, anchor, cfg)
+        assert time.monotonic() - start < 2.0
 
     @pytest.mark.parametrize("run", [run_in_process_session, run_tcp_session],
                              ids=["in-process", "tcp"])
