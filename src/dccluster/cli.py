@@ -131,8 +131,9 @@ def _cmd_user(args) -> int:
                                             [(i, j)])
     endpoint = TcpUserEndpoint(host, port, timeout=cfg.timeout)
     try:
-        user_send((i, j), blocks[(i, j)], anchor_blocks[j], cfg, endpoint)
-        labels = user_party_run((i, j), cfg, endpoint)
+        rows = user_send((i, j), blocks[(i, j)], anchor_blocks[j], cfg,
+                         endpoint)
+        labels = user_party_run((i, j), rows, cfg, endpoint)
     finally:
         endpoint.close()
     print(f"party ({i},{j}): {labels.size} rows labeled, "

@@ -117,17 +117,9 @@ def fit_intermediate(x_block, anchor_block, target_dim: int, *, scale: bool):
 
 
 def _grouped_by_row(shares) -> list[list]:
-    parties = [s.party for s in shares]
-    if len(set(parties)) != len(parties):
-        raise ConfigurationError("duplicate party in shares")
-    c = max(i for i, _ in parties) + 1
-    d = max(j for _, j in parties) + 1
-    expected = {(i, j) for i in range(c) for j in range(d)}
-    if set(parties) != expected or len(parties) != c * d:
-        raise ConfigurationError(
-            f"shares must cover a full {c}x{d} lattice exactly once")
-    lookup = {s.party: s for s in shares}
-    return [[lookup[(i, j)] for j in range(d)] for i in range(c)]
+    shares = sorted(shares, key=lambda s: s.party)
+    d = shares[-1].party[1] + 1
+    return [shares[start:start + d] for start in range(0, len(shares), d)]
 
 
 def _side_by_side(parts, rows: slice = slice(None), out=None) -> np.ndarray:
@@ -207,18 +199,13 @@ def build_collaboration(shares, mode: str = "affine",
     first, and then the residual takes a third walk.  The common dimension
     defaults to the smallest row-block width and is clamped (with a
     warning) to the smallest rank.  A share is read only through its
-    `party`, `x_tilde` and `anchor_tilde`.
+    `party`, `x_tilde` and `anchor_tilde`.  The shares are a full lattice,
+    with one anchor row count and one row count per row block, as
+    `federation.admit` ensures; nothing here checks that again.
     """
     if mode not in MODES:
         raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
     by_row = _grouped_by_row(shares)
-    anchor_rows = {s.anchor_tilde.shape[0] for row in by_row for s in row}
-    if len(anchor_rows) != 1:
-        raise ConfigurationError(f"anchor row counts differ across shares: {anchor_rows}")
-    x_rows = [{s.x_tilde.shape[0] for s in row} for row in by_row]
-    for i, sizes in enumerate(x_rows):
-        if len(sizes) != 1:
-            raise ConfigurationError(f"row block {i} has inconsistent row counts {sizes}")
 
     x_tilde = [np.hstack([s.x_tilde for s in row]) for row in by_row]
     widths = [sum(s.anchor_tilde.shape[1] for s in row) for row in by_row]
@@ -227,7 +214,7 @@ def build_collaboration(shares, mode: str = "affine",
     if not 1 <= m_hat <= min(widths):
         raise ConfigurationError(f"m_hat must be in [1, {min(widths)}], got {m_hat}")
 
-    (r,) = anchor_rows
+    r = by_row[0][0].anchor_tilde.shape[0]
     ones = [np.broadcast_to(1.0, (r, 1))] if mode == "affine" else []
     designs = [[s.anchor_tilde for s in row] + ones for row in by_row]
     parts = [part for design in designs for part in design]

@@ -578,8 +578,10 @@ def analyst_step(shares, cfg: SessionConfig):
     return AnalystReport(np.concatenate(labels), model), results
 
 
-def user_send(party, local_block, anchor_block, cfg: SessionConfig, transport):
-    """An institution's first half: fit, frame and send its one share.
+def user_send(party, local_block, anchor_block, cfg: SessionConfig,
+              transport) -> int:
+    """An institution's first half: fit, frame and send its one share, and
+    return its block's row count, which its answer must match.
 
     Only the share's party id outlives the frame: the share is let go once
     it is framed and the frame once it is sent.  So while its send drains,
@@ -588,17 +590,23 @@ def user_send(party, local_block, anchor_block, cfg: SessionConfig, transport):
     (r = 300k) each of the 20 institutions lets go of about 10 MB.
     """
     share = user_step(party, local_block, anchor_block, cfg)
-    party, frame = share.party, encode_message(share)
+    party, rows, frame = share.party, len(share.x_tilde), encode_message(share)
     del share
     try:
         transport.send(frame)
     except SessionTimeoutError as exc:
         raise SessionTimeoutError(f"party {party}: {exc}") from None
+    return rows
 
 
-def user_party_run(party, cfg: SessionConfig, transport) -> np.ndarray:
-    """An institution's second half: wait for its answer, then recover this
-    block's labels from it."""
+def user_party_run(party, rows: int, cfg: SessionConfig,
+                   transport) -> np.ndarray:
+    """An institution's second half: wait for its answer, then recover the
+    labels of its block's `rows` rows from it.
+
+    The answer must be for the party's row block, with one `z_block` row per
+    block row and `cfg.k` centroids; any other is a ProtocolError naming the
+    party."""
     party = (int(party[0]), int(party[1]))
     try:
         frame = transport.recv(cfg.timeout)
@@ -610,18 +618,44 @@ def user_party_run(party, cfg: SessionConfig, transport) -> np.ndarray:
     if result.row_block != party[0]:
         raise ProtocolError(
             f"result for row block {result.row_block} sent to party {party}")
+    if (len(result.z_block), len(result.centroids)) != (rows, cfg.k):
+        raise ProtocolError(
+            f"party {party} got {len(result.z_block)} rows and "
+            f"{len(result.centroids)} centroids, not {rows} and k = {cfg.k}")
     return assign_nearest(result.z_block, result.centroids)
+
+
+def admit(share: UserShareMsg, cfg: SessionConfig, accepted: dict):
+    """Add `share` to `accepted`, the session's shares by party, or raise a
+    ProtocolError naming its party: every check of a share is here."""
+    party, echo = share.party, cfg.echo()
+    if party in accepted:
+        raise ProtocolError(f"duplicate share from party {party}")
+    if party[0] >= cfg.c or party[1] >= cfg.d:
+        raise ProtocolError(f"party {party} is outside the {cfg.c}x{cfg.d} lattice")
+    differ = sorted(key for key in echo.keys() | share.config.keys()
+                    if echo.get(key, _MISSING) != share.config.get(key, _MISSING))
+    if differ:
+        raise ProtocolError(f"party {party} echoes a different config: {differ}")
+    rows, anchor_rows = len(share.x_tilde), len(share.anchor_tilde)
+    for other in accepted.values():
+        if anchor_rows != len(other.anchor_tilde):
+            raise ProtocolError(f"party {party} sends {anchor_rows} anchor rows, "
+                                f"party {other.party} {len(other.anchor_tilde)}")
+        if other.party[0] == party[0] and rows != len(other.x_tilde):
+            raise ProtocolError(f"party {party} sends {rows} rows, party "
+                                f"{other.party} of its row block {len(other.x_tilde)}")
+    accepted[party] = share
 
 
 def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     """Run the analyst: collect every share, align, cluster, answer everyone.
 
-    A frame that does not decode to a share is dropped.  A repeated party
-    id, a party outside the lattice, or a config echo that differs from the
-    analyst's own is a protocol error; parties still missing when the
-    deadline passes abort the session with the absentees listed.  Every
-    frame the inbox hands out is either accepted or dropped, so the report
-    counts as dropped all but the c*d accepted.  The shares go to
+    A frame that does not decode to a share is dropped.  A share `admit`
+    refuses aborts the session with its ProtocolError, as do parties still
+    missing at the deadline, listed.  Every frame the inbox hands out is
+    either accepted or dropped, so the report counts as dropped all but the
+    c*d accepted.  The shares go to
     `analyst_step` with no other reference kept, so none outlives the
     alignment; on blobs that lets go of about 106 MB of frames before
     clustering.  Each party's answer goes back by the route its share came
@@ -629,7 +663,6 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     every party that did not take its answer.
     """
     expected = {(i, j) for i in range(cfg.c) for j in range(cfg.d)}
-    echo = cfg.echo()
     deadline = time.monotonic() + cfg.timeout
     shares: dict[tuple[int, int], UserShareMsg] = {}
     routes = {}
@@ -651,17 +684,7 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
             continue
         if not isinstance(msg, UserShareMsg):
             continue
-        if msg.party in shares:
-            raise ProtocolError(f"duplicate share from party {msg.party}")
-        if msg.party not in expected:
-            raise ProtocolError(f"party {msg.party} is outside the "
-                                f"{cfg.c}x{cfg.d} lattice")
-        differ = sorted(key for key in echo.keys() | msg.config.keys()
-                        if echo.get(key, _MISSING) != msg.config.get(key, _MISSING))
-        if differ:
-            raise ProtocolError(
-                f"party {msg.party} echoes a different config: {differ}")
-        shares[msg.party] = msg
+        admit(msg, cfg, shares)
         routes[msg.party] = route
     del msg, frame
 
@@ -691,12 +714,13 @@ def _run_session(cfg: SessionConfig, blocks, anchor_blocks, analyst_endpoint,
     the analyst's last, so that it waits on no answer left unread."""
     endpoints: dict[tuple[int, int], object] = {}
     try:
+        rows = {}
         for party in sorted(blocks):
             endpoints[party] = user_endpoint_for(party)
-            user_send(party, blocks[party], anchor_blocks[party[1]], cfg,
-                      endpoints[party])
+            rows[party] = user_send(party, blocks[party], anchor_blocks[party[1]],
+                                    cfg, endpoints[party])
         report = analyst_party_run(cfg, analyst_endpoint)
-        user_labels = {p: user_party_run(p, cfg, endpoint)
+        user_labels = {p: user_party_run(p, rows[p], cfg, endpoint)
                        for p, endpoint in endpoints.items()}
     finally:
         for endpoint in endpoints.values():
@@ -743,9 +767,10 @@ def run_dc_clustering(x, partition, anchor, cfg: SessionConfig) -> AnalystReport
     """
     blocks, anchor_blocks = _session_inputs(as_matrix(x), partition, anchor,
                                             cfg)
-    shares = [user_step(p, blocks[p], anchor_blocks[p[1]], cfg)
-              for p in sorted(blocks)]
-    return analyst_step(shares, cfg)[0]
+    shares = {}
+    for p in sorted(blocks):
+        admit(user_step(p, blocks[p], anchor_blocks[p[1]], cfg), cfg, shares)
+    return analyst_step(list(shares.values()), cfg)[0]
 
 
 def run_in_process_session(x, partition, anchor, cfg: SessionConfig) -> SessionOutcome:

@@ -315,22 +315,6 @@ class TestFitIntermediate:
 
 
 class TestBuildCollaboration:
-    def test_requires_full_lattice(self):
-        shares = equal_range_shares(3, 2, seed=1, with_offsets=False)
-        # parties (0,0) and (2,0) imply a 3-row lattice with row 1 missing
-        with pytest.raises(ConfigurationError):
-            build_collaboration([shares[0], shares[2]])
-        dup = [shares[0], shares[0]]
-        with pytest.raises(ConfigurationError):
-            build_collaboration(dup)
-
-    def test_anchor_row_mismatch(self):
-        shares = equal_range_shares(2, 2, seed=2, with_offsets=False)
-        bad = UserShareMsg(party=(1, 0), x_tilde=shares[1].x_tilde,
-                           anchor_tilde=shares[1].anchor_tilde[:-1])
-        with pytest.raises(ConfigurationError):
-            build_collaboration([shares[0], bad])
-
     def test_default_common_dimension_is_min_width(self):
         rng = np.random.default_rng(3)
         anchor = rng.uniform(size=(25, 1))

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -32,7 +33,7 @@ from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
                                   encode_message, decode_message,
                                   Inbox, InProcessUserEndpoint,
                                   TcpAnalystEndpoint, TcpUserEndpoint,
-                                  SessionConfig,
+                                  SessionConfig, admit,
                                   analyst_party_run, user_party_run,
                                   user_send,
                                   resolve_timeout, run_dc_clustering,
@@ -787,17 +788,22 @@ class TestTcpTransport:
             analyst.close()
         assert analyst.sent_count == len(parties)
 
-    def test_analyst_cli_names_an_unread_answer_and_exits_3(
-            self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def _wire_config(tmp_path):
+        """A 1x2 blobs config file, and its session config with a 2 s
+        timeout, as `dc-cluster analyst --timeout 2` derives it."""
         cfg_path = tmp_path / "wire.cfg"
         cfg_path.write_text("dataset = blobs\nclusters = 2\nper_cluster = 10\n"
                             "c = 1\nd = 2\nm_hat = 2\n")
-        ds, part, anchor, cfg = cli._session_pieces(load_config(str(cfg_path)),
-                                                    2.0)
-        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
-        shares = [encode_message(federation.user_step(
-            p, blocks[p], anchor_blocks[p[1]], cfg)) for p in sorted(blocks)]
-        stall_first_answers(monkeypatch, 1)
+        return cfg_path, cli._session_pieces(load_config(str(cfg_path)), 2.0)
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _cli_analyst(cfg_path, frames):
+        """Run `dc-cluster analyst` on a free port in a thread, wait for its
+        listener, and send each of `frames` on a raw connection of its own.
+        Yields (exit codes, peers); on exit waits for the analyst and closes
+        the peers."""
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -816,21 +822,47 @@ class TestTcpTransport:
                     break
                 except OSError:
                     time.sleep(0.1)
-            for share in shares:
+            for frame in frames:
                 peers.append(socket.create_connection(("127.0.0.1", port),
                                                       timeout=5.0))
-                peers[-1].sendall(share)
-            # party (0, 1) takes its answer; party (0, 0) never reads
-            assert decode_message(_recv_frame(peers[1], 5.0)).row_block == 0
+                peers[-1].sendall(frame)
+            yield codes, peers
             analyst.join(timeout=10.0)
         finally:
             for peer in peers:
                 peer.close()
             analyst.join(timeout=10.0)
+
+    def test_analyst_cli_names_an_unread_answer_and_exits_3(
+            self, tmp_path, capsys, monkeypatch):
+        cfg_path, (ds, part, anchor, cfg) = self._wire_config(tmp_path)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
+        shares = [encode_message(federation.user_step(
+            p, blocks[p], anchor_blocks[p[1]], cfg)) for p in sorted(blocks)]
+        stall_first_answers(monkeypatch, 1)
+        with self._cli_analyst(cfg_path, shares) as (codes, peers):
+            # party (0, 1) takes its answer; party (0, 0) never reads
+            assert decode_message(_recv_frame(peers[1], 5.0)).row_block == 0
         assert codes == [cli.EXIT_SESSION]
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "answers to [(0, 0)]" in err
+
+    def test_analyst_cli_names_a_refused_share_and_exits_3(self, tmp_path,
+                                                           capsys):
+        # a peer's share that the session cannot use is the peer's fault,
+        # not the config's: EXIT_SESSION, with the party named
+        cfg_path, (_, _, _, cfg) = self._wire_config(tmp_path)
+        shares = [encode_message(sample_share(party=(0, j), n=10, r=r,
+                                              width=1, config=cfg.echo()))
+                  for j, r in enumerate((40, 41))]
+        with self._cli_analyst(cfg_path, shares) as (codes, _):
+            pass
+        assert codes == [cli.EXIT_SESSION]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # the connections' threads may put the two frames in either order
+        assert re.search(r"party \(0, [01]\) sends 4[01] anchor rows", err)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
     def test_a_declared_size_alone_commits_no_memory(self):
@@ -896,6 +928,21 @@ class TestSessionProtocol:
         with pytest.raises(ProtocolError, match=r"\(0, 0\).*\['k'\]"):
             analyst_party_run(cfg, self._inbox_with(share))
 
+    @pytest.mark.parametrize("field, sizes", [("anchor_tilde", (40, 41)),
+                                              ("x_tilde", (20, 21))],
+                             ids=["anchor-rows", "row-block-rows"])
+    def test_share_of_another_row_count_aborts(self, field, sizes):
+        # refused in the gather, with the later party named, so that no
+        # honest share reaches an alignment that cannot use it
+        cfg = SessionConfig(c=1, d=2, k=2, timeout=1.0)
+        shares = [sample_share(party=(0, j), n=20, r=40, width=1,
+                               config=cfg.echo()) for j in range(2)]
+        for share, rows in zip(shares, sizes):
+            setattr(share, field, np.ones((rows, 1)))
+        with pytest.raises(ProtocolError, match=rf"party \(0, 1\) sends "
+                                                rf"{sizes[1]}.*\(0, 0\)"):
+            analyst_party_run(cfg, self._inbox_with(*shares))
+
     def test_misrouted_result_detected(self):
         class MisroutingTransport:
             def send(self, frame):
@@ -909,9 +956,32 @@ class TestSessionProtocol:
         anchor = rng.uniform(-1, 1, size=(12, 4))
         cfg = SessionConfig(c=1, d=1, k=2, timeout=1.0)
         transport = MisroutingTransport()
-        user_send((0, 0), block, anchor, cfg, transport)
+        rows = user_send((0, 0), block, anchor, cfg, transport)
         with pytest.raises(ProtocolError, match="row block 5"):
-            user_party_run((0, 0), cfg, transport)
+            user_party_run((0, 0), rows, cfg, transport)
+
+    @pytest.mark.parametrize("n, k", [(5, 7), (5, 2), (12, 7)])
+    def test_answer_of_another_shape_detected(self, n, k):
+        # an answer for the party's row block whose z_block rows or
+        # centroids do not fit its block and its config
+        class MisshapingTransport:
+            def send(self, frame):
+                pass
+
+            def recv(self, timeout):
+                return encode_message(sample_result(row_block=0, k=k, n=n))
+
+        rng = np.random.default_rng(0)
+        block = rng.normal(size=(12, 4))
+        anchor = rng.uniform(-1, 1, size=(12, 4))
+        cfg = SessionConfig(c=1, d=1, k=2, timeout=1.0)
+        transport = MisshapingTransport()
+        rows = user_send((0, 0), block, anchor, cfg, transport)
+        assert rows == 12
+        with pytest.raises(ProtocolError,
+                           match=rf"party \(0, 0\) got {n} rows and {k} "
+                                 r"centroids, not 12 and k = 2"):
+            user_party_run((0, 0), rows, cfg, transport)
 
     def test_share_frame_in_place_of_a_result_detected(self):
         class EchoingTransport:
@@ -928,9 +998,9 @@ class TestSessionProtocol:
         anchor = rng.uniform(-1, 1, size=(12, 4))
         cfg = SessionConfig(c=1, d=1, k=2, timeout=1.0)
         transport = EchoingTransport()
-        user_send((0, 0), block, anchor, cfg, transport)
+        rows = user_send((0, 0), block, anchor, cfg, transport)
         with pytest.raises(ProtocolError, match="expected an analyst result"):
-            user_party_run((0, 0), cfg, transport)
+            user_party_run((0, 0), rows, cfg, transport)
 
     def test_the_share_is_let_go_before_it_is_sent(self, monkeypatch):
         """While an institution sends and then waits for its reply, the
@@ -964,20 +1034,61 @@ class TestSessionProtocol:
         block = rng.normal(size=(12, 4))
         anchor = rng.uniform(-1, 1, size=(30, 4))
         cfg = SessionConfig(c=2, d=2, k=3, timeout=1.0)
-        ok = ReleaseCheckingTransport(sample_result(row_block=1))
-        user_send((1, 0), block, anchor, cfg, ok)
-        labels = user_party_run((1, 0), cfg, ok)
-        assert labels.shape == (9,) and len(ok.sent) == 1
+        ok = ReleaseCheckingTransport(sample_result(row_block=1, n=12))
+        rows = user_send((1, 0), block, anchor, cfg, ok)
+        labels = user_party_run((1, 0), rows, cfg, ok)
+        assert labels.shape == (12,) and len(ok.sent) == 1
         late = ReleaseCheckingTransport(None)
-        user_send((np.int64(1), 1), block, anchor, cfg, late)
+        rows = user_send((np.int64(1), 1), block, anchor, cfg, late)
         with pytest.raises(SessionTimeoutError, match=r"party \(1, 1\)"):
-            user_party_run((np.int64(1), 1), cfg, late)
-        stray = ReleaseCheckingTransport(sample_result(row_block=0))
-        user_send((1, 0), block, anchor, cfg, stray)
+            user_party_run((np.int64(1), 1), rows, cfg, late)
+        stray = ReleaseCheckingTransport(sample_result(row_block=0, n=12))
+        rows = user_send((1, 0), block, anchor, cfg, stray)
         with pytest.raises(ProtocolError,
                            match=r"row block 0 sent to party \(1, 0\)"):
-            user_party_run((1, 0), cfg, stray)
+            user_party_run((1, 0), rows, cfg, stray)
         assert len(shares) == 3
+
+
+class TestAdmit:
+    CFG = SessionConfig(c=2, d=2, k=2, timeout=1.0)
+
+    def _share(self, party, n=20, r=40, config=None):
+        return sample_share(party=party, n=n, r=r, width=1,
+                            config=config or self.CFG.echo())
+
+    def test_admits_each_party_of_a_full_lattice(self):
+        # row blocks may differ in their row count; only the anchor is
+        # common to all
+        accepted = {}
+        for i, j in [(1, 1), (0, 0), (1, 0), (0, 1)]:
+            share = self._share((i, j), n=20 + i)
+            admit(share, self.CFG, accepted)
+            assert accepted[(i, j)] is share
+        assert sorted(accepted) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("refused, match", [
+        (dict(party=(2, 0)), r"party \(2, 0\) is outside the 2x2 lattice"),
+        (dict(party=(0, 2)), r"party \(0, 2\) is outside the 2x2 lattice"),
+        (dict(party=(0, 0)), r"duplicate share from party \(0, 0\)"),
+        (dict(party=(0, 1), config={**CFG.echo(), "k": 3}),
+         r"party \(0, 1\) echoes a different config: \['k'\]"),
+        (dict(party=(0, 1), config={**CFG.echo(), "extra": 1}),
+         r"party \(0, 1\) echoes a different config: \['extra'\]"),
+        (dict(party=(1, 0), r=41),
+         r"party \(1, 0\) sends 41 anchor rows, party \(0, 0\) 40"),
+        (dict(party=(1, 0), n=21),
+         r"party \(1, 0\) sends 21 rows, party \(1, 1\) of its row block 20"),
+    ], ids=["outside-rows", "outside-columns", "duplicate", "echo",
+            "echo-extra-key", "anchor-rows", "row-block-rows"])
+    def test_refuses_a_share(self, refused, match):
+        accepted = {}
+        for party in [(0, 0), (1, 1)]:
+            admit(self._share(party), self.CFG, accepted)
+        before = dict(accepted)
+        with pytest.raises(ProtocolError, match=match):
+            admit(self._share(**refused), self.CFG, accepted)
+        assert accepted == before
 
 
 class TestFullSession:
@@ -1144,6 +1255,25 @@ class TestFullSession:
             outcome = run_in_process_session(x, part, anchor, cfg)
         assert ari(ds.labels[part.row_order()], outcome.report.labels) == 1.0
 
+    def test_both_analyst_paths_admit_each_share_once(self, monkeypatch):
+        # run_dc_clustering builds its shares without frames, and still
+        # passes each through the session's one gate
+        admitted, real_admit = [], federation.admit
+
+        def counted(share, cfg, accepted):
+            admitted.append(share.party)
+            return real_admit(share, cfg, accepted)
+
+        monkeypatch.setattr(federation, "admit", counted)
+        ds, part, anchor, cfg = small_session_inputs()
+        lattice = [(i, j) for i in range(cfg.c) for j in range(cfg.d)]
+        direct = run_dc_clustering(ds.features, part, anchor, cfg)
+        assert admitted == lattice
+        admitted.clear()
+        wired = run_in_process_session(ds.features, part, anchor, cfg)
+        assert admitted == lattice
+        assert np.array_equal(direct.labels, wired.report.labels)
+
     @pytest.mark.parametrize("algorithm", ["kmeans", "spectral"])
     def test_direct_pipeline_matches_session_bit_for_bit(self, algorithm):
         ds, part, anchor, cfg = small_session_inputs(seed=9)
@@ -1168,11 +1298,12 @@ class TestFullSession:
         analyst = TcpAnalystEndpoint(timeout=5.0)
         user = TcpUserEndpoint("127.0.0.1", analyst.port, timeout=cfg.timeout)
         try:
-            user_send((1, 0), blocks[(1, 0)], anchor_blocks[0], cfg, user)
+            rows = user_send((1, 0), blocks[(1, 0)], anchor_blocks[0], cfg,
+                             user)
             analyst.recv(5.0)
             start = time.monotonic()
             with pytest.raises(SessionTimeoutError, match=r"party \(1, 0\)"):
-                user_party_run((1, 0), cfg, user)
+                user_party_run((1, 0), rows, cfg, user)
             assert time.monotonic() - start < 2.0
         finally:
             user.close()
