@@ -12,13 +12,17 @@ restarts seeded one by one.  Each pass is one stacked computation over the
 batch's centroid sets, from which a restart leaves once it stops, so every
 result is bit for bit that of the restarts run one by one.  Seeding, each
 pass and assign_nearest take every squared distance from one kernel, which
-sums squared coordinate differences, and hold a pass's distances as a
-k x n array per restart; a point's label comes from a strict `<` compare
-of each centroid's row against the running minimum, so a tie goes to the
-lowest centroid index.  A centroid is its members' coordinates summed in
-row order, whatever the width, over their count.  x's memory layout moves
-no bit: distances and centroid sums read a coordinate-major copy of x, and
-the repair's and the inertia's differences from x come out row-major.
+sums squared coordinate differences, BLOCK_ROWS rows at a time, so that a
+pass holds its distances as a k x block array per restart and reads them
+back from cache; a point's label comes from a strict `<` compare of each
+centroid's row against the running minimum, so a tie goes to the lowest
+centroid index.  Each row's distances, label and minimum come from that
+row alone, and a seeding step's cumulative sums run on across the blocks
+as one cumsum, so no block size moves a bit.  A centroid is its members'
+coordinates summed in row order, whatever the width, over their count.
+x's memory layout moves no bit: distances and centroid sums read a
+coordinate-major copy of x, and the repair's and the inertia's
+differences from x come out row-major.
 Input whose squared distances could overflow float64 is refused by name.
 
 Spectral clustering never forms an n x n dense array.  A kd-tree finds each
@@ -48,12 +52,23 @@ from .numerics import _fix_signs, as_matrix, eig_symmetric
 _BOUNDARY_RTOL = 1e-9
 # k-means runs its restarts in lockstep batches of BUDGET // (k * n), so
 # that a batch's (width, k, n) distances hold at most this many doubles,
-# 128 KiB, and stay in cache.  Ten restarts at k = 3 took, on 2 cores with
-# numpy 2.4.6 and OpenBLAS 0.3.31: 1.8 ms in one batch against 5.4 ms one
-# at a time on 150 x 2 iris rows; 4.7 ms at width 2 against 4.8 ms on
-# 2 000 x 3 blob rows (k * n = 6 000); and, on circles' 4 500 x 3
-# embedding, 4.4 ms in one batch against 2.9 ms, its arrays out of cache.
+# 128 KiB, and stay in cache; a batch of more than one restart has fewer
+# rows than BLOCK_ROWS, and so is one row block.  Ten restarts at k = 3
+# took, on 2 cores with numpy 2.4.6 and OpenBLAS 0.3.31: 1.8 ms in one
+# batch against 5.4 ms one at a time on 150 x 2 iris rows; 4.7 ms at width
+# 2 against 4.8 ms on 2 000 x 3 blob rows (k * n = 6 000); and, on
+# circles' 4 500 x 3 embedding, 4.4 ms in one batch against 2.9 ms, its
+# arrays out of cache.
 BUDGET = 2 ** 14
+# k-means takes its squared distances BLOCK_ROWS rows at a time, so that a
+# pass's (width, k, block) distances and a seeding step's (width, block)
+# ones are read back from cache; an input of at most one block is one
+# block.  One Lloyd pass on blobs' 300 000 x 2 representation, k = 3,
+# medians of 9 on 2 cores with numpy 2.4.6: 3.3-3.4 ms over all rows,
+# 4.9-5.2 ms in 2 048-row blocks, 2.6-2.8 in 4 096, 2.1-2.3 in 8 192,
+# 1.8-2.0 in 16 384 and 2.0-2.2 in 32 768 (a first prototype read 3.8 ms
+# whole, 6.6 at 2 048, 2.68 at 8 192 and 2.5 at 16 384).
+BLOCK_ROWS = 2 ** 14
 
 
 @dataclass
@@ -96,9 +111,49 @@ def _sqdist(xt: np.ndarray, points: np.ndarray,
     return d2
 
 
-# the name a Lloyd pass and assign_nearest call the kernel by, and the one
-# benchmarks/tracing.py counts passes by; seeding calls it as _sqdist
-sqdist = _sqdist
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """The (start, stop) rows of each BLOCK_ROWS-row block of n rows."""
+    return [(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
+
+
+def _scratch(lead: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A pair of (*lead, block) arrays for _sqdist's result and difference
+    over a block of n rows."""
+    shape = (*lead, min(n, BLOCK_ROWS))
+    return np.empty(shape), np.empty(shape)
+
+
+def _cut(scratch, rows: int):
+    """The pair scratch cut to a block of `rows` rows."""
+    if rows == scratch[0].shape[-1]:
+        return scratch
+    return [buf[..., :rows] for buf in scratch]
+
+
+def sqdist(xt: np.ndarray, points: np.ndarray, scratch=None, nearest=None
+           ) -> np.ndarray:
+    """One assignment pass: for each (k, m) set of the (..., k, m) stack
+    points, the index of the nearest of its k points to each of the n rows
+    of xt, ties to the lowest index as argmin's, as a (..., n) array; where
+    nearest, a (..., n) array, is given, each row's squared distance to
+    that point is written into it.
+
+    _sqdist takes the distances BLOCK_ROWS rows at a time into scratch, a
+    pair from _scratch, made here when not given, and _nearest reads them
+    while they are in cache.  A row's label and distance come from its own
+    distances alone, so the blocks move no bit.  A Lloyd pass and
+    assign_nearest call this once each, by this name, which
+    benchmarks/tracing.py counts passes by.
+    """
+    lead, k, n = points.shape[:-2], points.shape[-2], xt.shape[1]
+    labels = np.empty((*lead, n), np.intp)
+    if scratch is None:
+        scratch = _scratch((*lead, k), n)
+    for a, b in _blocks(n):
+        d2 = _sqdist(xt[:, a:b], points, _cut(scratch, b - a))
+        _nearest(d2, labels[..., a:b],
+                 None if nearest is None else nearest[..., a:b])
+    return labels
 
 
 def _refuse_overflow(xt: np.ndarray, terms: int) -> None:
@@ -112,38 +167,48 @@ def _refuse_overflow(xt: np.ndarray, terms: int) -> None:
     inertia adds at most n of them, 4 n M.  Rounding raises none of these
     by more than a relative n * eps, so refusing 8 terms M above the
     float64 maximum leaves a factor of two, and nothing formed from finite
-    input overflows.  The norms are _sqdist's distances to the origin.
+    input overflows.  The norms are _sqdist's distances to the origin,
+    taken in row blocks, as a pass takes its distances.
     """
     if not xt.shape[0]:
         raise ContractViolationError("rows have no coordinates")
+    origin, scratch = np.zeros(xt.shape[0]), _scratch((), xt.shape[1])
+    top = 0.0
     with np.errstate(over="ignore"):
-        top = _sqdist(xt, np.zeros(xt.shape[0])).max(initial=0.0)
+        for a, b in _blocks(xt.shape[1]):
+            norms = _sqdist(xt[:, a:b], origin, _cut(scratch, b - a))
+            top = max(top, norms.max())
         if not 8.0 * terms * top <= np.finfo(np.float64).max:
             raise ContractViolationError(
                 f"squared distances overflow: rows of squared norm up to "
                 f"{top:.3g} among {xt.shape[1]} rows")
 
 
-def _nearest(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nearest centroid, ties to the lowest index as argmin's,
-    and its distance, from sqdist's (..., k, n) distances.  The running
-    minimum is kept in (and overwrites) the first centroid's row.
+def _nearest(d2: np.ndarray, labels: np.ndarray, nearest=None) -> None:
+    """Write each row's nearest centroid, ties to the lowest index as
+    argmin's, into labels, (..., n), from _sqdist's (..., k, n) distances
+    d2.  The running minimum is kept in nearest, (..., n), when given, and
+    otherwise in (overwriting) the first centroid's row.
     """
     k = d2.shape[-2]
     best = d2[..., 0, :]
+    if nearest is None:
+        nearest = best
     kind = np.uint8 if k <= 256 else np.intp
-    labels, pick = np.zeros(best.shape, kind), np.empty(best.shape, kind)
+    mark, pick = np.zeros(best.shape, kind), np.empty(best.shape, kind)
     closer = np.empty(best.shape, bool)
     step = closer.view(np.uint8)
     for j in range(1, k):
         row = d2[..., j, :]
         np.less(row, best, out=closer)
-        np.minimum(best, row, out=best)
+        best = np.minimum(best, row, out=nearest)
         # every label is below j, so the max sets j exactly where closer
         # holds; an arithmetic select, where a masked store would branch
         np.multiply(step, kind(j), out=pick)
-        np.maximum(labels, pick, out=labels)
-    return labels.astype(np.intp), best
+        np.maximum(mark, pick, out=mark)
+    if best is not nearest:
+        np.copyto(nearest, best)
+    np.copyto(labels, mark)
 
 
 def assign_nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -159,7 +224,7 @@ def assign_nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     xt = np.ascontiguousarray(x.T)
     _refuse_overflow(centroids.T, x.shape[0])
     _refuse_overflow(xt, x.shape[0])
-    return _nearest(sqdist(xt, centroids))[0]
+    return sqdist(xt, centroids)
 
 
 def _seed_batch(x: np.ndarray, xt: np.ndarray, k: int, rng,
@@ -171,9 +236,11 @@ def _seed_batch(x: np.ndarray, xt: np.ndarray, k: int, rng,
     makes the same draws whatever its rows.  The next seed for a draw u is
     the first row whose cumulative distance mass passes u times the total,
     the count of cumsum entries <= u * total, as searchsorted(cumsum,
-    u * total, "right") finds it, and at most n - 1.  A zero total means
-    every row coincides with a seed, so any row will do, and u picks row
-    int(u * n).
+    u * total, "right") finds it, and at most n - 1 (see _count_below).  A
+    zero total means every row coincides with a seed, so any row will do,
+    and u picks row int(u * n).  Each step's distances are taken and
+    folded into the running minima block by block; the total is one sum
+    over all n of them.
     """
     n = x.shape[0]
     chosen = np.empty((width, k), np.intp)
@@ -181,16 +248,43 @@ def _seed_batch(x: np.ndarray, xt: np.ndarray, k: int, rng,
     for b in range(width):
         chosen[b, 0] = rng.integers(n)
         u[b] = rng.random(k - 1)
-    d2 = None
+    d2, scratch = np.empty((width, n)), _scratch((width,), n)
     for s in range(1, k):
-        near = _sqdist(xt, x[chosen[:, s - 1]])
-        d2 = near if d2 is None else np.minimum(d2, near, out=d2)
+        points = x[chosen[:, s - 1]]
+        for a, b in _blocks(n):
+            near, diff = _cut(scratch, b - a)
+            if s == 1:
+                _sqdist(xt[:, a:b], points, (d2[:, a:b], diff))
+            else:
+                _sqdist(xt[:, a:b], points, (near, diff))
+                np.minimum(d2[:, a:b], near, out=d2[:, a:b])
         total = d2.sum(axis=1)
-        below = np.cumsum(d2, axis=1) <= (u[:, s - 1] * total)[:, None]
-        picks = np.where(total > 0.0, below.sum(axis=1),
+        picks = np.where(total > 0.0, _count_below(d2, u[:, s - 1] * total),
                          (u[:, s - 1] * n).astype(np.intp))
         chosen[:, s] = np.minimum(picks, n - 1)
     return x[chosen]
+
+
+def _count_below(d2: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """(cumsum(d2, axis=1) <= thr[:, None]).sum(axis=1) for d2, (width, n),
+    never negative, taken block by block, bit for bit.
+
+    Each block's cumsum starts from the last block's last sum added into
+    its first entry, so its sums are those of the whole cumsum, and the
+    count is the sum of the blocks' counts.  The sums never decrease, so
+    once every row's last sum passes its thr, no later block adds to it.
+    """
+    count = 0
+    for a, b in _blocks(d2.shape[1]):
+        part = d2[:, a:b]
+        if a:
+            part = part.copy()
+            part[:, 0] += sums[:, -1]
+        sums = np.cumsum(part, axis=1)
+        count = count + (sums <= thr[:, None]).sum(axis=1)
+        if (sums[:, -1] > thr).all():
+            break
+    return count
 
 
 def _repair(x, labels, counts, centroids) -> None:
@@ -247,23 +341,26 @@ def _inertia(x, centroids, labels) -> float:
     return float(np.sum((x - centroids[labels]) ** 2))
 
 
-def _lloyd_batch(x, xtb, scratch, centroids, max_iter: int
+def _lloyd_batch(x, xtb, buffers, centroids, max_iter: int
                  ) -> list[ClusterModel]:
     """Lloyd passes for a stack of restarts' centroid sets, (width, k, m),
     in lockstep; returns each restart's ClusterModel, in stack order.
 
-    A pass is one sqdist over the stack's sets, one _nearest and one
-    _update_centroids.  A restart leaves the stack on the pass that repeats
-    its labels or undoes its last repair, or after max_iter passes, and
-    the others go on.  Nothing here draws a number.
+    A pass is one sqdist over the stack's sets and one _update_centroids.
+    A restart leaves the stack on the pass that repeats its labels or
+    undoes its last repair, or after max_iter passes, and the others go on.
+    Nothing here draws a number.  buffers, made once per kmeans call, are
+    the pass's scratch pair and a (width, n) array for its distances to the
+    nearest centroids.
     """
     ids = list(range(centroids.shape[0]))   # each row's place in the stack
     xt = xtb[:, :x.shape[0]]
-    out = scratch[0][:len(ids)], scratch[1][:len(ids)]
+    scratch, minima = buffers
+    stack, nearest = [buf[:len(ids)] for buf in scratch], minima[:len(ids)]
     models = [None] * len(ids)
     labels, undone = None, {}
     for it in range(1, max_iter + 1):
-        assigned, nearest = _nearest(sqdist(xt, centroids, out))
+        assigned = sqdist(xt, centroids, stack, nearest)
         if labels is not None:
             stop = (assigned == labels).all(axis=1).tolist()
             # a pass that undid the last one's empty-cluster repair, which
@@ -285,7 +382,8 @@ def _lloyd_batch(x, xtb, scratch, centroids, max_iter: int
                     return models
                 centroids, assigned = centroids[keep], assigned[keep]
                 ids = [ids[b] for b in keep]
-                out = scratch[0][:len(ids)], scratch[1][:len(ids)]
+                stack = [buf[:len(ids)] for buf in scratch]
+                nearest = minima[:len(ids)]
         undone = _update_centroids(x, xtb, assigned, centroids)
         labels = assigned
     # the last pass measured centroids it then moved
@@ -319,13 +417,16 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
     every row already coincides with a seed, and its next seed is row
     int(u * n) of its draw u, uniform over the rows.  Seeding and each
     pass take their squared distances, sums of squared coordinate
-    differences, from one kernel (see _sqdist); a pass writes them into a
-    (batch, k, n) array.  Each label comes from a k-way strict `<` compare
-    against a running minimum, so a tie goes to the lowest centroid index,
-    as argmin's does, and a converged run's inertia is that minimum's sum.
-    A coordinate-major copy of x and the pass's scratch are made once per
-    call.  Input whose squared distances could overflow float64 is refused
-    with a ContractViolationError (see _refuse_overflow).
+    differences, from one kernel (see _sqdist), BLOCK_ROWS rows at a time;
+    a pass writes them into a (batch, k, block) array.  Each label comes
+    from a k-way strict `<` compare against a running minimum, so a tie
+    goes to the lowest centroid index, as argmin's does, and a converged
+    run's inertia is the sum of that minimum over all n rows.  The centroid
+    sums, too, run over all n rows at once, in row order.  A
+    coordinate-major copy of x, the pass's scratch and the array of its
+    minima are made once per call.  Input whose squared distances could
+    overflow float64 is refused with a ContractViolationError (see
+    _refuse_overflow).
     """
     x = as_matrix(x)
     n = x.shape[0]
@@ -339,14 +440,12 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
     _refuse_overflow(xt, n)
     width = min(restarts, max(1, BUDGET // (k * n)))
     xtb = np.tile(xt, width) if width > 1 else xt
-    # two arrays: one freed block of twice the size raised glibc's mmap
-    # threshold, and blobs' benchmark peak RSS, from about 700 to 800 MB
-    scratch = np.empty((width, k, n)), np.empty((width, k, n))
+    buffers = _scratch((width, k), n), np.empty((width, n))
     rng = np.random.default_rng(rng_seed)
     best = None
     for done in range(0, restarts, width):
         seeds = _seed_batch(x, xt, k, rng, min(width, restarts - done))
-        for model in _lloyd_batch(x, xtb, scratch, seeds, max_iter):
+        for model in _lloyd_batch(x, xtb, buffers, seeds, max_iter):
             if best is None or model.inertia < best.inertia:
                 best = model
     return best

@@ -561,10 +561,12 @@ def analyst_step(shares, cfg: SessionConfig):
     split the answer into one result per row block.
 
     Returns (report, results): results[i] goes to row block i, and the
-    report's labels are each row block's by nearest centroid, as its
-    institutions recover them from the same result, in row-block order.
-    The step lets go of `shares` once aligned, so a caller that keeps no
-    reference of its own holds no share through clustering.
+    report's labels are the rows' nearest centroids, in row-block order,
+    from one pass over the whole representation: a row's label depends on
+    that row alone, so each row block's are those its institutions recover
+    from its result.  The step lets go of `shares` once aligned, so a
+    caller that keeps no reference of its own holds no share through
+    clustering.
     """
     model = build_collaboration(shares, mode=cfg.mode, m_hat=cfg.m_hat)
     del shares
@@ -573,9 +575,8 @@ def analyst_step(shares, cfg: SessionConfig):
         z, cfg.k, model.row_sizes, max_iter=cfg.max_iter,
         rng_seed=derive_seed(cfg.master_seed, "analyst"), restarts=cfg.restarts)
     results = [AnalystResultMsg(row_block=i, centroids=clusters.centroids,
-                                z_block=z) for i, z in enumerate(z_blocks)]
-    labels = [assign_nearest(res.z_block, res.centroids) for res in results]
-    return AnalystReport(np.concatenate(labels), model), results
+                                z_block=block) for i, block in enumerate(z_blocks)]
+    return AnalystReport(assign_nearest(z, clusters.centroids), model), results
 
 
 def user_send(party, local_block, anchor_block, cfg: SessionConfig,
@@ -604,17 +605,18 @@ def user_party_run(party, rows: int, cfg: SessionConfig,
     """An institution's second half: wait for its answer, then recover the
     labels of its block's `rows` rows from it.
 
-    The answer must be for the party's row block, with one `z_block` row per
-    block row and `cfg.k` centroids; any other is a ProtocolError naming the
-    party."""
+    The answer must decode, and be for the party's row block, with one
+    `z_block` row per block row and `cfg.k` centroids of the rows' width;
+    any other is a ProtocolError naming the party."""
     party = (int(party[0]), int(party[1]))
     try:
-        frame = transport.recv(cfg.timeout)
+        result = decode_message(transport.recv(cfg.timeout))
     except SessionTimeoutError as exc:
         raise SessionTimeoutError(f"party {party}: {exc}") from None
-    result = decode_message(frame)
+    except DecodeError as exc:
+        raise ProtocolError(f"party {party} cannot decode its answer: {exc}") from None
     if not isinstance(result, AnalystResultMsg):
-        raise ProtocolError("expected an analyst result frame")
+        raise ProtocolError(f"party {party} expected an analyst result frame")
     if result.row_block != party[0]:
         raise ProtocolError(
             f"result for row block {result.row_block} sent to party {party}")
@@ -622,6 +624,10 @@ def user_party_run(party, rows: int, cfg: SessionConfig,
         raise ProtocolError(
             f"party {party} got {len(result.z_block)} rows and "
             f"{len(result.centroids)} centroids, not {rows} and k = {cfg.k}")
+    widths = result.z_block.shape[1], result.centroids.shape[1]
+    if widths[0] != widths[1]:
+        raise ProtocolError(f"party {party} got rows of width {widths[0]} and "
+                            f"centroids of width {widths[1]}")
     return assign_nearest(result.z_block, result.centroids)
 
 
@@ -652,15 +658,15 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     """Run the analyst: collect every share, align, cluster, answer everyone.
 
     A frame that does not decode to a share is dropped.  A share `admit`
-    refuses aborts the session with its ProtocolError, as do parties still
-    missing at the deadline, listed.  Every frame the inbox hands out is
-    either accepted or dropped, so the report counts as dropped all but the
-    c*d accepted.  The shares go to
-    `analyst_step` with no other reference kept, so none outlives the
-    alignment; on blobs that lets go of about 106 MB of frames before
-    clustering.  Each party's answer goes back by the route its share came
-    in on, and no reply waits on a peer: the TCP endpoint's `close()` names
-    every party that did not take its answer.
+    refuses aborts the session with its ProtocolError, as do shares that
+    hold fewer rows in all than k, and parties still missing at the
+    deadline, listed.  Every frame the inbox hands out is either accepted
+    or dropped, so the report counts as dropped all but the c*d accepted.
+    The shares go to `analyst_step` with no other reference kept, so none
+    outlives the alignment; on blobs that lets go of about 106 MB of frames
+    before clustering.  Each party's answer goes back by the route its
+    share came in on, and no reply waits on a peer: the TCP endpoint's
+    `close()` names every party that did not take its answer.
     """
     expected = {(i, j) for i in range(cfg.c) for j in range(cfg.d)}
     deadline = time.monotonic() + cfg.timeout
@@ -687,6 +693,10 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
         admit(msg, cfg, shares)
         routes[msg.party] = route
     del msg, frame
+    total = sum(len(share.x_tilde) for (_, j), share in shares.items() if j == 0)
+    if total < cfg.k:
+        raise ProtocolError(f"k = {cfg.k} is above the shares' row count, "
+                            f"{total}")
 
     report, results = analyst_step([shares.pop(p) for p in sorted(expected)], cfg)
     for res in results:

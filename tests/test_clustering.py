@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import connected_components
 from dccluster import clustering
 from dccluster.clustering import (kmeans, build_affinity, laplacian_sym,
                                   spectral_embedding, spectral_cluster,
-                                  assign_nearest, sqdist, _nearest,
+                                  assign_nearest, sqdist, _sqdist,
                                   _update_centroids, _seed_batch,
                                   SpectralEmbedding)
 from dccluster.data import load_csv, make_blobs, make_circles
@@ -164,6 +164,12 @@ def reference_spectral_embedding(x, k: int, neighbors: int = 10
     _fix_signs(rest)
     return SpectralEmbedding(vectors=vectors, eigenvalues=values,
                              components=components)
+
+
+def assignment(xt, points):
+    """sqdist's labels and the distances it writes into nearest."""
+    nearest = np.empty((*points.shape[:-2], xt.shape[1]))
+    return sqdist(xt, points, nearest=nearest), nearest
 
 
 def four_blobs(m, seed, n=400):
@@ -399,20 +405,18 @@ class TestRestartBatches:
             if rng.random() < 0.5:
                 x = np.asfortranarray(x)
             stack = rng.normal(size=(sets, k, m))
-            d2 = sqdist(x.T, stack)
-            # _nearest keeps its running minimum in its input's first row
-            labels, nearest = _nearest(d2.copy())
+            d2 = _sqdist(x.T, stack)
+            labels, nearest = assignment(x.T, stack)
             for b in range(sets):
-                one = sqdist(x.T, stack[b])
-                assert np.array_equal(d2[b], one)
-                want_labels, want_nearest = _nearest(one)
+                assert np.array_equal(d2[b], _sqdist(x.T, stack[b]))
+                want_labels, want_nearest = assignment(x.T, stack[b])
                 assert np.array_equal(labels[b], want_labels)
                 assert np.array_equal(nearest[b], want_nearest)
 
     def test_ten_restarts_hold_no_more_than_one(self):
         """The width cap keeps a large input to one restart at a time: ten
-        restarts' allocations peak less than one restart's sqdist scratch
-        above those of a single restart."""
+        restarts' allocations peak less than two k x n arrays above those
+        of a single restart."""
         x = np.random.default_rng(4).normal(size=(100_000, 2))
         scratch = 2 * 3 * x.shape[0] * x.itemsize
 
@@ -563,10 +567,10 @@ class TestFarFromTheOrigin:
 
 
 def test_seeding_and_every_pass_call_one_kernel(monkeypatch):
-    """Seeding calls the kernel as _sqdist, each Lloyd pass and
-    assign_nearest as sqdist, the name a count of passes wraps: one
-    function under two names."""
-    assert clustering.sqdist is clustering._sqdist
+    """Every squared distance comes from _sqdist, once per row block: the
+    overflow guard's norms, each seeding step and each pass.  Each Lloyd
+    pass and assign_nearest is one call of sqdist, the blocked pass, the
+    name a count of passes wraps."""
     calls = Counter()
 
     def count(name):
@@ -581,12 +585,19 @@ def test_seeding_and_every_pass_call_one_kernel(monkeypatch):
     count("_sqdist")
     count("sqdist")
     x = four_blobs(2, seed=2)
-    model = kmeans(x, 4, rng_seed=2)
-    # the overflow guard's norms, then k - 1 seeding distances
-    assert calls == {"_sqdist": 1 + 3, "sqdist": model.n_iter}
-    calls.clear()
-    assign_nearest(x, model.centroids)
-    assert calls == {"_sqdist": 2, "sqdist": 1}
+    for rows in (clustering.BLOCK_ROWS, 64):
+        monkeypatch.setattr(clustering, "BLOCK_ROWS", rows)
+        blocks = math.ceil(x.shape[0] / rows)
+        calls.clear()
+        model = kmeans(x, 4, rng_seed=2)
+        # the overflow guard's norms, k - 1 seeding steps, then the passes
+        assert calls == {"_sqdist": blocks * (1 + 3 + model.n_iter),
+                         "sqdist": model.n_iter}
+        calls.clear()
+        assign_nearest(x, model.centroids)
+        # the guard's one block of centroids, then its blocks of rows and
+        # the pass's
+        assert calls == {"_sqdist": 1 + 2 * blocks, "sqdist": 1}
 
 
 def tie_grid(k):
@@ -630,10 +641,11 @@ class TestAssignmentPass:
         x, centroids = LAYOUT_CASES[case]
         want_d2 = reference_sqdist(x, centroids)
         want = np.argmin(want_d2, axis=1)
-        d2 = sqdist(np.ascontiguousarray(x.T), centroids)
+        xt = np.ascontiguousarray(x.T)
+        d2 = _sqdist(xt, centroids)
         assert d2.shape == want_d2.T.shape
         assert np.array_equal(d2, want_d2.T)
-        labels, nearest = _nearest(d2)
+        labels, nearest = assignment(xt, centroids)
         assert labels.dtype == np.intp
         assert np.array_equal(labels, want)
         assert nearest.sum() == np.take_along_axis(
@@ -671,6 +683,148 @@ class TestAssignmentPass:
         with pytest.raises(ContractViolationError, match="widths differ"):
             assign_nearest(np.zeros((3, 2)), np.zeros((2, m)))
 
+
+
+# row blocks at the edges: single rows, sizes that divide no case's n, and
+# one row short of, exactly and one row past an n-row input
+BLOCK_SIZES = [1, 7, 64, "n-1", "n", "n+1"]
+# blocks of 1 and 7 rows took 5-30 s a run on the 2 100- and 6 000-row
+# inputs, so those sizes run k-means on the batch cases alone; the seeds
+# and assign_nearest run at every size on every case
+KMEANS_BLOCKS = [(case, rows) for case in sorted(LAYOUT_KMEANS_CASES)
+                 for rows in BLOCK_SIZES
+                 if case in BATCH_CASES or rows not in (1, 7)]
+
+
+@pytest.fixture
+def row_blocks(monkeypatch):
+    """Patch BLOCK_ROWS, as force_width patches BUDGET: row_blocks(rows, n)
+    takes rows as a count, or as "n-1", "n" or "n+1" of an n-row input."""
+    def use(rows, n):
+        size = {"n-1": n - 1, "n": n, "n+1": n + 1}.get(rows, rows)
+        assert size >= 1
+        monkeypatch.setattr(clustering, "BLOCK_ROWS", size)
+    return use
+
+
+class Draws:
+    """A generator stand-in that hands out fixed draws: first for every
+    integers(n), then each of us in turn for random()."""
+
+    def __init__(self, first, us):
+        self.first, self.us = first, list(us)
+
+    def integers(self, n):
+        return self.first
+
+    def random(self, size=None):
+        if size is None:
+            return self.us.pop(0)
+        out, self.us = np.array(self.us[:size]), self.us[size:]
+        return out
+
+
+class TestRowBlocks:
+    """Every pass, seeding step and overflow guard walks the rows in blocks
+    of BLOCK_ROWS, and no block size moves a bit of what the references
+    give: kmeans's labels, centroids and inertia, its seeds, and
+    assign_nearest's labels."""
+
+    @pytest.mark.parametrize("case, rows", KMEANS_BLOCKS)
+    def test_kmeans_matches_reference(self, row_blocks, case, rows):
+        x, k, max_iter, seed = LAYOUT_KMEANS_CASES[case]
+        plain = kmeans(x, k, max_iter=max_iter, rng_seed=seed, restarts=10)
+        row_blocks(rows, x.shape[0])
+        model = kmeans(x, k, max_iter=max_iter, rng_seed=seed, restarts=10)
+        assert (model.n_iter, model.converged) == (plain.n_iter,
+                                                   plain.converged)
+        labels, centroids, inertia, _ = reference_kmeans(
+            x, k, max_iter=max_iter, rng_seed=seed, restarts=10)
+        assert np.array_equal(model.labels, labels)
+        want = np.argmin(reference_sqdist(x, model.centroids), axis=1)
+        assert np.array_equal(assign_nearest(x, model.centroids), want)
+        if x.shape[1] < 8:
+            assert np.array_equal(model.centroids, centroids)
+            assert model.inertia == inertia
+        else:
+            # see test_twelve_columns_sum_pairwise_but_agree
+            assert np.array_equal(model.centroids, plain.centroids)
+            assert model.inertia == plain.inertia
+
+    @pytest.mark.parametrize("rows", BLOCK_SIZES)
+    @pytest.mark.parametrize("case", sorted(LAYOUT_KMEANS_CASES))
+    def test_seeds_match_reference(self, row_blocks, case, rows):
+        x, k, _, seed = LAYOUT_KMEANS_CASES[case]
+        row_blocks(rows, x.shape[0])
+        serial, batch = (np.random.default_rng(seed),
+                         np.random.default_rng(seed))
+        xt = np.ascontiguousarray(x.T)
+        for width in (1, 10):
+            want = x[[reference_seeds(x, k, serial) for _ in range(width)]]
+            assert np.array_equal(_seed_batch(x, xt, k, batch, width), want)
+
+    @pytest.mark.parametrize("rows", BLOCK_SIZES)
+    @pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+    def test_assign_nearest_matches_argmin(self, row_blocks, case, rows):
+        x, centroids = LAYOUT_CASES[case]
+        row_blocks(rows, x.shape[0])
+        want_d2 = reference_sqdist(x, centroids)
+        want = np.argmin(want_d2, axis=1)
+        labels, nearest = assignment(np.ascontiguousarray(x.T), centroids)
+        assert np.array_equal(labels, want)
+        assert np.array_equal(nearest, want_d2.min(axis=1))
+        assert np.array_equal(assign_nearest(x, centroids), want)
+
+    @pytest.mark.parametrize("rows", [1, 2, 4, 8, 3, 5])
+    def test_a_threshold_on_a_block_s_last_sum(self, row_blocks, rows):
+        # an integer grid: the first seed, row 0, is the origin and every
+        # other row lies at squared distance 1 from it, so the cumsum to
+        # row i is i, exactly; u = 1/2 of the 14 total puts the threshold
+        # on 7, the last sum of a block of 1, 2, 4 or 8 rows, and the seed
+        # is row 8, the first of the next block; in blocks of 3 or 5 rows
+        # the sum equal to the threshold lies inside a block
+        units = np.vstack([np.eye(2), -np.eye(2)])
+        x = np.vstack([np.zeros((1, 2)), np.tile(units, (4, 1))[:14]])
+        row_blocks(rows, x.shape[0])
+        got = _seed_batch(x, np.ascontiguousarray(x.T), 3,
+                          Draws(0, [0.5, 0.25]), 1)
+        want = reference_seeds(x, 3, Draws(0, [0.5, 0.25]))
+        assert want[1] == 8
+        assert np.array_equal(got[0], x[want])
+
+    @pytest.mark.parametrize("rows", BLOCK_SIZES)
+    def test_a_zero_total_picks_the_reference_s_rows(self, row_blocks, rows):
+        # every row at the first seed: each step's total is zero, and the
+        # seed is row int(u * n), whatever the blocks
+        x = np.ones((20, 2))
+        row_blocks(rows, x.shape[0])
+        draws = [0.0, 0.999, 0.37, 0.5]
+        got = _seed_batch(x, np.ascontiguousarray(x.T), 3, Draws(3, draws), 2)
+        want = Draws(3, draws)
+        assert np.array_equal(got, x[[reference_seeds(x, 3, want)
+                                      for _ in range(2)]])
+        picks = Draws(3, draws)
+        assert [reference_seeds(x, 3, picks)[1:] for _ in range(2)] == [
+            [0, 19], [7, 10]]
+
+    def test_a_pass_holds_blocks_of_distances(self):
+        """kmeans holds, beside x, its coordinate-major copy (m n doubles),
+        a pass's labels and minima and the last pass's labels (3 n), and,
+        on a run that stops at max_iter, the inertia's two n x m
+        temporaries (2 m n); a pass's distances are two k x BLOCK_ROWS
+        arrays.  Allowing one n more, a whole k x n pass would not fit."""
+        x = np.random.default_rng(4).normal(size=(200_000, 2))
+        (n, m), k = x.shape, 3
+        bound = x.itemsize * ((3 * m + 4) * n + 2 * k * clustering.BLOCK_ROWS)
+        assert 2 * k * n * x.itemsize > bound - (3 * m + 3) * n * x.itemsize
+        tracemalloc.start()
+        try:
+            model = kmeans(x, k, max_iter=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not model.converged
+        assert peak < bound
 
 class TestKmeans:
     def test_k1_is_column_means(self):
@@ -798,7 +952,7 @@ class TestKmeans:
         # second-center draw follows the squared-distance weights
         x = np.array([[0.0], [1.0], [2.0], [3.0], [10.0]])
         first = x[0:1]
-        d2 = sqdist(x.T, first).min(axis=0)
+        d2 = _sqdist(x.T, first).min(axis=0)
         counts = self.pick_counts(d2, 10000, 123)
         assert self.within_three_sigma(counts, d2 / d2.sum())
 

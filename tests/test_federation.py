@@ -23,8 +23,8 @@ import pytest
 from dccluster import cli, collaboration, federation
 from dccluster.data import (make_blobs, partition_lattice, feature_bounds,
                             generate_anchor)
-from dccluster.errors import (ConfigurationError, ContractViolationError,
-                              DecodeError, ProtocolError, SessionError,
+from dccluster.errors import (ConfigurationError, DecodeError,
+                              ProtocolError, SessionError,
                               SessionTimeoutError)
 from dccluster.experiment import load_config
 from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
@@ -864,6 +864,66 @@ class TestTcpTransport:
         # the connections' threads may put the two frames in either order
         assert re.search(r"party \(0, [01]\) sends 4[01] anchor rows", err)
 
+    def test_analyst_cli_names_too_few_rows_for_k_and_exits_3(self, tmp_path,
+                                                              capsys):
+        # well-formed shares of one block row each, the two column halves
+        # of one row: admit passes them, and one row cannot make k = 2
+        # clusters
+        cfg_path, (_, _, _, cfg) = self._wire_config(tmp_path)
+        assert (cfg.c, cfg.d, cfg.k) == (1, 2, 2)
+        shares = [encode_message(sample_share(party=(0, j), n=1, r=20,
+                                              width=1, config=cfg.echo()))
+                  for j in range(2)]
+        with self._cli_analyst(cfg_path, shares) as (codes, _):
+            pass
+        assert codes == [cli.EXIT_SESSION]
+        err = capsys.readouterr().err
+        assert err == "error: k = 2 is above the shares' row count, 1\n"
+
+    @staticmethod
+    def _cli_user(cfg_path, answer):
+        """Run `dc-cluster user` as party (0, 0) against a raw analyst that
+        reads its share and sends `answer` back; returns the exit code."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        shares = []
+
+        def analyst():
+            peer, _ = listener.accept()
+            with peer:
+                shares.append(_recv_frame(peer, 5.0))
+                peer.sendall(answer)
+
+        thread = threading.Thread(target=analyst)
+        thread.start()
+        try:
+            return cli.main(["user", str(cfg_path), "--connect",
+                             f"127.0.0.1:{port}", "--party", "0,0",
+                             "--timeout", "2"])
+        finally:
+            thread.join(timeout=10.0)
+            listener.close()
+            assert decode_message(shares[0]).party == (0, 0)
+
+    def test_user_cli_names_an_undecodable_answer_and_exits_3(self, tmp_path,
+                                                              capsys):
+        cfg_path, _ = self._wire_config(tmp_path)
+        assert self._cli_user(cfg_path, b"garbage" + bytes(6)) == cli.EXIT_SESSION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(r"party \(0, 0\) cannot decode its answer: "
+                         r"bad magic b'garb'", err)
+
+    def test_user_cli_names_centroids_wider_than_its_rows_and_exits_3(
+            self, tmp_path, capsys):
+        cfg_path, (_, _, _, cfg) = self._wire_config(tmp_path)
+        answer = AnalystResultMsg(row_block=0, centroids=np.zeros((cfg.k, 3)),
+                                  z_block=np.zeros((20, 2)))
+        assert self._cli_user(cfg_path, encode_message(answer)) == cli.EXIT_SESSION
+        err = capsys.readouterr().err
+        assert err == ("error: party (0, 0) got rows of width 2 and centroids "
+                       "of width 3\n")
+
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
     def test_a_declared_size_alone_commits_no_memory(self):
         # A prefix that declares a large payload and then closes must not
@@ -1394,7 +1454,8 @@ class TestFullSession:
         cfg = dataclasses.replace(cfg, timeout=5.0)
         stall_first_answers(monkeypatch, cfg.c * cfg.d)
         start = time.monotonic()
-        with pytest.raises(DecodeError, match="bad magic"):
+        with pytest.raises(ProtocolError, match=r"party \(0, 0\) cannot "
+                                                "decode its answer: bad magic"):
             run_tcp_session(ds.features, part, anchor, cfg)
         assert time.monotonic() - start < 2.0
 
@@ -1406,7 +1467,8 @@ class TestFullSession:
         ds, part, anchor, cfg = small_session_inputs()
         cfg = dataclasses.replace(cfg, k=100, timeout=30.0)
         start = time.monotonic()
-        with pytest.raises(ContractViolationError, match="k must be"):
+        with pytest.raises(ProtocolError, match="k = 100 is above the shares' "
+                                                "row count, 40"):
             run(ds.features, part, anchor, cfg)
         assert time.monotonic() - start < 5.0
 
