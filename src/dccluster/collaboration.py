@@ -147,8 +147,8 @@ def _anchor_blocks(parts, r: int):
 
 
 def _walk_anchor(parts, r: int, lead, blocks, coeffs):
-    """One walk over the stack of designs `parts`, r rows: (stack @ lead or
-    None, the residual or None), as lead and coeffs are given or None.
+    """One walk over the stack of designs `parts`, r rows: (stack @ lead, or
+    None where lead is None, and the residual).
 
     The residual is that of the row blocks' anchor images D_i @ coeffs[i],
     D_i the stack's columns blocks[i], none of which is kept whole.  Each
@@ -156,21 +156,16 @@ def _walk_anchor(parts, r: int, lead, blocks, coeffs):
     pair of the images; only the squared norms of both are summed.
     """
     led = None if lead is None else np.empty((r, lead.shape[1]), order="F")
-    if coeffs is not None:
-        c = len(coeffs)
-        pairs = [(a, b) for a in range(c) for b in range(a + 1, c)]
-        norms, gaps = np.zeros(c), np.zeros(len(pairs))
+    c = len(coeffs)
+    pairs = [(a, b) for a in range(c) for b in range(a + 1, c)]
+    norms, gaps = np.zeros(c), np.zeros(len(pairs))
     for rows, stack in _anchor_blocks(parts, r):
         if lead is not None:
             led[rows] = stack @ lead
-        if coeffs is not None:
-            images = [stack[:, cols] @ coeff
-                      for cols, coeff in zip(blocks, coeffs)]
-            norms += [np.vdot(image, image) for image in images]
-            gaps += [np.vdot(diff, diff) for diff
-                     in (images[a] - images[b] for a, b in pairs)]
-    if coeffs is None:
-        return led, None
+        images = [stack[:, cols] @ coeff for cols, coeff in zip(blocks, coeffs)]
+        norms += [np.vdot(image, image) for image in images]
+        gaps += [np.vdot(diff, diff) for diff
+                 in (images[a] - images[b] for a, b in pairs)]
     scale = np.sqrt(norms.max())
     gap = np.sqrt(gaps.max(initial=0.0))
     return led, float(gap / scale) if scale > 0 else 0.0
@@ -183,22 +178,22 @@ def build_collaboration(shares, mode: str = "affine",
     Row block i's design D_i is its shares' anchor images side by side,
     plus a ones column in affine mode; the stack is every design side by
     side, r × W.  Its rows are walked ANCHOR_BLOCK_ROWS at a time through
-    one reused buffer, so the common path never copies the stack whole.
-    The first walk sums the blocks' Gram products into the stack's Gram
-    matrix G, whose eigenpairs give the common target u1, the stack's
-    leading left singular vectors, and every D_i.T @ u1 (see
-    `numerics.leading_left_vectors`).  Row block i's map is the least-squares
-    map of D_i onto u1, pinv(D_i) @ u1: pinv(G_ii) @ D_i.T @ u1 when G_ii
-    passes `well_conditioned_gram`, which proves D_i's full column rank;
-    otherwise D_i, one whose G_ii overflowed included, is copied out and
-    factored, and pinv's singular-value cutoff counts its rank.  Where G is
-    not finite or has no eigengap, the whole stack is copied out and svd
-    gives u1.  The second walk makes u1's rows and the residual: the largest
-    distance between two row blocks' mapped anchor images, over the largest
-    image's norm.  A design factored on the Gram route needs all of u1
-    first, and then the residual takes a third walk.  The common dimension
-    defaults to the smallest row-block width and is clamped (with a
-    warning) to the smallest rank.  A share is read only through its
+    one reused buffer.  The first walk sums the blocks' Gram products into
+    the stack's Gram matrix G.  Row block i's map is the least-squares map
+    of D_i onto the common target u1, the stack's leading left singular
+    vectors: pinv(D_i) @ u1.  One condition picks the route to every map.
+    The Gram route is taken when every design's block G_ii passes
+    `well_conditioned_gram`, which proves D_i's full column rank, and G has
+    the eigengap `numerics.leading_left_vectors` asks for: G's eigenpairs
+    give u1 and every D_i.T @ u1, each map is pinv(G_ii) @ D_i.T @ u1, and a
+    second walk makes u1's rows and the residual, so the stack is never
+    copied whole.  Every other input, one whose G overflowed included, takes
+    the factored reference route: the stack is copied once, pinv of each
+    design's columns counts its rank, svd gives u1, and a second walk makes
+    the residual.  The residual is the largest distance between two row
+    blocks' mapped anchor images, over the largest image's norm.  The common
+    dimension defaults to the smallest row-block width and is clamped (with
+    a warning) to the smallest rank.  A share is read only through its
     `party`, `x_tilde` and `anchor_tilde`.  The shares are a full lattice,
     with one anchor row count and one row count per row block, as
     `federation.admit` ensures; nothing here checks that again.
@@ -225,42 +220,41 @@ def build_collaboration(shares, mode: str = "affine",
         gram = sum((b.T @ b for _, b in _anchor_blocks(parts, r)),
                    np.zeros((ends[-1], ends[-1])))
 
-    # pinv(D) = pinv(D.T @ D) @ D.T for any D, so a design whose Gram block
-    # is well conditioned is solved through that small block; its rank is
-    # then its width, as its singular values would count it.  Any other
-    # design is copied out and factored itself, which also counts its rank.
-    solve_small = [well_conditioned_gram(gram[b, b]) for b in blocks]
-    inverses, ranks = zip(*(pinv(gram[b, b] if small else _side_by_side(design))
-                            for b, small, design in zip(blocks, solve_small,
-                                                        designs)))
-    clamped = min(ranks) < m_hat
-    if clamped:
-        m_hat = min(ranks)
-        if m_hat < 1:
-            raise ConfigurationError("anchor representations have rank 0")
-        warnings.warn(f"anchor representation rank-deficient; common dimension "
-                      f"clamped to {m_hat}", RuntimeWarning, stacklevel=2)
-
-    # every rank is at most r, so m_hat is too
-    gram_route = leading_left_vectors(gram, m_hat, r)
-    residual = None
-    if gram_route is None:
-        u1, projected = svd_left_vectors(_side_by_side(parts), m_hat)
-    else:
+    # pinv(D) = pinv(D.T @ D) @ D.T for any D, so where every design's Gram
+    # block is well conditioned, each design is solved through that small
+    # block and its rank is its width, as its singular values would count
+    # it; m_hat, at most every width, needs no clamp, and is at most r
+    # because no such block is wider than r.
+    gram_route = (leading_left_vectors(gram, m_hat, r)
+                  if all(well_conditioned_gram(gram[b, b]) for b in blocks)
+                  else None)
+    clamped = False
+    if gram_route is not None:
         # u1 = stack @ v / s, its signs fixed once all its rows are made;
         # flipping a column of u1 flips the same column of every image,
         # which leaves the residual as it is
         v, s, projected = gram_route
-        unsigned = [inverse @ projected[b] if small else None
-                    for b, small, inverse in zip(blocks, solve_small, inverses)]
-        u1, residual = _walk_anchor(parts, r, v, blocks,
-                                    unsigned if all(solve_small) else None)
+        inverses = [pinv(gram[b, b])[0] for b in blocks]
+        unsigned = [inverse @ projected[b] for b, inverse in zip(blocks, inverses)]
+        u1, residual = _walk_anchor(parts, r, v, blocks, unsigned)
         u1 /= s
         projected *= _fix_signs(u1)
-    # projected[b] is the design's own D.T @ u1
-    coeffs = [inverse @ (projected[b] if small else u1)
-              for b, small, inverse in zip(blocks, solve_small, inverses)]
-    if residual is None:
+        # projected[b] is the design's own D.T @ u1
+        coeffs = [inverse @ projected[b] for b, inverse in zip(blocks, inverses)]
+    else:
+        # the reference route: factoring each design counts its rank
+        stack = _side_by_side(parts)
+        inverses, ranks = zip(*(pinv(stack[:, b]) for b in blocks))
+        clamped = min(ranks) < m_hat
+        if clamped:
+            m_hat = min(ranks)
+            if m_hat < 1:
+                raise ConfigurationError("anchor representations have rank 0")
+            warnings.warn("anchor representation rank-deficient; common dimension "
+                          f"clamped to {m_hat}", RuntimeWarning, stacklevel=2)
+        # every rank is at most r, so m_hat is too
+        u1 = svd_left_vectors(stack, m_hat)
+        coeffs = [inverse @ u1 for inverse in inverses]
         residual = _walk_anchor(parts, r, None, blocks, coeffs)[1]
 
     g_maps = []

@@ -138,11 +138,6 @@ class TrialReport:
         return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
                           allow_nan=False)
 
-    @classmethod
-    def from_json(cls, text: str) -> "TrialReport":
-        raw = json.loads(text)
-        return cls(**{f.name: raw[f.name] for f in fields(cls)})
-
 
 def _finite_or_null(obj):
     if isinstance(obj, float):

@@ -34,7 +34,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import os
 import queue
 import socket
 import struct
@@ -63,26 +62,22 @@ MAX_PAYLOAD = 1 << 31
 _MISSING = object()
 
 DEFAULT_TIMEOUT_SECS = 60.0
-TIMEOUT_ENV_VAR = "DCC_TIMEOUT_SECS"
 
 
 def resolve_timeout(explicit: float | None = None) -> float:
-    """Explicit value wins, then the environment override, then 60 s.
+    """The explicit value, or 60 s when it is None.
 
     Anything but a positive, finite number of seconds raises
-    ConfigurationError naming where it came from.
+    ConfigurationError.
     """
-    source, value = "timeout", explicit
-    if explicit is None:
-        source = TIMEOUT_ENV_VAR
-        value = os.environ.get(TIMEOUT_ENV_VAR, DEFAULT_TIMEOUT_SECS)
+    value = DEFAULT_TIMEOUT_SECS if explicit is None else explicit
     try:
         secs = float(value)
     except (TypeError, ValueError):
         secs = math.nan
     if not (math.isfinite(secs) and secs > 0):
         raise ConfigurationError(
-            f"{source}={value!r} is not a positive, finite number of seconds")
+            f"timeout={value!r} is not a positive, finite number of seconds")
     return secs
 
 
@@ -546,12 +541,19 @@ class AnalystReport:
 
 def user_step(party, block, anchor_block, cfg: SessionConfig) -> UserShareMsg:
     """An institution's whole computation: fit its private map, one output
-    dimension below the block width, and build the share it sends."""
-    if block.shape[1] < 2:
+    dimension below the block width, and build the share it sends.  The
+    fit needs at least 2 features, and at least max(2, width - 1) rows."""
+    rows, width = block.shape
+    if width < 2:
         raise ConfigurationError(
             "blocks need at least 2 features to reduce dimension")
+    need = max(2, width - 1)
+    if rows < need:
+        raise ConfigurationError(
+            f"party {party} has {rows} of the {need} rows its {width}-feature "
+            "block needs to reduce dimension")
     x_tilde, anchor_tilde = fit_intermediate(
-        block, anchor_block, block.shape[1] - 1, scale=cfg.scale)
+        block, anchor_block, width - 1, scale=cfg.scale)
     return UserShareMsg(party=party, x_tilde=x_tilde,
                         anchor_tilde=anchor_tilde, config=cfg.echo())
 

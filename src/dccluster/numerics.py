@@ -47,10 +47,13 @@ SIGN_TIE_RTOL = 1e-8
 # g then loses about eps * cond(g) <= eps / GRAM_RTOL, and a's singular
 # values have sigma_min / sigma_max >= sqrt(GRAM_RTOL) = 3.2e-3, above
 # pinv's cutoff eps * max(a.shape) for any a of fewer than 1e13 rows, so
-# a's rank is its width without factoring a.
+# a's rank is its width without factoring a.  The alignment takes its Gram
+# route only where both bounds hold, every design's Gram block passing
+# well_conditioned_gram and the stack's Gram matrix leading_left_vectors;
+# it factors every other input by svd.
 # Neither bound holds for eigenvalues in the subnormal range, below
 # tiny = 2.2e-308, whose spacing is fixed at 4.9e-324 instead of eps
-# relative: both routes decline a g whose smallest eigenvalue in use is
+# relative: both checks decline a g whose smallest eigenvalue in use is
 # below GRAM_FLOOR = tiny / eps = 1.0e-292.  At or above it, roundoff of
 # about eps * lam is itself a normal number, so the relative bounds above
 # hold, and 1 / lam <= eps / tiny = 1e292 stays finite where pinv inverts
@@ -163,12 +166,10 @@ def leading_left_vectors(gram, top_k: int, rows: int):
     return v[:, :top_k], s, gram @ v[:, :top_k] / s
 
 
-def svd_left_vectors(a, top_k: int) -> tuple[np.ndarray, np.ndarray]:
+def svd_left_vectors(a, top_k: int) -> np.ndarray:
     """The route `leading_left_vectors` declines: the top_k leading left
-    singular vectors u of a, signs fixed, and a.T @ u, which is vt.T * s
-    without a product of a."""
-    f = svd(a, top_k)
-    return f.u, f.vt.T * f.s
+    singular vectors of a, signs fixed."""
+    return svd(a, top_k).u
 
 
 def well_conditioned_gram(g) -> bool:

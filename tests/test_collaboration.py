@@ -393,8 +393,9 @@ class TestBuildCollaboration:
     def test_gram_ratio_just_below_the_bound_factors_the_design(
             self, monkeypatch):
         # two row blocks whose Gram blocks have eigenvalue ratio 0.99 and
-        # 1.01 times GRAM_RTOL: only the second is solved through its Gram
-        # block, and both still match the plain pinv
+        # 1.01 times GRAM_RTOL: the first fails the bound, so the alignment
+        # takes the reference route, both designs are factored, and both
+        # still match the plain pinv
         rng = np.random.default_rng(21)
         r = 80
         shares = []
@@ -407,8 +408,29 @@ class TestBuildCollaboration:
                                        anchor_tilde=(q * s) @ turn))
         seen = pinv_inputs(monkeypatch)
         model = build_collaboration(shares, mode="linear")
-        assert [shape for shape, _ in seen] == [(r, 2), (2, 2)]
+        assert [shape for shape, _ in seen] == [(r, 2), (r, 2)]
         assert_matches_reference(model, reference_alignment(shares, "linear"))
+
+    def test_stack_without_an_eigengap_takes_the_reference_route(
+            self, monkeypatch):
+        # one row block whose anchor image q * [1, 1] has two equal singular
+        # values: its Gram block is well conditioned, but the stack has no
+        # eigengap at m_hat = 1, so the design is factored and u1 comes
+        # from svd
+        rng = np.random.default_rng(23)
+        q = np.linalg.qr(rng.normal(size=(40, 2)))[0]
+        shares = [UserShareMsg(party=(0, 0), x_tilde=rng.normal(size=(10, 2)),
+                               anchor_tilde=q * [1.0, 1.0])]
+        assert numerics.well_conditioned_gram(q.T @ q)
+        seen = pinv_inputs(monkeypatch)
+        svds = []
+        monkeypatch.setattr(numerics, "svd",
+                            lambda a, k: svds.append(np.shape(a)) or svd(a, k))
+        model = build_collaboration(shares, mode="linear", m_hat=1)
+        assert [shape for shape, _ in seen] == [(40, 2)]
+        assert svds == [(40, 2)]
+        assert_matches_reference(model,
+                                 reference_alignment(shares, "linear", 1))
 
     @pytest.mark.parametrize("mode", ["affine", "linear"])
     def test_deficient_block_keeps_its_singular_value_rank(self, monkeypatch,
@@ -422,7 +444,8 @@ class TestBuildCollaboration:
         rank = np.linalg.matrix_rank(design)
         assert seen[1] == (design.shape, rank)
         assert (model.m_hat, model.m_hat_clamped) == (rank, True)
-        assert [shape[0] == shape[1] for shape, _ in seen] == [True, False, True]
+        # one deficient design sends every design to be factored
+        assert [shape[0] for shape, _ in seen] == [60, 60, 60]
 
     def test_rank_counted_where_the_gram_block_would_lose_it(self):
         # singular values 1 and 1e-10: pinv's cutoff on the design, about
@@ -441,8 +464,9 @@ class TestBuildCollaboration:
     def test_shares_whose_gram_overflows_align_without_warning(
             self, monkeypatch, mode):
         # anchor entries near 1e160 square past float64's range: no Gram
-        # block is finite, so each design is factored itself, still one
-        # pinv per row block, and u1 comes from the stack's svd
+        # block is finite, so the alignment takes the reference route, each
+        # design is factored, still one pinv per row block, and u1 comes
+        # from the stack's svd
         shares = lattice_shares(2, 2, seed=3)
         big = [dataclasses.replace(s, x_tilde=s.x_tilde * 1e160,
                                    anchor_tilde=s.anchor_tilde * 1e160)
@@ -502,8 +526,9 @@ class TestAnchorBlocks:
 
     @pytest.mark.parametrize("mode", ["affine", "linear"])
     def test_rank_deficient_row_block(self, monkeypatch, mode):
-        # row block 1 factors its own design; u1 stays on the Gram route, so
-        # the residual takes a third walk, once every map is known
+        # row block 1 is deficient, so the alignment takes the reference
+        # route: every design is factored and u1 comes from one svd of the
+        # stack
         shares = lattice_shares(3, 2, seed=8, deficient={(1, 0), (1, 1)})
         seen = pinv_inputs(monkeypatch)
         svds = []
@@ -511,14 +536,15 @@ class TestAnchorBlocks:
                             lambda *a, **k: svds.append(a) or svd(*a, **k))
         with pytest.warns(RuntimeWarning, match="clamped"):
             model = build_collaboration(shares, mode=mode, m_hat=3)
-        assert [shape[0] == 60 for shape, _ in seen] == [False, True, False]
-        assert svds == []
+        assert [shape[0] for shape, _ in seen] == [60, 60, 60]
+        assert [args[0].shape[0] for args in svds] == [60]
         assert_matches_reference(model, reference_alignment(shares, mode, 3))
 
     @pytest.mark.parametrize("mode", ["affine", "linear"])
     def test_gram_overflow(self, monkeypatch, mode):
-        # no Gram block is finite: every design and then the whole stack
-        # are copied out and factored, and the residual takes its own walk
+        # no Gram block is finite: the stack is copied once, each design's
+        # columns of it and then the whole copy are factored, and the
+        # residual takes its own walk
         shares = [dataclasses.replace(s, x_tilde=s.x_tilde * 1e160,
                                       anchor_tilde=s.anchor_tilde * 1e160)
                   for s in lattice_shares(3, 2, seed=3)]
@@ -541,14 +567,16 @@ def test_residual_is_that_of_the_whole_images(monkeypatch, c, mode, deficient):
     """Summed over blocks of 7 anchor rows, the walk's residual is the
     largest norm of a difference of two row blocks' whole anchor images,
     D_i @ coeffs[i], over the largest image's norm, within 1e-14 relative,
-    and 0 with one row block.  A deficient last row block is factored, so
-    the residual takes the third walk instead of the second."""
+    and 0 with one row block.  Either route takes one walk with every map:
+    the Gram route's also makes u1's rows, and a deficient last row block
+    sends the alignment to the reference route, whose walk makes only the
+    residual."""
     monkeypatch.setattr(collaboration, "ANCHOR_BLOCK_ROWS", 7)
     seen, walk = [], collaboration._walk_anchor
     monkeypatch.setattr(collaboration, "_walk_anchor",
                         lambda parts, r, lead, blocks, coeffs:
-                        seen.append(coeffs) or walk(parts, r, lead, blocks,
-                                                    coeffs))
+                        seen.append((lead, coeffs)) or walk(parts, r, lead,
+                                                            blocks, coeffs))
     shares = lattice_shares(c, 2, seed=c + 7 * deficient,
                             deficient={(c - 1, 0), (c - 1, 1)} if deficient
                             else ())
@@ -557,10 +585,10 @@ def test_residual_is_that_of_the_whole_images(monkeypatch, c, mode, deficient):
             model = build_collaboration(shares, mode=mode)
     else:
         model = build_collaboration(shares, mode=mode)
-    assert [coeffs is None for coeffs in seen] == [True, False][1 - deficient:]
+    assert [lead is None for lead, _ in seen] == [deficient]
     ones = [np.ones((60, 1))] if mode == "affine" else []
     images = [np.hstack([s.anchor_tilde for s in shares if s.party[0] == i]
-                        + ones) @ coeff for i, coeff in enumerate(seen[-1])]
+                        + ones) @ coeff for i, coeff in enumerate(seen[0][1])]
     gap = max((np.linalg.norm(a - b)
                for a, b in itertools.combinations(images, 2)), default=0.0)
     direct = gap / max(np.linalg.norm(image) for image in images)
@@ -614,15 +642,15 @@ def test_the_call_counts_the_benchmark_pins(monkeypatch):
     shares = lattice_shares(3, 2, seed=4, r=200)
     model = build_collaboration(shares)
     assert (calls["pinv"], calls["svd"]) == (3, 0)
-    # a deficient row block factors its own design; the others stay on the
-    # Gram route, and the count is still one pinv per row block
+    # a deficient row block sends the alignment to the reference route:
+    # still one pinv per row block, each of its design, and one svd for u1
     calls.clear()
     seen = pinv_inputs(monkeypatch)
     with pytest.warns(RuntimeWarning, match="clamped"):
         build_collaboration(lattice_shares(3, 2, seed=4, r=200,
                                            deficient={(1, 0), (1, 1)}))
-    assert [shape[0] for shape, _ in seen] == [5, 200, 6]
-    assert (calls["pinv"], calls["svd"]) == (3, 0)
+    assert [shape[0] for shape, _ in seen] == [200, 200, 200]
+    assert (calls["pinv"], calls["svd"]) == (3, 1)
     calls.clear()
     fit = kmeans(model.x_hat, 3, rng_seed=0, restarts=1)
     assert calls["sqdist"] == fit.n_iter > 1

@@ -28,7 +28,7 @@ from dccluster.errors import (ConfigurationError, DecodeError,
                               SessionTimeoutError)
 from dccluster.experiment import load_config
 from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
-                                  DEFAULT_TIMEOUT_SECS, TIMEOUT_ENV_VAR,
+                                  DEFAULT_TIMEOUT_SECS,
                                   UserShareMsg, AnalystResultMsg,
                                   encode_message, decode_message,
                                   Inbox, InProcessUserEndpoint,
@@ -40,7 +40,8 @@ from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
                                   run_in_process_session, run_tcp_session,
                                   _recv_frame, _run_session, _session_inputs)
 from dccluster.metrics import ari
-from dccluster.numerics import leading_left_vectors, well_conditioned_gram
+from dccluster.numerics import (leading_left_vectors, svd_left_vectors,
+                                well_conditioned_gram)
 
 _PREFIX_SIZE = struct.calcsize("<4sBQ")
 # more than a localhost connection's send and receive buffers hold, so a
@@ -924,6 +925,22 @@ class TestTcpTransport:
         assert err == ("error: party (0, 0) got rows of width 2 and centroids "
                        "of width 3\n")
 
+    def test_user_cli_names_a_block_too_short_to_reduce_and_exits_2(
+            self, tmp_path, capsys):
+        # three blobs rows over three row blocks: party (0, 0) holds one row
+        # of 6 features, and its 5 principal axes need 5
+        cfg_path = tmp_path / "short.cfg"
+        cfg_path.write_text("dataset = blobs\nclusters = 3\nper_cluster = 1\n"
+                            "c = 3\nd = 1\nm_hat = 2\n")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            assert cli.main(["user", str(cfg_path), "--connect",
+                             f"127.0.0.1:{port}", "--party", "0,0",
+                             "--timeout", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: party (0, 0) has 1 of the 5 rows its 6-feature block "
+            "needs to reduce dimension\n")
+
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
     def test_a_declared_size_alone_commits_no_memory(self):
         # A prefix that declares a large payload and then closes must not
@@ -1472,6 +1489,19 @@ class TestFullSession:
             run(ds.features, part, anchor, cfg)
         assert time.monotonic() - start < 5.0
 
+    def test_a_block_too_short_to_reduce_is_named(self):
+        # below max(2, width - 1) rows a fit cannot reduce the block
+        rng = np.random.default_rng(0)
+        anchor, cfg = rng.normal(size=(8, 6)), SessionConfig(c=1, d=1, k=2)
+        for rows, width in ((1, 6), (4, 6), (1, 2)):
+            need = max(2, width - 1)
+            with pytest.raises(ConfigurationError,
+                               match=rf"party \(0, 1\) has {rows} of the {need} rows"):
+                federation.user_step((0, 1), rng.normal(size=(rows, width)),
+                                     anchor[:, :width], cfg)
+        share = federation.user_step((0, 1), rng.normal(size=(5, 6)), anchor, cfg)
+        assert share.x_tilde.shape == (5, 5)
+
     @pytest.mark.parametrize("run", [run_in_process_session, run_tcp_session],
                              ids=["in-process", "tcp"])
     def test_user_failure_ends_the_session_at_once(self, run):
@@ -1537,8 +1567,8 @@ class TestFullSession:
     def test_features_in_mixed_units_take_the_factored_route(self, monkeypatch,
                                                              mode):
         # one major feature in units 100 times smaller leaves every design's
-        # Gram block, and the stack's, too ill-conditioned for the Gram
-        # route: every design is factored and u1 comes from svd
+        # Gram block too ill-conditioned for the Gram route: each run takes
+        # the reference route, and u1 comes from svd
         ds = make_blobs(k=3, per_cluster=200, rng_seed=0)
         ds.features[:, 0] *= 100.0
         part = partition_lattice(ds, c=2, d=2, assignment="iid-random",
@@ -1546,7 +1576,7 @@ class TestFullSession:
         anchor = generate_anchor(feature_bounds(ds.features), r=600,
                                  rng_seed=2)
         cfg = SessionConfig(c=2, d=2, k=3, mode=mode, timeout=20.0)
-        factored, svd_u1 = [], []
+        factored, routes = [], []
 
         def design_route(g):
             small = well_conditioned_gram(g)
@@ -1555,18 +1585,23 @@ class TestFullSession:
 
         def stack_route(*args):
             route = leading_left_vectors(*args)
-            svd_u1.append(route is None)
+            routes.append("gram" if route else "svd")
             return route
+
+        def svd_route(*args):
+            routes.append("reference")
+            return svd_left_vectors(*args)
 
         monkeypatch.setattr(collaboration, "well_conditioned_gram",
                             design_route)
         monkeypatch.setattr(collaboration, "leading_left_vectors",
                             stack_route)
+        monkeypatch.setattr(collaboration, "svd_left_vectors", svd_route)
         direct = run_dc_clustering(ds.features, part, anchor, cfg)
         local = run_in_process_session(ds.features, part, anchor, cfg)
         wired = run_tcp_session(ds.features, part, anchor, cfg)
-        # two row blocks' designs, and one stack, per run
-        assert factored == [True] * 6 and svd_u1 == [True] * 3
+        assert factored and all(factored)
+        assert routes == ["reference"] * 3
         assert ari(ds.labels[part.row_order()], direct.labels) == 1.0
         for run in (local, wired):
             assert np.array_equal(run.report.labels, direct.labels)
@@ -1609,36 +1644,32 @@ class TestSessionConfig:
 
 
 class TestResolveTimeout:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "5")
+    """The timeout has one home: the explicit value, else 60 s.  The
+    environment is never read, DCC_TIMEOUT_SECS included."""
+
+    def test_explicit_wins(self):
         assert resolve_timeout(2.5) == 2.5
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "7.5")
-        assert resolve_timeout() == 7.5
+        monkeypatch.setenv("DCC_TIMEOUT_SECS", "7.5")
+        assert resolve_timeout() == DEFAULT_TIMEOUT_SECS
 
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(TIMEOUT_ENV_VAR, raising=False)
+    def test_default(self):
         assert resolve_timeout() == DEFAULT_TIMEOUT_SECS
 
     def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "soon")
-        with pytest.raises(ConfigurationError):
-            resolve_timeout()
+        monkeypatch.setenv("DCC_TIMEOUT_SECS", "soon")
+        assert resolve_timeout() == DEFAULT_TIMEOUT_SECS
 
-    def test_config_resolves_once(self, monkeypatch):
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "7.5")
+    def test_config_resolves_once(self):
         cfg = SessionConfig(c=1, d=1, k=2)
-        assert cfg.timeout == 7.5
-        monkeypatch.setenv(TIMEOUT_ENV_VAR, "3")
-        assert cfg.timeout == 7.5
+        assert cfg.timeout == DEFAULT_TIMEOUT_SECS
         assert dataclasses.replace(cfg, timeout=2).timeout == 2.0
 
     @pytest.mark.parametrize("source", ["explicit", "env", "cli"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_rejects_non_positive_or_non_finite(self, monkeypatch, tmp_path,
                                                 capsys, source, value):
-        monkeypatch.delenv(TIMEOUT_ENV_VAR, raising=False)
         if source == "cli":
             cfg = tmp_path / "wire.cfg"
             cfg.write_text("dataset = blobs\nclusters = 2\nper_cluster = 10\n"
@@ -1648,10 +1679,12 @@ class TestResolveTimeout:
             assert "positive, finite" in capsys.readouterr().err
             return
         if source == "env":
-            monkeypatch.setenv(TIMEOUT_ENV_VAR, value)
-        explicit = float(value) if source == "explicit" else None
+            # not read, so not refused either
+            monkeypatch.setenv("DCC_TIMEOUT_SECS", value)
+            assert SessionConfig(c=1, d=1, k=2).timeout == DEFAULT_TIMEOUT_SECS
+            return
         with pytest.raises(ConfigurationError, match="positive, finite"):
-            SessionConfig(c=1, d=1, k=2, timeout=explicit)
+            SessionConfig(c=1, d=1, k=2, timeout=float(value))
 
 
 class TestCliAddress:

@@ -4,8 +4,8 @@ the experiment runner and the CLI may import them, never the other way
 round.  The protocol in turn stays below the experiment runner and the
 CLI.  scipy is imported only inside the functions that call it, and never
 by the metrics, so a k-means process runs on numpy alone.  And every
-top-level function and class serves the package itself, not only its
-tests."""
+top-level function and class, and every method of one, serves the
+package itself, not only its tests."""
 
 import ast
 import importlib.util
@@ -211,17 +211,23 @@ def test_every_benchmark_hook_resolves(monkeypatch):
 
 
 def unreferenced_definitions(package):
-    """The top-level functions and classes of `package`'s modules that no
-    code in `package` names outside their own definition, as
-    "module.name"."""
+    """The top-level functions and classes of `package`'s modules, and the
+    methods of those classes other than dunder methods, that no code in
+    `package` names outside their own definition, as "module.name" or
+    "module.Class.name"."""
     definitions, references = [], []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        definitions += [(path.stem, node.name, node.lineno, node.end_lineno)
-                        for node in tree.body
-                        if isinstance(node, (ast.FunctionDef,
-                                             ast.AsyncFunctionDef,
-                                             ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                definitions.append((path.stem, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(path.stem, f"{node.name}.{method.name}", method)
+                                for method in node.body
+                                if isinstance(method, (ast.FunctionDef,
+                                                       ast.AsyncFunctionDef))
+                                and not method.name.startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 references.append((node.id, path.stem, node.lineno))
@@ -230,14 +236,14 @@ def unreferenced_definitions(package):
             elif isinstance(node, ast.alias):
                 references.append((node.name.rpartition(".")[2], path.stem,
                                    node.lineno))
-    return [f"{module}.{name}" for module, name, first, last in definitions
-            if not any(ref == name and (where != module
-                                        or not first <= line <= last)
+    return [f"{module}.{name}" for module, name, node in definitions
+            if not any(ref == node.name and (where != module or not
+                                             node.lineno <= line <= node.end_lineno)
                        for ref, where, line in references)]
 
 
 def test_every_definition_is_used_by_the_package():
-    """A function or class that only tests call is dead code."""
+    """A function, class or method that only tests call is dead code."""
     assert unreferenced_definitions(PACKAGE) == []
 
 
@@ -252,3 +258,20 @@ def test_the_dead_code_check_sees_self_reference_and_imports(tmp_path):
                                    "def helper():\n"
                                    "    return 1\n")
     assert unreferenced_definitions(tmp_path) == ["a.loop", "a.caller"]
+
+
+def test_the_dead_code_check_sees_methods(tmp_path):
+    (tmp_path / "a.py").write_text("class Report:\n"
+                                   "    def __eq__(self, other):\n"
+                                   "        return True\n"
+                                   "    def used(self):\n"
+                                   "        return self.helper()\n"
+                                   "    def helper(self):\n"
+                                   "        return 1\n"
+                                   "    @classmethod\n"
+                                   "    def parse(cls):\n"
+                                   "        return cls.parse()\n"
+                                   "def main():\n"
+                                   "    return Report().used()\n"
+                                   "main()\n")
+    assert unreferenced_definitions(tmp_path) == ["a.Report.parse"]

@@ -210,10 +210,7 @@ class TestLeadingLeftVectors:
             gram = a.T @ a
         assert not np.all(np.isfinite(gram))
         assert not self.takes_gram_route(a, 2)
-        u, at_u = numerics.svd_left_vectors(a, 2)
-        f = svd(a, 2)
-        assert np.array_equal(u, f.u)
-        assert np.array_equal(at_u, f.vt.T * f.s)
+        assert np.array_equal(numerics.svd_left_vectors(a, 2), svd(a, 2).u)
 
     @pytest.mark.parametrize("scale,gram_route", [(1e-140, True),
                                                   (1e-150, False),
