@@ -147,8 +147,6 @@ def _cmd_user(args) -> int:
 
 
 def _cmd_datasets(args) -> int:
-    if args.action != "fetch":
-        raise ConfigurationError(f"unknown datasets action {args.action!r}")
     if args.name == "all":
         paths = datasets.fetch_all(data_dir=args.dest, force=args.force)
         for name, path in paths.items():

@@ -67,7 +67,7 @@ REGISTRY = {
     },
 }
 
-DEFAULT_DATA_DIR = os.environ.get("DCC_DATA_DIR", "data")
+DEFAULT_DATA_DIR = "data"
 
 
 def _download(url: str, timeout: float = 60.0) -> bytes:

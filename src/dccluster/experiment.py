@@ -265,11 +265,12 @@ def run_experiment(spec: ExperimentSpec) -> TrialReport:
 
 # --- report emission ---------------------------------------------------------
 
-def emit_report(report: TrialReport, formats=None, out_dir=None):
-    """Write the aggregate table and per-trial values; returns written paths."""
+def emit_report(report: TrialReport):
+    """Write the aggregate table and per-trial values in the formats and
+    under the `out_dir` of the report's spec; returns written paths."""
     spec = report.spec
-    formats = _report_formats(formats if formats is not None else spec["formats"])
-    out_dir = out_dir if out_dir is not None else spec["out_dir"]
+    formats = _report_formats(spec["formats"])
+    out_dir = spec["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     name = spec["name"]
     agg = report.aggregate()

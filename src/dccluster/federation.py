@@ -568,8 +568,16 @@ def analyst_step(shares, cfg: SessionConfig):
     that row alone, so each row block's are those its institutions recover
     from its result.  The step lets go of `shares` once aligned, so a
     caller that keeps no reference of its own holds no share through
-    clustering.
+    clustering.  Before the alignment, shares that hold fewer rows in all
+    than k, or for spectral clustering no more than `neighbors`, are a
+    ProtocolError.
     """
+    rows = sum(len(share.x_tilde) for share in shares if share.party[1] == 0)
+    if rows < cfg.k:
+        raise ProtocolError(f"k = {cfg.k} is above the shares' row count, {rows}")
+    if cfg.algorithm == "spectral" and cfg.neighbors >= rows:
+        raise ProtocolError(f"neighbors = {cfg.neighbors} is not below the "
+                            f"shares' row count, {rows}")
     model = build_collaboration(shares, mode=cfg.mode, m_hat=cfg.m_hat)
     del shares
     z = make_clustering_representation(model, cfg.algorithm, cfg.k, cfg.neighbors)
@@ -660,9 +668,9 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
     """Run the analyst: collect every share, align, cluster, answer everyone.
 
     A frame that does not decode to a share is dropped.  A share `admit`
-    refuses aborts the session with its ProtocolError, as do shares that
-    hold fewer rows in all than k, and parties still missing at the
-    deadline, listed.  Every frame the inbox hands out is either accepted
+    refuses aborts the session with its ProtocolError, as do shares
+    `analyst_step` refuses, and parties still missing at the deadline,
+    listed.  Every frame the inbox hands out is either accepted
     or dropped, so the report counts as dropped all but the c*d accepted.
     The shares go to `analyst_step` with no other reference kept, so none
     outlives the alignment; on blobs that lets go of about 106 MB of frames
@@ -695,11 +703,6 @@ def analyst_party_run(cfg: SessionConfig, inbox: Inbox) -> AnalystReport:
         admit(msg, cfg, shares)
         routes[msg.party] = route
     del msg, frame
-    total = sum(len(share.x_tilde) for (_, j), share in shares.items() if j == 0)
-    if total < cfg.k:
-        raise ProtocolError(f"k = {cfg.k} is above the shares' row count, "
-                            f"{total}")
-
     report, results = analyst_step([shares.pop(p) for p in sorted(expected)], cfg)
     for res in results:
         for j in range(cfg.d):
@@ -775,7 +778,8 @@ def run_dc_clustering(x, partition, anchor, cfg: SessionConfig) -> AnalystReport
 
     Rows of the report's labels follow row-block order (partition block 0
     first); use the partition's row_order() to map back to dataset order.
-    The report equals a session's on the same inputs bit for bit.
+    The report equals a session's on the same inputs bit for bit, and
+    inputs a session refuses raise the same error here.
     """
     blocks, anchor_blocks = _session_inputs(as_matrix(x), partition, anchor,
                                             cfg)

@@ -2,7 +2,7 @@
 
 Thin wrappers around LAPACK and ARPACK (via numpy/scipy) that pin down the
 conventions the rest of the package relies on: a fixed sign convention for
-factor columns, ascending eigenvalue order with stable tie handling, and a
+factor columns, ascending eigenvalue order, and a
 documented singular-value cutoff for the pseudoinverse.  Repeated calls on
 identical input are bit-identical.  Only eig_symmetric, which serves the
 spectral path, uses scipy, so it imports scipy itself: the alignment and
@@ -219,9 +219,8 @@ def eig_symmetric(a, top_k: int | None = None) -> EigResult:
 
     The input must be square, finite and symmetric within SYMMETRY_ATOL; it
     is symmetrized exactly before the solve.  Eigenvalues come back
-    ascending.  Vector columns are sign-fixed, and exactly-tied eigenvalues
-    keep a stable order: their columns are sorted lexicographically by
-    entries.  top_k keeps only the smallest top_k eigenpairs.  For sparse
+    ascending, and vector columns are sign-fixed.  top_k keeps only the
+    smallest top_k eigenpairs.  For sparse
     input with top_k < n - 1 they come from ARPACK in shift-invert mode
     around EIGSH_SIGMA, started from a fixed vector so that repeated calls
     agree.  It finds the eigenvalues nearest EIGSH_SIGMA, which are the
@@ -263,12 +262,4 @@ def eig_symmetric(a, top_k: int | None = None) -> EigResult:
     except (np.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:
         raise NumericFailureError("eig_symmetric", str(exc)) from exc
     _fix_signs(vectors)
-    # Stable order inside groups of exactly equal eigenvalues.
-    start = 0
-    for end in range(1, values.size + 1):
-        if end == values.size or values[end] != values[start]:
-            if end - start > 1:
-                order = np.lexsort(np.flipud(vectors[:, start:end]))
-                vectors[:, start:end] = vectors[:, start:end][:, order]
-            start = end
     return EigResult(values=values[:top_k], vectors=vectors[:, :top_k])

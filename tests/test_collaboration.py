@@ -13,8 +13,8 @@ from dccluster.collaboration import (fit_intermediate,
                                      build_collaboration,
                                      make_clustering_representation,
                                      analyst_cluster)
-from dccluster.data import (make_blobs, partition_lattice, feature_bounds,
-                            generate_anchor)
+from dccluster.data import (make_blobs, make_circles, partition_lattice,
+                            feature_bounds, generate_anchor)
 from dccluster.errors import ConfigurationError, ContractViolationError
 from dccluster.federation import (AnalystResultMsg, SessionConfig,
                                   UserShareMsg, analyst_step,
@@ -825,3 +825,83 @@ class TestEndToEnd:
                                    SessionConfig(c=2, d=2, k=3, master_seed=11))
         for g in report.model.g_maps:
             assert g.linear.shape[0] < ds.features.shape[1]
+
+
+# ---------------------------------------------------------------------------
+# library contract refusals
+# ---------------------------------------------------------------------------
+
+BLOBS = make_blobs(3, 5, rng_seed=0)        # 15 rows of 6 features
+ROWS = np.random.default_rng(0).normal(size=(6, 3))
+
+# Each call breaks one contract of a library function that no session,
+# config or workload reaches; each refusal names what it refused.
+REFUSALS = {
+    "kmeans-max-iter": (lambda: kmeans(ROWS, 2, max_iter=0),
+                        ContractViolationError, "max_iter must be positive"),
+    "kmeans-restarts": (lambda: kmeans(ROWS, 2, restarts=0),
+                        ContractViolationError, "restarts must be positive"),
+    "spectral-k-zero": (lambda: clustering.spectral_embedding(ROWS, 0),
+                        ContractViolationError, r"k must be in \[1, 6\], got 0"),
+    "spectral-k-above": (lambda: clustering.spectral_embedding(ROWS, 7),
+                         ContractViolationError, r"k must be in \[1, 6\], got 7"),
+    "svd-top-k-zero": (lambda: svd(ROWS, top_k=0),
+                       ContractViolationError, r"top_k must be in \[1, 3\]"),
+    "svd-top-k-above": (lambda: svd(ROWS, top_k=4),
+                        ContractViolationError, r"top_k must be in \[1, 3\]"),
+    "fit-one-row": (lambda: fit_intermediate(ROWS[:1], ROWS, 2, scale=False),
+                    ContractViolationError, "fit needs at least 2 rows"),
+    "map-width": (lambda: collaboration.AffineMap(np.eye(2), np.zeros(2)
+                                                  ).apply(ROWS),
+                  ContractViolationError, "map expects 2 columns, got 3"),
+    "unknown-algorithm": (lambda: make_clustering_representation(
+                              None, "dbscan", 2),
+                          ConfigurationError, "algorithm must be one of"),
+    "unknown-assignment": (lambda: partition_lattice(BLOBS, 1, 1, "striped"),
+                           ConfigurationError, "unknown assignment 'striped'"),
+    "col-sets-count": (lambda: partition_lattice(
+                           BLOBS, 1, 2, "contiguous", col_index_sets=[range(6)]),
+                       ConfigurationError, "col_index_sets has 1 blocks, "
+                                           "expected 2"),
+    "empty-row-block": (lambda: partition_lattice(
+                            BLOBS, 2, 1, "by-cluster-map",
+                            cluster_map={0: 0, 1: 0, 2: 0}),
+                        ConfigurationError, "row block 1 is empty"),
+    "empty-col-block": (lambda: partition_lattice(
+                            BLOBS, 1, 2, "contiguous",
+                            col_index_sets=[range(6), []]),
+                        ConfigurationError, "column block 1 is empty"),
+    "no-cluster-map": (lambda: partition_lattice(BLOBS, 1, 1, "by-cluster-map"),
+                       ConfigurationError, "needs cluster_map"),
+    "cluster-map-block": (lambda: partition_lattice(
+                              BLOBS, 2, 1, "by-cluster-map",
+                              cluster_map={0: 0, 1: 5, 2: 1}),
+                          ConfigurationError, "cluster 1 mapped to invalid "
+                                              "row block 5"),
+    "blobs-count": (lambda: make_blobs(0, 5), ConfigurationError,
+                    "k and per_cluster must be positive"),
+    "blobs-centers": (lambda: make_blobs(8, 1), ConfigurationError,
+                      "could not place 8 centers"),
+    "circles-rings": (lambda: make_circles(1, 5), ConfigurationError,
+                      "need at least 2 rings"),
+    "circles-noise": (lambda: make_circles(2, 5, noise_std=-0.1),
+                      ConfigurationError, "noise_std must be nonnegative"),
+    "bounds-no-rows": (lambda: feature_bounds(np.zeros((0, 3))),
+                       ContractViolationError, "bounds need at least one row"),
+    "anchor-bound-lengths": (lambda: generate_anchor((np.zeros(2), np.ones(3)),
+                                                     5),
+                             ContractViolationError,
+                             "bounds must be two equal-length vectors"),
+    "anchor-bound-order": (lambda: generate_anchor((np.ones(2), np.zeros(2)),
+                                                   5),
+                           ContractViolationError, "max bound below min bound"),
+    "anchor-no-rows": (lambda: generate_anchor((np.zeros(2), np.ones(2)), 0),
+                       ContractViolationError, "anchor needs at least one row"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_library_contract_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -2,6 +2,10 @@ import codecs
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
@@ -305,6 +309,19 @@ class TestFetch:
             fh.write(",".join(["0"] * ds["shape"][1] + ["c0"]) + "\n")
         with pytest.raises(IngestionError, match="checksum mismatch"):
             datasets.fetch(name, data_dir=str(tmp_path))
+
+    def test_the_data_directory_is_set_by_dest_alone(self, tmp_path):
+        # the environment is never read, DCC_DATA_DIR included, so a fresh
+        # interpreter's default and `datasets fetch`'s are both "data"
+        child = ("from dccluster import cli, datasets\n"
+                 "args = cli.build_parser().parse_args(['datasets', 'fetch', "
+                 "'iris'])\n"
+                 "print(datasets.DEFAULT_DATA_DIR, args.dest)\n")
+        src = str(pathlib.Path(datasets.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "DCC_DATA_DIR": str(tmp_path)}
+        out = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout == "data data\n"
 
 
 class TestAnchor:

@@ -144,6 +144,8 @@ class TestParseConfig:
             parse_config("dataset = csv\nc = 1\nd = 1\n")
         with pytest.raises(ConfigurationError, match="local"):
             parse_config("dataset = blobs\nc = 1\nd = 1\nlocal = some\n")
+        with pytest.raises(ConfigurationError, match="^assignment must be"):
+            parse_config("dataset = blobs\nc = 1\nd = 1\nassignment = striped\n")
         for value in (0, -3):
             with pytest.raises(ConfigurationError, match="^anchor_size must be"):
                 parse_config(f"dataset = blobs\nc = 1\nd = 1\nanchor_size = {value}\n")
@@ -328,19 +330,20 @@ class TestRunExperiment:
                 assert np.isnan(agg[method][metric]["mean"])
 
     def test_every_trial_aborted_reports_no_spread(self, tmp_path):
-        report = run_experiment(tiny_spec(k=31, trials=2))
+        report = run_experiment(tiny_spec(k=31, trials=2, out_dir=str(tmp_path),
+                                          formats=("markdown-table",)))
         agg = report.aggregate()
         for method in report.methods:
             for metric in METRICS:
                 assert np.isnan(agg[method][metric]["std"])
-        (path,) = emit_report(report, formats=["markdown-table"],
-                              out_dir=str(tmp_path))
+        (path,) = emit_report(report)
         with open(path) as fh:
             assert "(0.000)" not in fh.read()
 
     def test_every_trial_aborted_writes_strict_json(self, tmp_path):
-        report = run_experiment(tiny_spec(k=31, trials=2))
-        (path,) = emit_report(report, formats=["json"], out_dir=str(tmp_path))
+        report = run_experiment(tiny_spec(k=31, trials=2, out_dir=str(tmp_path),
+                                          formats=("json",)))
+        (path,) = emit_report(report)
         with open(path) as fh:
             text = fh.read()
 
@@ -377,9 +380,16 @@ def report():
     return run_experiment(tiny_spec())
 
 
+def sent_to(report, out_dir, *formats):
+    """`report` with its spec sending it to `out_dir` in `formats`."""
+    spec = {**report.spec, "out_dir": str(out_dir), "formats": list(formats)}
+    return dataclasses.replace(report, spec=spec)
+
+
 class TestEmitReport:
     def test_json_round_trip(self, report, tmp_path):
-        (path,) = emit_report(report, formats=["json"], out_dir=str(tmp_path))
+        report = sent_to(report, tmp_path, "json")
+        (path,) = emit_report(report)
         with open(path) as fh:
             raw = json.load(fh)
         clone = TrialReport(**{f.name: raw[f.name]
@@ -387,7 +397,7 @@ class TestEmitReport:
         assert clone == report
 
     def test_trials_csv_reproduces_the_aggregate(self, report, tmp_path):
-        paths = emit_report(report, formats=["csv"], out_dir=str(tmp_path))
+        paths = emit_report(sent_to(report, tmp_path, "csv"))
         trials_path = [p for p in paths if p.endswith("_trials.csv")][0]
         values = {}
         with open(trials_path) as fh:
@@ -403,7 +413,7 @@ class TestEmitReport:
                 assert float(arr.std(ddof=1)) == agg[method][metric]["std"]
 
     def test_aggregate_csv_layout(self, report, tmp_path):
-        paths = emit_report(report, formats=["csv"], out_dir=str(tmp_path))
+        paths = emit_report(sent_to(report, tmp_path, "csv"))
         agg_path = [p for p in paths if p.endswith("_aggregate.csv")][0]
         with open(agg_path) as fh:
             rows = list(csv.reader(fh))
@@ -412,8 +422,7 @@ class TestEmitReport:
         assert all(row[4] == "3" for row in rows[1:])
 
     def test_markdown_table(self, report, tmp_path):
-        (path,) = emit_report(report, formats=["markdown-table"],
-                              out_dir=str(tmp_path))
+        (path,) = emit_report(sent_to(report, tmp_path, "markdown-table"))
         with open(path) as fh:
             lines = fh.read().splitlines()
         table = [ln for ln in lines if ln.startswith("|")]
@@ -421,12 +430,12 @@ class TestEmitReport:
         assert "| proposed |" in table[2].replace("  ", " ")
 
     def test_md_alias(self, report, tmp_path):
-        (path,) = emit_report(report, formats=["md"], out_dir=str(tmp_path))
+        (path,) = emit_report(sent_to(report, tmp_path, "md"))
         assert path.endswith("tiny.md")
 
     def test_all_formats_at_once(self, report, tmp_path):
-        paths = emit_report(report, formats=["csv", "json", "markdown-table"],
-                            out_dir=str(tmp_path))
+        paths = emit_report(sent_to(report, tmp_path, "csv", "json",
+                                    "markdown-table"))
         assert len(paths) == 4
         import os
         assert all(os.path.exists(p) for p in paths)

@@ -252,6 +252,11 @@ class TestDecodeErrors:
             decode_message(bytes(frame))
         assert err.value.offset == _PREFIX_SIZE + 4
 
+    def test_payload_too_short_for_header_length(self):
+        frame = struct.pack("<4sBQ", MAGIC, KIND_USER_SHARE, 3) + b"abc"
+        with pytest.raises(DecodeError, match="too short for header length"):
+            decode_message(frame)
+
     def test_header_length_overruns_payload(self):
         frame = bytearray(encode_message(sample_share()))
         struct.pack_into("<I", frame, _PREFIX_SIZE, 1 << 30)
@@ -790,12 +795,13 @@ class TestTcpTransport:
         assert analyst.sent_count == len(parties)
 
     @staticmethod
-    def _wire_config(tmp_path):
-        """A 1x2 blobs config file, and its session config with a 2 s
-        timeout, as `dc-cluster analyst --timeout 2` derives it."""
+    def _wire_config(tmp_path, extra=""):
+        """A 1x2 blobs config file of 20 rows with the `extra` lines, and its
+        session config with a 2 s timeout, as `dc-cluster analyst --timeout
+        2` derives it."""
         cfg_path = tmp_path / "wire.cfg"
         cfg_path.write_text("dataset = blobs\nclusters = 2\nper_cluster = 10\n"
-                            "c = 1\nd = 2\nm_hat = 2\n")
+                            "c = 1\nd = 2\nm_hat = 2\n" + extra)
         return cfg_path, cli._session_pieces(load_config(str(cfg_path)), 2.0)
 
     @staticmethod
@@ -880,6 +886,21 @@ class TestTcpTransport:
         assert codes == [cli.EXIT_SESSION]
         err = capsys.readouterr().err
         assert err == "error: k = 2 is above the shares' row count, 1\n"
+
+    def test_analyst_cli_names_too_few_rows_for_neighbors_and_exits_3(
+            self, tmp_path, capsys):
+        # the parties' own shares of 20 rows: a kNN graph of 20 neighbours
+        # per row needs 21 rows
+        cfg_path, (ds, part, anchor, cfg) = self._wire_config(
+            tmp_path, "algorithm = spectral\nneighbors = 20\n")
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
+        shares = [encode_message(federation.user_step(
+            p, blocks[p], anchor_blocks[p[1]], cfg)) for p in sorted(blocks)]
+        with self._cli_analyst(cfg_path, shares) as (codes, _):
+            pass
+        assert codes == [cli.EXIT_SESSION]
+        assert capsys.readouterr().err == (
+            "error: neighbors = 20 is not below the shares' row count, 20\n")
 
     @staticmethod
     def _cli_user(cfg_path, answer):
@@ -997,6 +1018,29 @@ class TestSessionProtocol:
         share = sample_share(party=(0, 0), width=2, config=cfg.echo())
         with pytest.raises(SessionError, match=r"\(1, 0\)"):
             analyst_party_run(cfg, self._inbox_with(share))
+
+    def test_frames_that_keep_arriving_cannot_outlast_the_deadline(self):
+        # junk arriving every 20 ms, never a timeout in recv: the analyst
+        # still stops at its deadline and names the party it lacks
+        cfg = SessionConfig(c=2, d=1, k=2, timeout=0.3)
+        share = sample_share(party=(0, 0), width=2, config=cfg.echo())
+
+        class Chatty(Inbox):
+            def recv(self, timeout):
+                if self._items.qsize():
+                    return super().recv(timeout)
+                time.sleep(min(timeout, 0.02))
+                self.received_count += 1
+                return b"junk", None
+
+        inbox = Chatty()
+        InProcessUserEndpoint(inbox).send(encode_message(share))
+        start = time.monotonic()
+        with pytest.raises(SessionError, match=r"^timed out waiting for shares "
+                                               r"from \[\(1, 0\)\]$"):
+            analyst_party_run(cfg, inbox)
+        assert inbox.received_count > 2
+        assert time.monotonic() - start < 2.0
 
     def test_mismatched_config_echo_rejected(self):
         cfg = SessionConfig(c=2, d=1, k=2, timeout=1.0)
@@ -1275,6 +1319,50 @@ class TestFullSession:
         for party, labels in local.user_labels.items():
             assert np.array_equal(labels, wired.user_labels[party])
 
+    @pytest.mark.parametrize("cut", [5, 200], ids=["in-prefix", "in-payload"])
+    def test_peer_closing_mid_frame_is_one_dropped_frame(self, cut):
+        # a peer that sends part of a share and closes is one frame that
+        # does not decode; the honest parties must still finish the session
+        ds, part, anchor, cfg = small_session_inputs(seed=7)
+        local = run_in_process_session(ds.features, part, anchor, cfg)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
+        analyst = TcpAnalystEndpoint(timeout=cfg.timeout)
+        try:
+            with socket.create_connection(("127.0.0.1", analyst.port),
+                                          timeout=5.0) as raw:
+                raw.sendall(encode_message(sample_share())[:cut])
+            deadline = time.monotonic() + 5.0
+            while analyst._items.qsize() < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            wired = _run_session(
+                cfg, blocks, anchor_blocks, analyst,
+                lambda p: TcpUserEndpoint("127.0.0.1", analyst.port,
+                                          timeout=cfg.timeout))
+        finally:
+            analyst.close()
+        assert wired.report.frames_dropped == 1
+        assert np.array_equal(local.report.labels, wired.report.labels)
+        for party, labels in local.user_labels.items():
+            assert np.array_equal(labels, wired.user_labels[party])
+
+    def test_share_of_a_negative_party_is_dropped_and_counted(self):
+        # a negative party index makes a share undecodable, so it is one
+        # dropped frame, not a share that aborts the session
+        ds, part, anchor, cfg = small_session_inputs(seed=7)
+        local = run_in_process_session(ds.features, part, anchor, cfg)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
+        frame = encode_message(sample_share(party=(0, 0), config=cfg.echo()))
+        negative = with_header(frame, lambda text: text.replace(
+            '"party": [0, 0]', '"party": [-1, 0]'))
+        with pytest.raises(DecodeError, match="nonnegative"):
+            decode_message(negative)
+        inbox = Inbox()
+        InProcessUserEndpoint(inbox).send(negative)
+        hit = _run_session(cfg, blocks, anchor_blocks, inbox,
+                           lambda p: InProcessUserEndpoint(inbox))
+        assert hit.report.frames_dropped == 1
+        assert np.array_equal(local.report.labels, hit.report.labels)
+
     @pytest.mark.parametrize("run", [run_in_process_session, run_tcp_session],
                              ids=["in-process", "tcp"])
     def test_no_share_outlives_the_alignment(self, run, monkeypatch):
@@ -1476,11 +1564,13 @@ class TestFullSession:
             run_tcp_session(ds.features, part, anchor, cfg)
         assert time.monotonic() - start < 2.0
 
-    @pytest.mark.parametrize("run", [run_in_process_session, run_tcp_session],
-                             ids=["in-process", "tcp"])
+    @pytest.mark.parametrize("run", [run_in_process_session, run_tcp_session,
+                                     run_dc_clustering],
+                             ids=["in-process", "tcp", "direct"])
     def test_analyst_failure_ends_the_session_at_once(self, run):
         # k above the row count is found only once the shares are in; the
-        # users must hear of it then, not at their 30 s deadline
+        # users must hear of it then, not at their 30 s deadline, and the
+        # direct pipeline refuses it as a session does
         ds, part, anchor, cfg = small_session_inputs()
         cfg = dataclasses.replace(cfg, k=100, timeout=30.0)
         start = time.monotonic()
@@ -1488,6 +1578,19 @@ class TestFullSession:
                                                 "row count, 40"):
             run(ds.features, part, anchor, cfg)
         assert time.monotonic() - start < 5.0
+
+    @pytest.mark.parametrize("run", [run_in_process_session, run_tcp_session,
+                                     run_dc_clustering],
+                             ids=["in-process", "tcp", "direct"])
+    def test_too_few_rows_for_neighbors_are_named(self, run):
+        # a spectral kNN graph needs more rows than neighbours per row;
+        # 39 of 40 rows is the most it can take
+        ds, part, anchor, cfg = small_session_inputs()
+        cfg = dataclasses.replace(cfg, algorithm="spectral", neighbors=40)
+        with pytest.raises(ProtocolError, match="^neighbors = 40 is not below "
+                                                "the shares' row count, 40$"):
+            run(ds.features, part, anchor, cfg)
+        run(ds.features, part, anchor, dataclasses.replace(cfg, neighbors=39))
 
     def test_a_block_too_short_to_reduce_is_named(self):
         # below max(2, width - 1) rows a fit cannot reduce the block
