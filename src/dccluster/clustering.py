@@ -2,7 +2,9 @@
 
 Both algorithms are deterministic given a seed: k-means uses squared-distance
 weighted seeding with cumulative-probability sampling, Lloyd updates with an
-explicit empty-cluster repair, and an early stop when assignments repeat.
+explicit empty-cluster repair, and a stop on an assignment pass: the one
+that repeats the labels, or else the one after max_iter updates, whose own
+minima give the run its labels and inertia.
 Its restarts run in lockstep batches, as wide as BUDGET allows at the
 input's size.  One routine seeds a batch of any width: each restart makes
 the same draws, integers(n) and then random(k - 1), in restart order, and
@@ -21,8 +23,8 @@ row alone, and a seeding step's cumulative sums run on across the blocks
 as one cumsum, so no block size moves a bit.  A centroid is its members'
 coordinates summed in row order, whatever the width, over their count.
 x's memory layout moves no bit: distances and centroid sums read a
-coordinate-major copy of x, and the repair's and the inertia's
-differences from x come out row-major.
+coordinate-major copy of x, and the repair's differences from x come out
+row-major.
 Input whose squared distances could overflow float64 is refused by name.
 
 Spectral clustering never forms an n x n dense array.  A kd-tree finds each
@@ -88,19 +90,16 @@ class SpectralEmbedding:
 
 
 def _sqdist(xt: np.ndarray, points: np.ndarray,
-            out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+            out: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Squared distances, (..., n), from a (..., m) stack of points to the
-    n rows of x, given coordinate-major as xt, (m, n).
+    n rows of x, given coordinate-major as xt, (m, n), written into out, a
+    pair of (..., n) arrays for the result and the difference.
 
     Each is the sum of the squared coordinate differences, added one
     coordinate at a time (numpy's order for a row of fewer than 8 terms),
     so it is never negative and keeps near points apart far from the
-    origin, where aa + bb - 2 ab cancels.  out, a pair of (..., n) arrays
-    for the result and the difference, may be passed when shapes repeat.
+    origin, where aa + bb - 2 ab cancels.
     """
-    if out is None:
-        shape = (*points.shape[:-1], xt.shape[1])
-        out = np.empty(shape), np.empty(shape)
     d2, diff = out
     np.subtract(xt[0], points[..., 0, None], out=d2)
     np.square(d2, out=d2)
@@ -111,9 +110,12 @@ def _sqdist(xt: np.ndarray, points: np.ndarray,
     return d2
 
 
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """The (start, stop) rows of each BLOCK_ROWS-row block of n rows."""
-    return [(a, min(a + BLOCK_ROWS, n)) for a in range(0, n, BLOCK_ROWS)]
+def _blocks(n: int, scratch=()):
+    """Yield (start, stop, scratch cut to the block) for each BLOCK_ROWS-row
+    block of n rows; scratch is a pair from _scratch, or nothing."""
+    for a in range(0, n, BLOCK_ROWS):
+        b = min(a + BLOCK_ROWS, n)
+        yield a, b, tuple(buf[..., :b - a] for buf in scratch)
 
 
 def _scratch(lead: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,14 +125,7 @@ def _scratch(lead: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(shape), np.empty(shape)
 
 
-def _cut(scratch, rows: int):
-    """The pair scratch cut to a block of `rows` rows."""
-    if rows == scratch[0].shape[-1]:
-        return scratch
-    return [buf[..., :rows] for buf in scratch]
-
-
-def sqdist(xt: np.ndarray, points: np.ndarray, scratch=None, nearest=None
+def sqdist(xt: np.ndarray, points: np.ndarray, scratch, nearest=None
            ) -> np.ndarray:
     """One assignment pass: for each (k, m) set of the (..., k, m) stack
     points, the index of the nearest of its k points to each of the n rows
@@ -139,19 +134,15 @@ def sqdist(xt: np.ndarray, points: np.ndarray, scratch=None, nearest=None
     that point is written into it.
 
     _sqdist takes the distances BLOCK_ROWS rows at a time into scratch, a
-    pair from _scratch, made here when not given, and _nearest reads them
-    while they are in cache.  A row's label and distance come from its own
-    distances alone, so the blocks move no bit.  A Lloyd pass and
-    assign_nearest call this once each, by this name, which
-    benchmarks/tracing.py counts passes by.
+    pair from _scratch((..., k), n), and _nearest reads them while they are
+    in cache.  A row's label and distance come from its own distances
+    alone, so the blocks move no bit.  A Lloyd pass and assign_nearest call
+    this once each, by this name, which benchmarks/tracing.py counts passes
+    by.
     """
-    lead, k, n = points.shape[:-2], points.shape[-2], xt.shape[1]
-    labels = np.empty((*lead, n), np.intp)
-    if scratch is None:
-        scratch = _scratch((*lead, k), n)
-    for a, b in _blocks(n):
-        d2 = _sqdist(xt[:, a:b], points, _cut(scratch, b - a))
-        _nearest(d2, labels[..., a:b],
+    labels = np.empty((*points.shape[:-2], xt.shape[1]), np.intp)
+    for a, b, cut in _blocks(xt.shape[1], scratch):
+        _nearest(_sqdist(xt[:, a:b], points, cut), labels[..., a:b],
                  None if nearest is None else nearest[..., a:b])
     return labels
 
@@ -172,16 +163,15 @@ def _refuse_overflow(xt: np.ndarray, terms: int) -> None:
     """
     if not xt.shape[0]:
         raise ContractViolationError("rows have no coordinates")
-    origin, scratch = np.zeros(xt.shape[0]), _scratch((), xt.shape[1])
-    top = 0.0
+    n, origin, top = xt.shape[1], np.zeros(xt.shape[0]), 0.0
     with np.errstate(over="ignore"):
-        for a, b in _blocks(xt.shape[1]):
-            norms = _sqdist(xt[:, a:b], origin, _cut(scratch, b - a))
+        for a, b, cut in _blocks(n, _scratch((), n)):
+            norms = _sqdist(xt[:, a:b], origin, cut)
             top = max(top, norms.max())
         if not 8.0 * terms * top <= np.finfo(np.float64).max:
             raise ContractViolationError(
                 f"squared distances overflow: rows of squared norm up to "
-                f"{top:.3g} among {xt.shape[1]} rows")
+                f"{top:.3g} among {n} rows")
 
 
 def _nearest(d2: np.ndarray, labels: np.ndarray, nearest=None) -> None:
@@ -224,7 +214,7 @@ def assign_nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     xt = np.ascontiguousarray(x.T)
     _refuse_overflow(centroids.T, x.shape[0])
     _refuse_overflow(xt, x.shape[0])
-    return sqdist(xt, centroids)
+    return sqdist(xt, centroids, _scratch(centroids.shape[:1], x.shape[0]))
 
 
 def _seed_batch(x: np.ndarray, xt: np.ndarray, k: int, rng,
@@ -251,8 +241,7 @@ def _seed_batch(x: np.ndarray, xt: np.ndarray, k: int, rng,
     d2, scratch = np.empty((width, n)), _scratch((width,), n)
     for s in range(1, k):
         points = x[chosen[:, s - 1]]
-        for a, b in _blocks(n):
-            near, diff = _cut(scratch, b - a)
+        for a, b, (near, diff) in _blocks(n, scratch):
             if s == 1:
                 _sqdist(xt[:, a:b], points, (d2[:, a:b], diff))
             else:
@@ -275,7 +264,7 @@ def _count_below(d2: np.ndarray, thr: np.ndarray) -> np.ndarray:
     once every row's last sum passes its thr, no later block adds to it.
     """
     count = 0
-    for a, b in _blocks(d2.shape[1]):
+    for a, b, _ in _blocks(d2.shape[1]):
         part = d2[:, a:b]
         if a:
             part = part.copy()
@@ -337,61 +326,53 @@ def _update_centroids(x, xtb, labels, centroids) -> dict:
     return undone
 
 
-def _inertia(x, centroids, labels) -> float:
-    return float(np.sum((x - centroids[labels]) ** 2))
-
-
 def _lloyd_batch(x, xtb, buffers, centroids, max_iter: int
                  ) -> list[ClusterModel]:
     """Lloyd passes for a stack of restarts' centroid sets, (width, k, m),
     in lockstep; returns each restart's ClusterModel, in stack order.
 
-    A pass is one sqdist over the stack's sets and one _update_centroids.
-    A restart leaves the stack on the pass that repeats its labels or
-    undoes its last repair, or after max_iter passes, and the others go on.
-    Nothing here draws a number.  buffers, made once per kmeans call, are
-    the pass's scratch pair and a (width, n) array for its distances to the
-    nearest centroids.
+    A pass is one sqdist over the stack's sets, then, for the sets that go
+    on, one _update_centroids.  A restart leaves the stack on the pass that
+    repeats its labels (converged), that undoes its last repair, which it
+    leaves with the repaired labels (converged), or that follows its
+    max_iter-th update, which moves nothing (n_iter max_iter, not
+    converged), and the others go on.  A leaving restart's labels and
+    inertia are that pass's: the nearest centroids, the repaired labels on
+    an undo, and the sum of the rows' minima.  Nothing here draws a number.
+    buffers, made once per kmeans call, are the pass's scratch pair and a
+    (width, n) array for its distances to the nearest centroids.
     """
     ids = list(range(centroids.shape[0]))   # each row's place in the stack
     xt = xtb[:, :x.shape[0]]
     scratch, minima = buffers
-    stack, nearest = [buf[:len(ids)] for buf in scratch], minima[:len(ids)]
+    stack = [buf[:len(ids)] for buf in scratch]
     models = [None] * len(ids)
     labels, undone = None, {}
-    for it in range(1, max_iter + 1):
-        assigned = sqdist(xt, centroids, stack, nearest)
+    for it in range(1, max_iter + 2):
+        assigned = sqdist(xt, centroids, stack, minima[:len(ids)])
         if labels is not None:
-            stop = (assigned == labels).all(axis=1).tolist()
+            stop = (assigned == labels).all(axis=1)
+            if it > max_iter:
+                stop[:] = True
             # a pass that undid the last one's empty-cluster repair, which
             # every later pass would redo: the repaired pair is final
-            undid = {b for b, before in undone.items()
-                     if not stop[b] and (assigned[b] == before).all()}
-            if any(stop) or undid:
-                keep = []
-                for b, place in enumerate(ids):
-                    if not (stop[b] or b in undid):
-                        keep.append(b)
-                        continue
-                    inertia = (_inertia(x, centroids[b], labels[b])
-                               if b in undid else float(nearest[b].sum()))
-                    models[place] = ClusterModel(
-                        centroids=centroids[b], labels=labels[b],
-                        inertia=inertia, n_iter=it, converged=True)
-                if not keep:
+            for b, before in undone.items():
+                if (assigned[b] == before).all():
+                    assigned[b], stop[b] = labels[b], True
+            if stop.any():
+                for b in np.flatnonzero(stop):
+                    models[ids[b]] = ClusterModel(
+                        centroids=centroids[b], labels=assigned[b],
+                        inertia=float(minima[b].sum()),
+                        n_iter=min(it, max_iter), converged=it <= max_iter)
+                keep = np.flatnonzero(~stop)
+                if not keep.size:
                     return models
                 centroids, assigned = centroids[keep], assigned[keep]
                 ids = [ids[b] for b in keep]
                 stack = [buf[:len(ids)] for buf in scratch]
-                nearest = minima[:len(ids)]
         undone = _update_centroids(x, xtb, assigned, centroids)
         labels = assigned
-    # the last pass measured centroids it then moved
-    for b, place in enumerate(ids):
-        models[place] = ClusterModel(
-            centroids=centroids[b], labels=labels[b],
-            inertia=_inertia(x, centroids[b], labels[b]), n_iter=max_iter)
-    return models
 
 
 def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
@@ -404,7 +385,11 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
     also stops once a pass repeats the previous pass's assignment, which
     undoes an empty-cluster repair (fewer distinct points than k): the
     repaired pair, whose moved point is tied with its old centroid, is then
-    what every later pass would return.
+    what every later pass would return.  A run that does neither within
+    max_iter updates takes one more pass, which measures the last centroids
+    and moves nothing: it returns that pass's labels, every one the nearest
+    centroid (or the repaired ones, if the pass only undid the last
+    repair), with n_iter = max_iter and converged False.
     With restarts > 1 the whole procedure reruns on a continuing stream
     from the same seed and the lowest-inertia run wins (first on ties), so
     restarts=1 reproduces the plain single-run behaviour bit for bit.
@@ -420,11 +405,11 @@ def kmeans(x, k: int, max_iter: int = 300, rng_seed: int = 0,
     differences, from one kernel (see _sqdist), BLOCK_ROWS rows at a time;
     a pass writes them into a (batch, k, block) array.  Each label comes
     from a k-way strict `<` compare against a running minimum, so a tie
-    goes to the lowest centroid index, as argmin's does, and a converged
-    run's inertia is the sum of that minimum over all n rows.  The centroid
-    sums, too, run over all n rows at once, in row order.  A
-    coordinate-major copy of x, the pass's scratch and the array of its
-    minima are made once per call.  Input whose squared distances could
+    goes to the lowest centroid index, as argmin's does, and every run's
+    inertia is the sum of that minimum over all n rows on the pass that
+    stops it.  The centroid sums, too, run over all n rows at once, in row
+    order.  A coordinate-major copy of x, the pass's scratch and the array
+    of its minima are made once per call.  Input whose squared distances could
     overflow float64 is refused with a ContractViolationError (see
     _refuse_overflow).
     """

@@ -34,11 +34,12 @@ MODES = ("linear", "affine")
 # fast sizes, so that every anchor of up to 8 192 rows, circles' 4 500 and
 # iris's 150 among them, is one block, whose G and u1 come from single
 # products over the whole stack.  In the fit, a block bounds the centred
-# temporary at 8 192 x m instead of r x m, and on blobs (m = 3) a product
-# that small is below OpenBLAS's threading threshold, so it runs on the
-# calling thread: the 20 blobs fits, each one 300k-row product at once, had
-# contended for the BLAS thread pool and ended 0.31-0.36 s into the
-# session, against 0.23-0.28 s in blocks.
+# temporary at 8 192 x m instead of r x m (7.2 MB on blobs, m = 3), and
+# the blocks are faster too: on blobs seed 1, two runs a side, the 20 fits,
+# one after another, took 74.5-74.7 ms in blocks against 81.8-83.4 ms as
+# one product each (medians of 15 rounds), with a peak RSS of 229 against
+# 236 MB, and whole sessions 0.64-0.68 s against 0.68-0.77 s (medians of
+# 15 calls), with a peak RSS of 276-282 MB either way.
 ANCHOR_BLOCK_ROWS = 8_192
 
 
@@ -85,11 +86,9 @@ def fit_intermediate(x_block, anchor_block, target_dim: int, *, scale: bool):
     transformed anchor restricted to this institution's columns, the two
     matrices its share carries.  f itself is never returned.  The anchor,
     r rows, is centred and mapped ANCHOR_BLOCK_ROWS rows at a time into
-    anchor_tilde, so no r x m temporary is made, and on narrow blocks each
-    product is small enough to run on the calling thread while the other
-    institutions fit theirs.  The blocks' rows are those of one whole
-    product, bit for bit, which the reference-fit tests check across block
-    edges.
+    anchor_tilde, so no r x m temporary is made (see ANCHOR_BLOCK_ROWS).
+    The blocks' rows are those of one whole product, bit for bit, which the
+    reference-fit tests check across block edges.
     """
     x_block = as_matrix(x_block, "x_block")
     anchor_block = as_matrix(anchor_block, "anchor_block")

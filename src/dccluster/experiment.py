@@ -21,7 +21,7 @@ import numpy as np
 from .clustering import kmeans, spectral_cluster
 from .data import (LabeledDataset, make_blobs, make_circles, load_csv,
                    partition_lattice, feature_bounds, generate_anchor,
-                   read_text, ASSIGNMENTS)
+                   read_text, ASSIGNMENTS, MAX_BLOB_CLUSTERS)
 from .errors import ConfigurationError
 from .federation import (SessionConfig, SessionSettings, check_at_least_one,
                          run_in_process_session)
@@ -74,6 +74,9 @@ class ExperimentSpec(SessionSettings):
             raise ConfigurationError(f"unknown dataset kind {self.dataset!r}")
         if self.dataset == "circles" and self.clusters < 2:
             raise ConfigurationError("circles dataset needs at least 2 clusters")
+        if self.dataset == "blobs" and self.clusters > MAX_BLOB_CLUSTERS:
+            raise ConfigurationError(f"blobs dataset places at most "
+                                     f"{MAX_BLOB_CLUSTERS} clusters")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigurationError("csv dataset needs csv_path")
         if self.assignment not in ASSIGNMENTS:

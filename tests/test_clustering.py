@@ -106,22 +106,27 @@ def reference_seeds(x, k, rng):
 def reference_kmeans(x, k, max_iter=300, rng_seed=0, restarts=1):
     """The plain Lloyd, kept as the reference: serial seeding, each centroid
     its masked members summed one row after another over their count, each
-    inertia read through arange(n), and a run that stops at max_iter scored
-    by the pair it returns.  Returns (labels, centroids, inertia,
-    empty-cluster repairs)."""
+    inertia read through arange(n).  A run that does not converge within
+    max_iter updates takes one more pass: it keeps the repaired labels if
+    that pass only undoes the last repair, and that pass's labels
+    otherwise, and is scored by that pass's distances.  Returns (labels,
+    centroids, inertia, empty-cluster repairs)."""
     n = x.shape[0]
     rng = np.random.default_rng(rng_seed)
     best, repairs = None, 0
     for _ in range(restarts):
         chosen = reference_seeds(x, k, rng)
         centroids = x[np.array(chosen)].copy()
-        labels, converged = None, False
-        for _ in range(max_iter):
+        labels, before = None, None
+        for it in range(max_iter + 1):
             d2 = reference_sqdist(x, centroids)
             new_labels = np.argmin(d2, axis=1)
             inertia = float(d2[np.arange(n), new_labels].sum())
             if labels is not None and np.array_equal(new_labels, labels):
-                converged = True
+                break
+            if it == max_iter:
+                if not np.array_equal(new_labels, before):
+                    labels = new_labels
                 break
             labels = new_labels
             counts = np.bincount(labels, minlength=k)
@@ -129,9 +134,10 @@ def reference_kmeans(x, k, max_iter=300, rng_seed=0, restarts=1):
                 if counts[c]:
                     centroids[c] = (np.cumsum(x[labels == c], axis=0)[-1]
                                     / counts[c])
-            repairs += reference_repair(x, labels, counts, centroids)
-        if not converged:
-            inertia = float(np.sum((x - centroids[labels]) ** 2))
+            unrepaired = labels.copy()
+            fixes = reference_repair(x, labels, counts, centroids)
+            repairs += fixes
+            before = unrepaired if fixes else None
         if best is None or inertia < best[2]:
             best = (labels, centroids, inertia)
     return best + (repairs,)
@@ -166,10 +172,18 @@ def reference_spectral_embedding(x, k: int, neighbors: int = 10
                              components=components)
 
 
+def raw_sqdist(xt, points):
+    """_sqdist's distances over all of xt's rows at once, into buffers of
+    their own."""
+    shape = (*points.shape[:-1], xt.shape[1])
+    return _sqdist(xt, points, (np.empty(shape), np.empty(shape)))
+
+
 def assignment(xt, points):
     """sqdist's labels and the distances it writes into nearest."""
     nearest = np.empty((*points.shape[:-2], xt.shape[1]))
-    return sqdist(xt, points, nearest=nearest), nearest
+    scratch = clustering._scratch(points.shape[:-1], xt.shape[1])
+    return sqdist(xt, points, scratch, nearest=nearest), nearest
 
 
 def four_blobs(m, seed, n=400):
@@ -405,10 +419,10 @@ class TestRestartBatches:
             if rng.random() < 0.5:
                 x = np.asfortranarray(x)
             stack = rng.normal(size=(sets, k, m))
-            d2 = _sqdist(x.T, stack)
+            d2 = raw_sqdist(x.T, stack)
             labels, nearest = assignment(x.T, stack)
             for b in range(sets):
-                assert np.array_equal(d2[b], _sqdist(x.T, stack[b]))
+                assert np.array_equal(d2[b], raw_sqdist(x.T, stack[b]))
                 want_labels, want_nearest = assignment(x.T, stack[b])
                 assert np.array_equal(labels[b], want_labels)
                 assert np.array_equal(nearest[b], want_nearest)
@@ -642,7 +656,7 @@ class TestAssignmentPass:
         want_d2 = reference_sqdist(x, centroids)
         want = np.argmin(want_d2, axis=1)
         xt = np.ascontiguousarray(x.T)
-        d2 = _sqdist(xt, centroids)
+        d2 = raw_sqdist(xt, centroids)
         assert d2.shape == want_d2.T.shape
         assert np.array_equal(d2, want_d2.T)
         labels, nearest = assignment(xt, centroids)
@@ -808,15 +822,15 @@ class TestRowBlocks:
             [0, 19], [7, 10]]
 
     def test_a_pass_holds_blocks_of_distances(self):
-        """kmeans holds, beside x, its coordinate-major copy (m n doubles),
-        a pass's labels and minima and the last pass's labels (3 n), and,
-        on a run that stops at max_iter, the inertia's two n x m
-        temporaries (2 m n); a pass's distances are two k x BLOCK_ROWS
-        arrays.  Allowing one n more, a whole k x n pass would not fit."""
+        """kmeans holds, beside x, its coordinate-major copy (m n doubles)
+        and a pass's labels and minima and the last pass's labels (3 n),
+        also on a run that stops at max_iter, whose last pass scores it; a
+        pass's distances are two k x BLOCK_ROWS arrays.  Allowing one n
+        more, a whole k x n pass would not fit."""
         x = np.random.default_rng(4).normal(size=(200_000, 2))
         (n, m), k = x.shape, 3
-        bound = x.itemsize * ((3 * m + 4) * n + 2 * k * clustering.BLOCK_ROWS)
-        assert 2 * k * n * x.itemsize > bound - (3 * m + 3) * n * x.itemsize
+        bound = x.itemsize * ((m + 4) * n + 2 * k * clustering.BLOCK_ROWS)
+        assert 2 * k * n * x.itemsize > bound - (m + 3) * n * x.itemsize
         tracemalloc.start()
         try:
             model = kmeans(x, k, max_iter=3)
@@ -893,13 +907,42 @@ class TestKmeans:
             assert np.all(np.diff(hist) <= 1e-9)
 
     def test_inertia_is_that_of_the_returned_pair(self):
-        # stopped at max_iter before converging: the last pass measured the
-        # centroids it then moved (the stale value read 88.09, not 85.87)
+        # stopped at max_iter before converging: one more pass labels the
+        # rows by the centroids the last update moved and scores that pair
         x = np.random.default_rng(0).standard_normal((60, 3))
         model = kmeans(x, 4, rng_seed=0, max_iter=2)
         assert not model.converged
         own = np.sum((x - model.centroids[model.labels]) ** 2)
         assert model.inertia == pytest.approx(own, rel=1e-12)
+
+    @pytest.mark.parametrize("restarts", [1, 10])
+    def test_a_max_iter_stop_labels_by_the_returned_centroids(self,
+                                                               restarts):
+        # the last update moved the centroids, and one more pass labels and
+        # scores the rows by them, as the analyst labels a federated run
+        x = np.random.default_rng(0).standard_normal((60, 3))
+        model = kmeans(x, 4, rng_seed=0, max_iter=2, restarts=restarts)
+        assert (model.n_iter, model.converged) == (2, False)
+        assert np.array_equal(model.labels, assign_nearest(x, model.centroids))
+        d2 = raw_sqdist(np.ascontiguousarray(x.T), model.centroids)
+        assert model.inertia == d2.min(axis=0).sum()
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_a_max_iter_stop_keeps_the_repair(self, max_iter):
+        # the first update repairs an empty cluster and the next pass
+        # undoes it: on that pass the run keeps the repaired labels, the
+        # last pass after max_iter updates too, or a cluster comes back empty
+        x = np.vstack([np.zeros((8, 2)), np.ones((1, 2))])
+        model = kmeans(x, 3, rng_seed=7, max_iter=max_iter)
+        assert sorted(set(model.labels.tolist())) == [0, 1, 2]
+        assert (model.n_iter, model.converged) == (
+            min(max_iter, 2), max_iter > 1)
+        labels, centroids, inertia, repairs = reference_kmeans(
+            x, 3, rng_seed=7, max_iter=max_iter)
+        assert repairs == max_iter
+        assert np.array_equal(model.labels, labels)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.inertia == inertia == 0.0
 
     def test_deterministic_per_seed(self):
         x = np.random.default_rng(8).normal(size=(30, 2))
@@ -952,7 +995,7 @@ class TestKmeans:
         # second-center draw follows the squared-distance weights
         x = np.array([[0.0], [1.0], [2.0], [3.0], [10.0]])
         first = x[0:1]
-        d2 = _sqdist(x.T, first).min(axis=0)
+        d2 = raw_sqdist(x.T, first).min(axis=0)
         counts = self.pick_counts(d2, 10000, 123)
         assert self.within_three_sigma(counts, d2 / d2.sum())
 

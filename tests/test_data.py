@@ -17,7 +17,8 @@ from dccluster import datasets
 from dccluster.data import (LabeledDataset, LatticePartition, make_blobs,
                             make_circles, partition_lattice, load_csv,
                             feature_bounds, generate_anchor, MINOR_FEATURES,
-                            MINOR_VAR, MINOR_COV)
+                            MINOR_VAR, MINOR_COV, MAX_BLOB_CLUSTERS)
+from dccluster import data
 from dccluster.errors import (ContractViolationError, ConfigurationError,
                               IngestionError)
 
@@ -53,6 +54,34 @@ class TestGenerators:
         for c in range(3):
             stds = ds.features[ds.labels == c, :2].std(axis=0)
             assert np.abs(stds - 1.0).max() < 0.15
+
+    @pytest.mark.parametrize("k", range(1, MAX_BLOB_CLUSTERS + 1))
+    def test_every_blob_count_up_to_the_bound_places(self, k):
+        # without the restarts, 5 centers failed on 2 of seeds 0-19 and 6
+        # on 11
+        for seed in range(100):
+            assert make_blobs(k, 1, rng_seed=seed).n_clusters == k
+
+    def test_a_first_try_placement_keeps_its_centers(self, monkeypatch):
+        # the seeds that place without a restart place as they did before
+        # restarts existed, so every blob a config reached keeps its bits
+        placed = {}
+        monkeypatch.setattr(data, "PLACEMENT_RESTARTS", 0)
+        for seed in range(20):
+            try:
+                placed[seed] = make_blobs(5, 3, rng_seed=seed).features
+            except ConfigurationError:
+                pass
+        monkeypatch.undo()
+        assert 0 < len(placed) < 20
+        for seed, features in placed.items():
+            assert np.array_equal(make_blobs(5, 3, rng_seed=seed).features,
+                                  features)
+
+    def test_a_placement_out_of_restarts_is_refused(self, monkeypatch):
+        monkeypatch.setattr(data, "PLACEMENT_RESTARTS", 2)
+        with pytest.raises(ConfigurationError, match="could not place 8"):
+            make_blobs(8, 1, rng_seed=0)
 
     def test_circles_shape_and_radii(self):
         ds = make_circles(3, 500, rng_seed=1)

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dccluster import cli, experiment
+from dccluster import cli, data, experiment
 from dccluster.data import make_blobs
 from dccluster.errors import ConfigurationError
 from dccluster.experiment import (METRICS, ExperimentSpec, TrialReport,
@@ -122,6 +122,17 @@ class TestParseConfig:
         # refused before any trial runs
         with pytest.raises(ConfigurationError, match=match):
             parse_config(f"dataset = blobs\nc = 2\nd = 2\nclusters = 3\n{lines}")
+
+    def test_blobs_take_at_most_the_clusters_they_can_place(self):
+        bound = data.MAX_BLOB_CLUSTERS
+        assert parse_config(f"dataset = blobs\nc = 1\nd = 1\n"
+                            f"clusters = {bound}\n").clusters == bound
+        with pytest.raises(ConfigurationError, match=f"at most {bound} "):
+            parse_config(f"dataset = blobs\nc = 1\nd = 1\n"
+                         f"clusters = {bound + 1}\n")
+        # the bound is the blob generator's; rings take any count
+        assert parse_config("dataset = circles\nc = 1\nd = 1\n"
+                            "clusters = 12\n").clusters == 12
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigurationError, match="jsn"):
@@ -513,8 +524,9 @@ class TestCli:
         ("col_blocks = 0,1|2|3,4,5\n", None),
         ("cluster_map = 0:0 1:1\n", None),
         ("assignment = by-cluster-map\n", None),
+        ("clusters = 12\n", None),
     ], ids=["missing-csv", "nan-cell", "col-blocks-count", "unread-cluster-map",
-            "cluster-map-missing"])
+            "cluster-map-missing", "blobs-clusters-12"])
     def test_bad_inputs_exit_2_before_any_trial(self, tmp_path, capsys,
                                                 monkeypatch, lines, csv_text):
         if csv_text is not None:

@@ -3,9 +3,10 @@ seed modules stay below the protocol: the wire format, the party runners,
 the experiment runner and the CLI may import them, never the other way
 round.  The protocol in turn stays below the experiment runner and the
 CLI.  scipy is imported only inside the functions that call it, and never
-by the metrics, so a k-means process runs on numpy alone.  And every
-top-level function and class, and every method of one, serves the
-package itself, not only its tests."""
+by the metrics, so a k-means process runs on numpy alone.  k-means takes
+its squared distances from one kernel, so no other clustering function
+squares a difference of its own.  And every top-level function and class,
+and every method of one, serves the package itself, not only its tests."""
 
 import ast
 import importlib.util
@@ -180,6 +181,64 @@ def test_the_scipy_rule_sees_every_placement(tmp_path):
                                       "from .scipy_like import y\n")
     assert scipy_rule_breaches(tmp_path) == ["guarded:2", "in_class:2",
                                              "metrics:2", "top:1"]
+
+
+# The clustering functions that may square a difference: the kernel every
+# k-means distance comes from, the empty-cluster repair's own distances and
+# the kNN graph's candidate distances.
+SQUARING = {"_sqdist", "_repair", "build_affinity"}
+
+
+def squares_a_difference(node):
+    """Whether `node` is `(a - b) ** 2` or a call of a `square`, as
+    np.square."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return (isinstance(node.left, ast.BinOp)
+                and isinstance(node.left.op, ast.Sub)
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 2)
+    return isinstance(node, ast.Call) and "square" in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+
+def squaring_breaches(path):
+    """The top-level functions of `path` outside SQUARING that square a
+    difference anywhere in their bodies."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name not in SQUARING
+            and any(squares_a_difference(part) for part in ast.walk(node))]
+
+
+def test_kmeans_squares_its_differences_in_one_kernel():
+    assert squaring_breaches(PACKAGE / "clustering.py") == []
+
+
+def test_the_squaring_rule_sees_every_form(tmp_path):
+    probe = tmp_path / "clustering.py"
+    probe.write_text("import numpy as np\n"
+                     "from numpy import square\n"
+                     "def _sqdist(a, b):\n"
+                     "    return np.square(a - b)\n"
+                     "def _inertia(x, c):\n"
+                     "    return float(np.sum((x - c) ** 2))\n"
+                     "def spelled(x, c, out):\n"
+                     "    np.subtract(x, c, out=out)\n"
+                     "    return np.square(out, out=out)\n"
+                     "def bare(d):\n"
+                     "    return square(d)\n"
+                     "def nested(x, c):\n"
+                     "    def inner():\n"
+                     "        return (x - c) ** 2\n"
+                     "    return inner()\n"
+                     "class Holder:\n"
+                     "    def method(self, x, c):\n"
+                     "        return (x - c) ** 2\n"
+                     "def norms(x, c):\n"
+                     "    return x ** 2 + (x - c) ** 3 + (x + c) ** 2\n")
+    assert squaring_breaches(probe) == ["_inertia", "spelled", "bare",
+                                        "nested"]
 
 
 def called_names(path):
