@@ -1,14 +1,14 @@
 """Collaborative representation learning over a lattice partition.
 
 Each institution reduces its block with a privately fitted affine map f
-(centring, a per-feature rescaling only when asked, then principal axes,
-strictly fewer output than input dimensions) and shares only the
-transformed block plus the transformed anchor; f itself never leaves the
-fit.  The analyst aligns the per-row-block representations by factoring
-the stacked anchor images: the leading left singular vectors give a common
-target, and each row block gets the least-squares (affine or linear) map of
-its anchor image onto that target.  Applying those maps to the data blocks
-yields one coherent matrix the analyst can cluster centrally.
+(centring, then principal axes, strictly fewer output than input
+dimensions) and shares only the transformed block plus the transformed
+anchor; f itself never leaves the fit.  The analyst aligns the
+per-row-block representations by factoring the stacked anchor images: the
+leading left singular vectors give a common target, and each row block
+gets the least-squares affine map of its anchor image onto that target.
+Applying those maps to the data blocks yields one coherent matrix the
+analyst can cluster centrally.
 """
 from __future__ import annotations
 
@@ -68,19 +68,13 @@ class CollaborationModel:
     m_hat_clamped: bool = False
 
 
-def fit_intermediate(x_block, anchor_block, target_dim: int, *, scale: bool):
+def fit_intermediate(x_block, anchor_block, target_dim: int):
     """Fit an institution's private map f and transform its block and anchor.
 
     f centres the block on its own means and projects onto the top
-    target_dim principal axes.  scale=False, the default of every config,
-    fits those axes to the raw covariance.  scale=True first divides each
-    feature by its population std (a constant feature by 1), fitted
-    locally, so the axes follow the correlation matrix instead.  When
-    features share a unit and informativeness tracks variance, rescaling
-    levels the spectrum and the fitted axes stop agreeing across
-    institutions; the centre-only map keeps them consistent.  target_dim
-    must be strictly below the block's feature count; the reduction is what
-    keeps the raw block unrecoverable.  The fit is deterministic.
+    target_dim principal axes of its raw covariance.  target_dim must be
+    strictly below the block's feature count; the reduction is what keeps
+    the raw block unrecoverable.  The fit is deterministic.
 
     Returns (x_tilde, anchor_tilde): the transformed block and the
     transformed anchor restricted to this institution's columns, the two
@@ -103,11 +97,7 @@ def fit_intermediate(x_block, anchor_block, target_dim: int, *, scale: bool):
         raise ContractViolationError("fit needs at least 2 rows")
     means = x_block.mean(axis=0)
     centred = x_block - means
-    scales = np.ones(m)   # dividing by 1.0 is exact
-    if scale:
-        scales = np.sqrt(np.mean(centred * centred, axis=0))  # population std
-        scales[scales == 0.0] = 1.0
-    linear = svd(centred / scales, top_k=target_dim).vt.T / scales[:, None]
+    linear = svd(centred, top_k=target_dim).vt.T
     anchor_tilde = np.empty((anchor_block.shape[0], target_dim))
     for start in range(0, anchor_block.shape[0], ANCHOR_BLOCK_ROWS):
         rows = slice(start, start + ANCHOR_BLOCK_ROWS)
@@ -174,8 +164,9 @@ def build_collaboration(shares, mode: str = "affine",
                         m_hat: int | None = None) -> CollaborationModel:
     """Align per-row-block representations through the shared anchor.
 
-    Row block i's design D_i is its shares' anchor images side by side,
-    plus a ones column in affine mode; the stack is every design side by
+    Row block i's design D_i is its shares' anchor images side by side, plus
+    a ones column in affine mode, the mode of every session; linear mode,
+    without it, is kept for comparison.  The stack is every design side by
     side, r × W.  Its rows are walked ANCHOR_BLOCK_ROWS at a time through
     one reused buffer.  The first walk sums the blocks' Gram products into
     the stack's Gram matrix G.  Row block i's map is the least-squares map

@@ -258,8 +258,7 @@ def run_experiment(spec: ExperimentSpec) -> TrialReport:
             for metric in METRICS:
                 values[method][metric].append(s[metric])
 
-    extras = {"neighbors": spec.neighbors,
-              "m_hat_used": sorted(set(m_hats)),
+    extras = {"m_hat_used": sorted(set(m_hats)),
               "mean_residual": float(np.mean(residuals)) if residuals else None}
     return TrialReport(spec=spec.echo(), methods=methods,
                        trial_seeds=trial_seeds, values=values,
@@ -316,7 +315,7 @@ def emit_report(report: TrialReport):
                  f"trials: {report.completed_trials()} "
                  f"(aborted: {len(report.aborted)}), "
                  f"algorithm: {spec['algorithm']}, "
-                 f"neighbors: {report.extras.get('neighbors')}", "",
+                 f"neighbors: {spec['neighbors']}", "",
                  "| method | " + " | ".join(m.upper() for m in METRICS) + " |",
                  "|---" * (len(METRICS) + 1) + "|"]
         for method in report.methods:

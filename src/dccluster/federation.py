@@ -6,7 +6,7 @@ are self-describing: a fixed magic, a kind byte, a little-endian payload
 length, then a JSON header (length-prefixed) followed by raw row-major
 little-endian float64 matrices in header order.  A message's dataclass is
 its schema: the ndarray fields are the matrices and every other field is a
-header key.  Neither message has a slot for offsets, scales, or axes, so a
+header key.  Neither message has a slot for offsets or axes, so a
 conforming peer cannot leak its private map even by accident.  Decoded
 matrices are views into the frame.
 
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .clustering import assign_nearest
-from .collaboration import (ALGORITHMS, MODES, CollaborationModel,
+from .collaboration import (ALGORITHMS, CollaborationModel,
                             analyst_cluster, build_collaboration,
                             fit_intermediate, make_clustering_representation)
 from .errors import (ConfigurationError, ContractViolationError, DecodeError,
@@ -96,17 +96,14 @@ class SessionSettings:
     and the session config; a bad value raises before any party fits."""
 
     algorithm: str = "kmeans"
-    mode: str = "affine"
     neighbors: int = 10
     max_iter: int = 300
     m_hat: int | None = None
-    scale: bool = False
     restarts: int = 10
 
     def __post_init__(self):
-        for name, choices in (("algorithm", ALGORITHMS), ("mode", MODES)):
-            if getattr(self, name) not in choices:
-                raise ConfigurationError(f"{name} must be one of {choices}")
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")
         check_at_least_one(self, "neighbors", "max_iter", "restarts", "m_hat")
 
 
@@ -139,8 +136,8 @@ def _same_fields(self, other) -> bool:
 @dataclass
 class UserShareMsg:
     """Everything an institution reveals: its party id, two transformed
-    matrices and the echo of its session config.  Raw features, means,
-    scales, and axes stay local by construction; no field can carry them."""
+    matrices and the echo of its session config.  Raw features, means and
+    axes stay local by construction; no field can carry them."""
 
     party: tuple[int, int]
     x_tilde: np.ndarray
@@ -552,8 +549,7 @@ def user_step(party, block, anchor_block, cfg: SessionConfig) -> UserShareMsg:
         raise ConfigurationError(
             f"party {party} has {rows} of the {need} rows its {width}-feature "
             "block needs to reduce dimension")
-    x_tilde, anchor_tilde = fit_intermediate(
-        block, anchor_block, width - 1, scale=cfg.scale)
+    x_tilde, anchor_tilde = fit_intermediate(block, anchor_block, width - 1)
     return UserShareMsg(party=party, x_tilde=x_tilde,
                         anchor_tilde=anchor_tilde, config=cfg.echo())
 
@@ -578,7 +574,7 @@ def analyst_step(shares, cfg: SessionConfig):
     if cfg.algorithm == "spectral" and cfg.neighbors >= rows:
         raise ProtocolError(f"neighbors = {cfg.neighbors} is not below the "
                             f"shares' row count, {rows}")
-    model = build_collaboration(shares, mode=cfg.mode, m_hat=cfg.m_hat)
+    model = build_collaboration(shares, m_hat=cfg.m_hat)
     del shares
     z = make_clustering_representation(model, cfg.algorithm, cfg.k, cfg.neighbors)
     clusters, z_blocks = analyst_cluster(

@@ -104,7 +104,7 @@ def test_criterion_04_iris_spectral(capsys):
     agg = report.aggregate()
     p_ari = agg["proposed"]["ari"]["mean"]
     c_ari = agg["centralized"]["ari"]["mean"]
-    neighbors = report.extras["neighbors"]
+    neighbors = report.spec["neighbors"]
     ok = (abs(p_ari - 0.787) <= 0.08 and abs(c_ari - 0.759) <= 0.08
           and elapsed < 120.0)
     _report(capsys, 4, ok,

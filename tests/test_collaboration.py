@@ -158,21 +158,13 @@ def lattice_shares(c, d, seed, r=60, deficient=()):
     return shares
 
 
-def reference_fit(x, anchor, target_dim, scale):
+def reference_fit(x, anchor, target_dim):
     """The fit as first written, kept as the reference: the block is
-    standardized (centred, then divided by its population std, a constant
-    column by 1), and the private map is the three-field
+    centred, and the private map is the three-field
     (x - pre_offset) @ linear + post_offset, with a zero post_offset,
     applied to the block and to the anchor."""
-    means = x.mean(axis=0)
-    scales = x.std(axis=0)
-    scales = np.where(scales == 0.0, 1.0, scales)
-    x_std = (x - means) / scales
-    if not scale:
-        scales = np.ones_like(scales)
-        x_std = x - means
-    pre_offset = means
-    linear = svd(x_std, top_k=target_dim).vt.T / scales[:, None]
+    pre_offset = x.mean(axis=0)
+    linear = svd(x - pre_offset, top_k=target_dim).vt.T
     post_offset = np.zeros(target_dim)
     return ((x - pre_offset) @ linear + post_offset,
             (anchor - pre_offset) @ linear + post_offset)
@@ -207,19 +199,17 @@ class TestFitIntermediate:
         self.anchor = rng.uniform(-4, 4, size=(20, 5))
 
     def test_share_shapes(self):
-        x_tilde, anchor_tilde = fit_intermediate(self.x, self.anchor, 3,
-                                                 scale=True)
+        x_tilde, anchor_tilde = fit_intermediate(self.x, self.anchor, 3)
         assert x_tilde.shape == (30, 3)
         assert anchor_tilde.shape == (20, 3)
 
-    @pytest.mark.parametrize("scale", [True, False])
     @pytest.mark.parametrize("m", range(2, 8))
-    def test_matches_the_reference_fit_bit_for_bit(self, m, scale):
+    def test_matches_the_reference_fit_bit_for_bit(self, m):
         for seed in range(5):
             for kind, x, anchor in fit_inputs(m, seed):
                 for target_dim in range(1, m):
-                    got = fit_intermediate(x, anchor, target_dim, scale=scale)
-                    want = reference_fit(x, anchor, target_dim, scale)
+                    got = fit_intermediate(x, anchor, target_dim)
+                    want = reference_fit(x, anchor, target_dim)
                     for g, w in zip(got, want):
                         assert np.array_equal(g, w), (kind, seed, target_dim)
                         assert np.array_equal(np.signbit(g), np.signbit(w)), (
@@ -235,7 +225,7 @@ class TestFitIntermediate:
                                           + 5, 6))
         tracemalloc.start()
         try:
-            outputs = fit_intermediate(x, anchor, 5, scale=False)
+            outputs = fit_intermediate(x, anchor, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,53 +236,23 @@ class TestFitIntermediate:
         # alone: an anchor that repeats the block comes back as the block's
         # own image, and the rest as the plain anchor's
         x_tilde, anchor_tilde = fit_intermediate(
-            self.x, np.vstack([self.x, self.anchor]), 2, scale=True)
-        _, plain = fit_intermediate(self.x, self.anchor, 2, scale=True)
+            self.x, np.vstack([self.x, self.anchor]), 2)
+        _, plain = fit_intermediate(self.x, self.anchor, 2)
         assert np.allclose(anchor_tilde[:30], x_tilde)
         assert np.allclose(anchor_tilde[30:], plain)
 
     def test_must_reduce_dimension(self):
         with pytest.raises(ContractViolationError):
-            fit_intermediate(self.x, self.anchor, 5, scale=True)
+            fit_intermediate(self.x, self.anchor, 5)
         with pytest.raises(ContractViolationError):
-            fit_intermediate(self.x, self.anchor, 0, scale=True)
+            fit_intermediate(self.x, self.anchor, 0)
 
     def test_anchor_width_must_match(self):
         with pytest.raises(ContractViolationError):
-            fit_intermediate(self.x, self.anchor[:, :4], 2, scale=True)
-
-    def test_scaled_variant_standardizes(self):
-        x_tilde, _ = fit_intermediate(self.x, self.anchor, 4, scale=True)
-        # projected through unit-variance axes: coordinates stay O(1)
-        assert x_tilde.std(axis=0).max() < 3
-
-    def test_scaled_variant_divides_by_the_population_std(self):
-        # (1, 2, 3) has population std sqrt(2/3); one axis, of either
-        # sign, keeps it all
-        x = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        x_tilde, anchor_tilde = fit_intermediate(x, [[4.0, 0.0]], 1,
-                                                 scale=True)
-        sign = np.sign(x_tilde[2, 0])
-        assert np.allclose(sign * x_tilde[:, 0],
-                           np.array([-1, 0, 1]) / np.sqrt(2 / 3))
-        assert np.allclose(sign * anchor_tilde, 2 / np.sqrt(2 / 3))
-
-    def test_scaled_variant_passes_a_constant_feature_through(self):
-        # a zero std divides by 1, so the centred feature stays all zeros
-        # and the fit is the one without it
-        x = self.x.copy()
-        x[:, 2] = 5.0
-        x_tilde, anchor_tilde = fit_intermediate(x, self.anchor, 3, scale=True)
-        assert np.isfinite(x_tilde).all() and np.isfinite(anchor_tilde).all()
-        kept = [0, 1, 3, 4]
-        without = fit_intermediate(x[:, kept], self.anchor[:, kept], 3,
-                                   scale=True)
-        assert np.allclose(x_tilde, without[0], atol=1e-12)
-        assert np.allclose(anchor_tilde, without[1], atol=1e-12)
+            fit_intermediate(self.x, self.anchor[:, :4], 2)
 
     def test_center_only_variant(self):
-        x_tilde, anchor_tilde = fit_intermediate(self.x, self.anchor, 2,
-                                                 scale=False)
+        x_tilde, anchor_tilde = fit_intermediate(self.x, self.anchor, 2)
         mu = self.x.mean(axis=0)
         # the map subtracts the block mean, then projects onto the
         # orthonormal principal axes of the centred block, anchor included
@@ -304,7 +264,7 @@ class TestFitIntermediate:
                            np.diag(svd(self.x - mu).s[:2] ** 2))
 
     def test_center_only_keeps_dominant_variance(self):
-        x_tilde, _ = fit_intermediate(self.x, self.anchor, 1, scale=False)
+        x_tilde, _ = fit_intermediate(self.x, self.anchor, 1)
         total = ((self.x - self.x.mean(axis=0)) ** 2).sum()
         kept = (x_tilde ** 2).sum()
         assert kept / total > 0.5
@@ -713,7 +673,7 @@ class TestAlignmentTheory:
                 shares = []
                 for i, idx in enumerate(rows):
                     x_tilde, anchor_tilde = fit_intermediate(
-                        x[idx], anchor, dim, scale=False)
+                        x[idx], anchor, dim)
                     shares.append(UserShareMsg(party=(i, 0), x_tilde=x_tilde,
                                                anchor_tilde=anchor_tilde))
                 resid[dim] = build_collaboration(shares, mode="affine").residual
@@ -849,7 +809,7 @@ REFUSALS = {
                        ContractViolationError, r"top_k must be in \[1, 3\]"),
     "svd-top-k-above": (lambda: svd(ROWS, top_k=4),
                         ContractViolationError, r"top_k must be in \[1, 3\]"),
-    "fit-one-row": (lambda: fit_intermediate(ROWS[:1], ROWS, 2, scale=False),
+    "fit-one-row": (lambda: fit_intermediate(ROWS[:1], ROWS, 2),
                     ContractViolationError, "fit needs at least 2 rows"),
     "map-width": (lambda: collaboration.AffineMap(np.eye(2), np.zeros(2)
                                                   ).apply(ROWS),

@@ -60,7 +60,6 @@ class TestParseConfig:
             algorithm = spectral
             neighbors = 9
             trials = 4
-            scale = true
             centralized = false
             assignment = by-cluster-map
             cluster_map = 0:0 1:0,1 2:1
@@ -71,7 +70,6 @@ class TestParseConfig:
         assert spec.name == "parsed"
         assert spec.dataset == "csv"
         assert spec.k is None
-        assert spec.scale is True
         assert spec.centralized is False
         assert spec.cluster_map == {0: (0,), 1: (0, 1), 2: (1,)}
         assert spec.col_blocks == ((0, 2, 3), (1, 4, 5))
@@ -81,9 +79,16 @@ class TestParseConfig:
         spec = parse_config("dataset = blobs\nc = 1\nd = 1\nc = 3\n")
         assert spec.c == 3
 
-    def test_unknown_key_reports_line(self):
-        with pytest.raises(ConfigurationError, match="line 2"):
-            parse_config("dataset = blobs\nwidgets = 5\nc = 1\nd = 1\n")
+    # mode and scale are no keys: sessions always align in affine mode and
+    # fit the centre-only map, so a config that sets either is refused
+    @pytest.mark.parametrize("line", ["widgets = 5", "mode = affine",
+                                      "scale = false"],
+                             ids=["widgets", "mode", "scale"])
+    def test_unknown_key_reports_line(self, line):
+        key = line.split()[0]
+        with pytest.raises(ConfigurationError,
+                           match=f"^line 2: unknown key '{key}'$"):
+            parse_config(f"dataset = blobs\n{line}\nc = 1\nd = 1\n")
 
     def test_missing_equals_reports_line(self):
         with pytest.raises(ConfigurationError, match="line 1"):
@@ -91,7 +96,7 @@ class TestParseConfig:
 
     def test_bad_bool(self):
         with pytest.raises(ConfigurationError, match="true/false"):
-            parse_config("dataset = blobs\nc = 1\nd = 1\nscale = yes\n")
+            parse_config("dataset = blobs\nc = 1\nd = 1\ncentralized = yes\n")
 
     def test_bad_cluster_map_entry(self):
         with pytest.raises(ConfigurationError, match="cluster_map"):
@@ -208,9 +213,8 @@ CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg"
 
 # Out-of-range settings: each is a ConfigurationError as soon as the spec or
 # the session config is built, before any party fits.
-BAD_SETTINGS = [("algorithm", "spectrl"), ("mode", "afine"), ("neighbors", 0),
-                ("max_iter", 0), ("restarts", 0), ("m_hat", 0), ("c", 0),
-                ("d", 0), ("k", 0)]
+BAD_SETTINGS = [("algorithm", "spectrl"), ("neighbors", 0), ("max_iter", 0),
+                ("restarts", 0), ("m_hat", 0), ("c", 0), ("d", 0), ("k", 0)]
 
 
 class TestSessionSettings:
@@ -234,8 +238,8 @@ class TestSessionSettings:
             "algorithm", "anchor_size", "assignment", "c", "centralized",
             "cluster_map", "clusters", "col_blocks", "csv_path", "d",
             "dataset", "formats", "k", "label_column", "local", "m_hat",
-            "master_seed", "max_iter", "mode", "name", "neighbors", "out_dir",
-            "per_cluster", "restarts", "scale", "trials"}
+            "master_seed", "max_iter", "name", "neighbors", "out_dir",
+            "per_cluster", "restarts", "trials"}
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
     def test_trial_config_carries_the_spec_settings(self, path):
@@ -247,8 +251,8 @@ class TestSessionSettings:
         assert cfg.master_seed == 12345
 
     def test_every_setting_reaches_the_session(self):
-        settings = dict(algorithm="spectral", mode="linear", neighbors=7,
-                        max_iter=55, m_hat=1, scale=True, restarts=4)
+        settings = dict(algorithm="spectral", neighbors=7, max_iter=55,
+                        m_hat=1, restarts=4)
         _, _, _, cfg = trial_inputs(tiny_spec(**settings), 9)
         assert {key: getattr(cfg, key) for key in settings} == settings
 
@@ -296,7 +300,7 @@ class TestRunExperiment:
     def test_extras_describe_the_alignment(self):
         report = run_experiment(tiny_spec())
         assert report.extras["m_hat_used"] == [2]
-        assert report.extras["neighbors"] == 10
+        assert report.spec["neighbors"] == 10
         assert 0.0 <= report.extras["mean_residual"] < 1.0
 
     def test_local_none(self):
@@ -500,11 +504,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no .cfg files" in err
 
-    def test_bad_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line", ["widgets = 5", "mode = affine"],
+                             ids=["widgets", "mode"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "broken.cfg"
-        cfg.write_text("dataset = blobs\nwidgets = 5\n")
+        cfg.write_text(TINY_CFG + f"{line}\nout_dir = {tmp_path / 'reports'}\n")
         assert cli.main(["run", str(cfg)]) == 2
-        assert "error:" in capsys.readouterr().err
+        lineno = len(TINY_CFG.splitlines()) + 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: line {lineno}: unknown key '{line.split()[0]}'"]
 
     @pytest.mark.parametrize("content", [None, b"\xff\xfe"],
                              ids=["missing", "not-text"])

@@ -2,14 +2,13 @@
 and the spectral embedding that a correct implementation satisfies to
 within a tolerance, so a change that moves bits honestly can be checked
 without a reference copy of the old code."""
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
 from dccluster.clustering import (assign_nearest, build_affinity, kmeans,
                                   laplacian_sym, spectral_embedding)
+from dccluster.collaboration import build_collaboration
 from dccluster.data import (feature_bounds, generate_anchor, make_blobs,
                             partition_lattice)
 from dccluster.federation import (SessionConfig, UserShareMsg, analyst_step,
@@ -48,12 +47,18 @@ def relative(a, b):
 def test_alignment_is_blind_to_each_partys_rotation(c, d, mode):
     # u1 spans the stacked anchor images' column space, which a rotation of
     # each party's columns leaves as it is; so do the least-squares maps
-    # onto it, and with them x_hat
+    # onto it, and with them x_hat.  Sessions align in affine mode; linear
+    # mode is reached through the library alone
     shares, cfg = lattice_shares(c, d, seed=10 * c + d)
-    cfg = dataclasses.replace(cfg, mode=mode)
     rng = np.random.default_rng(c * d)
+    turned_shares = [rotated(s, rng) for s in shares]
+    if mode == "linear":
+        plain = build_collaboration(shares, mode="linear")
+        turned = build_collaboration(turned_shares, mode="linear")
+        assert relative(turned.x_hat, plain.x_hat) <= 1e-12
+        return
     plain = analyst_step(shares, cfg)[0]
-    turned = analyst_step([rotated(s, rng) for s in shares], cfg)[0]
+    turned = analyst_step(turned_shares, cfg)[0]
     assert relative(turned.model.x_hat, plain.model.x_hat) <= 1e-12
     assert np.array_equal(turned.labels, plain.labels)
 
