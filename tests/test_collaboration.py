@@ -251,6 +251,32 @@ class TestFitIntermediate:
         with pytest.raises(ContractViolationError):
             fit_intermediate(self.x, self.anchor[:, :4], 2)
 
+    def test_center_only_keeps_a_line_on_one_axis(self):
+        # (1, 2, 3) centres to (-1, 0, 1); one axis, of either sign, keeps
+        # it all, and the anchor row 4 lands one step past the last row
+        x = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        x_tilde, anchor_tilde = fit_intermediate(x, [[4.0, 0.0]], 1)
+        sign = np.sign(x_tilde[2, 0])
+        assert np.allclose(sign * x_tilde[:, 0], [-1, 0, 1])
+        assert np.allclose(sign * anchor_tilde, 2)
+
+    def test_center_only_passes_a_constant_feature_through(self):
+        # a constant feature centres to all zeros, so the fit is the one
+        # without it
+        x = self.x.copy()
+        x[:, 2] = 5.0
+        x_tilde, anchor_tilde = fit_intermediate(x, self.anchor, 3)
+        assert np.isfinite(x_tilde).all() and np.isfinite(anchor_tilde).all()
+        kept = [0, 1, 3, 4]
+        without = fit_intermediate(x[:, kept], self.anchor[:, kept], 3)
+        assert np.allclose(x_tilde, without[0], atol=1e-12)
+        assert np.allclose(anchor_tilde, without[1], atol=1e-12)
+
+    def test_takes_no_scale_keyword(self):
+        # institutions always fit the centre-only map
+        with pytest.raises(TypeError, match="scale"):
+            fit_intermediate(self.x, self.anchor, 2, scale=False)
+
     def test_center_only_variant(self):
         x_tilde, anchor_tilde = fit_intermediate(self.x, self.anchor, 2)
         mu = self.x.mean(axis=0)
@@ -735,6 +761,30 @@ class TestAnalystAndUsers:
         # the analyst's labels are those its institutions recover
         assert np.array_equal(report.labels, np.concatenate(
             [assign_nearest(r.z_block, r.centroids) for r in results]))
+
+    def test_user_step_fits_the_centre_only_map(self):
+        # a share is the reference's centre-only fit one dimension below
+        # the block width, bit for bit
+        cfg = SessionConfig(c=1, d=1, k=2)
+        rng = np.random.default_rng(14)
+        block = rng.normal(size=(10, 4)) * [5, 1, 0.2, 3] + 7
+        anchor = rng.normal(size=(6, 4))
+        share = user_step((0, 0), block, anchor, cfg)
+        x_tilde, anchor_tilde = reference_fit(block, anchor, 3)
+        assert np.array_equal(share.x_tilde, x_tilde)
+        assert np.array_equal(share.anchor_tilde, anchor_tilde)
+
+    def test_analyst_step_aligns_in_affine_mode(self):
+        # institutions with their own shifts: the analyst's x_hat is affine
+        # mode's, bit for bit, and not linear mode's
+        shares = equal_range_shares(2, 2, seed=8, with_offsets=True)
+        cfg = SessionConfig(c=2, d=1, k=2, m_hat=2)
+        report = analyst_step(shares, cfg)[0]
+        affine = build_collaboration(shares, m_hat=2, mode="affine")
+        linear = build_collaboration(shares, m_hat=2, mode="linear")
+        assert np.array_equal(report.model.x_hat, affine.x_hat)
+        assert report.model.residual == affine.residual
+        assert not np.allclose(report.model.x_hat, linear.x_hat)
 
     def test_analyst_result_carries_no_private_fields(self):
         assert {f.name for f in dataclasses.fields(AnalystResultMsg)} == {

@@ -225,6 +225,16 @@ class TestSessionSettings:
         with pytest.raises(ConfigurationError, match=f"^{key} must be"):
             parse_config(f"dataset = blobs\nc = 1\nd = 2\n{key} = {value}\n")
 
+    # sessions always align in affine mode and fit the centre-only map, so
+    # neither the session config nor the spec has a field for either
+    @pytest.mark.parametrize("key, value", [("mode", "affine"),
+                                            ("scale", False)])
+    def test_removed_setting_is_no_field(self, key, value):
+        with pytest.raises(TypeError, match=key):
+            SessionConfig(**{"c": 1, "d": 2, "k": 2, key: value})
+        with pytest.raises(TypeError, match=key):
+            tiny_spec(**{key: value})
+
     def test_only_none_means_row_count_and_ground_truth(self):
         spec = tiny_spec(anchor_size=None, k=None)
         ds, _, anchor, cfg = trial_inputs(spec, 5)
@@ -504,8 +514,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no .cfg files" in err
 
-    @pytest.mark.parametrize("line", ["widgets = 5", "mode = affine"],
-                             ids=["widgets", "mode"])
+    @pytest.mark.parametrize("line", ["widgets = 5", "mode = affine",
+                                      "scale = false"],
+                             ids=["widgets", "mode", "scale"])
     def test_bad_config_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "broken.cfg"
         cfg.write_text(TINY_CFG + f"{line}\nout_dir = {tmp_path / 'reports'}\n")

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from dccluster import cli, collaboration, federation
+from dccluster.clustering import kmeans
 from dccluster.data import (make_blobs, partition_lattice, feature_bounds,
                             generate_anchor)
 from dccluster.errors import (ConfigurationError, DecodeError,
@@ -35,7 +36,7 @@ from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
                                   TcpAnalystEndpoint, TcpUserEndpoint,
                                   SessionConfig, admit,
                                   analyst_party_run, user_party_run,
-                                  user_send,
+                                  user_send, user_step,
                                   resolve_timeout, run_dc_clustering,
                                   run_in_process_session, run_tcp_session,
                                   _recv_frame, _run_session, _session_inputs)
@@ -1664,13 +1665,13 @@ class TestFullSession:
             run(ds.features, part, anchor, cfg)
         assert time.monotonic() - start < 1.0
 
-    def test_features_in_mixed_units_take_the_factored_route(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["affine", "linear"])
+    def test_features_in_mixed_units_take_the_factored_route(self, monkeypatch,
+                                                             mode):
         # one major feature in units 100 times smaller leaves every design's
         # Gram block too ill-conditioned for the Gram route: each run takes
-        # the reference route, and u1 comes from svd.  Linear mode, which no
-        # session reaches, takes that route from an ill-conditioned Gram
-        # block in tests/test_collaboration.py's
-        # test_gram_ratio_just_below_the_bound_factors_the_design
+        # the reference route, and u1 comes from svd.  Sessions align in
+        # affine mode; linear mode is reached through the library alone
         ds = make_blobs(k=3, per_cluster=200, rng_seed=0)
         ds.features[:, 0] *= 100.0
         part = partition_lattice(ds, c=2, d=2, assignment="iid-random",
@@ -1699,6 +1700,17 @@ class TestFullSession:
         monkeypatch.setattr(collaboration, "leading_left_vectors",
                             stack_route)
         monkeypatch.setattr(collaboration, "svd_left_vectors", svd_route)
+        if mode == "linear":
+            blocks, anchor_blocks = _session_inputs(ds.features, part, anchor,
+                                                    cfg)
+            shares = [user_step(p, blocks[p], anchor_blocks[p[1]], cfg)
+                      for p in sorted(blocks)]
+            model = collaboration.build_collaboration(shares, mode="linear")
+            assert factored and all(factored)
+            assert routes == ["reference"]
+            labels = kmeans(model.x_hat, 3, restarts=cfg.restarts).labels
+            assert ari(ds.labels[part.row_order()], labels) == 1.0
+            return
         direct = run_dc_clustering(ds.features, part, anchor, cfg)
         local = run_in_process_session(ds.features, part, anchor, cfg)
         wired = run_tcp_session(ds.features, part, anchor, cfg)
