@@ -16,6 +16,7 @@ be reached, a timeout, or a peer that broke the protocol.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -53,12 +54,34 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
         spec, **{key: v for key, v in given.items() if v is not None})
 
 
+@contextlib.contextmanager
+def _writing(out_dir: str):
+    """Turn an OSError while writing under out_dir into a
+    ConfigurationError that names the path it failed on."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {exc.filename or out_dir}: "
+                                 f"{exc.strerror or exc}") from exc
+
+
+def _write_labels(out_dir: str, name: str, labels) -> None:
+    """Write a role's labels, one per line under a `label` header, to
+    out_dir/name, making out_dir if it is missing."""
+    path = os.path.join(out_dir, name)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        np.savetxt(path, labels, fmt="%d", header="label", comments="")
+    print(f"wrote {path}")
+
+
 def _cmd_run(args) -> int:
     status = 0
     for cfg_path in _collect_configs(args.config):
         spec = _apply_overrides(load_config(cfg_path), args)
         report = run_experiment(spec)
-        paths = emit_report(report)
+        with _writing(spec.out_dir):
+            paths = emit_report(report)
         agg = report.aggregate()
         print(f"[{spec.name}] trials={report.completed_trials()} "
               f"aborted={len(report.aborted)} m_hat={report.extras['m_hat_used']}")
@@ -112,10 +135,7 @@ def _cmd_analyst(args) -> int:
           f"received={endpoint.received_count} sent={endpoint.sent_count} "
           f"dropped={report.frames_dropped}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "analyst_labels.csv")
-        np.savetxt(path, report.labels, fmt="%d", header="label", comments="")
-        print(f"wrote {path}")
+        _write_labels(args.out, "analyst_labels.csv", report.labels)
     return 0
 
 
@@ -139,10 +159,7 @@ def _cmd_user(args) -> int:
     print(f"party ({i},{j}): {labels.size} rows labeled, "
           f"{len(set(labels.tolist()))} clusters present")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"labels_{i}_{j}.csv")
-        np.savetxt(path, labels, fmt="%d", header="label", comments="")
-        print(f"wrote {path}")
+        _write_labels(args.out, f"labels_{i}_{j}.csv", labels)
     return 0
 
 

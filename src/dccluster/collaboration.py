@@ -44,24 +44,12 @@ ANCHOR_BLOCK_ROWS = 8_192
 
 
 @dataclass
-class AffineMap:
-    """The analyst's map of a row block: x -> x @ linear + offset."""
-
-    linear: np.ndarray
-    offset: np.ndarray
-
-    def apply(self, x) -> np.ndarray:
-        x = as_matrix(x)
-        if x.shape[1] != self.linear.shape[0]:
-            raise ContractViolationError(
-                f"map expects {self.linear.shape[0]} columns, got {x.shape[1]}")
-        return x @ self.linear + self.offset
-
-
-@dataclass
 class CollaborationModel:
     m_hat: int
-    g_maps: list[AffineMap]
+    # row block i's map g: a (W_i + 1) x m_hat matrix, the offset its last
+    # row, so x -> x @ g[:W_i] + g[W_i] (W_i x m_hat and x -> x @ g in
+    # linear mode)
+    g_maps: list[np.ndarray]
     x_hat: np.ndarray
     row_sizes: list[int]
     residual: float
@@ -222,15 +210,15 @@ def build_collaboration(shares, mode: str = "affine",
     if gram_route is not None:
         # u1 = stack @ v / s, its signs fixed once all its rows are made;
         # flipping a column of u1 flips the same column of every image,
-        # which leaves the residual as it is
+        # which leaves the residual as it is, and of every map, which the
+        # signs flip exactly.  projected[b] is the design's own D.T @ u1
+        # before the signs are fixed
         v, s, projected = gram_route
-        inverses = [pinv(gram[b, b])[0] for b in blocks]
-        unsigned = [inverse @ projected[b] for b, inverse in zip(blocks, inverses)]
-        u1, residual = _walk_anchor(parts, r, v, blocks, unsigned)
+        coeffs = [pinv(gram[b, b])[0] @ projected[b] for b in blocks]
+        u1, residual = _walk_anchor(parts, r, v, blocks, coeffs)
         u1 /= s
-        projected *= _fix_signs(u1)
-        # projected[b] is the design's own D.T @ u1
-        coeffs = [inverse @ projected[b] for b, inverse in zip(blocks, inverses)]
+        signs = _fix_signs(u1)
+        coeffs = [coeff * signs for coeff in coeffs]
     else:
         # the reference route: factoring each design counts its rank
         stack = _side_by_side(parts)
@@ -247,17 +235,18 @@ def build_collaboration(shares, mode: str = "affine",
         coeffs = [inverse @ u1 for inverse in inverses]
         residual = _walk_anchor(parts, r, None, blocks, coeffs)[1]
 
-    g_maps = []
-    for coeff in coeffs:
-        if mode == "affine":
-            g_maps.append(AffineMap(linear=coeff[:-1], offset=coeff[-1]))
-        else:
-            g_maps.append(AffineMap(linear=coeff, offset=np.zeros(m_hat)))
-    return CollaborationModel(m_hat=m_hat, g_maps=g_maps,
-                              x_hat=np.vstack([g.apply(x) for g, x
-                                               in zip(g_maps, x_tilde)]),
-                              row_sizes=[x.shape[0] for x in x_tilde],
-                              residual=residual, m_hat_clamped=clamped)
+    # each row block's rows of x_hat are x_tilde_i @ g[:W_i], plus the
+    # offset g[W_i] in affine mode, made in place
+    row_sizes = [x.shape[0] for x in x_tilde]
+    x_hat = np.empty((sum(row_sizes), m_hat))
+    for x, g, rows in zip(x_tilde, coeffs,
+                          np.split(x_hat, np.cumsum(row_sizes)[:-1])):
+        np.matmul(x, g[:x.shape[1]], out=rows)
+        if ones:
+            rows += g[-1]
+    return CollaborationModel(m_hat=m_hat, g_maps=coeffs, x_hat=x_hat,
+                              row_sizes=row_sizes, residual=residual,
+                              m_hat_clamped=clamped)
 
 
 def make_clustering_representation(model: CollaborationModel, algorithm: str,

@@ -9,6 +9,7 @@ analyst align their outputs later.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 import csv
 import io
@@ -100,6 +101,37 @@ class AnchorDataset:
     features: np.ndarray
 
 
+def check_partition(c: int, d: int, assignment: str, cluster_map=None,
+                    col_index_sets=None) -> None:
+    """Refuse a lattice split that is wrong before any data is read: an
+    unknown assignment; column sets other than d, or naming a feature below
+    0 or more than once; a cluster_map sending a cluster outside row blocks
+    0 to c - 1; and a cluster_map without by-cluster-map, or the reverse."""
+    if assignment not in ASSIGNMENTS:
+        raise ConfigurationError(
+            f"assignment must be one of {ASSIGNMENTS}, got {assignment!r}")
+    if col_index_sets is not None:
+        if len(col_index_sets) != d:
+            raise ConfigurationError(f"expected d = {d} column sets, "
+                                     f"got {len(col_index_sets)}")
+        named = Counter(int(i) for cols in col_index_sets for i in cols)
+        bad = sorted(i for i, count in named.items() if i < 0 or count > 1)
+        if bad:
+            raise ConfigurationError(f"column sets name features {bad} "
+                                     f"below 0 or more than once")
+    for cluster, blocks in (cluster_map or {}).items():
+        if not all(0 <= b < c for b in np.atleast_1d(blocks)):
+            raise ConfigurationError(f"cluster_map sends cluster {cluster}"
+                                     f" outside row blocks 0 to {c - 1}")
+    by_map = assignment == "by-cluster-map"
+    if by_map and cluster_map is None:
+        raise ConfigurationError("by-cluster-map assignment needs cluster_map")
+    if not by_map and cluster_map is not None:
+        raise ConfigurationError(
+            f"cluster_map is read only by assignment = by-cluster-map, "
+            f"not {assignment}")
+
+
 def partition_lattice(ds: LabeledDataset, c: int, d: int, assignment: str,
                       rng_seed: int = 0, cluster_map=None,
                       col_index_sets=None) -> LatticePartition:
@@ -112,15 +144,15 @@ def partition_lattice(ds: LabeledDataset, c: int, d: int, assignment: str,
                       a cluster listed with several blocks is split across
                       them at random
     col_index_sets, when given, overrides the feature allocation with
-    explicit index lists (one per column block).
+    explicit index lists (one per column block).  `check_partition` refuses
+    what is wrong before the data is read.
     """
     n, m = ds.features.shape
     if not 1 <= c <= n:
         raise ContractViolationError(f"c must be in [1, {n}], got {c}")
     if not 1 <= d <= m:
         raise ContractViolationError(f"d must be in [1, {m}], got {d}")
-    if assignment not in ASSIGNMENTS:
-        raise ConfigurationError(f"unknown assignment {assignment!r}")
+    check_partition(c, d, assignment, cluster_map, col_index_sets)
     rng = np.random.default_rng(rng_seed)
 
     if assignment == "iid-random":
@@ -132,11 +164,7 @@ def partition_lattice(ds: LabeledDataset, c: int, d: int, assignment: str,
 
     if col_index_sets is not None:
         cols = [np.asarray(s, dtype=np.int64) for s in col_index_sets]
-        if len(cols) != d:
-            raise ConfigurationError(
-                f"col_index_sets has {len(cols)} blocks, expected {d}")
-        flat = np.concatenate(cols) if cols else np.array([], dtype=np.int64)
-        if not np.array_equal(np.sort(flat), np.arange(m)):
+        if not np.array_equal(np.sort(np.concatenate(cols)), np.arange(m)):
             raise ConfigurationError(
                 "col_index_sets must cover every feature exactly once")
     elif assignment == "iid-random":
@@ -155,20 +183,13 @@ def partition_lattice(ds: LabeledDataset, c: int, d: int, assignment: str,
 
 
 def _rows_by_cluster_map(labels, c, cluster_map, rng):
-    if cluster_map is None:
-        raise ConfigurationError("by-cluster-map assignment needs cluster_map")
     present = np.unique(labels)
     missing = [int(k) for k in present if int(k) not in cluster_map]
     if missing:
         raise ConfigurationError(f"cluster_map lacks entries for clusters {missing}")
     buckets: list[list[np.ndarray]] = [[] for _ in range(c)]
     for cluster in present:
-        target = cluster_map[int(cluster)]
-        blocks = [target] if np.isscalar(target) else list(target)
-        for b in blocks:
-            if not 0 <= int(b) < c:
-                raise ConfigurationError(
-                    f"cluster {int(cluster)} mapped to invalid row block {b}")
+        blocks = np.atleast_1d(cluster_map[int(cluster)])
         idx = np.flatnonzero(labels == cluster)
         if len(blocks) == 1:
             buckets[int(blocks[0])].append(idx)

@@ -21,7 +21,7 @@ import numpy as np
 from .clustering import kmeans, spectral_cluster
 from .data import (LabeledDataset, make_blobs, make_circles, load_csv,
                    partition_lattice, feature_bounds, generate_anchor,
-                   read_text, ASSIGNMENTS, MAX_BLOB_CLUSTERS)
+                   read_text, check_partition, MAX_BLOB_CLUSTERS)
 from .errors import ConfigurationError
 from .federation import (SessionConfig, SessionSettings, check_at_least_one,
                          run_in_process_session)
@@ -79,24 +79,10 @@ class ExperimentSpec(SessionSettings):
                                      f"{MAX_BLOB_CLUSTERS} clusters")
         if self.dataset == "csv" and not self.csv_path:
             raise ConfigurationError("csv dataset needs csv_path")
-        if self.assignment not in ASSIGNMENTS:
-            raise ConfigurationError(f"assignment must be one of {ASSIGNMENTS}")
         if self.local not in LOCAL_CHOICES:
             raise ConfigurationError(f"local must be one of {LOCAL_CHOICES}")
-        if self.col_blocks is not None and len(self.col_blocks) != self.d:
-            raise ConfigurationError(f"col_blocks has {len(self.col_blocks)} "
-                                     f"groups, expected d = {self.d}")
-        for cluster, blocks in (self.cluster_map or {}).items():
-            if not all(0 <= b < self.c for b in np.atleast_1d(blocks)):
-                raise ConfigurationError(f"cluster_map sends cluster {cluster}"
-                                         f" outside row blocks 0 to {self.c - 1}")
-        by_map = self.assignment == "by-cluster-map"
-        if by_map and self.cluster_map is None:
-            raise ConfigurationError("by-cluster-map assignment needs cluster_map")
-        if not by_map and self.cluster_map is not None:
-            raise ConfigurationError(
-                f"cluster_map is read only by assignment = by-cluster-map, "
-                f"not {self.assignment}")
+        check_partition(self.c, self.d, self.assignment, self.cluster_map,
+                        self.col_blocks)
 
     def echo(self) -> dict:
         out = asdict(self)

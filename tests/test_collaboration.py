@@ -17,7 +17,7 @@ from dccluster.data import (make_blobs, make_circles, partition_lattice,
                             feature_bounds, generate_anchor)
 from dccluster.errors import ConfigurationError, ContractViolationError
 from dccluster.federation import (AnalystResultMsg, SessionConfig,
-                                  UserShareMsg, analyst_step,
+                                  UserShareMsg, _session_inputs, analyst_step,
                                   run_dc_clustering, user_step)
 from dccluster.metrics import ari
 from dccluster.numerics import _fix_signs, leading_left_vectors, pinv, svd
@@ -48,13 +48,16 @@ def equal_range_shares(c, m_tilde, seed, with_offsets, n=40, r=30, m=None):
 
 
 def aligned_anchor_images(shares, model):
+    """Each row block's anchor images mapped by its g: block @ g[:w], plus
+    the offset row g[w] where the map has one (affine mode)."""
     rows = {}
     for s in shares:
         rows.setdefault(s.party[0], []).append(s.anchor_tilde)
     out = []
     for i in sorted(rows):
         block = np.hstack(rows[i])
-        out.append(model.g_maps[i].apply(block))
+        g, w = model.g_maps[i], block.shape[1]
+        out.append(block @ g[:w] + g[w] if len(g) > w else block @ g)
     return out
 
 
@@ -488,6 +491,37 @@ class TestBuildCollaboration:
         assert (np.linalg.norm(model.x_hat - plain)
                 <= 1e-14 * np.linalg.norm(plain))
 
+    @pytest.mark.parametrize("mode", ["affine", "linear"])
+    @pytest.mark.parametrize("route", ["gram", "factored"])
+    def test_x_hat_is_each_row_blocks_map_applied(self, monkeypatch, route,
+                                                  mode):
+        # row block i's rows of x_hat are x_tilde_i @ g[:w] + g[w], the
+        # offset g's last row, bit for bit (x_tilde_i @ g in linear mode).
+        # Blobs shares take the Gram route; a major feature in units 100
+        # times smaller sends them to the factored one
+        ds = make_blobs(3, 200, rng_seed=0)
+        if route == "factored":
+            ds.features[:, 0] *= 100.0
+        part = partition_lattice(ds, 2, 2, "iid-random", rng_seed=1)
+        anchor = generate_anchor(feature_bounds(ds.features), 600, rng_seed=2)
+        cfg = SessionConfig(c=2, d=2, k=3)
+        blocks, anchor_blocks = _session_inputs(ds.features, part, anchor, cfg)
+        shares = [user_step(p, blocks[p], anchor_blocks[p[1]], cfg)
+                  for p in sorted(blocks)]
+        factored, original = [], collaboration.svd_left_vectors
+        monkeypatch.setattr(collaboration, "svd_left_vectors",
+                            lambda *a: factored.append(a) or original(*a))
+        model = build_collaboration(shares, mode=mode)
+        assert bool(factored) == (route == "factored")
+        ends = np.cumsum(model.row_sizes)
+        for i, g in enumerate(model.g_maps):
+            x = np.hstack([s.x_tilde for s in shares if s.party[0] == i])
+            w = x.shape[1]
+            expected = x @ g[:w] + g[w] if mode == "affine" else x @ g
+            assert g.shape == (w + (mode == "affine"), model.m_hat)
+            assert np.array_equal(model.x_hat[ends[i] - len(x):ends[i]],
+                                  expected)
+
     def test_bad_mode(self):
         shares = equal_range_shares(2, 2, seed=7, with_offsets=False)
         with pytest.raises(ConfigurationError):
@@ -833,8 +867,9 @@ class TestEndToEnd:
         anchor = generate_anchor(feature_bounds(ds.features), 240, rng_seed=10)
         report = run_dc_clustering(ds.features, part, anchor,
                                    SessionConfig(c=2, d=2, k=3, master_seed=11))
+        # every map's rows but the offset, one per intermediate column
         for g in report.model.g_maps:
-            assert g.linear.shape[0] < ds.features.shape[1]
+            assert g.shape[0] - 1 < ds.features.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -861,18 +896,25 @@ REFUSALS = {
                         ContractViolationError, r"top_k must be in \[1, 3\]"),
     "fit-one-row": (lambda: fit_intermediate(ROWS[:1], ROWS, 2),
                     ContractViolationError, "fit needs at least 2 rows"),
-    "map-width": (lambda: collaboration.AffineMap(np.eye(2), np.zeros(2)
-                                                  ).apply(ROWS),
-                  ContractViolationError, "map expects 2 columns, got 3"),
     "unknown-algorithm": (lambda: make_clustering_representation(
                               None, "dbscan", 2),
                           ConfigurationError, "algorithm must be one of"),
     "unknown-assignment": (lambda: partition_lattice(BLOBS, 1, 1, "striped"),
-                           ConfigurationError, "unknown assignment 'striped'"),
+                           ConfigurationError, "assignment must be one of .*, "
+                                               "got 'striped'"),
     "col-sets-count": (lambda: partition_lattice(
                            BLOBS, 1, 2, "contiguous", col_index_sets=[range(6)]),
-                       ConfigurationError, "col_index_sets has 1 blocks, "
-                                           "expected 2"),
+                       ConfigurationError, "expected d = 2 column sets, got 1"),
+    "col-sets-repeat": (lambda: partition_lattice(
+                            BLOBS, 1, 2, "contiguous",
+                            col_index_sets=[[0, 1, 2], [2, 3, 4, 5]]),
+                        ConfigurationError, r"name features \[2\] below 0 "
+                                            "or more than once"),
+    "col-sets-negative": (lambda: partition_lattice(
+                              BLOBS, 1, 2, "contiguous",
+                              col_index_sets=[[0, 1, -2], [3, 4, 5]]),
+                          ConfigurationError, r"name features \[-2\] below 0 "
+                                              "or more than once"),
     "empty-row-block": (lambda: partition_lattice(
                             BLOBS, 2, 1, "by-cluster-map",
                             cluster_map={0: 0, 1: 0, 2: 0}),
@@ -886,8 +928,13 @@ REFUSALS = {
     "cluster-map-block": (lambda: partition_lattice(
                               BLOBS, 2, 1, "by-cluster-map",
                               cluster_map={0: 0, 1: 5, 2: 1}),
-                          ConfigurationError, "cluster 1 mapped to invalid "
-                                              "row block 5"),
+                          ConfigurationError, "cluster_map sends cluster 1 "
+                                              "outside row blocks 0 to 1"),
+    "unread-cluster-map": (lambda: partition_lattice(
+                               make_blobs(3, 10), 2, 2, "iid-random",
+                               cluster_map={0: 0, 1: 0, 2: 0}),
+                           ConfigurationError, "cluster_map is read only by "
+                           "assignment = by-cluster-map, not iid-random"),
     "blobs-count": (lambda: make_blobs(0, 5), ConfigurationError,
                     "k and per_cluster must be positive"),
     "blobs-centers": (lambda: make_blobs(8, 1), ConfigurationError,

@@ -103,8 +103,10 @@ class TestParseConfig:
             parse_config("dataset = blobs\nc = 1\nd = 1\ncluster_map = 0\n")
 
     @pytest.mark.parametrize("key, value, match", [
-        ("col_blocks", "0,1|2|3,4,5", "col_blocks has 3 groups, expected d = 2"),
-        ("col_blocks", "0,1,2,3,4,5", "col_blocks has 1 groups, expected d = 2"),
+        ("col_blocks", "0,1|2|3,4,5", r"expected d = 2 column sets, got 3$"),
+        ("col_blocks", "0,1,2,3,4,5", r"expected d = 2 column sets, got 1$"),
+        ("col_blocks", "0,1|1,2,3,4,5", r"name features \[1\] below 0 or more"),
+        ("col_blocks", "0,-1|2,3,4,5", r"name features \[-1\] below 0 or more"),
         ("cluster_map", "0:0 1:0,2", "cluster_map sends cluster 1 outside"),
         ("cluster_map", "0:-1 1:1", "cluster_map sends cluster 0 outside"),
     ])
@@ -470,6 +472,48 @@ class TestEmitReport:
 # command line
 # ---------------------------------------------------------------------------
 
+def run_tcp_roles(tmp_path, out_dir):
+    """Play a 1x2 session through main(), the analyst in one thread and
+    each user in another, every role writing its labels under out_dir;
+    returns each role's exit code and the warnings the roles raised."""
+    cfg = tmp_path / "wire.cfg"
+    cfg.write_text("dataset = blobs\nclusters = 2\nper_cluster = 10\n"
+                   "c = 1\nd = 2\nm_hat = 2\ntrials = 1\n")
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+
+    codes = {}
+
+    def role(tag, argv):
+        codes[tag] = cli.main(argv)
+
+    threads = [threading.Thread(target=role, args=("analyst", [
+        "analyst", str(cfg), "--listen", f"127.0.0.1:{port}",
+        "--timeout", "20", "--out", str(out_dir)]))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        threads[0].start()
+        for _ in range(50):                    # wait for the listener
+            try:
+                socket.create_connection(("127.0.0.1", port),
+                                         timeout=0.2).close()
+                break
+            except OSError:
+                time.sleep(0.1)
+        for party in ("0,0", "0,1"):
+            threads.append(threading.Thread(target=role, args=(party, [
+                "user", str(cfg), "--connect", f"127.0.0.1:{port}",
+                "--party", party, "--timeout", "20",
+                "--out", str(out_dir)])))
+            threads[-1].start()
+        for t in threads:
+            t.join(timeout=30)
+        gc.collect()
+    return codes, caught
+
+
 class TestCli:
     def test_run_single_config(self, tmp_path, capsys):
         cfg = tmp_path / "smoke.cfg"
@@ -541,11 +585,12 @@ class TestCli:
         ("dataset = csv\ncsv_path = {dir}/holed.csv\nlabel_column = label\n",
          "a,b,c,label\n1,2,3,x\n4,nan,6,y\n"),
         ("col_blocks = 0,1|2|3,4,5\n", None),
+        ("col_blocks = 0,1|1,2,3,4,5\n", None),
         ("cluster_map = 0:0 1:1\n", None),
         ("assignment = by-cluster-map\n", None),
         ("clusters = 12\n", None),
-    ], ids=["missing-csv", "nan-cell", "col-blocks-count", "unread-cluster-map",
-            "cluster-map-missing", "blobs-clusters-12"])
+    ], ids=["missing-csv", "nan-cell", "col-blocks-count", "col-blocks-repeat",
+            "unread-cluster-map", "cluster-map-missing", "blobs-clusters-12"])
     def test_bad_inputs_exit_2_before_any_trial(self, tmp_path, capsys,
                                                 monkeypatch, lines, csv_text):
         if csv_text is not None:
@@ -561,6 +606,29 @@ class TestCli:
         assert captured.err.startswith("error:")
         assert len(captured.err.splitlines()) == 1 and captured.out == ""
         assert sessions == [] and not (tmp_path / "reports").exists()
+
+    def test_unusable_out_exits_2_after_the_trials(self, tmp_path, capsys):
+        # --out names a file: the trials run, then the report cannot be
+        # written, and one line says where
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(TINY_CFG)
+        assert cli.main(["run", str(cfg), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {taken}: ")
+
+    def test_unusable_out_exits_2_after_the_session(self, tmp_path, capsys):
+        # each role finishes its session, then cannot write its labels
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        codes, _ = run_tcp_roles(tmp_path, taken)
+        assert codes == {"analyst": 2, "0,0": 2, "0,1": 2}
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("error: ")]
+        assert len(err) == 3
+        assert all(line.startswith(f"error: cannot write {taken}: ")
+                   for line in err)
 
     def test_roles_use_the_runner_trial_seed(self):
         spec = tiny_spec(trials=1)
@@ -602,43 +670,8 @@ class TestCli:
         assert "cannot reach analyst" in err
 
     def test_tcp_roles_agree_with_in_process(self, tmp_path, capsys):
-        # analyst in a thread, users in the foreground, all through main()
-        cfg = tmp_path / "wire.cfg"
-        cfg.write_text("dataset = blobs\nclusters = 2\nper_cluster = 10\n"
-                       "c = 1\nd = 2\nm_hat = 2\ntrials = 1\n")
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
         out_dir = tmp_path / "labels"
-
-        codes = {}
-
-        def role(tag, argv):
-            codes[tag] = cli.main(argv)
-
-        threads = [threading.Thread(target=role, args=("analyst", [
-            "analyst", str(cfg), "--listen", f"127.0.0.1:{port}",
-            "--timeout", "20", "--out", str(out_dir)]))]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ResourceWarning)
-            threads[0].start()
-            for _ in range(50):                    # wait for the listener
-                try:
-                    socket.create_connection(("127.0.0.1", port),
-                                             timeout=0.2).close()
-                    break
-                except OSError:
-                    time.sleep(0.1)
-            for party in ("0,0", "0,1"):
-                threads.append(threading.Thread(target=role, args=(party, [
-                    "user", str(cfg), "--connect", f"127.0.0.1:{port}",
-                    "--party", party, "--timeout", "20",
-                    "--out", str(out_dir)])))
-                threads[-1].start()
-            for t in threads:
-                t.join(timeout=30)
-            gc.collect()
+        codes, caught = run_tcp_roles(tmp_path, out_dir)
         assert codes == {"analyst": 0, "0,0": 0, "0,1": 0}
         # every role closes its sockets
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
