@@ -101,10 +101,12 @@ def _cmd_run(args) -> int:
 
 
 def _session_pieces(spec: ExperimentSpec, timeout: float | None):
-    """Trial 0's inputs, which every role re-derives from the shared config;
-    the session timeout resolves from `timeout` as SessionConfig's does."""
+    """Trial 0's inputs, which every role re-derives from the shared config,
+    with `timeout` as the session's timeout unless it is None."""
     ds, part, anchor, cfg = trial_inputs(spec, trial_seed_for(spec, 0))
-    return ds, part, anchor, dataclasses.replace(cfg, timeout=timeout)
+    if timeout is not None:
+        cfg = dataclasses.replace(cfg, timeout=timeout)
+    return ds, part, anchor, cfg
 
 
 def _parse_hostport(text: str):

@@ -47,8 +47,6 @@ def _report_formats(names) -> tuple:
 class ExperimentSpec(SessionSettings):
     name: str
     dataset: str                      # blobs | circles | csv
-    c: int
-    d: int
     k: int | None = None              # None: ground-truth cluster count
     trials: int = 1
     master_seed: int = 0
@@ -68,8 +66,8 @@ class ExperimentSpec(SessionSettings):
     def __post_init__(self):
         super().__post_init__()
         self.formats = _report_formats(self.formats)
-        check_at_least_one(self, "c", "d", "k", "trials", "anchor_size",
-                           "clusters", "per_cluster")
+        check_at_least_one(self, "k", "trials", "anchor_size", "clusters",
+                           "per_cluster")
         if self.dataset not in ("blobs", "circles", "csv"):
             raise ConfigurationError(f"unknown dataset kind {self.dataset!r}")
         if self.dataset == "circles" and self.clusters < 2:
@@ -77,8 +75,12 @@ class ExperimentSpec(SessionSettings):
         if self.dataset == "blobs" and self.clusters > MAX_BLOB_CLUSTERS:
             raise ConfigurationError(f"blobs dataset places at most "
                                      f"{MAX_BLOB_CLUSTERS} clusters")
-        if self.dataset == "csv" and not self.csv_path:
-            raise ConfigurationError("csv dataset needs csv_path")
+        for key in ("csv_path", "label_column"):
+            if self.dataset == "csv" and not getattr(self, key):
+                raise ConfigurationError(f"csv dataset needs {key}")
+            if self.dataset != "csv" and getattr(self, key) is not None:
+                raise ConfigurationError(f"{key} is read only by dataset = csv,"
+                                         f" not {self.dataset}")
         if self.local not in LOCAL_CHOICES:
             raise ConfigurationError(f"local must be one of {LOCAL_CHOICES}")
         check_partition(self.c, self.d, self.assignment, self.cluster_map,
@@ -167,8 +169,7 @@ def trial_inputs(spec: ExperimentSpec, trial_seed: int,
     anchor = generate_anchor(feature_bounds(ds.features), r,
                              rng_seed=derive_seed(trial_seed, "anchor"))
     settings = {f.name: getattr(spec, f.name) for f in fields(SessionSettings)}
-    cfg = SessionConfig(c=spec.c, d=spec.d,
-                        k=spec.k if spec.k is not None else ds.n_clusters,
+    cfg = SessionConfig(k=spec.k if spec.k is not None else ds.n_clusters,
                         master_seed=trial_seed, **settings)
     return ds, part, anchor, cfg
 
@@ -181,11 +182,17 @@ def _local_parties(spec: ExperimentSpec):
     return [(i, j) for i in range(spec.c) for j in range(spec.d)]
 
 
-def _cluster_plain(x, k, algorithm, neighbors, max_iter, seed, restarts):
-    if algorithm == "kmeans":
-        return kmeans(x, k, max_iter=max_iter, rng_seed=seed, restarts=restarts)
-    return spectral_cluster(x, k, neighbors=neighbors, max_iter=max_iter,
-                            rng_seed=seed, restarts=restarts)
+def _cluster_plain(x, k, spec: ExperimentSpec, seed):
+    """A baseline's clustering of the rows x by the spec's settings, with k
+    and neighbors clamped to what x's rows allow: a local block may hold
+    fewer rows than k."""
+    k = min(k, x.shape[0])
+    if spec.algorithm == "kmeans":
+        return kmeans(x, k, max_iter=spec.max_iter, rng_seed=seed,
+                      restarts=spec.restarts)
+    return spectral_cluster(x, k, neighbors=min(spec.neighbors, x.shape[0] - 1),
+                            max_iter=spec.max_iter, rng_seed=seed,
+                            restarts=spec.restarts)
 
 
 def run_experiment(spec: ExperimentSpec) -> TrialReport:
@@ -220,21 +227,15 @@ def run_experiment(spec: ExperimentSpec) -> TrialReport:
             residuals.append(outcome.report.model.residual)
 
             if spec.centralized:
-                model = _cluster_plain(ds.features, cfg.k, spec.algorithm,
-                                       spec.neighbors, spec.max_iter,
-                                       derive_seed(trial_seed, "centralized"),
-                                       spec.restarts)
+                model = _cluster_plain(ds.features, cfg.k, spec,
+                                       derive_seed(trial_seed, "centralized"))
                 scores["centralized"] = score_all(ds.labels, model.labels)
 
             for i, j in locals_wanted:
                 block = part.block(ds.features, i, j)
                 y_block = ds.labels[part.row_index_sets[i]]
-                k_local = min(cfg.k, block.shape[0])
-                model = _cluster_plain(block, k_local, spec.algorithm,
-                                       min(spec.neighbors, block.shape[0] - 1),
-                                       spec.max_iter,
-                                       derive_seed(trial_seed, "local", i, j),
-                                       spec.restarts)
+                model = _cluster_plain(block, cfg.k, spec,
+                                       derive_seed(trial_seed, "local", i, j))
                 scores[f"local({i},{j})"] = score_all(y_block, model.labels)
         except Exception as exc:   # noqa: BLE001 - trial isolation is the point
             aborted.append({"trial": t, "seed": trial_seed, "error": repr(exc)})

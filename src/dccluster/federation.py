@@ -61,26 +61,6 @@ _HEADER_LEN = struct.Struct("<I")
 MAX_PAYLOAD = 1 << 31
 _MISSING = object()
 
-DEFAULT_TIMEOUT_SECS = 60.0
-
-
-def resolve_timeout(explicit: float | None = None) -> float:
-    """The explicit value, or 60 s when it is None.
-
-    Anything but a positive, finite number of seconds raises
-    ConfigurationError.
-    """
-    value = DEFAULT_TIMEOUT_SECS if explicit is None else explicit
-    try:
-        secs = float(value)
-    except (TypeError, ValueError):
-        secs = math.nan
-    if not (math.isfinite(secs) and secs > 0):
-        raise ConfigurationError(
-            f"timeout={value!r} is not a positive, finite number of seconds")
-    return secs
-
-
 def check_at_least_one(settings, *names):
     """ConfigurationError naming the first of `names` whose value is below
     1.  None passes: an optional count left unset means its default."""
@@ -100,25 +80,33 @@ class SessionSettings:
     max_iter: int = 300
     m_hat: int | None = None
     restarts: int = 10
+    c: int
+    d: int
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")
-        check_at_least_one(self, "neighbors", "max_iter", "restarts", "m_hat")
+        check_at_least_one(self, "neighbors", "max_iter", "restarts", "m_hat",
+                           "c", "d")
 
 
 @dataclass
 class SessionConfig(SessionSettings):
-    c: int
-    d: int
     k: int
     master_seed: int = 0
-    timeout: float | None = None      # seconds, resolved by resolve_timeout
+    timeout: float = 60.0             # seconds, each party's own
 
     def __post_init__(self):
         super().__post_init__()
-        check_at_least_one(self, "c", "d", "k")
-        self.timeout = resolve_timeout(self.timeout)
+        check_at_least_one(self, "k")
+        try:
+            secs = float(self.timeout)
+        except (TypeError, ValueError):
+            secs = math.nan
+        if not (math.isfinite(secs) and secs > 0):
+            raise ConfigurationError(f"timeout={self.timeout!r} is not a "
+                                     f"positive, finite number of seconds")
+        self.timeout = secs
 
     def echo(self) -> dict:
         """Every setting but the timeout, which is each party's own."""

@@ -17,7 +17,7 @@ from dccluster.data import make_blobs
 from dccluster.errors import ConfigurationError
 from dccluster.experiment import (METRICS, ExperimentSpec, TrialReport,
                                   run_experiment, emit_report, parse_config,
-                                  load_config, trial_inputs)
+                                  load_config, trial_inputs, trial_seed_for)
 from dccluster.federation import SessionConfig, SessionSettings
 from dccluster.metrics import ari
 
@@ -168,6 +168,24 @@ class TestParseConfig:
             with pytest.raises(ConfigurationError, match="^anchor_size must be"):
                 parse_config(f"dataset = blobs\nc = 1\nd = 1\nanchor_size = {value}\n")
 
+    @pytest.mark.parametrize("dataset", ["blobs", "circles"])
+    @pytest.mark.parametrize("line", ["csv_path = x.csv", "label_column = y"],
+                             ids=["csv-path", "label-column"])
+    def test_csv_keys_refused_for_a_generated_dataset(self, dataset, line):
+        # a generator reads neither key, so setting one is a mistake
+        key = line.split()[0]
+        with pytest.raises(ConfigurationError,
+                           match=f"^{key} is read only by dataset = csv, "
+                                 f"not {dataset}$"):
+            parse_config(f"dataset = {dataset}\nc = 1\nd = 1\n{line}\n")
+
+    def test_csv_dataset_needs_label_column_when_parsed(self):
+        # not only when the rows are loaded, after the spec was accepted
+        with pytest.raises(ConfigurationError,
+                           match="^csv dataset needs label_column$"):
+            parse_config("dataset = csv\ncsv_path = data/iris.csv\n"
+                         "c = 1\nd = 1\n")
+
     @pytest.mark.parametrize("key, value, match", [
         ("clusters", 0, "^clusters must be"),
         ("per_cluster", 0, "^per_cluster must be"),
@@ -213,6 +231,38 @@ class TestParseConfig:
 
 CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg"))
 
+# The trial-0 session echo of each shipped config, a csv config reading
+# its rows from make_blobs(3, 20).
+ECHO_PINS = {
+    "blobs_kmeans_iid":
+        '{"algorithm": "kmeans", "c": 2, "d": 2, "k": 3, "m_hat": 2, '
+        '"master_seed": 1255434119756037673, "max_iter": 300, '
+        '"neighbors": 10, "restarts": 10}',
+    "blobs_kmeans_noniid":
+        '{"algorithm": "kmeans", "c": 2, "d": 2, "k": 3, "m_hat": 2, '
+        '"master_seed": 1255434119756037673, "max_iter": 300, '
+        '"neighbors": 10, "restarts": 10}',
+    "circles_spectral_iid":
+        '{"algorithm": "spectral", "c": 2, "d": 2, "k": 3, "m_hat": 2, '
+        '"master_seed": 1255434119756037673, "max_iter": 300, '
+        '"neighbors": 10, "restarts": 10}',
+    "circles_spectral_noniid":
+        '{"algorithm": "spectral", "c": 2, "d": 2, "k": 3, "m_hat": 2, '
+        '"master_seed": 1255434119756037673, "max_iter": 300, '
+        '"neighbors": 10, "restarts": 10}',
+    "iris_kmeans":
+        '{"algorithm": "kmeans", "c": 10, "d": 2, "k": 3, "m_hat": null, '
+        '"master_seed": 1255434119756037673, "max_iter": 300, '
+        '"neighbors": 10, "restarts": 10}',
+    "iris_spectral":
+        '{"algorithm": "spectral", "c": 10, "d": 2, "k": 3, "m_hat": null, '
+        '"master_seed": 1255434119756037673, "max_iter": 300, '
+        '"neighbors": 10, "restarts": 10}',
+    "rice_kmeans":
+        '{"algorithm": "kmeans", "c": 10, "d": 2, "k": 3, "m_hat": null, '
+        '"master_seed": 1255434119756037673, "max_iter": 300, '
+        '"neighbors": 10, "restarts": 10}'}
+
 # Out-of-range settings: each is a ConfigurationError as soon as the spec or
 # the session config is built, before any party fits.
 BAD_SETTINGS = [("algorithm", "spectrl"), ("neighbors", 0), ("max_iter", 0),
@@ -226,6 +276,15 @@ class TestSessionSettings:
             SessionConfig(**{"c": 1, "d": 2, "k": 2, key: value})
         with pytest.raises(ConfigurationError, match=f"^{key} must be"):
             parse_config(f"dataset = blobs\nc = 1\nd = 2\n{key} = {value}\n")
+
+    def test_lattice_refusal_reads_alike_in_both_homes(self):
+        # c is declared and checked once, in SessionSettings
+        with pytest.raises(ConfigurationError) as built:
+            SessionConfig(c=0, d=2, k=2)
+        with pytest.raises(ConfigurationError) as parsed:
+            parse_config("dataset = blobs\nc = 0\nd = 2\n")
+        assert str(built.value) == str(parsed.value) == (
+            "c must be at least 1, got 0")
 
     # sessions always align in affine mode and fit the centre-only map, so
     # neither the session config nor the spec has a field for either
@@ -261,6 +320,15 @@ class TestSessionSettings:
         for f in dataclasses.fields(SessionSettings):
             assert getattr(cfg, f.name) == getattr(spec, f.name), f.name
         assert cfg.master_seed == 12345
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_wire_echo_of_each_config_is_pinned(self, path):
+        # every share carries this echo in its frame header, and the analyst
+        # admits only an exact match: moving a declaration must move no byte
+        spec = load_config(str(path))
+        _, _, _, cfg = trial_inputs(spec, trial_seed_for(spec, 0),
+                                    make_blobs(3, 20, rng_seed=0))
+        assert json.dumps(cfg.echo(), sort_keys=True) == ECHO_PINS[path.stem]
 
     def test_every_setting_reaches_the_session(self):
         settings = dict(algorithm="spectral", neighbors=7, max_iter=55,
@@ -582,19 +650,23 @@ class TestCli:
     @pytest.mark.parametrize("lines, csv_text", [
         ("dataset = csv\ncsv_path = {dir}/absent.csv\nlabel_column = label\n",
          None),
-        ("dataset = csv\ncsv_path = {dir}/holed.csv\nlabel_column = label\n",
+        ("dataset = csv\ncsv_path = {dir}/rows.csv\nlabel_column = label\n",
          "a,b,c,label\n1,2,3,x\n4,nan,6,y\n"),
         ("col_blocks = 0,1|2|3,4,5\n", None),
         ("col_blocks = 0,1|1,2,3,4,5\n", None),
         ("cluster_map = 0:0 1:1\n", None),
         ("assignment = by-cluster-map\n", None),
         ("clusters = 12\n", None),
+        ("csv_path = x.csv\n", None),
+        ("label_column = y\n", None),
+        ("dataset = csv\ncsv_path = {dir}/rows.csv\n", "a,b,y\n1,2,0\n"),
     ], ids=["missing-csv", "nan-cell", "col-blocks-count", "col-blocks-repeat",
-            "unread-cluster-map", "cluster-map-missing", "blobs-clusters-12"])
+            "unread-cluster-map", "cluster-map-missing", "blobs-clusters-12",
+            "blobs-csv-path", "blobs-label-column", "csv-no-label-column"])
     def test_bad_inputs_exit_2_before_any_trial(self, tmp_path, capsys,
                                                 monkeypatch, lines, csv_text):
         if csv_text is not None:
-            (tmp_path / "holed.csv").write_text(csv_text)
+            (tmp_path / "rows.csv").write_text(csv_text)
         sessions = []
         monkeypatch.setattr(experiment, "run_in_process_session",
                             lambda *a: sessions.append(a))

@@ -29,7 +29,6 @@ from dccluster.errors import (ConfigurationError, DecodeError,
                               SessionTimeoutError)
 from dccluster.experiment import load_config
 from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
-                                  DEFAULT_TIMEOUT_SECS,
                                   UserShareMsg, AnalystResultMsg,
                                   encode_message, decode_message,
                                   Inbox, InProcessUserEndpoint,
@@ -37,7 +36,7 @@ from dccluster.federation import (MAGIC, KIND_USER_SHARE, KIND_ANALYST_RESULT,
                                   SessionConfig, admit,
                                   analyst_party_run, user_party_run,
                                   user_send, user_step,
-                                  resolve_timeout, run_dc_clustering,
+                                  run_dc_clustering,
                                   run_in_process_session, run_tcp_session,
                                   _recv_frame, _run_session, _session_inputs)
 from dccluster.metrics import ari
@@ -1757,27 +1756,31 @@ class TestSessionConfig:
 
 
 class TestResolveTimeout:
-    """The timeout has one home: the explicit value, else 60 s.  The
-    environment is never read, DCC_TIMEOUT_SECS included."""
+    """The timeout has one home, `SessionConfig.timeout`: the explicit
+    value, else 60 s.  The environment is never read, DCC_TIMEOUT_SECS
+    included."""
 
     def test_explicit_wins(self):
-        assert resolve_timeout(2.5) == 2.5
+        assert SessionConfig(c=1, d=1, k=2, timeout=2.5).timeout == 2.5
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("DCC_TIMEOUT_SECS", "7.5")
-        assert resolve_timeout() == DEFAULT_TIMEOUT_SECS
+        assert SessionConfig(c=1, d=1, k=2).timeout == 60.0
 
     def test_default(self):
-        assert resolve_timeout() == DEFAULT_TIMEOUT_SECS
+        assert SessionConfig(c=1, d=1, k=2).timeout == 60.0
 
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("DCC_TIMEOUT_SECS", "soon")
-        assert resolve_timeout() == DEFAULT_TIMEOUT_SECS
+        assert SessionConfig(c=1, d=1, k=2).timeout == 60.0
 
     def test_config_resolves_once(self):
         cfg = SessionConfig(c=1, d=1, k=2)
-        assert cfg.timeout == DEFAULT_TIMEOUT_SECS
+        assert cfg.timeout == 60.0
+        # replace builds a new config, which checks the timeout again
         assert dataclasses.replace(cfg, timeout=2).timeout == 2.0
+        with pytest.raises(ConfigurationError, match="positive, finite"):
+            dataclasses.replace(cfg, timeout=0)
 
     @pytest.mark.parametrize("source", ["explicit", "env", "cli"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -1794,10 +1797,18 @@ class TestResolveTimeout:
         if source == "env":
             # not read, so not refused either
             monkeypatch.setenv("DCC_TIMEOUT_SECS", value)
-            assert SessionConfig(c=1, d=1, k=2).timeout == DEFAULT_TIMEOUT_SECS
+            assert SessionConfig(c=1, d=1, k=2).timeout == 60.0
             return
         with pytest.raises(ConfigurationError, match="positive, finite"):
             SessionConfig(c=1, d=1, k=2, timeout=float(value))
+
+    @pytest.mark.parametrize("value", [None, "soon"])
+    def test_rejects_what_is_no_number(self, value):
+        # the default is the field's own: None does not stand for it
+        with pytest.raises(ConfigurationError, match="positive, finite"):
+            SessionConfig(c=1, d=1, k=2, timeout=value)
+        with pytest.raises(ConfigurationError, match="positive, finite"):
+            dataclasses.replace(SessionConfig(c=1, d=1, k=2), timeout=value)
 
 
 class TestCliAddress:

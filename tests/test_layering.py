@@ -6,9 +6,12 @@ CLI.  scipy is imported only inside the functions that call it, and never
 by the metrics, so a k-means process runs on numpy alone.  k-means takes
 its squared distances from one kernel, so no other clustering function
 squares a difference of its own.  And every top-level function and class,
-and every method of one, serves the package itself, not only its tests."""
+and every method of one, serves the package itself, not only its tests.
+No dataclass declares a field again that one of its bases declares, so each
+setting has one declaration and one check."""
 
 import ast
+import dataclasses
 import importlib.util
 import json
 import os
@@ -60,6 +63,57 @@ def test_the_check_sees_every_import_form(tmp_path):
                      "from dccluster.numerics import svd\n")
     assert imported_modules(probe) == {"federation", "experiment", "cli",
                                        "numerics"}
+
+
+def redeclared_fields(module):
+    """The fields, as "Class.field", that a dataclass defined in `module`
+    declares although a dataclass among its bases already declares them."""
+    found = []
+    for cls in vars(module).values():
+        if not (dataclasses.is_dataclass(cls) and isinstance(cls, type)
+                and cls.__module__ == module.__name__):
+            continue
+        inherited = {f.name for base in cls.__mro__[1:]
+                     if dataclasses.is_dataclass(base)
+                     for f in dataclasses.fields(base)}
+        found += [f"{cls.__name__}.{name}"
+                  for name in vars(cls).get("__annotations__", {})
+                  if name in inherited]
+    return found
+
+
+def test_no_dataclass_redeclares_a_field_of_its_bases():
+    modules = [importlib.import_module(f"dccluster.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem != "__init__"]
+    assert [name for module in modules
+            for name in redeclared_fields(module)] == []
+
+
+def test_the_redeclaration_check_sees_every_base(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from dataclasses import dataclass\n"
+                     "@dataclass(kw_only=True)\n"
+                     "class Settings:\n"
+                     "    algorithm: str = 'kmeans'\n"
+                     "    c: int\n"
+                     "@dataclass\n"
+                     "class Config(Settings):\n"
+                     "    k: int\n"
+                     "@dataclass\n"
+                     "class Spec(Settings):\n"
+                     "    c: int\n"
+                     "    name: str = ''\n"
+                     "@dataclass\n"
+                     "class Trial(Config):\n"
+                     "    algorithm: str = 'spectral'\n"
+                     "    k: int = 2\n"
+                     "    seed: int = 0\n")
+    spec = importlib.util.spec_from_file_location("probe", probe)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert redeclared_fields(module) == ["Spec.c", "Trial.algorithm",
+                                         "Trial.k"]
 
 
 # A fresh interpreter plays every k-means role, scores labels and runs a
